@@ -12,6 +12,7 @@ those relations); everything else is in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,14 @@ from .channels import (
 from .engine import (
     BLDatum,
     OptimizerBudget,
-    _fd_ascent,
+    _adjoint_batch,
+    _apply_batch,
+    _ascent,
+    _eigh_log,
+    _gram_states,
+    _pullback,
+    _relative_entropy_grad,
+    _sqrt_psd,
     optimal_constant_analytic,
     optimal_constant_entropic,
 )
@@ -50,6 +58,7 @@ from .operators import (
     log_trace_exp_sum,
     matrix_log,
     trace_exp_sum,
+    xlogx_sum,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .sampling import complex_gaussian, random_density
@@ -342,28 +351,23 @@ class MinOutputReport:
 _DUAL_FLOOR = 1e-13
 
 
+def _neg_output_entropy(ch: Channel, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-H(E(rho)) at the pure states rho = vv^dag / |v|^2 (vs stacked as
+    d x 1 columns) and its gradient in v: the gradient in rho is
+    E^dag(log E(rho))."""
+    rhos, norms = _gram_states(vs)
+    vals, log_out = _eigh_log(_apply_batch(ch, rhos))
+    return xlogx_sum(vals), _pullback(_adjoint_batch(ch, log_out), rhos, vs, norms)
+
+
 def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
-    """Minimize the output entropy over pure inputs by parametrized ascent
-    of its negative; vec0s holds stacked complex start vectors."""
-    d_in = ch.dim_in
-
-    def neg_output_entropy(theta: np.ndarray, owners) -> np.ndarray:
-        vecs = theta[:, :d_in] + 1j * theta[:, d_in:]
-        norms = np.clip(np.linalg.norm(vecs, axis=1), 1e-150, None)
-        vecs = vecs / norms[:, None]
-        rhos = vecs[:, :, None] * vecs[:, None, :].conj()
-        outs = np.einsum("a,aij,bjk,alk->bil", ch.signs, ch.kraus, rhos, ch.kraus.conj())
-        vals = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-        ent = -np.sum(
-            np.where(vals > 1e-300, vals * np.log(np.clip(vals, 1e-300, None)), 0.0), axis=-1
-        )
-        return -ent
-
-    theta0 = np.stack([np.concatenate([v.real, v.imag]) for v in vec0s])
-    fvals, thetas, _, _, _ = _fd_ascent(neg_output_entropy, theta0, budget.max_iters, budget.tol)
+    """Minimize the output entropy over pure inputs by gradient ascent of
+    its negative; vec0s holds stacked complex start vectors."""
+    fvals, vs, _ = _ascent(
+        partial(_neg_output_entropy, ch), vec0s[..., None], budget.max_iters, budget.tol
+    )
     i = int(np.argmax(fvals))
-    v = thetas[i, :d_in] + 1j * thetas[i, d_in:]
-    v /= np.linalg.norm(v)
+    v = vs[i, :, 0] / np.linalg.norm(vs[i])
     return float(-fvals[i]), v
 
 
@@ -538,6 +542,30 @@ def _km_form(sigma: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
     return gram
 
 
+# below this D(rho||sigma) cancellation error (about 4e-16 / D) dominates
+# the ratio and exact-gradient ascent climbs the noise; the rho -> sigma
+# limit is covered exactly by the perturbative probe
+_RATIO_MIN_DIVERGENCE = 1e-6
+
+
+def _divergence_ratio(
+    ch: Channel, log_sigma: np.ndarray, log_esig: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """D(E rho||E sigma) / D(rho||sigma) at rho = XX^dag / tr XX^dag and its
+    gradient in X, by the quotient rule on the two relative-entropy
+    gradients; -inf (gradient 0) where D(rho||sigma) is too small to
+    resolve the ratio."""
+    rhos, t = _gram_states(xs)
+    d_in, g_in = _relative_entropy_grad(rhos, log_sigma)
+    d_out, g_out = _relative_entropy_grad(_apply_batch(ch, rhos), log_esig)
+    ok = d_in > _RATIO_MIN_DIVERGENCE
+    d_in = np.where(ok, d_in, 1.0)
+    r = d_out / d_in
+    g = (_adjoint_batch(ch, g_out) - r[:, None, None] * g_in) / d_in[:, None, None]
+    grad = _pullback(g, rhos, xs, t)
+    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], grad, 0.0)
+
+
 def contraction_coefficient(
     ch: Channel, sigma, budget: OptimizerBudget = OptimizerBudget(restarts=8)
 ) -> float:
@@ -557,34 +585,17 @@ def contraction_coefficient(
     m_out = _km_form(esig, [apply(ch, b) for b in basis])
     eta_pert = float(generalized_eigh(m_out, m_in, eigvals_only=True)[-1])
 
-    log_sigma = matrix_log(sig).finite
-    esig_psd = PSDOperator(esig)
-    log_esig = matrix_log(esig_psd).finite
-    v_out = esig_psd.support_basis()
-
-    def ratio(theta: np.ndarray, owners) -> np.ndarray:
-        from .engine import _states_from_params
-
-        rhos = _states_from_params(theta, d)
-        rvals = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)
-        num_r = np.sum(np.where(rvals > 1e-300, rvals * np.log(np.clip(rvals, 1e-300, None)), 0.0), -1)
-        d_in = num_r - np.einsum("bij,ji->b", rhos, log_sigma).real
-        outs = np.einsum("a,aij,bjk,alk->bil", ch.signs, ch.kraus, rhos, ch.kraus.conj())
-        ovals = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-        num_o = np.sum(np.where(ovals > 1e-300, ovals * np.log(np.clip(ovals, 1e-300, None)), 0.0), -1)
-        d_out_ = num_o - np.einsum("bij,ji->b", outs, log_esig).real
-        return np.where(d_in > 1e-13, d_out_ / np.clip(d_in, 1e-13, None), -np.inf)
-
-    from .engine import _params_from_state
-
+    ratio = partial(
+        _divergence_ratio, ch, matrix_log(sig).finite, matrix_log(PSDOperator(esig)).finite
+    )
     seeds = budget.seeds()
-    theta0 = np.stack(
+    rhos0 = np.stack(
         [
-            _params_from_state(random_density(d, np.random.default_rng(s), ("hs", "pure")[i % 2]))
+            random_density(d, np.random.default_rng(s), ("hs", "pure")[i % 2])
             for i, s in enumerate(seeds)
         ]
     )
-    fvals, _, _, _, _ = _fd_ascent(ratio, theta0, budget.max_iters, budget.tol)
+    fvals, _, _ = _ascent(ratio, _sqrt_psd(rhos0), budget.max_iters, budget.tol)
     finite = fvals[np.isfinite(fvals)]
     eta_ascent = float(np.max(finite)) if finite.size else 0.0
     eta = max(eta_pert, eta_ascent, 0.0)

@@ -32,6 +32,7 @@ from .applications import (
     measurement_entropies_bits,
     min_output_entropy,
     mu_analytic_check,
+    six_state_bases,
     six_state_check,
     uncertainty_bound_analytic,
     uncertainty_bound_entropic,
@@ -259,23 +260,8 @@ def cmd_constant(args) -> int:
         }
         _emit(report, args)
         return 0 if rep.agree else 2
-    if kind == "mu":
-        bases = [task["basis_x"], task["basis_z"]]
-        be = uncertainty_bound_entropic(bases, budget)
-        ba = uncertainty_bound_analytic(bases, budget)
-        report["uncertainty_bound"] = {
-            "entropic_nats": be,
-            "analytic_nats": ba,
-            "entropic_bits": be / LN2,
-            "analytic_bits": ba / LN2,
-            "c": maassen_uffink_constant(task["basis_x"], task["basis_z"]),
-        }
-        _emit(report, args)
-        return 0 if abs(be - ba) <= max(1e-3, 1e-3 * abs(be)) else 2
-    if kind == "six_state":
-        from .applications import six_state_bases
-
-        bases = six_state_bases()
+    if kind in ("mu", "six_state"):
+        bases = [task["basis_x"], task["basis_z"]] if kind == "mu" else six_state_bases()
         be = uncertainty_bound_entropic(bases, budget)
         ba = uncertainty_bound_analytic(bases, budget)
         report["uncertainty_bound"] = {
@@ -284,6 +270,8 @@ def cmd_constant(args) -> int:
             "entropic_bits": be / LN2,
             "analytic_bits": ba / LN2,
         }
+        if kind == "mu":
+            report["uncertainty_bound"]["c"] = maassen_uffink_constant(*bases)
         _emit(report, args)
         return 0 if abs(be - ba) <= max(1e-3, 1e-3 * abs(be)) else 2
     if kind == "channel_task" and task["task"] == "min_output_entropy":

@@ -20,6 +20,7 @@ from .operators import (
     log_trace_exp_sum,
     matrix_log,
     sum_on_joint_support,
+    xlogx_sum,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -38,15 +39,10 @@ def _as_density(x, policy: NumericPolicy) -> DensityOperator:
     return DensityOperator(x, policy)
 
 
-def _xlogx(vals: np.ndarray) -> float:
-    pos = vals[vals > 0]
-    return float(np.sum(pos * np.log(pos)))
-
-
 def von_neumann(rho, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """H(rho) = -tr rho log rho, with 0 log 0 = 0."""
     rho = _as_density(rho, policy)
-    return -_xlogx(np.clip(rho.eigenvalues, 0.0, None))
+    return -float(xlogx_sum(rho.eigenvalues))
 
 
 def supports_contained(
@@ -72,7 +68,7 @@ def relative_entropy(omega, tau, policy: NumericPolicy = DEFAULT_POLICY) -> floa
     if not supports_contained(omega, tau, policy):
         return INF
     ltau = matrix_log(tau, policy).finite
-    return _xlogx(np.clip(omega.eigenvalues, 0.0, None)) - float(
+    return float(xlogx_sum(omega.eigenvalues)) - float(
         np.trace(omega.matrix @ ltau).real
     )
 

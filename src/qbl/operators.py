@@ -37,6 +37,13 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
+def xlogx_sum(vals: np.ndarray) -> np.ndarray:
+    """sum_i x_i log x_i over the last axis of a spectrum stack, with
+    0 log 0 = 0 and negative rounding noise clipped to 0."""
+    v = np.clip(vals, 0.0, None)
+    return np.sum(np.where(v > 1e-300, v * np.log(np.clip(v, 1e-300, None)), 0.0), axis=-1)
+
+
 class HermitianOperator:
     """A d x d complex Hermitian matrix with a cached eigendecomposition.
 

@@ -8,7 +8,7 @@ import pytest
 from qbl.cli import main
 from qbl.engine import BLDatum
 from qbl.operators import PSDOperator
-from qbl.channels import depolarizing
+from qbl.channels import depolarizing, identity_channel
 from qbl.serialization import encode_datum
 
 
@@ -18,6 +18,16 @@ def dpi_spec(tmp_path):
     sigma = PSDOperator(np.diag([0.6, 0.4]))
     datum = BLDatum([1.0], [ch], sigma, [PSDOperator(ch(sigma))], 0.0)
     path = tmp_path / "dpi.json"
+    path.write_text(json.dumps(encode_datum(datum)))
+    return str(path)
+
+
+@pytest.fixture
+def leaking_spec(tmp_path):
+    # sigma_1 = diag(1, 0) misses half of E(sigma): the constant is +inf
+    datum = BLDatum([1.0], [identity_channel(2)], PSDOperator(np.eye(2) / 2),
+                    [PSDOperator(np.diag([1.0, 0.0]))], 0.0)
+    path = tmp_path / "leak.json"
     path.write_text(json.dumps(encode_datum(datum)))
     return str(path)
 
@@ -101,6 +111,15 @@ class TestConstant:
         rep = json.loads(out)
         assert rep["constant"]["entropic_nats"] == pytest.approx(0.0, abs=1e-5)
         assert rep["constant"]["analytic_nats"] == pytest.approx(0.0, abs=1e-5)
+        assert rep["constant"]["agree"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_constant(self, capsys, leaking_spec):
+        code, out = run(capsys, "constant", leaking_spec, "--budget", "restarts=4", "--no-meta")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["constant"]["entropic_nats"] == np.inf
+        assert rep["constant"]["analytic_nats"] == np.inf
         assert rep["constant"]["agree"]
 
 

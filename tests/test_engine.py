@@ -140,6 +140,13 @@ class TestOptimalConstants:
         c2, witnesses, _ = optimal_constant_analytic(d, BUDGET)
         assert analytic_gap(d, witnesses) == pytest.approx(-c2, abs=1e-7)
 
+    def test_analytic_respects_iteration_budget(self):
+        d = dpi_datum(3)
+        _, _, full = optimal_constant_analytic(d, OptimizerBudget(restarts=4, max_iters=300))
+        assert len(full.trace) > 20  # the sweeps have not converged after 20 passes
+        _, _, res = optimal_constant_analytic(d, OptimizerBudget(restarts=4, max_iters=20))
+        assert len(res.trace) <= 20
+
     def test_restart_seeds_recorded(self):
         d = dpi_datum(10)
         _, _, res = optimal_constant_entropic(d, OptimizerBudget(restarts=4, base_seed=11))
@@ -172,6 +179,32 @@ class TestOptimalConstants:
         analytic_value = -analytic_gap(d.with_constant(0.0), omegas)
         assert analytic_value == pytest.approx(entropic_value, abs=1e-6)
         assert entropic_value == pytest.approx(c, abs=1e-6)
+
+
+def leaking_datum(channel):
+    # E_1(sigma) has weight on ker sigma_1, so the optimal constant is +inf
+    return BLDatum([1.0], [channel], op.PSDOperator(np.eye(2) / 2),
+                   [op.PSDOperator(np.diag([1.0, 0.0]))], 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInfiniteConstant:
+    def test_identity_channel_both_sides(self):
+        d = leaking_datum(ch.identity_channel(2))
+        c_ent, w_ent, _ = optimal_constant_entropic(d, BUDGET)
+        assert c_ent == np.inf
+        assert entropic_gap(d, w_ent) == -np.inf
+        c_ana, w_ana, _ = optimal_constant_analytic(d, BUDGET)
+        assert c_ana == np.inf
+        assert analytic_gap(d, w_ana) == -np.inf
+
+    def test_crosscheck_agrees(self):
+        for channel in (ch.identity_channel(2), ch.depolarizing(0.3)):
+            d = leaking_datum(channel)
+            rep = duality_crosscheck(d, BUDGET)
+            assert rep.c_entropic == rep.c_analytic == np.inf
+            assert rep.agree
+            assert entropic_gap(d, rep.witness_entropic) == -np.inf
 
 
 class TestDualityCrosscheck:
