@@ -31,8 +31,6 @@ from .channels import (
 from .engine import (
     BLDatum,
     OptimizerBudget,
-    _adjoint_batch,
-    _apply_batch,
     _ascent,
     _eigh_log,
     _gram_states,
@@ -356,8 +354,8 @@ def _neg_output_entropy(ch: Channel, vs: np.ndarray) -> tuple[np.ndarray, np.nda
     d x 1 columns) and its gradient in v: the gradient in rho is
     E^dag(log E(rho))."""
     rhos, norms = _gram_states(vs)
-    vals, log_out = _eigh_log(_apply_batch(ch, rhos))
-    return xlogx_sum(vals), _pullback(_adjoint_batch(ch, log_out), rhos, vs, norms)
+    vals, log_out = _eigh_log(apply(ch, rhos))
+    return xlogx_sum(vals), _pullback(apply_adjoint(ch, log_out), rhos, vs, norms)
 
 
 def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
@@ -557,11 +555,11 @@ def _divergence_ratio(
     resolve the ratio."""
     rhos, t = _gram_states(xs)
     d_in, g_in = _relative_entropy_grad(rhos, log_sigma)
-    d_out, g_out = _relative_entropy_grad(_apply_batch(ch, rhos), log_esig)
+    d_out, g_out = _relative_entropy_grad(apply(ch, rhos), log_esig)
     ok = d_in > _RATIO_MIN_DIVERGENCE
     d_in = np.where(ok, d_in, 1.0)
     r = d_out / d_in
-    g = (_adjoint_batch(ch, g_out) - r[:, None, None] * g_in) / d_in[:, None, None]
+    g = (apply_adjoint(ch, g_out) - r[:, None, None] * g_in) / d_in[:, None, None]
     grad = _pullback(g, rhos, xs, t)
     return np.where(ok, r, -np.inf), np.where(ok[:, None, None], grad, 0.0)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -90,6 +91,18 @@ def _load_task(spec: str, seed: int) -> dict:
     raise SpecFormatError("$", f"no such file or preset: {spec!r}")
 
 
+def _strict(x):
+    """The report with each non-finite float as the string "inf", "-inf" or
+    "nan" (its str), so the emitted JSON stays strict."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return x
+
+
 def _emit(report: dict, args) -> None:
     if not getattr(args, "no_meta", False):
         report = dict(report)
@@ -97,7 +110,7 @@ def _emit(report: dict, args) -> None:
             "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

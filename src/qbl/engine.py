@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .channels import Channel, adjoint_on_log, apply
+from .channels import Channel, adjoint_on_log, apply, apply_adjoint
 from .entropy import INF, relative_entropy, supports_contained
 from .errors import DimensionMismatch, Diverged
 from .operators import (
@@ -31,6 +30,7 @@ from .operators import (
     SupportLog,
     exp_on_support,
     hermitian_part,
+    log_sum_exp,
     log_trace_exp_sum,
     matrix_log,
     xlogx_sum,
@@ -186,16 +186,6 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
 # Fast batched evaluators on raw arrays
 # ---------------------------------------------------------------------------
 
-def _apply_batch(ch: Channel, rhos: np.ndarray) -> np.ndarray:
-    """E(rho) on a stack of matrices (leading axes are batch axes)."""
-    return np.einsum("a,aij,...jk,alk->...il", ch.signs, ch.kraus, rhos, ch.kraus.conj())
-
-
-def _adjoint_batch(ch: Channel, ys: np.ndarray) -> np.ndarray:
-    """E^dag(Y) on a stack of matrices (leading axes are batch axes)."""
-    return np.einsum("a,aji,...jk,akl->...il", ch.signs, ch.kraus.conj(), ys, ch.kraus)
-
-
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(A B), batched over the leading axes of A and B."""
     return np.einsum("...ij,...ji->...", a, b).real
@@ -224,9 +214,8 @@ class _Workspace:
     def __init__(self, datum: BLDatum):
         if datum.sigma.support_rank < datum.dim:
             raise Diverged("optimal-constant search requires strictly PD sigma")
-        self.datum = datum
-        self.d = datum.dim
         self.q = datum.q
+        self.channels = datum.channels
         self.log_sigma = matrix_log(datum.sigma, datum.policy).finite
         self.log_sigmas = []  # finite parts, support-projected
         self.rhs_bases = []  # support bases V_k (d_k x r_k)
@@ -238,20 +227,13 @@ class _Workspace:
             self.rhs_bases.append(v)
             self.rhs_logs.append(v.conj().T @ ls.finite @ v)
 
-    # -- channel actions on stacks ------------------------------------
-    def chan(self, k: int, rhos: np.ndarray) -> np.ndarray:
-        return _apply_batch(self.datum.channels[k], rhos)
-
-    def chan_adj(self, k: int, ys: np.ndarray) -> np.ndarray:
-        return _adjoint_batch(self.datum.channels[k], ys)
-
     # -- objectives ----------------------------------------------------
     def entropic_objective(self, rhos: np.ndarray) -> np.ndarray:
         """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma), batched."""
         vals = np.linalg.eigvalsh(rhos)
         out = _trace_prod(rhos, self.log_sigma) - xlogx_sum(vals)
         for k, qk in enumerate(self.q):
-            taus = self.chan(k, rhos)
+            taus = apply(self.channels[k], rhos)
             tvals = np.linalg.eigvalsh(taus)
             out = out + qk * (xlogx_sum(tvals) - _trace_prod(taus, self.log_sigmas[k]))
         return out
@@ -264,9 +246,9 @@ class _Workspace:
         d_ref, g_ref = _relative_entropy_grad(rhos, self.log_sigma)
         out, g = -d_ref, -g_ref
         for k, qk in enumerate(self.q):
-            dk, gk = _relative_entropy_grad(self.chan(k, rhos), self.log_sigmas[k])
+            dk, gk = _relative_entropy_grad(apply(self.channels[k], rhos), self.log_sigmas[k])
             out = out + qk * dk
-            g = g + qk * self.chan_adj(k, gk)
+            g = g + qk * apply_adjoint(self.channels[k], gk)
         return out, _pullback(g, rhos, xs, t)
 
     def log_states(self, omegas: np.ndarray) -> np.ndarray:
@@ -274,13 +256,26 @@ class _Workspace:
         logs = np.log(np.clip(vals, _EIG_FLOOR, None))
         return np.einsum("...ij,...j,...kj->...ik", vecs, logs, vecs.conj())
 
+    def exponent(self, log_omegas: list[np.ndarray]) -> np.ndarray:
+        """log sigma + sum_k E_k^dag(log w_k), batched over the leading axes
+        of each log_omegas[k]."""
+        h = self.log_sigma
+        for ch, lw in zip(self.channels, log_omegas):
+            h = h + apply_adjoint(ch, lw)
+        return h
+
+    def induced_logs(self, rhos: np.ndarray) -> list[np.ndarray]:
+        """q_k (log E_k(rho) - log sigma_k) for every k, batched: the
+        log w_k the duality proof pairs with rho."""
+        return [
+            qk * (_eigh_log(apply(ch, rhos))[1] - ls)
+            for qk, ch, ls in zip(self.q, self.channels, self.log_sigmas)
+        ]
+
     def analytic_objective(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log tr exp(log sigma + sum E_k^dag log w_k) - sum_k q_k log||.||,
         batched over the leading axes of each log_omegas[k]."""
-        h = self.log_sigma
-        for k in range(len(self.q)):
-            h = h + self.chan_adj(k, log_omegas[k])
-        obj = logsumexp(np.linalg.eigvalsh(hermitian_part(h)), axis=-1)
+        obj = log_sum_exp(np.linalg.eigvalsh(hermitian_part(self.exponent(log_omegas))))
         for k, qk in enumerate(self.q):
             obj = obj - self.rhs_term(k, log_omegas[k])
         return obj
@@ -290,7 +285,7 @@ class _Workspace:
         v = self.rhs_bases[k]
         compressed = np.einsum("ji,...jk,kl->...il", v.conj(), log_omega, v) / self.q[k]
         mats = hermitian_part(compressed + self.rhs_logs[k])
-        return self.q[k] * logsumexp(np.linalg.eigvalsh(mats), axis=-1)
+        return self.q[k] * log_sum_exp(np.linalg.eigvalsh(mats))
 
 
 def _gram_states(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +401,7 @@ def optimal_constant_entropic(
         witness = DensityOperator(datum.sigma.matrix, datum.policy)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
     ws = _Workspace(datum)
-    rhos = _initial_states(ws.d, seeds)
+    rhos = _initial_states(datum.dim, seeds)
 
     best_val, best_rho, fp_trace = _fixed_point_multi(ws, rhos, budget)
 
@@ -439,11 +434,7 @@ def _fixed_point_multi(
             break
         idx = np.where(active)[0]
         cur = rhos[idx]
-        h = np.broadcast_to(ws.log_sigma, cur.shape).copy()
-        for k, qk in enumerate(ws.q):
-            log_tau = _eigh_log(ws.chan(k, cur))[1]
-            h = h + qk * ws.chan_adj(k, log_tau - ws.log_sigmas[k])
-        nxt = _density_from_log(h)
+        nxt = _density_from_log(ws.exponent(ws.induced_logs(cur)))
         fnew = ws.entropic_objective(nxt)
         bad = ~np.isfinite(fnew)
         fnew[bad] = fvals[idx][bad]
@@ -460,33 +451,21 @@ def _fixed_point_multi(
     return float(fvals[i]), rhos[i], trace
 
 
-def _density_from_log(log_omega: np.ndarray) -> np.ndarray:
-    """Normalize exp(log_omega) to unit trace, batched."""
+def _density_from_log(log_omega: np.ndarray, log_range: float = np.inf) -> np.ndarray:
+    """Normalize exp(log_omega) to unit trace, batched; eigenvalues below
+    exp(-log_range) times the largest are lifted to that ratio."""
     vals, vecs = np.linalg.eigh(hermitian_part(log_omega))
-    w = np.exp(vals - vals[..., -1:])
+    w = np.exp(np.maximum(vals - vals[..., -1:], -log_range))
     w /= np.sum(w, axis=-1, keepdims=True)
     return np.einsum("...ij,...j,...kj->...ik", vecs, w, vecs.conj())
 
 
 # maximizing sequences can push omega eigenvalues below anything a dense
 # density matrix can represent; witnesses exponentiated from log-domain
-# iterates clamp their spectrum to this range (comfortably above the
-# eps_supp support threshold of the exact evaluators)
+# iterates clamp their spectrum to this range, so every eigenvalue stays
+# far enough above the eps_supp support threshold of the exact evaluators
+# for them to see full support
 _LOG_RANGE = -np.log(1e-9)
-
-
-def _alternating_sweep(ws: _Workspace, log_omegas: list[np.ndarray]) -> list[np.ndarray]:
-    """One monotone pass omega -> rho(omega) -> omega' of the variational
-    maximizer pair used in the duality proof."""
-    nrest = log_omegas[0].shape[0]
-    h = np.broadcast_to(ws.log_sigma, (nrest, ws.d, ws.d)).astype(complex).copy()
-    for k in range(len(ws.q)):
-        h += ws.chan_adj(k, log_omegas[k])
-    rho = _density_from_log(h)
-    out = []
-    for k, qk in enumerate(ws.q):
-        out.append(qk * (_eigh_log(ws.chan(k, rho))[1] - ws.log_sigmas[k]))
-    return out
 
 
 def harden_support(rho: np.ndarray, rel_cut: float = 1e-12) -> np.ndarray:
@@ -573,7 +552,9 @@ def optimal_constant_analytic(
     fvals = ws.analytic_objective(log_omegas)
     trace: list[tuple[int, float]] = []
     for it in range(budget.max_iters):
-        log_omegas_new = _alternating_sweep(ws, log_omegas)
+        # one monotone pass omega -> rho(omega) -> omega' of the variational
+        # maximizer pair used in the duality proof
+        log_omegas_new = ws.induced_logs(_density_from_log(ws.exponent(log_omegas)))
         fnew = ws.analytic_objective(log_omegas_new)
         gain = float(np.max(fnew - fvals))
         keep = fnew >= fvals  # guard against floating-point regressions
@@ -586,16 +567,15 @@ def optimal_constant_analytic(
 
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
     datum0 = datum.with_constant(0.0)
-    w_sweep = [_witness_from_log(lw[i], datum.policy) for lw in log_omegas]
+    w_sweep = [DensityOperator(_density_from_log(lw[i], _LOG_RANGE), datum.policy)
+               for lw in log_omegas]
     candidates = [(-analytic_gap(datum0, w_sweep), w_sweep)]
     # maximizing sequences often push omega eigenvalues below what a dense
     # density matrix can represent; the exact-kernel witness induced by
     # the (hardened) Gibbs state of the final exponent reaches the same
     # value with supports the projected evaluators handle exactly
-    h = ws.log_sigma.copy()
-    for k in range(len(dims)):
-        h = h + ws.chan_adj(k, log_omegas[k][i])
-    rho_hat = harden_support(_density_from_log(h[None])[0])
+    h = ws.exponent([lw[i] for lw in log_omegas])
+    rho_hat = harden_support(_density_from_log(h))
     try:
         w_ind = induced_analytic_witness(datum, rho_hat)
         candidates.append((-analytic_gap(datum0, w_ind), w_ind))
@@ -611,19 +591,6 @@ def optimal_constant_analytic(
         float(best_val), [w.matrix for w in witness], "alternating_sweep", seeds, trace
     )
     return float(best_val), witness, result
-
-
-def _witness_from_log(log_omega: np.ndarray, policy: NumericPolicy) -> DensityOperator:
-    """Exponentiate a single log-domain omega into a full-support density.
-
-    The spectrum is clamped to a _LOG_RANGE window below its maximum, so
-    every eigenvalue stays far enough above eps_supp for the exact
-    evaluators to see full support.
-    """
-    vals, vecs = np.linalg.eigh(hermitian_part(log_omega))
-    w = np.exp(np.maximum(vals - vals[-1], -_LOG_RANGE))
-    w /= w.sum()
-    return DensityOperator((vecs * w) @ vecs.conj().T, policy)
 
 
 @dataclass

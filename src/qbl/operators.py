@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +41,16 @@ def xlogx_sum(vals: np.ndarray) -> np.ndarray:
     0 log 0 = 0 and negative rounding noise clipped to 0."""
     v = np.clip(vals, 0.0, None)
     return np.sum(np.where(v > 1e-300, v * np.log(np.clip(v, 1e-300, None)), 0.0), axis=-1)
+
+
+def log_sum_exp(vals: np.ndarray) -> np.ndarray:
+    """log sum_i exp(x_i) over the last axis (non-empty), shifted by the row
+    maximum; an all -inf row gives -inf without a warning, nan propagates."""
+    top = np.max(vals, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    total = np.sum(np.exp(vals - top), axis=-1)
+    out = np.log(total, out=np.full(np.shape(total), -np.inf), where=total != 0)
+    return out + top[..., 0]
 
 
 class HermitianOperator:
@@ -129,10 +138,6 @@ class PSDOperator(HermitianOperator):
         mask = self.eigenvalues > self._eps_supp
         return self.eigenvectors[:, mask]
 
-    def support_projector(self) -> np.ndarray:
-        v = self.support_basis()
-        return v @ v.conj().T
-
 
 class DensityOperator(PSDOperator):
     """PSD operator renormalized to unit trace."""
@@ -151,10 +156,6 @@ def identity(d: int, policy: NumericPolicy = DEFAULT_POLICY) -> PSDOperator:
 
 def zero(d: int, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianOperator:
     return HermitianOperator(np.zeros((d, d)), policy)
-
-
-def from_diag(values, cls=HermitianOperator, policy: NumericPolicy = DEFAULT_POLICY):
-    return cls(np.diag(np.asarray(values, dtype=float)), policy)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def log_trace_exp_sum(terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY) -
     vals, _ = sum_on_joint_support(terms, policy)
     if vals.size == 0:
         return float("-inf")
-    return float(logsumexp(vals))
+    return float(log_sum_exp(vals))
 
 
 def exp_on_support(terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -298,7 +299,7 @@ def schatten(a: PSDOperator, p: float) -> float:
         return 0.0
     # log-domain to survive large spectra
     pos = vals[vals > 0]
-    return float(np.exp(logsumexp(p * np.log(pos)) / p))
+    return float(np.exp(log_sum_exp(p * np.log(pos)) / p))
 
 
 def weighted_antinorm(

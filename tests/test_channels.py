@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbl import channels as ch
 from qbl.errors import (
     BadPartition,
+    DimensionMismatch,
     InvalidProbability,
     NotCompletelyPositive,
     NotOrthonormal,
@@ -64,6 +67,78 @@ class TestChannelBasics:
             lhs = np.trace(e(x) @ y).real
             rhs = np.trace(x @ e.adjoint(y)).real
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def _kraus_sum(chan, rho):
+    """Reference E(rho) = sum_a s_a K_a rho K_a^dag, broadcast over stacks."""
+    return sum(s * k @ rho @ k.conj().T for s, k in zip(chan.signs, chan.kraus))
+
+
+def _kraus_sum_adjoint(chan, y):
+    """Reference E^dag(Y) = sum_a s_a K_a^dag Y K_a, broadcast over stacks."""
+    return sum(s * k.conj().T @ y @ k for s, k in zip(chan.signs, chan.kraus))
+
+
+def _kernel_channel(kind, rng):
+    if kind == "random":
+        din, dout = [(2, 3), (3, 2), (2, 4), (4, 3)][rng.integers(4)]
+        return random_channel(din, dout, rng=rng)
+    if kind == "transpose":
+        return ch.transpose_map(3)
+    if kind == "ptrace":
+        return ch.partial_trace([2, 2, 2], [0, 1])
+    if kind == "trace":
+        return ch.trace_channel(3)
+    return ch.tensor(random_channel(2, 3, rng=rng), ch.depolarizing(0.4))
+
+
+def _complex_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestTransferKernel:
+    """apply/apply_adjoint go through the transfer matrix; the Kraus sum
+    kept here is the independent reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "transpose", "ptrace", "trace", "tensor"]),
+        seed=st.integers(0, 10_000),
+        batch=st.sampled_from([(), (5,), (2, 3)]),
+    )
+    def test_matches_kraus_sum(self, kind, seed, batch):
+        rng = np.random.default_rng(seed)
+        e = _kernel_channel(kind, rng)
+        rho = _complex_stack(rng, batch + (e.dim_in, e.dim_in))
+        y = _complex_stack(rng, batch + (e.dim_out, e.dim_out))
+        for got, ref in ((ch.apply(e, rho), _kraus_sum(e, rho)),
+                         (ch.apply_adjoint(e, y), _kraus_sum_adjoint(e, y))):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["random", "transpose", "ptrace", "trace", "tensor"])
+    def test_adjoint_identity_on_batches(self, kind):
+        rng = np.random.default_rng(13)
+        e = _kernel_channel(kind, rng)
+        rho = _complex_stack(rng, (2, 3, e.dim_in, e.dim_in))
+        y = _complex_stack(rng, (2, 3, e.dim_out, e.dim_out))
+        lhs = np.einsum("...ij,...ji->...", ch.apply(e, rho), y)
+        rhs = np.einsum("...ij,...ji->...", rho, ch.apply_adjoint(e, y))
+        assert lhs.shape == (2, 3)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_transfer_is_read_only(self):
+        e = ch.depolarizing(0.3)
+        assert e.transfer.shape == (4, 4)
+        with pytest.raises(ValueError):
+            e.transfer[0, 0] = 0.0
+
+    def test_wrong_input_shape(self):
+        e = random_channel(2, 3, rng=np.random.default_rng(14))
+        with pytest.raises(DimensionMismatch):
+            ch.apply(e, np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            ch.apply_adjoint(e, np.zeros((4, 2, 2)))
 
 
 class TestPartialTrace:

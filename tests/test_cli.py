@@ -118,9 +118,23 @@ class TestConstant:
         code, out = run(capsys, "constant", leaking_spec, "--budget", "restarts=4", "--no-meta")
         assert code == 0
         rep = json.loads(out)
-        assert rep["constant"]["entropic_nats"] == np.inf
-        assert rep["constant"]["analytic_nats"] == np.inf
+        assert rep["constant"]["entropic_nats"] == "inf"
+        assert rep["constant"]["analytic_nats"] == "inf"
         assert rep["constant"]["agree"]
+
+    def test_non_finite_numbers_are_strict_json(self, capsys, leaking_spec):
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        code, out = run(capsys, "constant", leaking_spec, "--budget", "restarts=4", "--no-meta")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["constant"]["entropic_bits"] == "inf"
+        code, out = run(capsys, "verify", leaking_spec, "--form", "both", "--samples", "20",
+                        "--no-meta")
+        assert code == 2
+        rep = json.loads(out, parse_constant=reject)
+        assert rep["entropic"]["worst_gap"] == "-inf"
+        assert rep["verdict"] == "violated"
 
 
 class TestGaussianCmd:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qbl import operators as op
 from qbl.errors import InvalidExponent, NotUnital, SingularC, ZeroOperator
@@ -18,6 +19,31 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def decode(m):
     a = np.asarray(m, dtype=float)
     return a[..., 0] + 1j * a[..., 1]
+
+
+class TestLogSumExp:
+    """operators.log_sum_exp against scipy.special.logsumexp as reference."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6), width=st.integers(1, 32))
+    def test_matches_scipy(self, seed, rows, width):
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(scale=50.0, size=(rows, width))
+        vals[rng.random(vals.shape) < 0.3] = -np.inf
+        vals[0] = -np.inf  # one all -inf row
+        got = op.log_sum_exp(vals)
+        with np.errstate(divide="ignore"):
+            ref = logsumexp(vals, axis=-1)
+        assert got.shape == (rows,)
+        assert got[0] == -np.inf
+        np.testing.assert_allclose(got, ref, rtol=1e-13)
+        np.testing.assert_allclose(op.log_sum_exp(vals[-1]), ref[-1], rtol=1e-13)
+
+    def test_non_finite_entries(self):
+        vals = np.array([[np.nan, 0.0], [np.inf, 1.0], [1e300, 1e300]])
+        got = op.log_sum_exp(vals)
+        assert np.isnan(got[0]) and got[1] == np.inf
+        assert got[2] == pytest.approx(1e300 + np.log(2.0), rel=1e-15)
 
 
 class TestMatrixLogExp:
