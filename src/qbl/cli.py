@@ -6,8 +6,9 @@ constant (estimate the optimal constant from both forms), gaussian
 coefficient). Problem specs are JSON files or named presets; reports are
 deterministic for a fixed (spec, seed, budget).
 
-Exit codes: 0 = inequality holds / estimates agree, 1 = input error,
-2 = violation found (witness embedded in the report).
+Exit codes: 0 = inequality holds / estimates agree, 1 = input error
+(command-line usage errors included), 2 = violation found (witness
+embedded in the report).
 """
 
 from __future__ import annotations
@@ -182,6 +183,7 @@ def cmd_verify(args) -> int:
                 oms = [random_pd(2, rng) for _ in range(3)]
                 rep = six_state_check(omegas=oms)
                 worst_ana = min(worst_ana, rep.analytic_gap)
+                violated |= not rep.chain_holds
         report["six_state"] = {
             "worst_entropic_gap_bits": float(worst_ent),
             "worst_analytic_gap": None if worst_ana is np.inf else float(worst_ana),
@@ -398,8 +400,30 @@ def _depol_p(label: str) -> float:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A command line argparse rejects; main reports it as an input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors as exit code 1, since 2 means a violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbl",
         description="Verify quantum Brascamp-Lieb inequalities in entropic and analytic form.",
     )
@@ -414,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="sample an inequality, exit 2 on violation")
     p.add_argument("--form", choices=["entropic", "analytic", "both"], default="both")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_positive_int, default=500)
     p.add_argument("--budget", default="restarts=8,iters=300")
     p.set_defaults(func=cmd_verify)
 
@@ -435,7 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except SpecFormatError as exc:

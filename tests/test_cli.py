@@ -80,6 +80,47 @@ class TestVerify:
         code = main(["verify", "no-such-preset"])
         assert code == 1
 
+    def test_usage_error_exit_1(self, capsys):
+        # 2 is reserved for a violation; argparse's own usage status is 2
+        code = main(["verify", "six-state", "--form", "bogus"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--form" in err and "bogus" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        code = main(["verify", "dpi-qubit", "--samples", samples, "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--samples" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_six_state_broken_chain_exit_2(self, capsys, monkeypatch):
+        from qbl import cli
+        from qbl.applications import six_state_check
+
+        def broken_chain(rho=None, omegas=None):
+            rep = six_state_check(rho=rho, omegas=omegas)
+            if omegas is not None:
+                rep.chain_holds = False
+            return rep
+
+        monkeypatch.setattr(cli, "six_state_check", broken_chain)
+        code, out = run(capsys, "verify", "six-state", "--form", "both", "--samples", "5",
+                        "--no-meta")
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["verdict"] == "violated"
+        assert rep["six_state"]["worst_entropic_gap_bits"] >= -1e-9
+        assert rep["six_state"]["worst_analytic_gap"] >= -1e-9
+
 
 class TestConstant:
     def test_mu_pauli(self, capsys):

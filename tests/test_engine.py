@@ -21,12 +21,14 @@ from qbl.engine import (
     tensor_datum,
     tensorization_check,
 )
+from qbl import engine
 from qbl.errors import DimensionMismatch
 from qbl.sampling import (
     haar_pure,
     haar_unitary,
     hs_mixed,
     random_channel,
+    random_density,
     random_pd,
 )
 
@@ -342,3 +344,139 @@ class TestReports:
 
         witness = decode_matrix(data["witness"][0])
         assert entropic_gap(d, witness) == pytest.approx(rep.worst_gap, abs=1e-9)
+
+
+def _mixed_dims_datum(seed=31):
+    # full-support datum with d_in = 3 and d_out = 2, 4; C above zero so
+    # that both forms see negative and positive gaps
+    rng = np.random.default_rng(seed)
+    e1 = random_channel(3, 2, rng=rng)
+    e2 = random_channel(3, 4, rng=rng)
+    sig = op.PSDOperator(random_pd(3, rng))
+    sigmas = [op.PSDOperator(random_pd(2, rng)), op.PSDOperator(random_pd(4, rng))]
+    return BLDatum([0.7, 0.9], [e1, e2], sig, sigmas, 0.1)
+
+
+def _shearer_pairs_datum():
+    from qbl.applications import shearer_datum
+
+    return shearer_datum([2, 2, 2], [[0, 1], [0, 2], [1, 2]], p=2)
+
+
+def _scalar_membership(datum, config):
+    """Reference loop: one sample at a time through the exact-support
+    evaluators, drawing in the order bl_membership draws."""
+    rng = np.random.default_rng(config.seed)
+    worst, witness, samples, gaps = np.inf, [], [], []
+    for i in range(config.samples):
+        kind = config.ensembles[i % len(config.ensembles)]
+        if config.form == "entropic":
+            cand = [random_density(datum.dim, rng, kind)]
+            gap = entropic_gap(datum, cand[0])
+        else:
+            full_kind = "hs" if kind == "pure" else kind
+            cand = [random_density(c.dim_out, rng, full_kind) for c in datum.channels]
+            gap = analytic_gap(datum, cand)
+        samples.append(cand)
+        gaps.append(gap)
+        if gap < worst:
+            worst, witness = gap, cand
+    verdict = "holds_on_samples" if worst >= -1e-9 else "violated"
+    return worst, witness, verdict, samples, np.array(gaps)
+
+
+class TestBatchedMembership:
+    DATA = {"mixed-dims": _mixed_dims_datum, "shearer-pairs": _shearer_pairs_datum}
+
+    @pytest.mark.parametrize("form", ["entropic", "analytic"])
+    @pytest.mark.parametrize("name", sorted(DATA))
+    def test_matches_scalar_reference(self, name, form):
+        datum = self.DATA[name]()
+        assert engine._full_support(datum)
+        # 150 samples: two full blocks and a partial one
+        config = SamplerConfig(samples=150, seed=7, form=form)
+        assert config.samples % engine._SAMPLE_BLOCK != 0
+        worst, witness, verdict, samples, gaps = _scalar_membership(datum, config)
+        batched = engine._sample_gaps(datum, engine._Workspace(datum), form, samples)
+        assert np.all(np.abs(batched - gaps) <= 1e-12 * np.maximum(1.0, np.abs(gaps)))
+        rep = bl_membership(datum, config)
+        assert rep.worst_gap == pytest.approx(worst, rel=1e-12, abs=1e-12)
+        assert len(rep.witness) == len(witness)
+        for got, want in zip(rep.witness, witness):
+            assert np.array_equal(got, want)
+        assert rep.verdict == verdict
+        assert rep.samples == config.samples
+
+    @pytest.mark.parametrize("samples", [1, 5, engine._SAMPLE_BLOCK, engine._SAMPLE_BLOCK + 1])
+    def test_sample_counts_around_the_block_size(self, samples):
+        datum = _mixed_dims_datum()
+        for form in ("entropic", "analytic"):
+            config = SamplerConfig(samples=samples, seed=3, form=form)
+            worst, witness, verdict, _, _ = _scalar_membership(datum, config)
+            rep = bl_membership(datum, config)
+            assert rep.worst_gap == pytest.approx(worst, rel=1e-12, abs=1e-12)
+            assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
+            assert rep.verdict == verdict
+
+    def test_full_support_skips_the_scalar_evaluators(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("scalar evaluator called on a full-support datum")
+
+        monkeypatch.setattr(engine, "entropic_gap", scalar)
+        monkeypatch.setattr(engine, "analytic_gap", scalar)
+        for form in ("entropic", "analytic"):
+            bl_membership(_shearer_pairs_datum(), SamplerConfig(samples=20, seed=1, form=form))
+
+    def test_singular_sigma_k_uses_the_exact_path(self):
+        # sigma_1 = diag(1, 0) misses half of E(sigma): the exact entropic
+        # gap is -inf, which no batched objective can produce
+        datum = BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.eye(2) / 2),
+                        [op.PSDOperator(np.diag([1.0, 0.0]))], 0.0)
+        assert not engine._full_support(datum)
+        config = SamplerConfig(samples=70, seed=5, form="entropic")
+        rep = bl_membership(datum, config)
+        worst, witness, verdict, _, _ = _scalar_membership(datum, config)
+        assert rep.worst_gap == worst == -np.inf
+        assert rep.verdict == verdict == "violated"
+        assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
+
+    def test_rank_deficient_row_is_evaluated_exactly(self):
+        datum = _mixed_dims_datum()
+        ws = engine._Workspace(datum)
+        rng = np.random.default_rng(12)
+        rows = [[hs_mixed(c.dim_out, rng) for c in datum.channels] for _ in range(5)]
+        rows[2][1] = haar_pure(4, rng)  # omega_2 of row 2 has a 3-dim kernel
+        # omega_1 of row 4 has a smallest eigenvalue above 0 but below eps_supp
+        u = haar_unitary(2, rng)
+        rows[4][0] = (u * np.array([1.0 - 1e-12, 1e-12])) @ u.conj().T
+        stacks = [np.stack(col) for col in zip(*rows)]
+        gaps = engine._analytic_gaps(datum, ws, stacks)
+        floored = datum.c - ws.analytic_objective([engine._eigh_log(s)[1] for s in stacks])
+        for i in (2, 4):
+            assert gaps[i] == analytic_gap(datum, rows[i])
+            # the workspace objective is far from the exact value there
+            assert abs(floored[i] - gaps[i]) > 1e-3
+        for i in (0, 1, 3):
+            want = analytic_gap(datum, rows[i])
+            assert abs(gaps[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_first_strict_minimum_and_no_nan(self, monkeypatch):
+        # planted gaps over two blocks: nan first, the minimum -2 tied
+        # within the first block and again in the second
+        datum = _mixed_dims_datum()
+        n = engine._SAMPLE_BLOCK + 10
+        planted = np.full(n, 1.0)
+        planted[[0, 5]] = np.nan
+        planted[[2, 4, engine._SAMPLE_BLOCK + 1]] = -2.0
+        starts = []
+
+        def fake_gaps(datum, ws, form, samples):
+            start = sum(len(b) for b in starts)
+            starts.append(samples)
+            return planted[start:start + len(samples)].copy()
+
+        monkeypatch.setattr(engine, "_sample_gaps", fake_gaps)
+        rep = bl_membership(datum, SamplerConfig(samples=n, seed=2, form="entropic"))
+        assert rep.worst_gap == -2.0
+        assert rep.witness is starts[0][2]
+        assert rep.verdict == "violated"
