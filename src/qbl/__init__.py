@@ -8,7 +8,14 @@ relations, minimum output entropy, (strong) data processing, relative
 entropy super-additivity, and geometric Gaussian BL inequalities.
 """
 
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import (
+    HERM_RTOL,
+    PSD_SLACK,
+    QUAD_TOL,
+    SUPP_RTOL,
+    SUPPORT_LEAK_TOL,
+    eps_supp,
+)
 from .operators import (
     DensityOperator,
     HermitianOperator,

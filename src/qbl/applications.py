@@ -21,6 +21,7 @@ from scipy.linalg import eigh as generalized_eigh
 from . import entropy
 from .channels import (
     Channel,
+    adjoint_on_log,
     apply,
     apply_adjoint,
     measurement_channel,
@@ -60,7 +61,7 @@ from .operators import (
     trace_exp_sum,
     xlogx_sum,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import PSD_SLACK
 from .sampling import complex_gaussian, random_density
 
 LN2 = float(np.log(2.0))
@@ -238,28 +239,23 @@ class MuAnalyticReport:
     chain_holds: bool
 
 
-def mu_analytic_check(
-    basis_x, basis_z, omega1, omega2, policy: NumericPolicy = DEFAULT_POLICY
-) -> MuAnalyticReport:
+def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     """Evaluate the two-measurement trace-exponential bound and its proof
     chain (operator Jensen, then Golden-Thompson, then the overlap bound),
     verifying each intermediate step."""
     c = maassen_uffink_constant(basis_x, basis_z)
     mx = measurement_channel(basis_x)
     mz = measurement_channel(basis_z)
-    w1 = omega1 if isinstance(omega1, PSDOperator) else PSDOperator(omega1, policy)
-    w2 = omega2 if isinstance(omega2, PSDOperator) else PSDOperator(omega2, policy)
-    lw1, lw2 = matrix_log(w1, policy), matrix_log(w2, policy)
-    lhs = trace_exp_sum(
-        [apply_adjoint(mx, lw1.finite), apply_adjoint(mz, lw2.finite)], policy
-    )
-    px = PSDOperator(apply_adjoint(mx, w1.matrix), policy)
-    pz = PSDOperator(apply_adjoint(mz, w2.matrix), policy)
-    jensen_mid = trace_exp_sum([matrix_log(px, policy), matrix_log(pz, policy)], policy)
+    w1 = omega1 if isinstance(omega1, PSDOperator) else PSDOperator(omega1)
+    w2 = omega2 if isinstance(omega2, PSDOperator) else PSDOperator(omega2)
+    lw1, lw2 = matrix_log(w1), matrix_log(w2)
+    lhs = trace_exp_sum([adjoint_on_log(mx, lw1), adjoint_on_log(mz, lw2)])
+    px = PSDOperator(apply_adjoint(mx, w1.matrix))
+    pz = PSDOperator(apply_adjoint(mz, w2.matrix))
+    jensen_mid = trace_exp_sum([matrix_log(px), matrix_log(pz)])
     gt_bound = float(np.trace(px.matrix @ pz.matrix).real)
-    slack = policy.psd_slack
-    chain = (lhs <= jensen_mid + slack) and (jensen_mid <= gt_bound + slack) and (
-        gt_bound <= c + slack
+    chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
+        gt_bound <= c + PSD_SLACK
     )
     return MuAnalyticReport(
         lhs=float(lhs),
@@ -288,9 +284,7 @@ def six_state_bases() -> list[list[np.ndarray]]:
     return [pauli_basis("x"), pauli_basis("y"), pauli_basis("z")]
 
 
-def six_state_check(
-    rho=None, omegas=None, policy: NumericPolicy = DEFAULT_POLICY
-) -> SixStateReport:
+def six_state_check(rho=None, omegas=None) -> SixStateReport:
     """Three-Pauli uncertainty relation, entropic and/or analytic form.
 
     The entropic side checks H(X) + H(Y) + H(Z) >= 2 + H(A) in bits and
@@ -301,36 +295,31 @@ def six_state_check(
     bases = six_state_bases()
     report = SixStateReport()
     if rho is not None:
-        rho_d = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, policy)
+        rho_d = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
         if rho_d.dim != 2:
             raise DimensionMismatch("six-state relation is a qubit statement")
         hx, hy, hz = measurement_entropies_bits(rho_d, bases)
-        ha = entropy.von_neumann(rho_d, policy) / LN2
+        ha = entropy.von_neumann(rho_d) / LN2
         report.entropy_sum_bits = hx + hy + hz
         report.h_a_bits = ha
         report.entropic_gap_bits = hx + hy + hz - 2.0 - ha
         report.weaker_bound_gap_bits = hx + hy + hz - 1.5 - 1.5 * ha
     if omegas is not None:
         chans = [measurement_channel(b) for b in bases]
-        ws = [w if isinstance(w, PSDOperator) else PSDOperator(w, policy) for w in omegas]
-        logs = [matrix_log(w, policy) for w in ws]
-        lhs = trace_exp_sum(
-            [apply_adjoint(ch, lw.finite) for ch, lw in zip(chans, logs)], policy
-        )
-        pinched = [
-            PSDOperator(apply_adjoint(ch, w.matrix), policy) for ch, w in zip(chans, ws)
-        ]
-        jensen_mid = trace_exp_sum([matrix_log(pw, policy) for pw in pinched], policy)
-        triple = lieb_triple_integral(pinched[0], pinched[1], pinched[2], policy)
-        slack = policy.psd_slack
+        ws = [w if isinstance(w, PSDOperator) else PSDOperator(w) for w in omegas]
+        logs = [matrix_log(w) for w in ws]
+        lhs = trace_exp_sum([adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
+        pinched = [PSDOperator(apply_adjoint(ch, w.matrix)) for ch, w in zip(chans, ws)]
+        jensen_mid = trace_exp_sum([matrix_log(pw) for pw in pinched])
+        triple = lieb_triple_integral(pinched[0], pinched[1], pinched[2])
         report.analytic_lhs = float(lhs)
         report.analytic_gap = float(0.25 - lhs)
         report.jensen_mid = float(jensen_mid)
         report.triple_integral = float(triple)
         report.chain_holds = bool(
-            lhs <= jensen_mid + slack
-            and jensen_mid <= triple + slack
-            and triple <= 0.25 + slack
+            lhs <= jensen_mid + PSD_SLACK
+            and jensen_mid <= triple + PSD_SLACK
+            and triple <= 0.25 + PSD_SLACK
         )
     return report
 
@@ -371,6 +360,16 @@ def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
     return float(-fvals[i]), v
 
 
+def _dual_top(ch: Channel, omega: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_max(E^dag log omega), with the spectrum of omega floored at
+    _DUAL_FLOOR inside the log, and its eigenvector."""
+    wv, wu = np.linalg.eigh(omega)
+    logw = (wu * np.log(np.clip(wv, _DUAL_FLOOR, None))) @ wu.conj().T
+    m = apply_adjoint(ch, logw)
+    mv, mu = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return float(mv[-1]), mu[:, -1]
+
+
 def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int, tol: float):
     """Alternating maximization of lambda_max(E^dag log omega): the top
     eigenvector feeds the channel, whose output is the next omega."""
@@ -380,14 +379,9 @@ def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int, tol: f
     best_omega = omega0
     lam_prev = -np.inf
     for _ in range(max_iters):
-        wv, wu = np.linalg.eigh(omega)
-        logw = (wu * np.log(np.clip(wv, _DUAL_FLOOR, None))) @ wu.conj().T
-        m = apply_adjoint(ch, logw)
-        mv, mu = np.linalg.eigh(0.5 * (m + m.conj().T))
-        lam = float(mv[-1])
+        lam, top = _dual_top(ch, omega)
         if lam > best:
             best, best_omega = lam, omega
-        top = mu[:, -1]
         out = apply(ch, np.outer(top, top.conj()))
         omega = (1.0 - _DUAL_FLOOR) * out / np.trace(out).real + _DUAL_FLOOR * np.eye(d_out) / d_out
         if abs(lam - lam_prev) < tol:
@@ -432,10 +426,7 @@ def min_output_entropy(
         if lam > best_dual:
             best_dual, best_omega = lam, om
             dual = float(-best_dual)
-        wv, wu = np.linalg.eigh(best_omega)
-        logw = (wu * np.log(np.clip(wv, _DUAL_FLOOR, None))) @ wu.conj().T
-        m = apply_adjoint(ch, logw)
-        top = np.linalg.eigh(0.5 * (m + m.conj().T))[1][:, -1]
+        top = _dual_top(ch, best_omega)[1]
         d2, v2 = _minout_direct(ch, top[None, :], budget)
         if d2 < direct:
             direct, vbest = d2, v2
@@ -456,8 +447,7 @@ def min_output_dual_gap(ch: Channel, omega1, omega2, h_min: float) -> float:
     for every pair of states when h_min is a valid lower output entropy."""
     w1 = omega1 if isinstance(omega1, PSDOperator) else PSDOperator(omega1)
     w2 = omega2 if isinstance(omega2, PSDOperator) else PSDOperator(omega2)
-    lw2 = matrix_log(w2)
-    lhs = trace_exp_sum([matrix_log(w1), apply_adjoint(ch, lw2.finite)])
+    lhs = trace_exp_sum([matrix_log(w1), adjoint_on_log(ch, matrix_log(w2))])
     return float(np.exp(-h_min) - lhs)
 
 
@@ -475,22 +465,20 @@ class DpiAnalyticReport:
     strictly_stronger: bool  # rhs_dual < rhs_weak
 
 
-def dpi_analytic_check(
-    sigma, ch: Channel, omega, policy: NumericPolicy = DEFAULT_POLICY
-) -> DpiAnalyticReport:
+def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     """Dual analytic form of data processing at one (sigma, omega) pair,
     together with the weaker operator-Jensen/Golden-Thompson chain."""
-    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma, policy)
-    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega, policy)
+    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
+    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega)
     if sig.dim != ch.dim_in or w.dim != ch.dim_out:
         raise DimensionMismatch("sigma/omega dims do not match the channel")
-    lw = matrix_log(w, policy)
-    ls = matrix_log(sig, policy)
-    lhs = trace_exp_sum([ls, apply_adjoint(ch, lw.finite)], policy)
-    esig = PSDOperator(apply(ch, sig.matrix), policy)
-    rhs_dual = trace_exp_sum([lw, matrix_log(esig, policy)], policy)
-    adj_w = PSDOperator(apply_adjoint(ch, w.matrix), policy)
-    jensen_mid = trace_exp_sum([ls, matrix_log(adj_w, policy)], policy)
+    lw = matrix_log(w)
+    ls = matrix_log(sig)
+    lhs = trace_exp_sum([ls, adjoint_on_log(ch, lw)])
+    esig = PSDOperator(apply(ch, sig.matrix))
+    rhs_dual = trace_exp_sum([lw, matrix_log(esig)])
+    adj_w = PSDOperator(apply_adjoint(ch, w.matrix))
+    jensen_mid = trace_exp_sum([ls, matrix_log(adj_w)])
     rhs_weak = float(np.trace(w.matrix @ esig.matrix).real)
     return DpiAnalyticReport(
         lhs=float(lhs),
@@ -604,19 +592,17 @@ def contraction_coefficient(
     return eta
 
 
-def sdpi_analytic_check(
-    ch: Channel, sigma, eta: float, omega, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def sdpi_analytic_check(ch: Channel, sigma, eta: float, omega) -> float:
     """Gap of the strong-data-processing analytic inequality at omega:
     ||exp(log omega + (1/eta) log E(sigma))||_eta - tr exp(log sigma + E^dag log omega)."""
     if not 0.0 < eta <= 1.0:
         raise InvalidEta(f"eta must be in (0, 1], got {eta}")
-    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma, policy)
-    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega, policy)
-    lw = matrix_log(w, policy)
-    lhs = trace_exp_sum([matrix_log(sig, policy), apply_adjoint(ch, lw.finite)], policy)
-    esig = PSDOperator(apply(ch, sig.matrix), policy)
-    log_rhs = log_trace_exp_sum([lw.scaled(eta), matrix_log(esig, policy)], policy) / eta
+    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
+    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega)
+    lw = matrix_log(w)
+    lhs = trace_exp_sum([matrix_log(sig), adjoint_on_log(ch, lw)])
+    esig = PSDOperator(apply(ch, sig.matrix))
+    log_rhs = log_trace_exp_sum([lw.scaled(eta), matrix_log(esig)]) / eta
     return float(np.exp(log_rhs) - lhs)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .operators import SupportLog, hermitian_part
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import PSD_SLACK
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,7 +52,6 @@ class Channel:
         label: str = "",
         allow_positive_only: bool = False,
         signs: Sequence[float] | None = None,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
@@ -84,10 +83,9 @@ class Channel:
         self.dim_out = dout
         self.label = label
         self.allow_positive_only = allow_positive_only
-        self.policy = policy
         if not allow_positive_only:
             cmin = float(np.linalg.eigvalsh(self.choi_matrix())[0])
-            if cmin < -policy.psd_slack:
+            if cmin < -PSD_SLACK:
                 raise NotCompletelyPositive(f"Choi matrix eigenvalue {cmin:.3e}")
         else:
             self._spot_check_positivity()
@@ -99,7 +97,7 @@ class Channel:
             rho = np.outer(v, v.conj())
             rho /= np.trace(rho).real
             wmin = float(np.linalg.eigvalsh(self(rho))[0])
-            if wmin < -self.policy.psd_slack:
+            if wmin < -PSD_SLACK:
                 raise NotCompletelyPositive(
                     f"positivity spot check failed: output eigenvalue {wmin:.3e}"
                 )

@@ -4,7 +4,8 @@ Subcommands: verify (sample an inequality and report the worst gap),
 constant (estimate the optimal constant from both forms), gaussian
 (geometric deficit trajectories as CSV), contraction (strong-DPI
 coefficient). Problem specs are JSON files or named presets; reports are
-deterministic for a fixed (spec, seed, budget).
+deterministic for a fixed (spec, seed, budget). verify on a channel task
+runs constant (minimum output entropy) or contraction and prints its report.
 
 Exit codes: 0 = inequality holds / estimates agree, 1 = input error
 (command-line usage errors included), 2 = violation found (witness
@@ -47,6 +48,7 @@ from .engine import (
     bl_membership,
     duality_crosscheck,
 )
+from .entropy import von_neumann
 from .errors import QblError, SpecFormatError
 from .gaussian import deficit_trajectory, geometric_datum_check
 from .presets import PRESET_NAMES, build_preset
@@ -198,8 +200,6 @@ def cmd_verify(args) -> int:
         for _ in range(args.samples):
             rho = bloch_sample(rng)
             hx, hz = measurement_entropies_bits(rho, [bx, bz])
-            from .entropy import von_neumann
-
             gap = hx + hz - von_neumann(rho) / LN2 + np.log2(c)
             worst_ent = min(worst_ent, gap)
             rep = mu_analytic_check(bx, bz, random_pd(2, rng), random_pd(2, rng))
@@ -224,31 +224,15 @@ def cmd_verify(args) -> int:
         }
         violated |= rows[0]["deficit"] < -1e-8
     elif kind == "channel_task":
-        return _contraction_like(task, args, report)
+        if task["task"] == "min_output_entropy":
+            return cmd_constant(args)
+        return cmd_contraction(args)
     else:
         raise SpecFormatError("$.type", f"cannot verify task kind {kind!r}")
 
     report["verdict"] = "violated" if violated else "holds_on_samples"
     _emit(report, args)
     return 2 if violated else 0
-
-
-def _contraction_like(task: dict, args, report: dict) -> int:
-    seed = _default_seed(args)
-    budget = _parse_budget(args.budget, seed)
-    ch = task["channel"]
-    if task["task"] == "min_output_entropy":
-        rep = min_output_entropy(ch, budget)
-        report["min_output_entropy"] = {"direct": rep.direct, "dual": rep.dual}
-        _emit(report, args)
-        return 0
-    sigma = task.get("sigma")
-    if sigma is None:
-        sigma = np.eye(ch.dim_in) / ch.dim_in
-    eta = contraction_coefficient(ch, sigma, budget)
-    report["contraction"] = {"eta": eta}
-    _emit(report, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +350,7 @@ def cmd_contraction(args) -> int:
     sigma = task.get("sigma")
     if sigma is None:
         sigma = np.eye(ch.dim_in) / ch.dim_in
-    if args.p_sweep:
+    if getattr(args, "p_sweep", None):  # verify has no --p-sweep
         from .channels import depolarizing
 
         ps = [float(x) for x in args.p_sweep.split(",")]

@@ -39,7 +39,7 @@ from .operators import (
     matrix_log,
     xlogx_sum,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import eps_supp
 from .sampling import random_density
 
 _EIG_FLOOR = 1e-300
@@ -76,16 +76,12 @@ class BLDatum:
         sigma: PSDOperator,
         sigmas: Sequence[PSDOperator],
         c: float = 0.0,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ):
         self.q = np.asarray(q, dtype=float)
         self.channels = tuple(channels)
-        self.sigma = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma, policy)
-        self.sigmas = tuple(
-            s if isinstance(s, PSDOperator) else PSDOperator(s, policy) for s in sigmas
-        )
+        self.sigma = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
+        self.sigmas = tuple(s if isinstance(s, PSDOperator) else PSDOperator(s) for s in sigmas)
         self.c = float(c)
-        self.policy = policy
         n = len(self.channels)
         if not (len(self.q) == len(self.sigmas) == n):
             raise DimensionMismatch("q, channels, sigmas must have equal length")
@@ -106,7 +102,7 @@ class BLDatum:
         return self.sigma.dim
 
     def with_constant(self, c: float) -> "BLDatum":
-        return BLDatum(self.q, self.channels, self.sigma, self.sigmas, c, self.policy)
+        return BLDatum(self.q, self.channels, self.sigma, self.sigmas, c)
 
     def __repr__(self):
         return f"BLDatum(n={self.n}, dim={self.dim}, q={self.q.tolist()}, c={self.c})"
@@ -119,12 +115,9 @@ def tensor_datum(d1: BLDatum, d2: BLDatum) -> BLDatum:
     if d1.n != d2.n or not np.allclose(d1.q, d2.q):
         raise DimensionMismatch("tensorization needs matching n and q")
     chans = [tensor_channel(a, b) for a, b in zip(d1.channels, d2.channels)]
-    sigma = PSDOperator(np.kron(d1.sigma.matrix, d2.sigma.matrix), d1.policy)
-    sigmas = [
-        PSDOperator(np.kron(a.matrix, b.matrix), d1.policy)
-        for a, b in zip(d1.sigmas, d2.sigmas)
-    ]
-    return BLDatum(d1.q, chans, sigma, sigmas, d1.c + d2.c, d1.policy)
+    sigma = PSDOperator(np.kron(d1.sigma.matrix, d2.sigma.matrix))
+    sigmas = [PSDOperator(np.kron(a.matrix, b.matrix)) for a, b in zip(d1.sigmas, d2.sigmas)]
+    return BLDatum(d1.q, chans, sigma, sigmas, d1.c + d2.c)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +130,15 @@ def entropic_gap(datum: BLDatum, rho) -> float:
     Non-negative iff the entropic inequality holds at rho. If
     D(rho||sigma) is +inf the inequality is vacuous and the gap is +inf.
     """
-    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, datum.policy)
+    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     if rho.dim != datum.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != datum dim {datum.dim}")
-    d_ref = relative_entropy(rho, datum.sigma, datum.policy)
+    d_ref = relative_entropy(rho, datum.sigma)
     if d_ref == INF:
         return INF
     total = d_ref + datum.c
     for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
-        dk = relative_entropy(
-            DensityOperator(apply(ch, rho), datum.policy), sk, datum.policy
-        )
+        dk = relative_entropy(DensityOperator(apply(ch, rho)), sk)
         if dk == INF:
             return -INF
         total -= qk * dk
@@ -162,21 +153,18 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
     """
     if len(omegas) != datum.n:
         raise DimensionMismatch(f"expected {datum.n} omegas, got {len(omegas)}")
-    oms = [
-        o if isinstance(o, PSDOperator) else PSDOperator(o, datum.policy) for o in omegas
-    ]
+    oms = [o if isinstance(o, PSDOperator) else PSDOperator(o) for o in omegas]
     for k, (o, ch) in enumerate(zip(oms, datum.channels)):
         if o.dim != ch.dim_out:
             raise DimensionMismatch(f"omega_{k} dim {o.dim} != channel dim_out {ch.dim_out}")
-    pol = datum.policy
-    log_sigma = matrix_log(datum.sigma, pol)
+    log_sigma = matrix_log(datum.sigma)
     lhs_terms = [log_sigma]
     log_rhs = datum.c
     for qk, ch, sk, om in zip(datum.q, datum.channels, datum.sigmas, oms):
-        lw = matrix_log(om, pol)
+        lw = matrix_log(om)
         lhs_terms.append(adjoint_on_log(ch, lw))
-        log_rhs += qk * log_trace_exp_sum([lw.scaled(1.0 / qk), matrix_log(sk, pol)], pol)
-    log_lhs = log_trace_exp_sum(lhs_terms, pol)
+        log_rhs += qk * log_trace_exp_sum([lw.scaled(1.0 / qk), matrix_log(sk)])
+    log_lhs = log_trace_exp_sum(lhs_terms)
     if log_lhs == -INF and log_rhs == -INF:
         return 0.0
     if log_lhs == -INF:
@@ -220,12 +208,12 @@ class _Workspace:
             raise Diverged("optimal-constant search requires strictly PD sigma")
         self.q = datum.q
         self.channels = datum.channels
-        self.log_sigma = matrix_log(datum.sigma, datum.policy).finite
+        self.log_sigma = matrix_log(datum.sigma).finite
         self.log_sigmas = []  # finite parts, support-projected
         self.rhs_bases = []  # support bases V_k (d_k x r_k)
         self.rhs_logs = []  # compressed log sigma_k (r_k x r_k)
         for sk in datum.sigmas:
-            ls = matrix_log(sk, datum.policy)
+            ls = matrix_log(sk)
             self.log_sigmas.append(ls.finite)
             v = sk.support_basis()
             self.rhs_bases.append(v)
@@ -377,8 +365,8 @@ def _support_leak(datum: BLDatum) -> int | None:
     or None. Such a datum has optimal constant +inf: at rho = sigma / tr
     sigma the left-hand side D(E_k(rho) || sigma_k) is already infinite."""
     for k, (ch, sk) in enumerate(zip(datum.channels, datum.sigmas)):
-        image = PSDOperator(apply(ch, datum.sigma.matrix), datum.policy)
-        if not supports_contained(image, sk, datum.policy):
+        image = PSDOperator(apply(ch, datum.sigma.matrix))
+        if not supports_contained(image, sk):
             return k
     return None
 
@@ -397,7 +385,7 @@ def optimal_constant_entropic(
     """
     seeds = budget.seeds()
     if _support_leak(datum) is not None:
-        witness = DensityOperator(datum.sigma.matrix, datum.policy)
+        witness = DensityOperator(datum.sigma.matrix)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
     ws = _Workspace(datum)
     rhos = _initial_states(datum.dim, seeds)
@@ -413,7 +401,7 @@ def optimal_constant_entropic(
         best_val = float(fvals[i])
         best_rho = _gram_states(xs[i])[0]
         method = "ascent"
-    witness = DensityOperator(hermitian_part(best_rho), datum.policy)
+    witness = DensityOperator(hermitian_part(best_rho))
     check = float(ws.entropic_objective(witness.matrix[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
@@ -484,19 +472,18 @@ def induced_analytic_witness(datum: BLDatum, rho) -> list[DensityOperator]:
     Evaluating the analytic objective at this tuple is always >= the
     entropic objective at rho.
     """
-    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, datum.policy)
-    pol = datum.policy
+    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     out = []
     for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
-        tau = DensityOperator(apply(ch, rho), pol)
-        lt = matrix_log(tau, pol)
-        ls = matrix_log(sk, pol)
+        tau = DensityOperator(apply(ch, rho))
+        lt = matrix_log(tau)
+        ls = matrix_log(sk)
         weight = lt.weight
         if ls.weight is not None:
             weight = ls.weight if weight is None else weight + ls.weight
         diff = SupportLog(lt.finite - ls.finite, weight).scaled(qk)
-        om = exp_on_support([diff], pol)
-        out.append(DensityOperator(om / np.trace(om).real, pol))
+        om = exp_on_support([diff])
+        out.append(DensityOperator(om / np.trace(om).real))
     return out
 
 
@@ -510,9 +497,9 @@ def _leak_witness(datum: BLDatum, k: int) -> list[DensityOperator]:
     for j, sj in enumerate(datum.sigmas):
         if j == k:
             v = sj.eigenvectors[:, sj.eigenvalues <= sj.eps_supp]
-            out.append(DensityOperator(v @ v.conj().T, datum.policy))
+            out.append(DensityOperator(v @ v.conj().T))
         else:
-            out.append(DensityOperator(np.eye(sj.dim), datum.policy))
+            out.append(DensityOperator(np.eye(sj.dim)))
     return out
 
 
@@ -566,8 +553,7 @@ def optimal_constant_analytic(
 
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
     datum0 = datum.with_constant(0.0)
-    w_sweep = [DensityOperator(_density_from_log(lw[i], _LOG_RANGE), datum.policy)
-               for lw in log_omegas]
+    w_sweep = [DensityOperator(_density_from_log(lw[i], _LOG_RANGE)) for lw in log_omegas]
     candidates = [(-analytic_gap(datum0, w_sweep), w_sweep)]
     # maximizing sequences often push omega eigenvalues below what a dense
     # density matrix can represent; the exact-kernel witness induced by
@@ -701,7 +687,7 @@ def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> 
     exact = np.zeros(len(omegas[0]), dtype=bool)
     for om in omegas:
         vals, log_om = _eigh_log(hermitian_part(om))
-        eps = np.array([datum.policy.eps_supp(max(top, 0.0)) for top in vals[:, -1]])
+        eps = np.array([eps_supp(max(top, 0.0)) for top in vals[:, -1]])
         exact |= vals[:, 0] <= eps
         logs.append(log_om)
     gaps = datum.c - ws.analytic_objective(logs)

@@ -22,32 +22,30 @@ from .operators import (
     sum_on_joint_support,
     xlogx_sum,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import SUPPORT_LEAK_TOL
 
 INF = float("inf")
 
 
-def _as_psd(x, policy: NumericPolicy) -> PSDOperator:
+def _as_psd(x) -> PSDOperator:
     if isinstance(x, PSDOperator):
         return x
-    return PSDOperator(x, policy)
+    return PSDOperator(x)
 
 
-def _as_density(x, policy: NumericPolicy) -> DensityOperator:
+def _as_density(x) -> DensityOperator:
     if isinstance(x, DensityOperator):
         return x
-    return DensityOperator(x, policy)
+    return DensityOperator(x)
 
 
-def von_neumann(rho, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def von_neumann(rho) -> float:
     """H(rho) = -tr rho log rho, with 0 log 0 = 0."""
-    rho = _as_density(rho, policy)
+    rho = _as_density(rho)
     return -float(xlogx_sum(rho.eigenvalues))
 
 
-def supports_contained(
-    omega: PSDOperator, tau: PSDOperator, policy: NumericPolicy = DEFAULT_POLICY
-) -> bool:
+def supports_contained(omega: PSDOperator, tau: PSDOperator) -> bool:
     """Whether supp(omega) <= supp(tau), via projector leakage norm."""
     if omega.dim != tau.dim:
         raise DimensionMismatch("support comparison needs equal dimensions")
@@ -57,69 +55,63 @@ def supports_contained(
     leak = v_out.conj().T @ omega.support_basis()
     if leak.size == 0:
         return True
-    return float(np.linalg.norm(leak, 2)) <= policy.support_leak_tol
+    return float(np.linalg.norm(leak, 2)) <= SUPPORT_LEAK_TOL
 
 
-def relative_entropy(omega, tau, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def relative_entropy(omega, tau) -> float:
     """D(omega || tau) = tr omega (log omega - log tau); +inf without
     support containment."""
-    omega = _as_density(omega, policy)
-    tau = _as_psd(tau, policy)
-    if not supports_contained(omega, tau, policy):
+    omega = _as_density(omega)
+    tau = _as_psd(tau)
+    if not supports_contained(omega, tau):
         return INF
-    ltau = matrix_log(tau, policy).finite
+    ltau = matrix_log(tau).finite
     return float(xlogx_sum(omega.eigenvalues)) - float(
         np.trace(omega.matrix @ ltau).real
     )
 
 
-def conditional_entropy(
-    rho_ab, dims: tuple[int, int], policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def conditional_entropy(rho_ab, dims: tuple[int, int]) -> float:
     """H(A|B) = H(AB) - H(B) for a bipartite state with dims (dA, dB)."""
-    rho_ab = _as_density(rho_ab, policy)
+    rho_ab = _as_density(rho_ab)
     da, db = dims
     if da * db != rho_ab.dim:
         raise DimensionMismatch(f"dims {dims} do not factor dimension {rho_ab.dim}")
     rho_b = channels.ptrace(rho_ab.matrix, [da, db], keep=[1])
-    return von_neumann(rho_ab, policy) - von_neumann(DensityOperator(rho_b, policy), policy)
+    return von_neumann(rho_ab) - von_neumann(DensityOperator(rho_b))
 
 
-def variational_lower(
-    rho, sigma, omega, policy: NumericPolicy = DEFAULT_POLICY
-) -> float:
+def variational_lower(rho, sigma, omega) -> float:
     """tr rho log omega - log tr exp(log omega + log sigma).
 
     A lower bound on D(rho || sigma) for every PSD omega; equality at
     omega = exp(log rho - log sigma) (normalized). Returns -inf when rho
     puts weight outside the support of omega.
     """
-    rho = _as_density(rho, policy)
-    sigma = _as_psd(sigma, policy)
-    omega = _as_psd(omega, policy)
-    if not supports_contained(rho, omega, policy):
+    rho = _as_density(rho)
+    sigma = _as_psd(sigma)
+    omega = _as_psd(omega)
+    if not supports_contained(rho, omega):
         return -INF
-    lw = matrix_log(omega, policy)
+    lw = matrix_log(omega)
     first = float(np.trace(rho.matrix @ lw.finite).real)
-    return first - log_trace_exp_sum([lw, matrix_log(sigma, policy)], policy)
+    return first - log_trace_exp_sum([lw, matrix_log(sigma)])
 
 
-def variational_optimizer_state(
-    h, sigma, policy: NumericPolicy = DEFAULT_POLICY
-) -> DensityOperator:
+def variational_optimizer_state(h, sigma) -> DensityOperator:
     """The Gibbs-like maximizer exp(H + log sigma) / tr exp(H + log sigma)."""
-    sigma = _as_psd(sigma, policy)
-    term = h if isinstance(h, (SupportLog, HermitianOperator)) else HermitianOperator(h, policy)
-    vals, vecs = sum_on_joint_support([term, matrix_log(sigma, policy)], policy)
+    sigma = _as_psd(sigma)
+    term = h if isinstance(h, (SupportLog, HermitianOperator)) else HermitianOperator(h)
+    vals, vecs = sum_on_joint_support([term, matrix_log(sigma)])
     if vals.size == 0:
         raise ZeroTrace("joint support of H and sigma is empty")
     w = np.exp(vals - vals.max())
     w /= w.sum()
-    return DensityOperator(hermitian_part((vecs * w) @ vecs.conj().T), policy)
+    return DensityOperator(hermitian_part((vecs * w) @ vecs.conj().T))
 
 
-def legendre_trace_exp(h, sigma, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def legendre_trace_exp(h, sigma) -> float:
     """log tr exp(H + log sigma) = sup_omega { tr H omega - D(omega||sigma) }."""
-    sigma = _as_psd(sigma, policy)
-    term = h if isinstance(h, (SupportLog, HermitianOperator)) else HermitianOperator(h, policy)
-    return log_trace_exp_sum([term, matrix_log(sigma, policy)], policy)
+    sigma = _as_psd(sigma)
+    term = h if isinstance(h, (SupportLog, HermitianOperator)) else HermitianOperator(h)
+    return log_trace_exp_sum([term, matrix_log(sigma)])

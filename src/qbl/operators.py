@@ -23,7 +23,7 @@ from .errors import (
     SingularC,
     ZeroOperator,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import HERM_RTOL, PSD_SLACK, QUAD_TOL, SUPPORT_LEAK_TOL, eps_supp
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -60,18 +60,17 @@ class HermitianOperator:
     operations return new objects.
     """
 
-    def __init__(self, entries, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, entries):
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
         scale = float(np.max(np.abs(mat))) if mat.size else 0.0
         skew = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if skew > max(policy.herm_rtol * scale, 1e-300) and skew > 1e-8 * max(1.0, scale):
+        if skew > max(HERM_RTOL * scale, 1e-300) and skew > 1e-8 * max(1.0, scale):
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {skew:.3e}")
         mat = hermitian_part(mat)
         mat.setflags(write=False)
         self._mat = mat
-        self._policy = policy
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -81,10 +80,6 @@ class HermitianOperator:
     @property
     def matrix(self) -> np.ndarray:
         return self._mat
-
-    @property
-    def policy(self) -> NumericPolicy:
-        return self._policy
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -114,11 +109,11 @@ class HermitianOperator:
 class PSDOperator(HermitianOperator):
     """Hermitian operator certified positive semi-definite (within eps_supp)."""
 
-    def __init__(self, entries, policy: NumericPolicy = DEFAULT_POLICY):
-        super().__init__(entries, policy)
+    def __init__(self, entries):
+        super().__init__(entries)
         vals = self.eigenvalues
         lam_max = float(vals[-1]) if vals.size else 0.0
-        eps = policy.eps_supp(max(lam_max, 0.0))
+        eps = eps_supp(max(lam_max, 0.0))
         if vals.size and float(vals[0]) < -eps:
             raise ValueError(
                 f"matrix is not PSD: min eigenvalue {float(vals[0]):.3e} < -{eps:.3e}"
@@ -142,20 +137,20 @@ class PSDOperator(HermitianOperator):
 class DensityOperator(PSDOperator):
     """PSD operator renormalized to unit trace."""
 
-    def __init__(self, entries, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, entries):
         mat = _as_matrix(entries)
         tr = float(np.trace(mat).real)
         if tr <= 0:
             raise ValueError(f"cannot normalize: trace = {tr:.3e}")
-        super().__init__(mat / tr, policy)
+        super().__init__(mat / tr)
 
 
-def identity(d: int, policy: NumericPolicy = DEFAULT_POLICY) -> PSDOperator:
-    return PSDOperator(np.eye(d), policy)
+def identity(d: int) -> PSDOperator:
+    return PSDOperator(np.eye(d))
 
 
-def zero(d: int, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianOperator:
-    return HermitianOperator(np.zeros((d, d)), policy)
+def zero(d: int) -> HermitianOperator:
+    return HermitianOperator(np.zeros((d, d)))
 
 
 @dataclass(frozen=True)
@@ -186,13 +181,6 @@ class SupportLog:
         w = None if self.weight is None else alpha * self.weight
         return SupportLog(alpha * self.finite, w)
 
-    def shifted(self, c: float) -> "SupportLog":
-        """Add c * identity to the finite part."""
-        return SupportLog(self.finite + c * np.eye(self.dim), self.weight)
-
-
-ExtendedTerm = "SupportLog | HermitianOperator | np.ndarray"
-
 
 def _coerce_term(term) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(term, SupportLog):
@@ -203,9 +191,7 @@ def _coerce_term(term) -> tuple[np.ndarray, np.ndarray | None]:
     return hermitian_part(arr), None
 
 
-def sum_on_joint_support(
-    terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY
-) -> tuple[np.ndarray, np.ndarray]:
+def sum_on_joint_support(terms: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Sum extended-Hermitian terms and restrict to the joint support.
 
     Returns (eigenvalues, vectors) of the compressed sum, with vectors
@@ -227,7 +213,7 @@ def sum_on_joint_support(
     wsum = hermitian_part(np.sum(live_weights, axis=0))
     wvals, wvecs = np.linalg.eigh(wsum)
     wmax = float(wvals[-1]) if wvals.size else 0.0
-    cut = policy.support_leak_tol * max(1.0, wmax)
+    cut = SUPPORT_LEAK_TOL * max(1.0, wmax)
     basis = wvecs[:, wvals < cut]
     if basis.shape[1] == 0:
         return np.empty(0), np.empty((d, 0))
@@ -236,34 +222,34 @@ def sum_on_joint_support(
     return vals, basis @ vecs
 
 
-def trace_exp_sum(terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def trace_exp_sum(terms: Sequence) -> float:
     """tr exp(sum of terms), taken on the joint support of all kernel flags."""
-    vals, _ = sum_on_joint_support(terms, policy)
+    vals, _ = sum_on_joint_support(terms)
     return float(np.sum(np.exp(vals)))
 
 
-def log_trace_exp_sum(terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def log_trace_exp_sum(terms: Sequence) -> float:
     """log tr exp(sum of terms); -inf when the joint support is empty."""
-    vals, _ = sum_on_joint_support(terms, policy)
+    vals, _ = sum_on_joint_support(terms)
     if vals.size == 0:
         return float("-inf")
     return float(log_sum_exp(vals))
 
 
-def exp_on_support(terms: Sequence, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def exp_on_support(terms: Sequence) -> np.ndarray:
     """exp(sum of terms) as a d x d matrix, zero on the flagged kernel."""
-    vals, vecs = sum_on_joint_support(terms, policy)
+    vals, vecs = sum_on_joint_support(terms)
     return hermitian_part((vecs * np.exp(vals)) @ vecs.conj().T)
 
 
-def matrix_log(a: PSDOperator, policy: NumericPolicy | None = None) -> SupportLog:
+def matrix_log(a: PSDOperator) -> SupportLog:
     """Support-projected natural logarithm of a PSD operator.
 
     Eigenvalues below eps_supp are not regularized; the corresponding
     kernel projector travels with the result as a -infinity flag.
     """
     if not isinstance(a, PSDOperator):
-        a = PSDOperator(a, policy or DEFAULT_POLICY)
+        a = PSDOperator(a)
     if a.support_rank == 0:
         raise ZeroOperator("cannot take the logarithm of the zero operator")
     vals, vecs = a.eigenvalues, a.eigenvectors
@@ -276,14 +262,14 @@ def matrix_log(a: PSDOperator, policy: NumericPolicy | None = None) -> SupportLo
     return SupportLog(finite, vk @ vk.conj().T)
 
 
-def matrix_exp(h: HermitianOperator, policy: NumericPolicy = DEFAULT_POLICY) -> PSDOperator:
+def matrix_exp(h: HermitianOperator) -> PSDOperator:
     """exp(H) via eigendecomposition; exact spectral mapping."""
     if isinstance(h, SupportLog):
-        return PSDOperator(exp_on_support([h], policy), policy)
+        return PSDOperator(exp_on_support([h]))
     if not isinstance(h, HermitianOperator):
-        h = HermitianOperator(h, policy)
+        h = HermitianOperator(h)
     vals, vecs = h.eigenvalues, h.eigenvectors
-    return PSDOperator((vecs * np.exp(vals)) @ vecs.conj().T, policy)
+    return PSDOperator((vecs * np.exp(vals)) @ vecs.conj().T)
 
 
 def schatten(a: PSDOperator, p: float) -> float:
@@ -302,12 +288,7 @@ def schatten(a: PSDOperator, p: float) -> float:
     return float(np.exp(log_sum_exp(p * np.log(pos)) / p))
 
 
-def weighted_antinorm(
-    w: PSDOperator,
-    sigma: PSDOperator,
-    p: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def weighted_antinorm(w: PSDOperator, sigma: PSDOperator, p: float) -> float:
     """Sigma-weighted functional (tr exp(p log w + log sigma))^(1/p).
 
     An anti-norm for p in (0, 1]; accepted for any p > 0 since the
@@ -316,20 +297,15 @@ def weighted_antinorm(
     """
     if p <= 0:
         raise InvalidExponent(f"weighted anti-norm exponent must be positive, got {p}")
-    lw = matrix_log(w, policy)
-    ls = matrix_log(sigma, policy)
-    val = log_trace_exp_sum([lw.scaled(p), ls], policy)
+    lw = matrix_log(w)
+    ls = matrix_log(sigma)
+    val = log_trace_exp_sum([lw.scaled(p), ls])
     if val == float("-inf"):
         return 0.0
     return float(np.exp(val / p))
 
 
-def lieb_triple_integral(
-    a: PSDOperator,
-    b: PSDOperator,
-    c: PSDOperator,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def lieb_triple_integral(a: PSDOperator, b: PSDOperator, c: PSDOperator) -> float:
     """Integral_0^inf tr a (c^-1 + t)^-1 b (c^-1 + t)^-1 dt.
 
     Evaluated by adaptive quadrature on s in [0, 1] after t = s/(1-s);
@@ -340,7 +316,7 @@ def lieb_triple_integral(
     am, bm, cm = (_as_matrix(x) for x in (a, b, c))
     if not (am.shape == bm.shape == cm.shape):
         raise DimensionMismatch("triple integral needs three same-dimension operators")
-    cop = c if isinstance(c, PSDOperator) else PSDOperator(cm, policy)
+    cop = c if isinstance(c, PSDOperator) else PSDOperator(cm)
     if cop.support_rank < cop.dim:
         raise SingularC("third argument must be strictly positive definite")
     gvals, gvecs = cop.eigenvalues, cop.eigenvectors
@@ -355,14 +331,13 @@ def lieb_triple_integral(
         val = np.einsum("ij,j,ji,i->", at, r, bt, r)
         return float(val.real) / (1.0 - s) ** 2
 
-    val, _err = quad(integrand, 0.0, 1.0, epsabs=policy.quad_tol, epsrel=1e-12, limit=200)
+    val, _err = quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=1e-12, limit=200)
     return float(val)
 
 
 def operator_jensen_check(
     m_adj: Callable[[np.ndarray], np.ndarray],
     x: PSDOperator,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[bool, float]:
     """Check log(M(x)) - M(log x) >= 0 for a unital positive map M.
 
@@ -375,20 +350,15 @@ def operator_jensen_check(
         raise NotUnital("map does not send the identity to the identity")
     if x.support_rank < d:
         raise ZeroOperator("operator Jensen check needs a strictly PD argument")
-    lx = matrix_log(x, policy).finite
+    lx = matrix_log(x).finite
     mx = hermitian_part(np.asarray(m_adj(x.matrix)))
-    lmx = matrix_log(PSDOperator(mx, policy), policy).finite
+    lmx = matrix_log(PSDOperator(mx)).finite
     diff = hermitian_part(lmx - np.asarray(m_adj(lx)))
     wmin = float(np.linalg.eigvalsh(diff)[0])
-    return wmin >= -policy.psd_slack, wmin
+    return wmin >= -PSD_SLACK, wmin
 
 
-def find_antinorm_counterexample(
-    p: float,
-    seed: int = 0,
-    max_tries: int = 20000,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> dict:
+def find_antinorm_counterexample(p: float, seed: int = 0, max_tries: int = 20000) -> dict:
     """Search qubit triples showing |||.|||_{sigma,p} with p > 1 is neither
     a norm nor an anti-norm.
 
@@ -407,13 +377,13 @@ def find_antinorm_counterexample(
 
     for _ in range(max(1, max_tries // 200)):
         sigma = rand_pd()
-        sig = PSDOperator(sigma, policy)
+        sig = PSDOperator(sigma)
         sub = sup = None
         for _ in range(200):
             w1, w2 = rand_pd(), rand_pd()
-            n12 = weighted_antinorm(PSDOperator(w1 + w2, policy), sig, p, policy)
-            n1 = weighted_antinorm(PSDOperator(w1, policy), sig, p, policy)
-            n2 = weighted_antinorm(PSDOperator(w2, policy), sig, p, policy)
+            n12 = weighted_antinorm(PSDOperator(w1 + w2), sig, p)
+            n1 = weighted_antinorm(PSDOperator(w1), sig, p)
+            n2 = weighted_antinorm(PSDOperator(w2), sig, p)
             gap = n12 - n1 - n2
             scale = max(n12, n1 + n2)
             if gap > 1e-6 * scale and sub is None:

@@ -1,33 +1,27 @@
-"""Centralized numerical tolerances.
+"""Numerical tolerances shared by the whole package.
 
-Every operator/entropy routine takes a NumericPolicy (defaulting to
-DEFAULT_POLICY) so that all support thresholds and slacks can be scaled
-from one place, e.g. for larger dimensions or looser experiments.
+Exact support handling rests on a few fixed thresholds: where a spectrum
+ends (the support cut), how far an operator may leak out of another's
+support, how negative an eigenvalue may be and still count as PSD. They
+are plain module constants, read directly where they apply, so that each
+value is stated once and a support decision made in one module is the
+same decision in every other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# relative tolerance for the Hermiticity check, scaled by max|entry|
+HERM_RTOL = 1e-12
+# eigenvalue support threshold factor: see eps_supp
+SUPP_RTOL = 1e-10
+# absolute tolerance for the triple-matrix quadrature
+QUAD_TOL = 1e-9
+# eigenvalue slack when certifying positive semi-definiteness
+PSD_SLACK = 1e-9
+# operator-norm threshold for support containment (omega << tau)
+SUPPORT_LEAK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    # relative tolerance for the Hermiticity check, scaled by max|entry|
-    herm_rtol: float = 1e-12
-    # eigenvalue support threshold factor: eps_supp = supp_rtol * max(1, lambda_max)
-    supp_rtol: float = 1e-10
-    # eigendecomposition reconstruction tolerance factor
-    recon_rtol: float = 1e-10
-    # absolute tolerance for the triple-matrix quadrature
-    quad_tol: float = 1e-9
-    # eigenvalue slack when certifying positive semi-definiteness
-    psd_slack: float = 1e-9
-    # operator-norm threshold for support containment (omega << tau)
-    support_leak_tol: float = 1e-8
-
-    def eps_supp(self, lambda_max: float) -> float:
-        """Support threshold for a PSD spectrum with largest eigenvalue lambda_max."""
-        return self.supp_rtol * max(1.0, lambda_max)
-
-
-DEFAULT_POLICY = NumericPolicy()
+def eps_supp(lambda_max: float) -> float:
+    """Support threshold for a PSD spectrum with largest eigenvalue lambda_max."""
+    return SUPP_RTOL * max(1.0, lambda_max)

@@ -82,12 +82,6 @@ def random_channel(
     return Channel(kraus, label=f"random({d_in}->{d_out},k={k})")
 
 
-def random_subspace(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """m x k real matrix with orthonormal columns."""
-    q, _ = np.linalg.qr(rng.normal(size=(m, k)))
-    return q[:, :k]
-
-
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     """Qubit state (1 + r . sigma)/2 for a Bloch vector inside the ball."""
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)

@@ -425,3 +425,45 @@ class TestApplicationDataDuality:
         rep = duality_crosscheck(d, OptimizerBudget(restarts=6, max_iters=250, base_seed=0))
         assert rep.agree
         assert rep.c_entropic == pytest.approx(0.0, abs=1e-5)
+
+
+class TestRankDeficientOmega:
+    """The checkers push the kernel of log omega through E^dag: a
+    rank-deficient omega whose kernel E^dag spreads over the whole input
+    space sends the left-hand side to 0, as the exact analytic_gap does."""
+
+    W0 = np.diag([1.0, 0.0])
+    HALF = np.eye(2) / 2
+
+    def test_mu_analytic_check(self):
+        bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
+        rep = app.mu_analytic_check(bx, bz, self.W0, self.HALF)
+        assert rep.lhs == 0.0
+        assert rep.gap == pytest.approx(0.5, abs=1e-12)
+        assert rep.chain_holds
+        datum = app.uncertainty_datum([bx, bz]).with_constant(np.log(rep.c))
+        assert analytic_gap(datum, [self.W0, self.HALF]) == np.inf
+
+    def test_six_state_check(self):
+        rep = app.six_state_check(omegas=[self.W0, self.HALF, self.HALF])
+        assert rep.analytic_lhs == 0.0
+        assert rep.analytic_gap == pytest.approx(0.25, abs=1e-12)
+        assert rep.chain_holds
+
+    def test_dpi_analytic_check(self):
+        meas = ch.measurement_channel(ch.pauli_basis("x"))
+        rep = app.dpi_analytic_check(self.HALF, meas, self.W0)
+        assert rep.lhs == 0.0
+        assert rep.gap == pytest.approx(0.5, abs=1e-12)
+
+    def test_sdpi_analytic_check(self):
+        meas = ch.measurement_channel(ch.pauli_basis("x"))
+        assert app.sdpi_analytic_check(meas, self.HALF, 1.0, self.W0) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    def test_min_output_dual_gap(self):
+        # E^dag = E for the depolarizing channel, and E(diag(0, 1)) has full rank
+        h_min = app.binary_entropy(0.25)
+        gap = app.min_output_dual_gap(ch.depolarizing(0.5), self.HALF, self.W0, h_min)
+        assert gap == pytest.approx(np.exp(-h_min), abs=1e-12)

@@ -246,6 +246,22 @@ class TestContractionCmd:
             assert formula == pytest.approx((1 - p) ** 2, rel=1e-12)
 
 
+class TestVerifyChannelTask:
+    """verify on a channel task prints the report of the command it stands for."""
+
+    @pytest.mark.parametrize("spec,command", [
+        ("contraction-depol-0.5", "contraction"),
+        ("minout-depol-0.5", "constant"),
+    ])
+    def test_same_report_as_command(self, capsys, spec, command):
+        tail = ["--budget", "restarts=2,iters=100", "--seed", "0", "--no-meta"]
+        code_v, out_v = run(capsys, "verify", spec, *tail)
+        code_c, out_c = run(capsys, command, spec, *tail)
+        assert code_v == code_c == 0
+        assert out_v == out_c
+        json.loads(out_v)
+
+
 PRESET_EXPECTATIONS = [
     ("dpi-qubit", ["verify", "--samples", "60"], 0),
     ("dpi-random-qubit", ["constant", "--budget", "restarts=4,iters=200"], 0),

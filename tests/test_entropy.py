@@ -197,3 +197,22 @@ class TestDataProcessing:
             h1b = ent.conditional_entropy(ch.ptrace(rho, [2, 2, 2], [0, 2]), (2, 2))
             h2b = ent.conditional_entropy(ch.ptrace(rho, [2, 2, 2], [1, 2]), (2, 2))
             assert lhs <= h1b + h2b + 1e-9
+
+
+class TestSupportLeakTolerance:
+    """supports_contained accepts a leak up to 1e-8 in operator norm."""
+
+    @staticmethod
+    def _leaking(leak: float) -> op.PSDOperator:
+        v = np.array([np.sqrt(1.0 - leak**2), leak])  # (cos t, sin t) with sin t = leak
+        return op.PSDOperator(np.outer(v, v))
+
+    def test_leak_boundary(self):
+        tau = op.PSDOperator(np.diag([1.0, 0.0]))
+        assert ent.supports_contained(self._leaking(5e-9), tau)
+        assert not ent.supports_contained(self._leaking(2e-8), tau)
+
+    def test_relative_entropy_follows_the_boundary(self):
+        tau = np.diag([1.0, 0.0])
+        assert np.isfinite(ent.relative_entropy(self._leaking(5e-9).matrix, tau))
+        assert ent.relative_entropy(self._leaking(2e-8).matrix, tau) == INF

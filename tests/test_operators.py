@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qbl import operators as op
-from qbl.errors import InvalidExponent, NotUnital, SingularC, ZeroOperator
+from qbl.channels import Channel
+from qbl.errors import (
+    InvalidExponent,
+    NotCompletelyPositive,
+    NotUnital,
+    SingularC,
+    ZeroOperator,
+)
 from qbl.sampling import random_hermitian, random_pd
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -309,3 +316,33 @@ class TestInvariants:
         recon = (h.eigenvectors * h.eigenvalues) @ h.eigenvectors.conj().T
         scale = 1.0 + np.max(np.abs(h.matrix))
         assert np.max(np.abs(recon - h.matrix)) < 1e-10 * scale
+
+
+class TestTolerances:
+    """Each fixed tolerance pinned on both sides of its boundary."""
+
+    def test_support_cut_at_1e_10(self):
+        assert op.PSDOperator(np.diag([1.0, 2e-10])).support_rank == 2
+        assert op.PSDOperator(np.diag([1.0, 5e-11])).support_rank == 1
+
+    def test_support_cut_scales_with_largest_eigenvalue(self):
+        # the cut is 1e-10 * max(1, lambda_max) = 1e-8 here
+        assert op.PSDOperator(np.diag([100.0, 5e-9])).support_rank == 1
+        assert op.PSDOperator(np.diag([100.0, 2e-8])).support_rank == 2
+
+    def test_negative_eigenvalue_slack(self):
+        assert op.PSDOperator(np.diag([1.0, -5e-11])).support_rank == 1
+        with pytest.raises(ValueError, match="not PSD"):
+            op.PSDOperator(np.diag([1.0, -2e-10]))
+
+    @staticmethod
+    def _signed_family(eps: float) -> Channel:
+        # trace preserving; the Choi matrix has eigenvalues 2(1 + eps) and -2 eps
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return Channel([np.sqrt(1.0 + eps) * np.eye(2), np.sqrt(eps) * x], signs=[1.0, -1.0])
+
+    def test_choi_slack_at_1e_9(self):
+        chan = self._signed_family(2e-10)
+        assert float(np.linalg.eigvalsh(chan.choi_matrix())[0]) == pytest.approx(-4e-10, rel=1e-6)
+        with pytest.raises(NotCompletelyPositive):
+            self._signed_family(1e-9)
