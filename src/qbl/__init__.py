@@ -11,7 +11,6 @@ entropy super-additivity, and geometric Gaussian BL inequalities.
 from .policy import (
     HERM_RTOL,
     PSD_SLACK,
-    QUAD_TOL,
     SUPP_RTOL,
     SUPPORT_LEAK_TOL,
     eps_supp,

@@ -16,7 +16,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
 
 from . import entropy
 from .channels import (
@@ -54,6 +53,7 @@ from .errors import (
 from .operators import (
     DensityOperator,
     PSDOperator,
+    _log_mean,
     identity,
     lieb_triple_integral,
     log_trace_exp_sum,
@@ -89,11 +89,8 @@ def shearer_datum(dims: Sequence[int], subsets: Sequence[Sequence[int]], p: int)
     m = len(dims)
     if p < 1:
         raise CoverViolation(f"cover multiplicity must be >= 1, got {p}")
-    counts = [0] * m
-    for sub in subsets:
-        for s in sub:
-            counts[s] += 1
-    short = [s for s in range(m) if counts[s] < p]
+    counts = _cover_counts(m, subsets)
+    short = [s for s, c in enumerate(counts) if c < p]
     if short:
         raise CoverViolation(f"sites {short} belong to fewer than p={p} subsets")
     chans = [partial_trace(dims, sorted(sub)) for sub in subsets]
@@ -490,44 +487,45 @@ def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     )
 
 
-def _traceless_hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
+def _traceless_hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the traceless Hermitian d x d matrices as a
+    (d^2 - 1, d, d) stack."""
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    n = 0
     for i in range(d):
         for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2.0)
-            m[j, i] = 1j / np.sqrt(2.0)
-            basis.append(m)
+            basis[n, i, j] = basis[n, j, i] = 1.0 / np.sqrt(2.0)
+            basis[n + 1, i, j] = -1j / np.sqrt(2.0)
+            basis[n + 1, j, i] = 1j / np.sqrt(2.0)
+            n += 2
     for k in range(1, d):
         diag = np.zeros(d)
         diag[:k] = 1.0
         diag[k] = -k
-        basis.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
+        basis[n] = np.diag(diag) / np.sqrt(k * (k + 1))
+        n += 1
     return basis
 
 
-def _km_form(sigma: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    """Gram matrix of the local curvature of D(sigma + x || sigma)."""
+def _km_form(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Gram matrix of the local curvature of D(sigma + x || sigma) over a
+    stack of directions xs."""
     vals, vecs = np.linalg.eigh(sigma)
-    vals = np.clip(vals, 1e-300, None)
-    li, lj = vals[:, None], vals[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.where(
-            np.abs(li - lj) > 1e-12 * np.maximum(li, lj),
-            (np.log(li) - np.log(lj)) / (li - lj),
-            1.0 / np.maximum(li, lj),
-        )
-    tilted = [vecs.conj().T @ x @ vecs for x in xs]
-    n = len(xs)
-    gram = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            val = float(np.sum(kernel * (tilted[a].conj() * tilted[b]).real))
-            gram[a, b] = gram[b, a] = val
-    return gram
+    kernel = _log_mean(np.clip(vals, 1e-300, None))
+    tilted = vecs.conj().T @ xs @ vecs
+    return np.einsum("ij,aij,bij->ab", kernel, tilted.conj(), tilted).real
+
+
+def _perturbative_eta(ch: Channel, sigma: np.ndarray) -> float:
+    """The rho -> sigma limit of the contraction ratio: the top generalized
+    eigenvalue of the output against the input curvature form, with the
+    input form (positive definite for a full-support sigma) whitened by
+    its Cholesky factor."""
+    basis = _traceless_hermitian_basis(sigma.shape[0])
+    m_in = _km_form(sigma, basis)
+    m_out = _km_form(apply(ch, sigma), apply(ch, basis))
+    white = np.linalg.inv(np.linalg.cholesky(m_in))
+    return float(np.linalg.eigvalsh(white @ m_out @ white.T)[-1])
 
 
 # below this D(rho||sigma) cancellation error (about 4e-16 / D) dominates
@@ -567,11 +565,8 @@ def contraction_coefficient(
     if sig.support_rank < sig.dim:
         raise SingularMarginal("contraction coefficient needs a full-support reference")
     d = sig.dim
-    basis = _traceless_hermitian_basis(d)
     esig = apply(ch, sig.matrix)
-    m_in = _km_form(sig.matrix, basis)
-    m_out = _km_form(esig, [apply(ch, b) for b in basis])
-    eta_pert = float(generalized_eigh(m_out, m_in, eigvals_only=True)[-1])
+    eta_pert = _perturbative_eta(ch, sig.matrix)
 
     ratio = partial(
         _divergence_ratio, ch, matrix_log(sig).finite, matrix_log(PSDOperator(esig)).finite

@@ -634,7 +634,6 @@ class VerificationReport:
     worst_gap: float
     witness: list[np.ndarray]
     samples: int
-    optimizer_trace: list[tuple[int, float]] = field(default_factory=list)
     verdict: str = "holds_on_samples"
 
     def to_dict(self) -> dict:
@@ -645,7 +644,6 @@ class VerificationReport:
             "worst_gap": self.worst_gap,
             "witness": [encode_matrix(w) for w in self.witness],
             "samples": self.samples,
-            "optimizer_trace": [[i, v] for i, v in self.optimizer_trace],
             "verdict": self.verdict,
         }
 

@@ -3,6 +3,7 @@ super-additivity."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from qbl import applications as app
 from qbl import channels as ch
@@ -322,6 +323,35 @@ class TestContraction:
     def test_requires_full_support(self):
         with pytest.raises(SingularMarginal):
             app.contraction_coefficient(ch.depolarizing(0.5), np.diag([1.0, 0.0]), BUDGET)
+
+    def test_perturbative_eta_matches_generalized_eigh(self):
+        # loop reference: curvature forms in a random traceless Hermitian
+        # basis (the top generalized eigenvalue does not depend on the basis)
+        def km_form(sigma, xs):
+            vals, vecs = np.linalg.eigh(sigma)
+            tilted = [vecs.conj().T @ x @ vecs for x in xs]
+            gram = np.zeros((len(xs), len(xs)))
+            for a, ta in enumerate(tilted):
+                for b, tb in enumerate(tilted):
+                    for i, gi in enumerate(vals):
+                        for j, gj in enumerate(vals):
+                            w = 1.0 / gi if gi == gj else (np.log(gi) - np.log(gj)) / (gi - gj)
+                            gram[a, b] += w * (ta[i, j].conj() * tb[i, j]).real
+            return gram
+
+        rng = np.random.default_rng(71)
+        for d_in, d_out in [(2, 3), (3, 2), (2, 4), (4, 3), (3, 4)]:
+            e = random_channel(d_in, d_out, rng=rng)
+            sigma = op.DensityOperator(random_pd(d_in, rng)).matrix
+            xs = []
+            for _ in range(d_in * d_in - 1):
+                h = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+                h = h + h.conj().T
+                xs.append(h - np.trace(h) / d_in * np.eye(d_in))
+            m_in = km_form(sigma, xs)
+            m_out = km_form(ch.apply(e, sigma), [ch.apply(e, x) for x in xs])
+            ref = eigh(m_out, m_in, eigvals_only=True)[-1]
+            assert app._perturbative_eta(e, sigma) == pytest.approx(ref, abs=1e-12)
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(17)

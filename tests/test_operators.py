@@ -2,13 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import logsumexp
 
+import qbl
 from qbl import operators as op
 from qbl.channels import Channel
 from qbl.errors import (
@@ -225,6 +229,22 @@ def lieb_triple_closed_form(a, b, c):
     return total
 
 
+def lieb_triple_quadrature(a, b, c):
+    """Reference: adaptive quadrature of the resolvent integrand on s in
+    [0, 1] after t = s/(1-s); the s -> 1 endpoint limit is tr(a b)."""
+    gvals, gvecs = np.linalg.eigh(c)
+    at = gvecs.conj().T @ a @ gvecs
+    bt = gvecs.conj().T @ b @ gvecs
+
+    def integrand(s):
+        if s >= 1.0:
+            return float(np.trace(at @ bt).real)
+        r = gvals / (1.0 + s / (1.0 - s) * gvals)  # eigenvalues of (c^-1 + t)^-1
+        return float(np.einsum("ij,j,ji,i->", at, r, bt, r).real) / (1.0 - s) ** 2
+
+    return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 class TestLiebTriple:
     def test_commuting_diagonals(self):
         av, bv, cv = np.array([1.0, 2.0]), np.array([0.5, 3.0]), np.array([2.0, 0.7])
@@ -254,6 +274,23 @@ class TestLiebTriple:
             a, b, c = (random_pd(3, rng) for _ in range(3))
             val = op.lieb_triple_integral(op.PSDOperator(a), op.PSDOperator(b), op.PSDOperator(c))
             assert val == pytest.approx(lieb_triple_closed_form(a, b, c), abs=1e-8)
+
+    def test_matches_quadrature_reference(self):
+        rng = np.random.default_rng(61)
+        for i in range(900):
+            a, b, c = (random_pd(2 + i % 3, rng) for _ in range(3))
+            val = op.lieb_triple_integral(op.PSDOperator(a), op.PSDOperator(b), op.PSDOperator(c))
+            assert val == pytest.approx(lieb_triple_quadrature(a, b, c), rel=1e-12)
+
+    @pytest.mark.parametrize("gvals", [[2.0, 2.0, 0.5], [1.0, 1.0 + 1e-13, 0.3]])
+    def test_near_equal_eigenvalues_of_c(self, gvals):
+        # pairs within 1e-12 relative take the L(x, x) = 1/x branch
+        rng = np.random.default_rng(62)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        for c in (np.diag(gvals), (u * gvals) @ u.conj().T):
+            a, b = random_pd(3, rng), random_pd(3, rng)
+            val = op.lieb_triple_integral(op.PSDOperator(a), op.PSDOperator(b), op.PSDOperator(c))
+            assert val == pytest.approx(lieb_triple_quadrature(a, b, c), rel=1e-12)
 
     def test_singular_c_rejected(self):
         with pytest.raises(SingularC):
@@ -302,6 +339,16 @@ class TestInvariants:
         with pytest.raises(ValueError):
             op.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_runtime_imports_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(qbl.__file__))
+        code = "import sys, qbl.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_density_renormalizes(self):
         rho = op.DensityOperator(np.diag([2.0, 2.0]))
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
@@ -320,6 +367,13 @@ class TestInvariants:
 
 class TestTolerances:
     """Each fixed tolerance pinned on both sides of its boundary."""
+
+    @pytest.mark.parametrize("s0", [1.0, 100.0])
+    def test_hermiticity_at_1e_8(self, s0):
+        # max |A - A^dag| may reach 1e-8 * max(1, max|entry|)
+        assert op.HermitianOperator([[s0, 5e-9 * s0], [0.0, s0]]).dim == 2
+        with pytest.raises(ValueError, match="not Hermitian"):
+            op.HermitianOperator([[s0, 2e-8 * s0], [0.0, s0]])
 
     def test_support_cut_at_1e_10(self):
         assert op.PSDOperator(np.diag([1.0, 2e-10])).support_rank == 2
