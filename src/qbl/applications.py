@@ -61,7 +61,7 @@ from .operators import (
     trace_exp_sum,
     xlogx_sum,
 )
-from .policy import PSD_SLACK
+from .policy import PSD_SLACK, eps_supp
 from .sampling import complex_gaussian, random_density
 
 LN2 = float(np.log(2.0))
@@ -509,9 +509,13 @@ def _traceless_hermitian_basis(d: int) -> np.ndarray:
 
 def _km_form(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Gram matrix of the local curvature of D(sigma + x || sigma) over a
-    stack of directions xs."""
+    stack of directions xs, taken on supp sigma (the eigenvalues above
+    eps_supp): a direction x with sigma +- tx >= 0 for some t > 0, such as
+    E(x) at sigma = E(full-support state), lives there."""
     vals, vecs = np.linalg.eigh(sigma)
-    kernel = _log_mean(np.clip(vals, 1e-300, None))
+    keep = vals > eps_supp(vals[-1])
+    vals, vecs = vals[keep], vecs[:, keep]
+    kernel = _log_mean(vals)
     tilted = vecs.conj().T @ xs @ vecs
     return np.einsum("ij,aij,bij->ab", kernel, tilted.conj(), tilted).real
 

@@ -10,6 +10,12 @@ of the two estimates is the duality cross-check.
 Optimizers work on raw arrays, are vectorized across restarts, and assume
 a strictly positive definite sigma. A datum whose E_k(sigma) leaks out of
 supp sigma_k has constant +inf and is reported as such before any search.
+Each estimator step eigendecomposes each iterate once: the fixed point
+carries the exponent of its Gibbs state and the analytic sweep carries
+the Gibbs state of each kept tuple, so one eigh of the exponent and one
+per E_k(rho) serve both the objective and the next iterate. The ascent
+evaluates the trial steps of one backtracking round in a single batched
+call.
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
 sample at a time only where a support can leak: when sigma and every
@@ -187,8 +193,8 @@ def _eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra and logarithms of PSD stacks; eigenvalues are lifted to a
     relative floor inside the log so kernels stay finite."""
     vals, vecs = np.linalg.eigh(mats)
-    floor = np.clip(vals[..., -1:] * 1e-18, _EIG_FLOOR, None)
-    logs = np.log(np.clip(vals, floor, None))
+    floor = np.maximum(vals[..., -1:] * 1e-18, _EIG_FLOOR)
+    logs = np.log(np.maximum(vals, floor))
     return vals, (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -218,30 +224,44 @@ class _Workspace:
             v = sk.support_basis()
             self.rhs_bases.append(v)
             self.rhs_logs.append(v.conj().T @ ls.finite @ v)
+        # M = log sigma - sum_k q_k E_k^dag(log sigma_k): the part of the
+        # entropic objective linear in rho is tr(rho M)
+        self.linear = self.log_sigma - sum(
+            qk * apply_adjoint(ch, ls) for qk, ch, ls in zip(self.q, self.channels, self.log_sigmas)
+        )
 
     # -- objectives ----------------------------------------------------
     def entropic_objective(self, rhos: np.ndarray) -> np.ndarray:
-        """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma), batched."""
-        vals = np.linalg.eigvalsh(rhos)
-        out = _trace_prod(rhos, self.log_sigma) - xlogx_sum(vals)
-        for k, qk in enumerate(self.q):
-            taus = apply(self.channels[k], rhos)
-            tvals = np.linalg.eigvalsh(taus)
-            out = out + qk * (xlogx_sum(tvals) - _trace_prod(taus, self.log_sigmas[k]))
+        """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma), batched:
+        tr(rho M) - sum lambda log lambda + sum_k q_k sum lambda_k log lambda_k."""
+        out = _trace_prod(rhos, self.linear) - xlogx_sum(np.linalg.eigvalsh(rhos))
+        for qk, ch in zip(self.q, self.channels):
+            out = out + qk * xlogx_sum(np.linalg.eigvalsh(apply(ch, rhos)))
         return out
+
+    def entropic_step(self, rhos: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entropic objective at states rho with spectra vals, and
+        H = M + sum_k q_k E_k^dag(log E_k rho), from one eigh per E_k(rho).
+
+        H = log sigma + sum_k E_k^dag(q_k (log E_k rho - log sigma_k)) is
+        the exponent whose Gibbs state is the next fixed-point iterate, and
+        H - log rho is the Hermitian gradient of the objective in rho."""
+        out = _trace_prod(rhos, self.linear) - xlogx_sum(vals)
+        h = self.linear
+        for qk, ch in zip(self.q, self.channels):
+            tvals, tlog = _eigh_log(apply(ch, rhos))
+            out = out + qk * xlogx_sum(tvals)
+            h = h + qk * apply_adjoint(ch, tlog)
+        return out, h
 
     def entropic_value_grad(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entropic objective at rho = XX^dag / tr XX^dag and its
         gradient in X, from the Hermitian gradient in rho
-        G = sum_k q_k E_k^dag(log E_k rho - log sigma_k) - (log rho - log sigma)."""
+        G = M + sum_k q_k E_k^dag(log E_k rho) - log rho."""
         rhos, t = _gram_states(xs)
-        d_ref, g_ref = _relative_entropy_grad(rhos, self.log_sigma)
-        out, g = -d_ref, -g_ref
-        for k, qk in enumerate(self.q):
-            dk, gk = _relative_entropy_grad(apply(self.channels[k], rhos), self.log_sigmas[k])
-            out = out + qk * dk
-            g = g + qk * apply_adjoint(self.channels[k], gk)
-        return out, _pullback(g, rhos, xs, t)
+        vals, log_rho = _eigh_log(rhos)
+        out, h = self.entropic_step(rhos, vals)
+        return out, _pullback(h - log_rho, rhos, xs, t)
 
     def exponent(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log sigma + sum_k E_k^dag(log w_k), batched over the leading axes
@@ -262,24 +282,25 @@ class _Workspace:
     def analytic_objective(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log tr exp(log sigma + sum E_k^dag log w_k) - sum_k q_k log||.||,
         batched over the leading axes of each log_omegas[k]."""
-        obj = log_sum_exp(np.linalg.eigvalsh(hermitian_part(self.exponent(log_omegas))))
-        for k, qk in enumerate(self.q):
-            obj = obj - self.rhs_term(k, log_omegas[k])
-        return obj
+        lhs = log_sum_exp(np.linalg.eigvalsh(hermitian_part(self.exponent(log_omegas))))
+        return self.minus_rhs(lhs, log_omegas)
 
-    def rhs_term(self, k: int, log_omega: np.ndarray) -> np.ndarray:
-        """q_k log tr exp(log w / q_k + log sigma_k) on supp(sigma_k)."""
-        v = self.rhs_bases[k]
-        compressed = np.einsum("ji,...jk,kl->...il", v.conj(), log_omega, v) / self.q[k]
-        mats = hermitian_part(compressed + self.rhs_logs[k])
-        return self.q[k] * log_sum_exp(np.linalg.eigvalsh(mats))
+    def minus_rhs(self, lhs: np.ndarray, log_omegas: list[np.ndarray]) -> np.ndarray:
+        """lhs - sum_k q_k log tr exp(log w_k / q_k + log sigma_k), each
+        trace-exponential taken on supp(sigma_k)."""
+        obj = lhs
+        for k, (qk, v) in enumerate(zip(self.q, self.rhs_bases)):
+            compressed = np.einsum("ji,...jk,kl->...il", v.conj(), log_omegas[k], v) / qk
+            mats = hermitian_part(compressed + self.rhs_logs[k])
+            obj = obj - qk * log_sum_exp(np.linalg.eigvalsh(mats))
+        return obj
 
 
 def _gram_states(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices XX^dag / t with t = tr XX^dag, batched; X may be
     d x d (mixed states) or d x 1 (pure states)."""
     rho = xs @ xs.conj().swapaxes(-1, -2)
-    t = np.clip(np.trace(rho, axis1=-2, axis2=-1).real, 1e-300, None)
+    t = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 1e-300)
     return rho / t[..., None, None], t
 
 
@@ -294,7 +315,14 @@ def _pullback(g: np.ndarray, rhos: np.ndarray, xs: np.ndarray, t: np.ndarray) ->
 def _sqrt_psd(rhos: np.ndarray) -> np.ndarray:
     """Batched PSD square roots: ascent parameters X with rho = XX^dag."""
     vals, vecs = np.linalg.eigh(rhos)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+# trial steps t, t/2, t/4 of one backtracking round, evaluated in one
+# value_grad call: nearly every iteration accepts one of the first three
+# trial steps, and a call's fixed cost is larger than the cost of a row
+# (3 measured faster than 2 on both crosscheck workloads)
+_LADDER = 3
 
 
 def _ascent(value_grad, x0: np.ndarray, max_iters: int, tol: float):
@@ -303,12 +331,17 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, tol: float):
 
     value_grad(X) maps a stack X (restarts on the first axis) to the
     objective values and their gradients, each row evaluated on its own.
-    Returns (values, parameters, running-best trace).
+    Each backtracking round evaluates the next _LADDER trial steps t, t/2,
+    ... of every pending restart in one value_grad call and accepts the
+    largest that passes the Armijo test. That is the step a search trying
+    one step at a time accepts: at most 40 trial steps per iteration, none
+    at or below 1e-13. Returns (values, parameters, running-best trace).
     """
     x = np.array(x0, dtype=complex)
     fvals, grads = value_grad(x)
     axes = tuple(range(1, x.ndim))
     bcast = (slice(None),) + (None,) * (x.ndim - 1)
+    rungs = np.arange(_LADDER)
     step = np.full(len(x), 0.25)
     active = np.isfinite(fvals)
     trace: list[tuple[int, float]] = []
@@ -319,22 +352,33 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, tol: float):
         f0 = fvals[idx]
         g = grads[idx]
         gn2 = np.sum(np.abs(g) ** 2, axis=axes)
-        t = np.clip(step[idx], 1e-10, None)
+        t = np.maximum(step[idx], 1e-10)
+        tried = np.zeros(len(idx), dtype=int)
         pending = gn2 > 0
-        for _ in range(40):
-            if not pending.any():
-                break
+        while pending.any():
             rows = np.where(pending)[0]
-            trial = x[idx[rows]] + t[rows][bcast] * g[rows]
+            ts = t[rows, None] * 0.5**rungs
+            valid = (ts > 1e-13) & (tried[rows, None] + rungs < 40)
+            r, j = np.nonzero(valid)
+            trial = x[idx[rows[r]]] + ts[r, j][bcast] * g[rows[r]]
             ft, gt = value_grad(trial)
-            ok = ft > f0[rows] + 1e-4 * t[rows] * gn2[rows]
-            acc = rows[ok]
-            x[idx[acc]] = trial[ok]
-            fvals[idx[acc]] = ft[ok]
-            grads[idx[acc]] = gt[ok]
+            ok = np.zeros(valid.shape, dtype=bool)
+            ok[r, j] = ft > f0[rows[r]] + 1e-4 * ts[r, j] * gn2[rows[r]]
+            hit = ok.any(axis=1)
+            rung = np.argmax(ok, axis=1)  # the largest step that passed
+            # each row's valid trials are a prefix of its rungs, stored
+            # row after row
+            counts = valid.sum(axis=1)
+            acc, sel = rows[hit], (np.cumsum(counts) - counts + rung)[hit]
+            x[idx[acc]] = trial[sel]
+            fvals[idx[acc]] = ft[sel]
+            grads[idx[acc]] = gt[sel]
+            t[acc] = ts[hit, rung[hit]]
             pending[acc] = False
-            t[rows[~ok]] *= 0.5
-            pending &= t > 1e-13
+            miss, n = rows[~hit], counts[~hit]
+            t[miss] *= 0.5**n
+            tried[miss] += n
+            pending[miss] = (t[miss] > 1e-13) & (tried[miss] < 40)
         step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
         active[idx[fvals[idx] - f0 < tol]] = False
         finite = fvals[np.isfinite(fvals)]
@@ -412,20 +456,23 @@ def optimal_constant_entropic(
 def _fixed_point_multi(
     ws: _Workspace, rhos0: np.ndarray, budget: OptimizerBudget
 ) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
+    """The alternating scheme rho -> Gibbs(log sigma + sum_k E_k^dag(q_k (log
+    E_k rho - log sigma_k))) from every restart. Each iteration carries the
+    exponent: one eigh of it gives the iterate and its spectrum, and one eigh
+    per E_k(rho) gives both the iterate's objective and the next exponent."""
     rhos = np.array(rhos0, dtype=complex)
-    fvals = ws.entropic_objective(rhos)
+    fvals, h = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
     active = np.isfinite(fvals)
     trace: list[tuple[int, float]] = []
     for it in range(budget.max_iters):
         if not active.any():
             break
         idx = np.where(active)[0]
-        cur = rhos[idx]
-        nxt = _density_from_log(ws.exponent(ws.induced_logs(cur)))
-        fnew = ws.entropic_objective(nxt)
+        nxt, vals, _ = _gibbs(h[idx])
+        fnew, h[idx] = ws.entropic_step(nxt, vals)
         bad = ~np.isfinite(fnew)
         fnew[bad] = fvals[idx][bad]
-        nxt[bad] = cur[bad]
+        nxt[bad] = rhos[idx][bad]
         improved = fnew - fvals[idx]
         rhos[idx] = nxt
         fvals[idx] = fnew
@@ -438,13 +485,20 @@ def _fixed_point_multi(
     return float(fvals[i]), rhos[i], trace
 
 
-def _density_from_log(log_omega: np.ndarray, log_range: float = np.inf) -> np.ndarray:
-    """Normalize exp(log_omega) to unit trace, batched; eigenvalues below
-    exp(-log_range) times the largest are lifted to that ratio."""
-    vals, vecs = np.linalg.eigh(hermitian_part(log_omega))
-    w = np.exp(np.maximum(vals - vals[..., -1:], -log_range))
-    w /= np.sum(w, axis=-1, keepdims=True)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, w, vecs.conj())
+def _gibbs(
+    h: np.ndarray, log_range: float = np.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gibbs states exp(H) / tr exp(H) of a Hermitian stack, their spectra
+    and log tr exp(H), from one eigh. Eigenvalues of the state below
+    exp(-log_range) times the largest are lifted to that ratio; the log
+    partition function is exact for the default infinite range."""
+    vals, vecs = np.linalg.eigh(hermitian_part(h))
+    top = vals[..., -1:]
+    w = np.exp(np.maximum(vals - top, -log_range))
+    z = np.sum(w, axis=-1, keepdims=True)
+    w /= z
+    rhos = (vecs * w[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return rhos, w, (np.log(z) + top)[..., 0]
 
 
 # maximizing sequences can push omega eigenvalues below anything a dense
@@ -534,33 +588,17 @@ def optimal_constant_analytic(
             stack.append(random_density(dk, rng, kind))
         omegas.append(np.stack(stack))
 
-    log_omegas = [_eigh_log(om)[1] for om in omegas]
-    fvals = ws.analytic_objective(log_omegas)
-    trace: list[tuple[int, float]] = []
-    for it in range(budget.max_iters):
-        # one monotone pass omega -> rho(omega) -> omega' of the variational
-        # maximizer pair used in the duality proof
-        log_omegas_new = ws.induced_logs(_density_from_log(ws.exponent(log_omegas)))
-        fnew = ws.analytic_objective(log_omegas_new)
-        gain = float(np.max(fnew - fvals))
-        keep = fnew >= fvals  # guard against floating-point regressions
-        for k in range(len(dims)):
-            log_omegas[k][keep] = log_omegas_new[k][keep]
-        fvals = np.maximum(fvals, fnew)
-        trace.append((it, float(np.max(fvals))))
-        if gain < budget.tol:
-            break
+    fvals, log_omegas, rhos, trace = _sweep(ws, [_eigh_log(om)[1] for om in omegas], budget)
 
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
     datum0 = datum.with_constant(0.0)
-    w_sweep = [DensityOperator(_density_from_log(lw[i], _LOG_RANGE)) for lw in log_omegas]
+    w_sweep = [DensityOperator(_gibbs(lw[i], _LOG_RANGE)[0]) for lw in log_omegas]
     candidates = [(-analytic_gap(datum0, w_sweep), w_sweep)]
     # maximizing sequences often push omega eigenvalues below what a dense
     # density matrix can represent; the exact-kernel witness induced by
     # the (hardened) Gibbs state of the final exponent reaches the same
     # value with supports the projected evaluators handle exactly
-    h = ws.exponent([lw[i] for lw in log_omegas])
-    rho_hat = harden_support(_density_from_log(h))
+    rho_hat = harden_support(rhos[i])
     try:
         w_ind = induced_analytic_witness(datum, rho_hat)
         candidates.append((-analytic_gap(datum0, w_ind), w_ind))
@@ -576,6 +614,39 @@ def optimal_constant_analytic(
         float(best_val), [w.matrix for w in witness], "alternating_sweep", seeds, trace
     )
     return float(best_val), witness, result
+
+
+def _sweep(
+    ws: _Workspace, log_omegas: list[np.ndarray], budget: OptimizerBudget
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[tuple[int, float]]]:
+    """Monotone sweeps omega -> rho(omega) -> omega' of the variational
+    maximizer pair used in the duality proof, from every restart (the
+    leading axis of each log omega_k stack), until no restart gains tol.
+
+    A restart keeps its new tuple only if the analytic objective did not
+    drop (a guard against floating-point regressions). Each kept tuple
+    carries the Gibbs state of its exponent, which gives the next tuple, so
+    each exponent is decomposed once. Returns the objective values, the
+    kept log omega_k stacks, their Gibbs states and the running-best trace.
+    """
+    log_omegas = [np.array(lw) for lw in log_omegas]
+    rhos, _, log_z = _gibbs(ws.exponent(log_omegas))
+    fvals = ws.minus_rhs(log_z, log_omegas)
+    trace: list[tuple[int, float]] = []
+    for it in range(budget.max_iters):
+        log_omegas_new = ws.induced_logs(rhos)
+        rhos_new, _, log_z = _gibbs(ws.exponent(log_omegas_new))
+        fnew = ws.minus_rhs(log_z, log_omegas_new)
+        gain = float(np.max(fnew - fvals))
+        keep = fnew >= fvals
+        for lw, lw_new in zip(log_omegas, log_omegas_new):
+            lw[keep] = lw_new[keep]
+        rhos[keep] = rhos_new[keep]
+        fvals = np.maximum(fvals, fnew)
+        trace.append((it, float(np.max(fvals))))
+        if gain < budget.tol:
+            break
+    return fvals, log_omegas, rhos, trace
 
 
 @dataclass

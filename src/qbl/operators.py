@@ -38,8 +38,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def xlogx_sum(vals: np.ndarray) -> np.ndarray:
     """sum_i x_i log x_i over the last axis of a spectrum stack, with
     0 log 0 = 0 and negative rounding noise clipped to 0."""
-    v = np.clip(vals, 0.0, None)
-    return np.sum(np.where(v > 1e-300, v * np.log(np.clip(v, 1e-300, None)), 0.0), axis=-1)
+    v = np.maximum(vals, 0.0)
+    return np.sum(np.where(v > 1e-300, v * np.log(np.maximum(v, 1e-300)), 0.0), axis=-1)
 
 
 def log_sum_exp(vals: np.ndarray) -> np.ndarray:

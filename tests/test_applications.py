@@ -14,6 +14,7 @@ from qbl.errors import CoverViolation, InvalidEta, NotOrthonormal, SingularMargi
 from qbl.sampling import (
     bloch_sample,
     haar_pure,
+    haar_unitary,
     hs_mixed,
     random_basis,
     random_channel,
@@ -319,6 +320,13 @@ class TestContraction:
     def test_trace_map_contracts_completely(self):
         eta = app.contraction_coefficient(ch.trace_channel(2), np.eye(2) / 2, BUDGET)
         assert eta == pytest.approx(0.0, abs=1e-9)
+
+    def test_isometric_embedding_with_singular_output(self):
+        # E(sigma) has rank 2 in dimension 3: the output curvature form is
+        # taken on its support, so the kernel directions do not blow it up
+        v = haar_unitary(3, np.random.default_rng(3))[:, :2]
+        eta = app.contraction_coefficient(ch.Channel([v]), np.eye(2) / 2, BUDGET)
+        assert eta == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_full_support(self):
         with pytest.raises(SingularMarginal):

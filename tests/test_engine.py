@@ -480,3 +480,287 @@ class TestBatchedMembership:
         assert rep.worst_gap == -2.0
         assert rep.witness is starts[0][2]
         assert rep.verdict == "violated"
+
+
+# ---------------------------------------------------------------------------
+# Fused estimator steps against the step-by-step composition
+# ---------------------------------------------------------------------------
+
+def _sequential_ascent(value_grad, x0, max_iters, tol):
+    """Reference line search: the Armijo ascent trying one step per
+    value_grad call, t, then t/2, ..., at most 40 trials per iteration."""
+    x = np.array(x0, dtype=complex)
+    fvals, grads = value_grad(x)
+    axes = tuple(range(1, x.ndim))
+    bcast = (slice(None),) + (None,) * (x.ndim - 1)
+    step = np.full(len(x), 0.25)
+    active = np.isfinite(fvals)
+    trace = []
+    for it in range(max_iters):
+        if not active.any():
+            break
+        idx = np.where(active)[0]
+        f0 = fvals[idx]
+        g = grads[idx]
+        gn2 = np.sum(np.abs(g) ** 2, axis=axes)
+        t = np.clip(step[idx], 1e-10, None)
+        pending = gn2 > 0
+        for _ in range(40):
+            if not pending.any():
+                break
+            rows = np.where(pending)[0]
+            trial = x[idx[rows]] + t[rows][bcast] * g[rows]
+            ft, gt = value_grad(trial)
+            ok = ft > f0[rows] + 1e-4 * t[rows] * gn2[rows]
+            acc = rows[ok]
+            x[idx[acc]] = trial[ok]
+            fvals[idx[acc]] = ft[ok]
+            grads[idx[acc]] = gt[ok]
+            pending[acc] = False
+            t[rows[~ok]] *= 0.5
+            pending &= t > 1e-13
+        step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
+        active[idx[fvals[idx] - f0 < tol]] = False
+        finite = fvals[np.isfinite(fvals)]
+        trace.append((it, float(np.max(finite)) if finite.size else float("-inf")))
+    return fvals, x, trace
+
+
+def _gradient_problem(name):
+    """One of the three value-and-gradient problems of
+    tests/test_gradients.py, with its starting stack."""
+    from qbl import applications as app
+
+    def stack(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if name == "entropic":
+        rng = np.random.default_rng(31)
+        e1, e2 = random_channel(3, 2, rng=rng), random_channel(3, 3, rng=rng)
+        sig = op.PSDOperator(random_pd(3, rng))
+        sigmas = [op.PSDOperator(random_pd(2, rng)), op.PSDOperator(random_pd(3, rng))]
+        ws = engine._Workspace(BLDatum([0.7, 1.3], [e1, e2], sig, sigmas, 0.0))
+        return ws.entropic_value_grad, stack(rng, (4, 3, 3))
+    if name == "output-entropy":
+        rng = np.random.default_rng(32)
+        c = random_channel(3, 2, rng=rng)
+        return (lambda vs: app._neg_output_entropy(c, vs)), stack(rng, (4, 3, 1))
+    rng = np.random.default_rng(33)
+    c = random_channel(2, 3, rng=rng)
+    s = op.DensityOperator(random_pd(2, rng))
+    log_s = op.matrix_log(s).finite
+    log_es = op.matrix_log(op.PSDOperator(c(s))).finite
+    return (lambda xs: app._divergence_ratio(c, log_s, log_es, xs)), stack(rng, (4, 2, 2))
+
+
+def _reference_gibbs(h):
+    """Normalized exp(h) by eigh and a three-operand einsum."""
+    vals, vecs = np.linalg.eigh(op.hermitian_part(h))
+    w = np.exp(vals - vals[..., -1:])
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return np.einsum("...ij,...j,...kj->...ik", vecs, w, vecs.conj())
+
+
+def _reference_entropic_objective(ws, rhos):
+    """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma) term by term."""
+    out = engine._trace_prod(rhos, ws.log_sigma) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
+    for qk, chan, ls in zip(ws.q, ws.channels, ws.log_sigmas):
+        taus = ch.apply(chan, rhos)
+        out = out + qk * (op.xlogx_sum(np.linalg.eigvalsh(taus)) - engine._trace_prod(taus, ls))
+    return out
+
+
+def _reference_fixed_point(ws, rhos0, budget):
+    """The fixed point as induced_logs -> exponent -> Gibbs state ->
+    entropic objective, each step on its own."""
+    rhos = np.array(rhos0, dtype=complex)
+    fvals = _reference_entropic_objective(ws, rhos)
+    active = np.isfinite(fvals)
+    trace = []
+    for it in range(budget.max_iters):
+        if not active.any():
+            break
+        idx = np.where(active)[0]
+        cur = rhos[idx]
+        nxt = _reference_gibbs(ws.exponent(ws.induced_logs(cur)))
+        fnew = _reference_entropic_objective(ws, nxt)
+        bad = ~np.isfinite(fnew)
+        fnew[bad] = fvals[idx][bad]
+        nxt[bad] = cur[bad]
+        improved = fnew - fvals[idx]
+        rhos[idx] = nxt
+        fvals[idx] = fnew
+        active[idx[(improved < budget.tol) | bad]] = False
+        trace.append((it, float(np.max(fvals))))
+    return fvals, rhos, trace
+
+
+def _reference_sweep(ws, log_omegas, budget):
+    """The analytic sweep as exponent -> Gibbs state -> induced_logs ->
+    analytic objective, each step on its own."""
+    log_omegas = [np.array(lw) for lw in log_omegas]
+    fvals = ws.analytic_objective(log_omegas)
+    trace = []
+    for it in range(budget.max_iters):
+        new = ws.induced_logs(_reference_gibbs(ws.exponent(log_omegas)))
+        fnew = ws.analytic_objective(new)
+        gain = float(np.max(fnew - fvals))
+        keep = fnew >= fvals
+        for lw, lw_new in zip(log_omegas, new):
+            lw[keep] = lw_new[keep]
+        fvals = np.maximum(fvals, fnew)
+        trace.append((it, float(np.max(fvals))))
+        if gain < budget.tol:
+            break
+    return fvals, log_omegas, trace
+
+
+def _random_datum(seed):
+    """Acceptance-style datum: sigma_k = E_k(sigma), dimensions 2 to 4."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    sigma = op.PSDOperator(random_pd(d, rng))
+    chans = [random_channel(d, int(rng.integers(2, 5)), rng=rng) for _ in range(2)]
+    sigmas = [op.PSDOperator(c(sigma)) for c in chans]
+    return BLDatum(rng.uniform(0.5, 2.0, size=2), chans, sigma, sigmas, 0.0)
+
+
+def _initial_log_omegas(datum, seeds):
+    out = []
+    for k, c in enumerate(datum.channels):
+        stack = [random_density(c.dim_out, np.random.default_rng(s * 7 + k)) for s in seeds]
+        out.append(engine._eigh_log(np.stack(stack))[1])
+    return out
+
+
+def _close(a, b, tol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))))
+
+
+class TestFusedSteps:
+    @pytest.mark.parametrize("problem", ["entropic", "output-entropy", "divergence-ratio"])
+    def test_ladder_accepts_the_sequential_step(self, problem):
+        value_grad, x0 = _gradient_problem(problem)
+        calls = {"ladder": 0, "sequential": 0}
+
+        def counted(key):
+            def f(x):
+                calls[key] += 1
+                return value_grad(x)
+            return f
+
+        f_lad, x_lad, tr_lad = engine._ascent(counted("ladder"), x0, 300, 1e-9)
+        f_seq, x_seq, tr_seq = _sequential_ascent(counted("sequential"), x0, 300, 1e-9)
+        assert len(tr_lad) == len(tr_seq) > 1
+        assert _close([v for _, v in tr_lad], [v for _, v in tr_seq])
+        assert _close(f_lad, f_seq)
+        assert calls["ladder"] < calls["sequential"]
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_fixed_point_matches_the_composition(self, seed):
+        datum = _random_datum(seed)
+        ws = engine._Workspace(datum)
+        rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
+        best, rho, trace = engine._fixed_point_multi(ws, rhos0, BUDGET)
+        fvals, rhos, ref_trace = _reference_fixed_point(ws, rhos0, BUDGET)
+        assert len(trace) == len(ref_trace) > 1
+        assert _close([v for _, v in trace], [v for _, v in ref_trace])
+        assert _close(best, np.max(fvals))
+        assert np.max(np.abs(rho - rhos[int(np.argmax(fvals))])) < 1e-9
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_sweep_matches_the_composition(self, seed):
+        datum = _random_datum(seed)
+        ws = engine._Workspace(datum)
+        log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
+        fvals, kept, rhos, trace = engine._sweep(ws, log_omegas, BUDGET)
+        ref_fvals, ref_kept, ref_trace = _reference_sweep(ws, log_omegas, BUDGET)
+        assert len(trace) == len(ref_trace) > 1
+        assert _close([v for _, v in trace], [v for _, v in ref_trace])
+        assert _close(fvals, ref_fvals)
+        # the carried Gibbs states are those of the kept tuples
+        assert np.max(np.abs(rhos - _reference_gibbs(ws.exponent(kept)))) < 1e-12
+
+
+def _rank_deficient_datum(seed=51):
+    """sigma_2 has rank 2 in dimension 3, and E_2 maps into its support."""
+    rng = np.random.default_rng(seed)
+    sig = op.PSDOperator(random_pd(3, rng))
+    e1 = random_channel(3, 3, rng=rng)
+    v = haar_unitary(3, rng)[:, :2]
+    e2 = ch.Channel([v @ k for k in random_channel(3, 2, rng=rng).kraus])
+    sigmas = [op.PSDOperator(random_pd(3, rng)), op.PSDOperator(v @ random_pd(2, rng) @ v.conj().T)]
+    return BLDatum([0.8, 1.3], [e1, e2], sig, sigmas, 0.0)
+
+
+class TestLinearTerm:
+    @pytest.mark.parametrize("make", [_mixed_dims_datum, _rank_deficient_datum])
+    def test_objective_matches_relative_entropies(self, make):
+        datum = make()
+        assert engine._support_leak(datum) is None
+        ws = engine._Workspace(datum)
+        rng = np.random.default_rng(52)
+        rhos = np.stack([random_density(datum.dim, rng, kind)
+                         for kind in ("hs", "pure", "boundary") * 2])
+        want = [
+            sum(qk * ent.relative_entropy(op.DensityOperator(ch.apply(c, r)), sk)
+                for qk, c, sk in zip(datum.q, datum.channels, datum.sigmas))
+            - ent.relative_entropy(op.DensityOperator(r), datum.sigma)
+            for r in rhos
+        ]
+        assert _close(ws.entropic_objective(rhos), want)
+        assert _close(ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))[0], want)
+        assert _close(ws.entropic_value_grad(engine._sqrt_psd(rhos))[0], want)
+
+
+class TestSpectralCounts:
+    """One eigendecomposition per iterate: counted eigh / eigvalsh calls
+    (one call per batched stack), told apart by matrix size. The datum has
+    input dimension 3 and outputs 2 and 4, so a 3 x 3 call is on the
+    exponent or the state."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+
+            def counted(a, *args, _fn=fn, _name=name, **kwargs):
+                seen.append((_name, np.shape(a)[-1]))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(engine.np.linalg, name, counted)
+        return seen
+
+    def test_fixed_point(self, calls):
+        datum = _mixed_dims_datum()
+        ws = engine._Workspace(datum)
+        rhos0 = engine._initial_states(3, BUDGET.seeds())
+        calls.clear()
+        _, _, trace = engine._fixed_point_multi(ws, rhos0, BUDGET)
+        iters = len(trace)
+        assert iters > 5
+        # the initial states are not Gibbs states: one eigvalsh of them
+        assert calls.count(("eigvalsh", 3)) == 1
+        assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", 3)]
+        # per iteration: one eigh of the exponent and one per E_k(rho)
+        assert calls.count(("eigh", 3)) == iters
+        assert calls.count(("eigh", 2)) == calls.count(("eigh", 4)) == iters + 1
+        assert len(calls) == 1 + 2 + iters * (1 + datum.n)
+
+    def test_sweep(self, calls):
+        datum = _mixed_dims_datum()
+        ws = engine._Workspace(datum)
+        log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
+        calls.clear()
+        _, _, _, trace = engine._sweep(ws, log_omegas, BUDGET)
+        iters = len(trace)
+        assert iters > 5
+        # per iteration: one eigh of the exponent, one per E_k(rho) and
+        # one eigvalsh per right-hand side
+        assert calls.count(("eigh", 3)) == 1 + iters
+        assert calls.count(("eigvalsh", 3)) == 0
+        assert calls.count(("eigh", 2)) == calls.count(("eigh", 4)) == iters
+        assert calls.count(("eigvalsh", 2)) == calls.count(("eigvalsh", 4)) == 1 + iters
+        assert len(calls) == 1 + 2 + iters * (1 + 2 * datum.n)
