@@ -29,6 +29,7 @@ from .channels import (
     ptrace,
 )
 from .engine import (
+    GAIN_TOL,
     BLDatum,
     OptimizerBudget,
     SamplerConfig,
@@ -349,9 +350,7 @@ def _neg_output_entropy(ch: Channel, vs: np.ndarray) -> tuple[np.ndarray, np.nda
 def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
     """Minimize the output entropy over pure inputs by gradient ascent of
     its negative; vec0s holds stacked complex start vectors."""
-    fvals, vs, _ = _ascent(
-        partial(_neg_output_entropy, ch), vec0s[..., None], budget.max_iters, budget.tol
-    )
+    fvals, vs, _ = _ascent(partial(_neg_output_entropy, ch), vec0s[..., None], budget.max_iters)
     i = int(np.argmax(fvals))
     v = vs[i, :, 0] / np.linalg.norm(vs[i])
     return float(-fvals[i]), v
@@ -367,7 +366,7 @@ def _dual_top(ch: Channel, omega: np.ndarray) -> tuple[float, np.ndarray]:
     return float(mv[-1]), mu[:, -1]
 
 
-def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int, tol: float):
+def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int):
     """Alternating maximization of lambda_max(E^dag log omega): the top
     eigenvector feeds the channel, whose output is the next omega."""
     d_out = ch.dim_out
@@ -381,7 +380,7 @@ def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int, tol: f
             best, best_omega = lam, omega
         out = apply(ch, np.outer(top, top.conj()))
         omega = (1.0 - _DUAL_FLOOR) * out / np.trace(out).real + _DUAL_FLOOR * np.eye(d_out) / d_out
-        if abs(lam - lam_prev) < tol:
+        if abs(lam - lam_prev) < GAIN_TOL:
             break
         lam_prev = lam
     return best, best_omega
@@ -410,7 +409,7 @@ def min_output_entropy(
     best_omega = np.eye(d_out) / d_out
     for s in seeds:
         rng = np.random.default_rng(s + 77)
-        lam, om = _minout_dual_iterate(ch, random_density(d_out, rng), budget.max_iters, budget.tol)
+        lam, om = _minout_dual_iterate(ch, random_density(d_out, rng), budget.max_iters)
         if lam > best_dual:
             best_dual, best_omega = lam, om
     dual = float(-best_dual)
@@ -418,7 +417,7 @@ def min_output_entropy(
     if abs(direct - dual) > 1e-6:
         # cross-seed: each route refines from the other's witness
         lam, om = _minout_dual_iterate(
-            ch, apply(ch, np.outer(vbest, vbest.conj())), budget.max_iters, budget.tol
+            ch, apply(ch, np.outer(vbest, vbest.conj())), budget.max_iters
         )
         if lam > best_dual:
             best_dual, best_omega = lam, om
@@ -582,7 +581,7 @@ def contraction_coefficient(
             for i, s in enumerate(seeds)
         ]
     )
-    fvals, _, _ = _ascent(ratio, _sqrt_psd(rhos0), budget.max_iters, budget.tol)
+    fvals, _, _ = _ascent(ratio, _sqrt_psd(rhos0), budget.max_iters)
     finite = fvals[np.isfinite(fvals)]
     eta_ascent = float(np.max(finite)) if finite.size else 0.0
     eta = max(eta_pert, eta_ascent, 0.0)

@@ -121,19 +121,19 @@ def _emit(report: dict, args) -> None:
 
 
 def _parse_budget(text: str, seed: int) -> OptimizerBudget:
-    restarts, iters = 32, 500
+    fields = {"restarts": 32, "iters": 500}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         key, _, val = part.partition("=")
-        if key == "restarts":
-            restarts = int(val)
-        elif key == "iters":
-            iters = int(val)
-        else:
+        if key not in fields:
             raise SpecFormatError("--budget", f"unknown budget field {key!r}")
-    return OptimizerBudget(restarts=restarts, max_iters=iters, base_seed=seed)
+        try:
+            fields[key] = _positive_int(val)
+        except argparse.ArgumentTypeError as exc:
+            raise SpecFormatError("--budget", f"{key}: {exc}") from exc
+    return OptimizerBudget(restarts=fields["restarts"], max_iters=fields["iters"], base_seed=seed)
 
 
 def _default_seed(args) -> int:
@@ -292,14 +292,42 @@ def cmd_constant(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_t_grid(text: str) -> list[float]:
-    if ":" in text:
-        start, stop, kind, count = text.split(":")
-        n = int(count)
-        if kind == "log":
-            lo = max(float(start), 1e-6)
-            return [0.0] + list(np.geomspace(lo, float(stop), n - 1))
-        return list(np.linspace(float(start), float(stop), n))
-    return [float(x) for x in text.split(",")]
+    """Heat-flow times from start:stop:lin|log:count or a comma list. Every
+    time is finite and non-negative, count is at least 1, and a log grid
+    (0 followed by count - 1 geometric points) needs stop > 0."""
+    try:
+        if ":" not in text:
+            times = [float(x) for x in text.split(",")]
+        else:
+            start, stop, kind, count = text.split(":")
+            times, n = [float(start), float(stop)], int(count)
+    except ValueError as exc:
+        raise SpecFormatError(
+            "--t-grid", f"expected start:stop:lin|log:count or a comma list ({exc})"
+        ) from exc
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise SpecFormatError("--t-grid", "times must be finite and non-negative")
+    if ":" not in text:
+        return times
+    lo, hi = times
+    if kind not in ("lin", "log") or n < 1 or (kind == "log" and hi <= 0):
+        raise SpecFormatError(
+            "--t-grid", "expected lin or log spacing, a count of at least 1 and a log stop above 0"
+        )
+    if kind == "log":
+        return [0.0] + list(np.geomspace(max(lo, 1e-6), hi, n - 1))
+    return list(np.linspace(lo, hi, n))
+
+
+def _parse_p_sweep(text: str) -> list[float]:
+    """Depolarizing probabilities from a comma list, each in [0, 1]."""
+    try:
+        ps = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise SpecFormatError("--p-sweep", f"expected a comma list of numbers ({exc})") from exc
+    if not all(0.0 <= p <= 1.0 for p in ps):
+        raise SpecFormatError("--p-sweep", "probabilities must lie in [0, 1]")
+    return ps
 
 
 def cmd_gaussian(args) -> int:
@@ -307,6 +335,7 @@ def cmd_gaussian(args) -> int:
     task = _load_task(args.spec, seed)
     if task["kind"] != "gaussian":
         raise SpecFormatError("$.type", "gaussian command needs a gaussian task")
+    grid = _parse_t_grid(args.t_grid)
     ok, dev, tr_res = geometric_datum_check(task["subspaces"], task["q"])
     if not ok:
         print(
@@ -315,7 +344,6 @@ def cmd_gaussian(args) -> int:
             file=sys.stderr,
         )
         return 1
-    grid = _parse_t_grid(args.t_grid)
     rows = deficit_trajectory(task["state"], task["subspaces"], task["q"], grid)
     n_marg = len(task["subspaces"])
     header = ["t", "H_total"] + [f"H_marginal_{k}" for k in range(n_marg)] + ["deficit"]
@@ -353,7 +381,7 @@ def cmd_contraction(args) -> int:
     if getattr(args, "p_sweep", None):  # verify has no --p-sweep
         from .channels import depolarizing
 
-        ps = [float(x) for x in args.p_sweep.split(",")]
+        ps = _parse_p_sweep(args.p_sweep)
         out = args.out or "-"
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
         try:

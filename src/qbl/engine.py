@@ -10,12 +10,14 @@ of the two estimates is the duality cross-check.
 Optimizers work on raw arrays, are vectorized across restarts, and assume
 a strictly positive definite sigma. A datum whose E_k(sigma) leaks out of
 supp sigma_k has constant +inf and is reported as such before any search.
-Each estimator step eigendecomposes each iterate once: the fixed point
-carries the exponent of its Gibbs state and the analytic sweep carries
-the Gibbs state of each kept tuple, so one eigh of the exponent and one
-per E_k(rho) serve both the objective and the next iterate. The ascent
-evaluates the trial steps of one backtracking round in a single batched
-call.
+Each estimator step eigendecomposes each iterate once. The fixed point
+and the analytic sweep iterate one map, rho -> Gibbs(H) with
+H = M + sum_k q_k E_k^dag(log E_k rho), and both carry the Gibbs state
+and its exponent: one eigh of H gives the next state and log tr exp H,
+which is the analytic value of the omega tuple the duality proof pairs
+with rho, and one eigh per E_k(rho) gives the entropic value and the next
+exponent. The ascent evaluates the trial steps of one backtracking round
+in a single batched call.
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
 sample at a time only where a support can leak: when sigma and every
@@ -50,6 +52,10 @@ from .sampling import random_density
 
 _EIG_FLOOR = 1e-300
 
+# a search stops iterating a restart once an iteration gains less than
+# this (the analytic sweep stops once no restart does)
+GAIN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizerBudget:
@@ -57,7 +63,6 @@ class OptimizerBudget:
 
     restarts: int = 32
     max_iters: int = 500
-    tol: float = 1e-9
     base_seed: int = 0
 
     def seeds(self) -> list[int]:
@@ -271,14 +276,6 @@ class _Workspace:
             h = h + apply_adjoint(ch, lw)
         return h
 
-    def induced_logs(self, rhos: np.ndarray) -> list[np.ndarray]:
-        """q_k (log E_k(rho) - log sigma_k) for every k, batched: the
-        log w_k the duality proof pairs with rho."""
-        return [
-            qk * (_eigh_log(apply(ch, rhos))[1] - ls)
-            for qk, ch, ls in zip(self.q, self.channels, self.log_sigmas)
-        ]
-
     def analytic_objective(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log tr exp(log sigma + sum E_k^dag log w_k) - sum_k q_k log||.||,
         batched over the leading axes of each log_omegas[k]."""
@@ -325,9 +322,10 @@ def _sqrt_psd(rhos: np.ndarray) -> np.ndarray:
 _LADDER = 3
 
 
-def _ascent(value_grad, x0: np.ndarray, max_iters: int, tol: float):
+def _ascent(value_grad, x0: np.ndarray, max_iters: int):
     """Vectorized multi-restart gradient ascent with backtracking (Armijo)
-    line search, each restart frozen once an iteration gains less than tol.
+    line search, each restart frozen once an iteration gains less than
+    GAIN_TOL.
 
     value_grad(X) maps a stack X (restarts on the first axis) to the
     objective values and their gradients, each row evaluated on its own.
@@ -380,7 +378,7 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, tol: float):
             tried[miss] += n
             pending[miss] = (t[miss] > 1e-13) & (tried[miss] < 40)
         step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
-        active[idx[fvals[idx] - f0 < tol]] = False
+        active[idx[fvals[idx] - f0 < GAIN_TOL]] = False
         finite = fvals[np.isfinite(fvals)]
         trace.append((it, float(np.max(finite)) if finite.size else float("-inf")))
     return fvals, x, trace
@@ -436,9 +434,7 @@ def optimal_constant_entropic(
 
     best_val, best_rho, fp_trace = _fixed_point_multi(ws, rhos, budget)
 
-    fvals, xs, as_trace = _ascent(
-        ws.entropic_value_grad, _sqrt_psd(rhos), budget.max_iters, budget.tol
-    )
+    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, _sqrt_psd(rhos), budget.max_iters)
     method = "fixed_point"
     if np.max(fvals, initial=-np.inf) > best_val:
         i = int(np.argmax(fvals))
@@ -476,7 +472,7 @@ def _fixed_point_multi(
         improved = fnew - fvals[idx]
         rhos[idx] = nxt
         fvals[idx] = fnew
-        done = (improved < budget.tol) | bad
+        done = (improved < GAIN_TOL) | bad
         active[idx[done]] = False
         trace.append((it, float(np.max(fvals))))
     if not np.isfinite(fvals).any():
@@ -485,35 +481,26 @@ def _fixed_point_multi(
     return float(fvals[i]), rhos[i], trace
 
 
-def _gibbs(
-    h: np.ndarray, log_range: float = np.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gibbs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gibbs states exp(H) / tr exp(H) of a Hermitian stack, their spectra
-    and log tr exp(H), from one eigh. Eigenvalues of the state below
-    exp(-log_range) times the largest are lifted to that ratio; the log
-    partition function is exact for the default infinite range."""
+    and log tr exp(H), from one eigh."""
     vals, vecs = np.linalg.eigh(hermitian_part(h))
     top = vals[..., -1:]
-    w = np.exp(np.maximum(vals - top, -log_range))
+    w = np.exp(vals - top)
     z = np.sum(w, axis=-1, keepdims=True)
     w /= z
     rhos = (vecs * w[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return rhos, w, (np.log(z) + top)[..., 0]
 
 
-# maximizing sequences can push omega eigenvalues below anything a dense
-# density matrix can represent; witnesses exponentiated from log-domain
-# iterates clamp their spectrum to this range, so every eigenvalue stays
-# far enough above the eps_supp support threshold of the exact evaluators
-# for them to see full support
-_LOG_RANGE = -np.log(1e-9)
+_HARDEN_CUT = 1e-12
 
 
-def harden_support(rho: np.ndarray, rel_cut: float = 1e-12) -> np.ndarray:
-    """Zero eigenvalues below rel_cut * lambda_max so downstream support
+def harden_support(rho: np.ndarray) -> np.ndarray:
+    """Zero eigenvalues below _HARDEN_CUT * lambda_max so downstream support
     projections see an exact kernel instead of numerical dust."""
     vals, vecs = np.linalg.eigh(hermitian_part(np.asarray(rho, dtype=complex)))
-    vals = np.where(vals > rel_cut * vals[-1], vals, 0.0)
+    vals = np.where(vals > _HARDEN_CUT * vals[-1], vals, 0.0)
     vals /= vals.sum()
     return (vecs * vals) @ vecs.conj().T
 
@@ -562,13 +549,14 @@ def optimal_constant_analytic(
 ) -> tuple[float, list[DensityOperator], OptimizationResult]:
     """Estimate the optimal constant from the analytic side, multi-started.
 
-    Monotone closed-form sweeps: each pass sends the omega_k to the
-    variational maximizer induced by the Gibbs state of the current
-    exponent, which never decreases the analytic objective. The reported
-    constant is the exact re-evaluation (analytic_gap at C = 0) of the
-    best sweep tuple or of the tuple induced by its Gibbs state, whichever
-    is larger, so it stays a certified lower bound. A datum whose E_k(sigma)
-    leaks out of supp sigma_k has constant +inf.
+    Monotone closed-form sweeps (_sweep) from random omega tuples: each
+    pass moves to the tuple the duality proof pairs with the current Gibbs
+    state, which never decreases the analytic objective. The witness is
+    the tuple induced by the hardened Gibbs state of the best restart,
+    supported exactly on supp E_k(rho), so it may be rank-deficient; the
+    reported constant is its exact re-evaluation (analytic_gap at C = 0),
+    a certified lower bound. A datum whose E_k(sigma) leaks out of
+    supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
     leak = _support_leak(datum)
@@ -588,23 +576,14 @@ def optimal_constant_analytic(
             stack.append(random_density(dk, rng, kind))
         omegas.append(np.stack(stack))
 
-    fvals, log_omegas, rhos, trace = _sweep(ws, [_eigh_log(om)[1] for om in omegas], budget)
+    fvals, rhos, trace = _sweep(ws, [_eigh_log(om)[1] for om in omegas], budget)
 
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
-    datum0 = datum.with_constant(0.0)
-    w_sweep = [DensityOperator(_gibbs(lw[i], _LOG_RANGE)[0]) for lw in log_omegas]
-    candidates = [(-analytic_gap(datum0, w_sweep), w_sweep)]
-    # maximizing sequences often push omega eigenvalues below what a dense
-    # density matrix can represent; the exact-kernel witness induced by
-    # the (hardened) Gibbs state of the final exponent reaches the same
-    # value with supports the projected evaluators handle exactly
-    rho_hat = harden_support(rhos[i])
     try:
-        w_ind = induced_analytic_witness(datum, rho_hat)
-        candidates.append((-analytic_gap(datum0, w_ind), w_ind))
-    except (ValueError, ZeroDivisionError):
-        pass
-    best_val, witness = max(candidates, key=lambda t: t[0])
+        witness = induced_analytic_witness(datum, harden_support(rhos[i]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise Diverged(f"cannot build the induced analytic witness: {exc}") from exc
+    best_val = -analytic_gap(datum.with_constant(0.0), witness)
     best_internal = float(fvals[i])
     if not np.isfinite(best_val) or best_val < best_internal - 1e-3:
         raise Diverged(
@@ -618,35 +597,36 @@ def optimal_constant_analytic(
 
 def _sweep(
     ws: _Workspace, log_omegas: list[np.ndarray], budget: OptimizerBudget
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[tuple[int, float]]]:
-    """Monotone sweeps omega -> rho(omega) -> omega' of the variational
-    maximizer pair used in the duality proof, from every restart (the
-    leading axis of each log omega_k stack), until no restart gains tol.
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, float]]]:
+    """Monotone sweeps of the variational maximizer pair used in the
+    duality proof, from every restart (the leading axis of each log omega_k
+    stack), until no restart gains GAIN_TOL.
 
-    A restart keeps its new tuple only if the analytic objective did not
-    drop (a guard against floating-point regressions). Each kept tuple
-    carries the Gibbs state of its exponent, which gives the next tuple, so
-    each exponent is decomposed once. Returns the objective values, the
-    kept log omega_k stacks, their Gibbs states and the running-best trace.
+    Each restart starts at the Gibbs state rho of its exponent, valued by
+    the analytic objective of its tuple. A pass moves to the tuple the
+    proof pairs with rho, omega_k ~ exp(q_k (log E_k rho - log sigma_k)).
+    Its right-hand side is 1, so its value is log tr exp H, with H the
+    exponent entropic_step returns, and Gibbs(H) is the next rho: the pass
+    is the fixed point's step, valued from the analytic side. A restart
+    keeps its new state only if that value did not drop (a guard against
+    floating-point regressions). Returns the values, the kept Gibbs states
+    and the running-best trace.
     """
-    log_omegas = [np.array(lw) for lw in log_omegas]
-    rhos, _, log_z = _gibbs(ws.exponent(log_omegas))
+    rhos, vals, log_z = _gibbs(ws.exponent(log_omegas))
     fvals = ws.minus_rhs(log_z, log_omegas)
+    h = ws.entropic_step(rhos, vals)[1]
     trace: list[tuple[int, float]] = []
     for it in range(budget.max_iters):
-        log_omegas_new = ws.induced_logs(rhos)
-        rhos_new, _, log_z = _gibbs(ws.exponent(log_omegas_new))
-        fnew = ws.minus_rhs(log_z, log_omegas_new)
+        nxt, vals, fnew = _gibbs(h)
         gain = float(np.max(fnew - fvals))
         keep = fnew >= fvals
-        for lw, lw_new in zip(log_omegas, log_omegas_new):
-            lw[keep] = lw_new[keep]
-        rhos[keep] = rhos_new[keep]
+        rhos[keep] = nxt[keep]
         fvals = np.maximum(fvals, fnew)
         trace.append((it, float(np.max(fvals))))
-        if gain < budget.tol:
+        if gain < GAIN_TOL:
             break
-    return fvals, log_omegas, rhos, trace
+        h[keep] = ws.entropic_step(nxt[keep], vals[keep])[1]
+    return fvals, rhos, trace
 
 
 @dataclass

@@ -36,20 +36,17 @@ def build_preset(name: str, seed: int = 0) -> dict:
         return {
             "kind": "bl_datum",
             "datum": _dpi_datum(depolarizing(0.3), np.diag([0.7, 0.3])),
-            "expect_constant": 0.0,
         }
     if name == "dpi-random-qubit":
         rng = np.random.default_rng(seed)
         return {
             "kind": "bl_datum",
             "datum": _dpi_datum(random_channel(2, 2, rng=rng), random_pd(2, rng)),
-            "expect_constant": 0.0,
         }
     if name == "shearer-3qubit-pairs":
         return {
             "kind": "bl_datum",
             "datum": shearer_datum([2, 2, 2], [[0, 1], [0, 2], [1, 2]], p=2),
-            "expect_constant": 0.0,
         }
     if name == "superadd-classical":
         probs = np.array([0.3, 0.2, 0.1, 0.4])
@@ -91,15 +88,12 @@ def build_preset(name: str, seed: int = 0) -> dict:
             "kind": "mu",
             "basis_x": pauli_basis("x"),
             "basis_z": pauli_basis("z"),
-            "expect_bound_nats": float(np.log(2.0)),
         }
     if name == "minout-depol-0.5":
         return {
             "kind": "channel_task",
             "task": "min_output_entropy",
             "channel": depolarizing(0.5),
-            "expect_h_min": None,  # h(p/2) checked by the caller
-            "p": 0.5,
         }
     if name == "contraction-depol-0.5":
         return {
@@ -107,7 +101,6 @@ def build_preset(name: str, seed: int = 0) -> dict:
             "task": "contraction",
             "channel": depolarizing(0.5),
             "sigma": np.eye(2) / 2.0,
-            "expect_eta": 0.25,
         }
     if name == "contraction-identity":
         return {
@@ -115,7 +108,6 @@ def build_preset(name: str, seed: int = 0) -> dict:
             "task": "contraction",
             "channel": depolarizing(0.0),
             "sigma": np.eye(2) / 2.0,
-            "expect_eta": 1.0,
         }
     if name == "mercedes-star":
         subs, q = mercedes_star()

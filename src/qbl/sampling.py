@@ -69,17 +69,14 @@ def random_basis(d: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [u[:, i] for i in range(d)]
 
 
-def random_channel(
-    d_in: int, d_out: int, kraus_rank: int | None = None, rng: np.random.Generator | None = None
-) -> Channel:
-    """Haar-random channel from a Stinespring isometry (TPCP by construction)."""
-    rng = rng if rng is not None else np.random.default_rng()
-    k = kraus_rank or d_in
-    g = complex_gaussian(rng, (d_out * k, d_in))
+def random_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Channel:
+    """Haar-random channel with d_in Kraus operators from a Stinespring
+    isometry (TPCP by construction)."""
+    g = complex_gaussian(rng, (d_out * d_in, d_in))
     q, _ = np.linalg.qr(g)  # isometry: q^dag q = 1_{d_in}
-    iso = q.reshape(d_out, k, d_in)
-    kraus = [iso[:, i, :] for i in range(k)]
-    return Channel(kraus, label=f"random({d_in}->{d_out},k={k})")
+    iso = q.reshape(d_out, d_in, d_in)
+    kraus = [iso[:, i, :] for i in range(d_in)]
+    return Channel(kraus, label=f"random({d_in}->{d_out},k={d_in})")
 
 
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:

@@ -246,6 +246,28 @@ class TestContractionCmd:
             assert formula == pytest.approx((1 - p) ** 2, rel=1e-12)
 
 
+class TestNumericOptions:
+    """Malformed or out-of-range numeric options are input errors: exit 1,
+    one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "dpi-qubit", "--budget", "restarts=abc"],
+        ["constant", "dpi-qubit", "--budget", "restarts=0"],
+        ["constant", "dpi-qubit", "--budget", "iters=0"],
+        ["constant", "dpi-qubit", "--budget", "iters=-1"],
+        ["contraction", "contraction-depol-0.5", "--p-sweep", "0.1,x"],
+        ["contraction", "contraction-depol-0.5", "--p-sweep", "1.5"],
+        ["gaussian", "mercedes-star", "--t-grid", "0:1:log"],
+    ])
+    def test_rejected_before_any_output(self, capsys, argv):
+        code = main(argv + ["--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert argv[-2] in captured.err
+
+
 class TestVerifyChannelTask:
     """verify on a channel task prints the report of the command it stands for."""
 
