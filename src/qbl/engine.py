@@ -10,14 +10,17 @@ of the two estimates is the duality cross-check.
 Optimizers work on raw arrays, are vectorized across restarts, and assume
 a strictly positive definite sigma. A datum whose E_k(sigma) leaks out of
 supp sigma_k has constant +inf and is reported as such before any search.
-Each estimator step eigendecomposes each iterate once. The fixed point
-and the analytic sweep iterate one map, rho -> Gibbs(H) with
+Each estimator step eigendecomposes each iterate once. The batched
+workspace applies all channels of a datum as one stacked linear map, one
+matmul each way, and stacks the outputs E_k(rho) of equal dimension, so
+a step takes one eigh per output dimension, not one per channel. The
+fixed point and the analytic sweep iterate one map, rho -> Gibbs(H) with
 H = M + sum_k q_k E_k^dag(log E_k rho), and both carry the Gibbs state
 and its exponent: one eigh of H gives the next state and log tr exp H,
 which is the analytic value of the omega tuple the duality proof pairs
-with rho, and one eigh per E_k(rho) gives the entropic value and the next
-exponent. The ascent evaluates the trial steps of one backtracking round
-in a single batched call.
+with rho, and one eigh per output dimension of the E_k(rho) gives the
+entropic value and the next exponent. The ascent evaluates the trial
+steps of one backtracking round in a single batched call.
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
 sample at a time only where a support can leak: when sigma and every
@@ -29,11 +32,12 @@ omega_k eigenvalue at or below its eps_supp to the exact evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, adjoint_on_log, apply, apply_adjoint
+from .channels import Channel, adjoint_on_log, apply
 from .entropy import INF, relative_entropy, supports_contained
 from .errors import DimensionMismatch, Diverged
 from .operators import (
@@ -212,52 +216,91 @@ def _relative_entropy_grad(rhos: np.ndarray, log_ref: np.ndarray) -> tuple[np.nd
 
 
 class _Workspace:
-    """Precomputed arrays for a support-compatible datum with PD sigma."""
+    """Precomputed arrays for a support-compatible datum with PD sigma.
+
+    The datum's channels act as one stacked linear map on row-major
+    vectorizations, ordered by output dimension so that the outputs of
+    each dimension m form one contiguous block of columns: vec(rho) @
+    forward holds vec(E_1 rho), ..., vec(E_n rho) side by side, read as
+    one (..., g, m, m) stack per block, and Y @ adjoint maps the stacked
+    vec(Y_k) to vec(sum_k E_k^dag(Y_k)).
+    """
 
     def __init__(self, datum: BLDatum):
         if datum.sigma.support_rank < datum.dim:
             raise Diverged("optimal-constant search requires strictly PD sigma")
         self.q = datum.q
-        self.channels = datum.channels
+        self.dim = datum.dim
+        dims = [ch.dim_out for ch in datum.channels]
+        self.order = sorted(range(datum.n), key=dims.__getitem__)
+        self.forward = np.concatenate([datum.channels[k].transfer.T for k in self.order], axis=1)
+        self.adjoint = np.ascontiguousarray(self.forward.conj().T)
+        # per column, the weight q_k of the channel it belongs to
+        self.weights = np.repeat(self.q[self.order], [dims[k] ** 2 for k in self.order])
+        # per output dimension m: its columns and the weights of its channels
+        self.blocks = []
+        start = 0
+        for m, ks in groupby(self.order, key=dims.__getitem__):
+            ks = list(ks)
+            self.blocks.append((m, slice(start, start + len(ks) * m * m), self.q[ks]))
+            start += len(ks) * m * m
         self.log_sigma = matrix_log(datum.sigma).finite
-        self.log_sigmas = []  # finite parts, support-projected
+        log_sigmas = []  # finite parts, support-projected
         self.rhs_bases = []  # support bases V_k (d_k x r_k)
         self.rhs_logs = []  # compressed log sigma_k (r_k x r_k)
         for sk in datum.sigmas:
             ls = matrix_log(sk)
-            self.log_sigmas.append(ls.finite)
+            log_sigmas.append(ls.finite)
             v = sk.support_basis()
             self.rhs_bases.append(v)
             self.rhs_logs.append(v.conj().T @ ls.finite @ v)
         # M = log sigma - sum_k q_k E_k^dag(log sigma_k): the part of the
         # entropic objective linear in rho is tr(rho M)
-        self.linear = self.log_sigma - sum(
-            qk * apply_adjoint(ch, ls) for qk, ch, ls in zip(self.q, self.channels, self.log_sigmas)
+        self.linear = self.log_sigma - self._pull_back(self._stacked(log_sigmas) * self.weights)
+
+    # -- the stacked map ---------------------------------------------------
+    def _stacked(self, mats: list[np.ndarray]) -> np.ndarray:
+        """vec(X_1), ..., vec(X_n) side by side, in the map's column order."""
+        return np.concatenate(
+            [mats[k].reshape(*mats[k].shape[:-2], -1) for k in self.order], axis=-1
         )
+
+    def _outputs(self, rhos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """E_k(rho) for every k from one matmul: per output dimension m, the
+        (..., g, m, m) stack of its outputs and the weights q_k of its g
+        channels."""
+        taus = rhos.reshape(*rhos.shape[:-2], -1) @ self.forward
+        return [(taus[..., cols].reshape(*taus.shape[:-1], -1, m, m), qs)
+                for m, cols, qs in self.blocks]
+
+    def _pull_back(self, ys: np.ndarray) -> np.ndarray:
+        """sum_k E_k^dag(Y_k) from the stacked vec(Y_k), in one matmul."""
+        return (ys @ self.adjoint).reshape(*ys.shape[:-1], self.dim, self.dim)
 
     # -- objectives ----------------------------------------------------
     def entropic_objective(self, rhos: np.ndarray) -> np.ndarray:
         """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma), batched:
         tr(rho M) - sum lambda log lambda + sum_k q_k sum lambda_k log lambda_k."""
         out = _trace_prod(rhos, self.linear) - xlogx_sum(np.linalg.eigvalsh(rhos))
-        for qk, ch in zip(self.q, self.channels):
-            out = out + qk * xlogx_sum(np.linalg.eigvalsh(apply(ch, rhos)))
+        for taus, qs in self._outputs(rhos):
+            out = out + xlogx_sum(np.linalg.eigvalsh(taus)) @ qs
         return out
 
     def entropic_step(self, rhos: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entropic objective at states rho with spectra vals, and
-        H = M + sum_k q_k E_k^dag(log E_k rho), from one eigh per E_k(rho).
+        H = M + sum_k q_k E_k^dag(log E_k rho), from one eigh per output
+        dimension (the E_k(rho) of equal dimension are one stack).
 
         H = log sigma + sum_k E_k^dag(q_k (log E_k rho - log sigma_k)) is
         the exponent whose Gibbs state is the next fixed-point iterate, and
         H - log rho is the Hermitian gradient of the objective in rho."""
         out = _trace_prod(rhos, self.linear) - xlogx_sum(vals)
-        h = self.linear
-        for qk, ch in zip(self.q, self.channels):
-            tvals, tlog = _eigh_log(apply(ch, rhos))
-            out = out + qk * xlogx_sum(tvals)
-            h = h + qk * apply_adjoint(ch, tlog)
-        return out, h
+        logs = []
+        for taus, qs in self._outputs(rhos):
+            tvals, tlog = _eigh_log(taus)
+            out = out + xlogx_sum(tvals) @ qs
+            logs.append(tlog.reshape(*tlog.shape[:-3], -1))
+        return out, self.linear + self._pull_back(np.concatenate(logs, axis=-1) * self.weights)
 
     def entropic_value_grad(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entropic objective at rho = XX^dag / tr XX^dag and its
@@ -270,11 +313,8 @@ class _Workspace:
 
     def exponent(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log sigma + sum_k E_k^dag(log w_k), batched over the leading axes
-        of each log_omegas[k]."""
-        h = self.log_sigma
-        for ch, lw in zip(self.channels, log_omegas):
-            h = h + apply_adjoint(ch, lw)
-        return h
+        the log_omegas[k] share."""
+        return self.log_sigma + self._pull_back(self._stacked(log_omegas))
 
     def analytic_objective(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log tr exp(log sigma + sum E_k^dag log w_k) - sum_k q_k log||.||,
@@ -455,7 +495,8 @@ def _fixed_point_multi(
     """The alternating scheme rho -> Gibbs(log sigma + sum_k E_k^dag(q_k (log
     E_k rho - log sigma_k))) from every restart. Each iteration carries the
     exponent: one eigh of it gives the iterate and its spectrum, and one eigh
-    per E_k(rho) gives both the iterate's objective and the next exponent."""
+    per output dimension of the E_k(rho) gives both the iterate's objective
+    and the next exponent."""
     rhos = np.array(rhos0, dtype=complex)
     fvals, h = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
     active = np.isfinite(fvals)
@@ -609,23 +650,27 @@ def _sweep(
     exponent entropic_step returns, and Gibbs(H) is the next rho: the pass
     is the fixed point's step, valued from the analytic side. A restart
     keeps its new state only if that value did not drop (a guard against
-    floating-point regressions). Returns the values, the kept Gibbs states
-    and the running-best trace.
+    floating-point regressions); once a step is refused, the restart's
+    exponent stays as it was, so it would refuse the same step on every
+    later pass and leaves the sweep. Returns the values, the kept Gibbs
+    states and the running-best trace.
     """
     rhos, vals, log_z = _gibbs(ws.exponent(log_omegas))
     fvals = ws.minus_rhs(log_z, log_omegas)
     h = ws.entropic_step(rhos, vals)[1]
+    live = np.arange(len(fvals))  # the restarts whose last step was kept
     trace: list[tuple[int, float]] = []
     for it in range(budget.max_iters):
         nxt, vals, fnew = _gibbs(h)
-        gain = float(np.max(fnew - fvals))
-        keep = fnew >= fvals
-        rhos[keep] = nxt[keep]
-        fvals = np.maximum(fvals, fnew)
+        gains = fnew - fvals[live]
+        keep = gains >= 0
+        live = live[keep]
+        rhos[live] = nxt[keep]
+        fvals[live] = fnew[keep]
         trace.append((it, float(np.max(fvals))))
-        if gain < GAIN_TOL:
+        if np.max(gains[keep], initial=-np.inf) < GAIN_TOL:
             break
-        h[keep] = ws.entropic_step(nxt[keep], vals[keep])[1]
+        h = ws.entropic_step(nxt[keep], vals[keep])[1]
     return fvals, rhos, trace
 
 

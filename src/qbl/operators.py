@@ -64,6 +64,8 @@ class HermitianOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
         scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+        if not np.isfinite(scale):
+            raise ValueError("matrix has a non-finite entry")
         skew = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if skew > HERM_RTOL * max(1.0, scale):
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {skew:.3e}")
@@ -139,6 +141,8 @@ class DensityOperator(PSDOperator):
     def __init__(self, entries):
         mat = _as_matrix(entries)
         tr = float(np.trace(mat).real)
+        if not np.isfinite(tr):
+            raise ValueError("matrix has a non-finite entry")
         if tr <= 0:
             raise ValueError(f"cannot normalize: trace = {tr:.3e}")
         super().__init__(mat / tr)

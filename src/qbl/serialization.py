@@ -7,6 +7,7 @@ a "type" of bl_datum, gaussian, or channel_task.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -88,8 +89,19 @@ def decode_datum(data: dict, path: str = "$") -> BLDatum:
         ]
     except ValueError as exc:
         raise SpecFormatError(f"{path}.sigma", str(exc)) from exc
+    q = data["q"]
+    if not isinstance(q, list) or not q or not all(_finite_number(x) and x > 0 for x in q):
+        raise SpecFormatError(f"{path}.q", "expected a non-empty list of finite positive numbers")
     c = data.get("c")
-    return BLDatum(data["q"], channels, sigma, sigmas, 0.0 if c is None else float(c))
+    c = 0.0 if c is None else c
+    if not _finite_number(c):
+        raise SpecFormatError(f"{path}.c", "expected a finite number")
+    return BLDatum(q, channels, sigma, sigmas, c)
+
+
+def _finite_number(x: Any) -> bool:
+    """Whether x is a finite JSON number (a bool is not a number)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def encode_gaussian_task(state: GaussianState, subspaces: list[Subspace], q: list[float]) -> dict:

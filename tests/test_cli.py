@@ -268,6 +268,32 @@ class TestNumericOptions:
         assert argv[-2] in captured.err
 
 
+class TestSpecFields:
+    """A malformed field of a bl_datum spec is an input error: exit 1, one
+    stderr line naming the field and nothing on stdout."""
+
+    @pytest.mark.parametrize("update,path", [
+        ({"q": [-1.0]}, "$.q"),
+        ({"q": "abc"}, "$.q"),
+        ({"c": "x"}, "$.c"),
+        # json writes and reads the NaN token
+        ({"sigma": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "$.sigma"),
+        ({"q": [], "channels": [], "sigmas": []}, "$.q"),
+    ])
+    def test_rejected_before_any_output(self, capsys, tmp_path, dpi_spec, update, path):
+        with open(dpi_spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data.update(update)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["constant", str(bad), "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert f"spec error at {path}" in captured.err
+
+
 class TestVerifyChannelTask:
     """verify on a channel task prints the report of the command it stands for."""
 

@@ -101,6 +101,17 @@ class TestGapEvaluators:
         with pytest.raises(DimensionMismatch):
             analytic_gap(d, [np.eye(3) / 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        # with q = 1, the identity channel and sigma = sigma_1 = 1, a nan
+        # omega once gave an analytic gap of 0.0 ("holds with equality")
+        d = BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.eye(2)),
+                    [op.PSDOperator(np.eye(2))], 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            analytic_gap(d, [np.array([[bad, 0.0], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="non-finite"):
+            entropic_gap(d, np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_unitary_twirl_invariance(self):
         # conjugating (rho, sigma, channels) by a unitary leaves gaps fixed
         rng = np.random.default_rng(6)
@@ -573,29 +584,64 @@ def _reference_gibbs(h):
     return np.einsum("...ij,...j,...kj->...ik", vecs, w, vecs.conj())
 
 
-def _reference_entropic_objective(ws, rhos):
+class _PerChannel(engine._Workspace):
+    """The workspace with its channels applied one at a time through
+    channels.apply / apply_adjoint: the reference for the stacked map."""
+
+    def __init__(self, datum):
+        super().__init__(datum)
+        self.channels = datum.channels
+        self.log_sigmas = [op.matrix_log(sk).finite for sk in datum.sigmas]
+        self.linear = self.log_sigma - sum(
+            qk * ch.apply_adjoint(c, ls)
+            for qk, c, ls in zip(self.q, self.channels, self.log_sigmas)
+        )
+
+    def entropic_objective(self, rhos):
+        out = engine._trace_prod(rhos, self.linear) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
+        for qk, c in zip(self.q, self.channels):
+            out = out + qk * op.xlogx_sum(np.linalg.eigvalsh(ch.apply(c, rhos)))
+        return out
+
+    def entropic_step(self, rhos, vals):
+        out = engine._trace_prod(rhos, self.linear) - op.xlogx_sum(vals)
+        h = self.linear
+        for qk, c in zip(self.q, self.channels):
+            tvals, tlog = engine._eigh_log(ch.apply(c, rhos))
+            out = out + qk * op.xlogx_sum(tvals)
+            h = h + qk * ch.apply_adjoint(c, tlog)
+        return out, h
+
+    def exponent(self, log_omegas):
+        h = self.log_sigma
+        for c, lw in zip(self.channels, log_omegas):
+            h = h + ch.apply_adjoint(c, lw)
+        return h
+
+
+def _reference_entropic_objective(ref, rhos):
     """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma) term by term."""
-    out = engine._trace_prod(rhos, ws.log_sigma) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
-    for qk, chan, ls in zip(ws.q, ws.channels, ws.log_sigmas):
+    out = engine._trace_prod(rhos, ref.log_sigma) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
+    for qk, chan, ls in zip(ref.q, ref.channels, ref.log_sigmas):
         taus = ch.apply(chan, rhos)
         out = out + qk * (op.xlogx_sum(np.linalg.eigvalsh(taus)) - engine._trace_prod(taus, ls))
     return out
 
 
-def _induced_logs(ws, rhos):
+def _induced_logs(ref, rhos):
     """q_k (log E_k(rho) - log sigma_k) for every k, batched: the log w_k
     the duality proof pairs with rho."""
     return [
         qk * (engine._eigh_log(ch.apply(chan, rhos))[1] - ls)
-        for qk, chan, ls in zip(ws.q, ws.channels, ws.log_sigmas)
+        for qk, chan, ls in zip(ref.q, ref.channels, ref.log_sigmas)
     ]
 
 
-def _reference_fixed_point(ws, rhos0, budget):
+def _reference_fixed_point(ref, rhos0, budget):
     """The fixed point as induced_logs -> exponent -> Gibbs state ->
     entropic objective, each step on its own."""
     rhos = np.array(rhos0, dtype=complex)
-    fvals = _reference_entropic_objective(ws, rhos)
+    fvals = _reference_entropic_objective(ref, rhos)
     active = np.isfinite(fvals)
     trace = []
     for it in range(budget.max_iters):
@@ -603,8 +649,8 @@ def _reference_fixed_point(ws, rhos0, budget):
             break
         idx = np.where(active)[0]
         cur = rhos[idx]
-        nxt = _reference_gibbs(ws.exponent(_induced_logs(ws, cur)))
-        fnew = _reference_entropic_objective(ws, nxt)
+        nxt = _reference_gibbs(ref.exponent(_induced_logs(ref, cur)))
+        fnew = _reference_entropic_objective(ref, nxt)
         bad = ~np.isfinite(fnew)
         fnew[bad] = fvals[idx][bad]
         nxt[bad] = cur[bad]
@@ -616,15 +662,15 @@ def _reference_fixed_point(ws, rhos0, budget):
     return fvals, rhos, trace
 
 
-def _reference_sweep(ws, log_omegas, budget):
+def _reference_sweep(ref, log_omegas, budget):
     """The analytic sweep as exponent -> Gibbs state -> induced_logs ->
     analytic objective, each step on its own."""
     log_omegas = [np.array(lw) for lw in log_omegas]
-    fvals = ws.analytic_objective(log_omegas)
+    fvals = ref.analytic_objective(log_omegas)
     trace = []
     for it in range(budget.max_iters):
-        new = _induced_logs(ws, _reference_gibbs(ws.exponent(log_omegas)))
-        fnew = ws.analytic_objective(new)
+        new = _induced_logs(ref, _reference_gibbs(ref.exponent(log_omegas)))
+        fnew = ref.analytic_objective(new)
         gain = float(np.max(fnew - fvals))
         keep = fnew >= fvals
         for lw, lw_new in zip(log_omegas, new):
@@ -634,6 +680,26 @@ def _reference_sweep(ws, log_omegas, budget):
         if gain < engine.GAIN_TOL:
             break
     return fvals, log_omegas, trace
+
+
+def _all_rows_sweep(ws, log_omegas, budget):
+    """The sweep stepping every restart on every pass, a restart whose
+    step was refused included."""
+    rhos, vals, log_z = engine._gibbs(ws.exponent(log_omegas))
+    fvals = ws.minus_rhs(log_z, log_omegas)
+    h = ws.entropic_step(rhos, vals)[1]
+    trace = []
+    for it in range(budget.max_iters):
+        nxt, vals, fnew = engine._gibbs(h)
+        gain = float(np.max(fnew - fvals))
+        keep = fnew >= fvals
+        rhos[keep] = nxt[keep]
+        fvals = np.maximum(fvals, fnew)
+        trace.append((it, float(np.max(fvals))))
+        if gain < engine.GAIN_TOL:
+            break
+        h[keep] = ws.entropic_step(nxt[keep], vals[keep])[1]
+    return fvals, rhos, trace
 
 
 def _random_datum(seed):
@@ -655,7 +721,7 @@ def _initial_log_omegas(datum, seeds):
 
 
 def _close(a, b, tol=1e-12):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = np.asarray(a), np.asarray(b)
     return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))))
 
 
@@ -684,19 +750,32 @@ class TestFusedSteps:
         ws = engine._Workspace(datum)
         rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
         best, rho, trace = engine._fixed_point_multi(ws, rhos0, BUDGET)
-        fvals, rhos, ref_trace = _reference_fixed_point(ws, rhos0, BUDGET)
+        fvals, rhos, ref_trace = _reference_fixed_point(_PerChannel(datum), rhos0, BUDGET)
         assert len(trace) == len(ref_trace) > 1
         assert _close([v for _, v in trace], [v for _, v in ref_trace])
         assert _close(best, np.max(fvals))
         assert np.max(np.abs(rho - rhos[int(np.argmax(fvals))])) < 1e-9
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
-    def test_sweep_matches_the_composition(self, seed):
+    def test_sweep_matches_the_composition(self, seed, monkeypatch):
         datum = _random_datum(seed)
         ws = engine._Workspace(datum)
         log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
+        rows = []  # restarts stepped, per pass
+        gibbs = engine._gibbs
+        monkeypatch.setattr(engine, "_gibbs", lambda h: rows.append(len(h)) or gibbs(h))
         fvals, rhos, trace = engine._sweep(ws, log_omegas, BUDGET)
-        ref_fvals, _, ref_trace = _reference_sweep(ws, log_omegas, BUDGET)
+        monkeypatch.undo()
+        # a restart whose step was refused would refuse it again on every
+        # later pass: the sweep stops stepping it, with the values, states
+        # and trace of a sweep that steps every restart on every pass (at
+        # seed 43 some restarts refuse a step that drops by rounding)
+        all_fvals, all_rhos, all_trace = _all_rows_sweep(ws, log_omegas, BUDGET)
+        assert trace == all_trace
+        assert np.array_equal(fvals, all_fvals) and np.array_equal(rhos, all_rhos)
+        assert (min(rows) < BUDGET.restarts) == (seed == 43)
+        ref = _PerChannel(datum)
+        ref_fvals, _, ref_trace = _reference_sweep(ref, log_omegas, BUDGET)
         assert len(trace) == len(ref_trace) > 1
         assert _close([v for _, v in trace], [v for _, v in ref_trace])
         assert _close(fvals, ref_fvals)
@@ -706,7 +785,7 @@ class TestFusedSteps:
         # runs may freeze a restart at different passes, on gains of a few
         # 1e-16, so the states are compared pass by pass, not across runs)
         prev = engine._sweep(ws, log_omegas, replace(BUDGET, max_iters=len(trace) - 1))[1]
-        moved = _reference_gibbs(ws.exponent(_induced_logs(ws, prev)))
+        moved = _reference_gibbs(ref.exponent(_induced_logs(ref, prev)))
         dev_moved = np.max(np.abs(rhos - moved), axis=(1, 2))
         dev_kept = np.max(np.abs(rhos - prev), axis=(1, 2))
         assert np.max(np.minimum(dev_moved, dev_kept)) < 1e-12
@@ -722,6 +801,53 @@ def _rank_deficient_datum(seed=51):
     e2 = ch.Channel([v @ k for k in random_channel(3, 2, rng=rng).kraus])
     sigmas = [op.PSDOperator(random_pd(3, rng)), op.PSDOperator(v @ random_pd(2, rng) @ v.conj().T)]
     return BLDatum([0.8, 1.3], [e1, e2], sig, sigmas, 0.0)
+
+
+def _unsorted_dims_datum(seed=61):
+    """d_in = 4 and outputs 3, 2, 3: the stacked map orders the channels
+    2, 1, 3, and the first and last share one block of outputs."""
+    rng = np.random.default_rng(seed)
+    chans = [random_channel(4, m, rng=rng) for m in (3, 2, 3)]
+    sig = op.PSDOperator(random_pd(4, rng))
+    sigmas = [op.PSDOperator(random_pd(c.dim_out, rng)) for c in chans]
+    return BLDatum([0.6, 1.1, 0.8], chans, sig, sigmas, 0.0)
+
+
+def _equal_dims_datum(seed=62):
+    """d_in = 3 and three outputs of dimension 2: one block of outputs."""
+    rng = np.random.default_rng(seed)
+    chans = [random_channel(3, 2, rng=rng) for _ in range(3)]
+    sig = op.PSDOperator(random_pd(3, rng))
+    sigmas = [op.PSDOperator(c(sig)) for c in chans]
+    return BLDatum([0.5, 0.9, 1.4], chans, sig, sigmas, 0.0)
+
+
+class TestStackedMap:
+    """The workspace applies all channels as one stacked map; the
+    per-channel loops of _PerChannel are the reference."""
+
+    @pytest.mark.parametrize(
+        "make", [_mixed_dims_datum, _rank_deficient_datum, _unsorted_dims_datum, _equal_dims_datum]
+    )
+    def test_matches_the_per_channel_loops(self, make):
+        datum = make()
+        ws, ref = engine._Workspace(datum), _PerChannel(datum)
+        rng = np.random.default_rng(63)
+        rhos = np.stack([random_density(datum.dim, rng, kind)
+                         for kind in ("hs", "pure", "boundary") * 2])
+        vals = np.linalg.eigvalsh(rhos)
+        log_omegas = [
+            engine._eigh_log(np.stack([random_density(c.dim_out, rng, kind)
+                                       for kind in ("hs", "boundary") * 3]))[1]
+            for c in datum.channels
+        ]
+        assert _close(ws.linear, ref.linear)
+        assert _close(ws.entropic_objective(rhos), ref.entropic_objective(rhos))
+        value, h = ws.entropic_step(rhos, vals)
+        ref_value, ref_h = ref.entropic_step(rhos, vals)
+        assert _close(value, ref_value)
+        assert _close(h, ref_h)
+        assert _close(ws.exponent(log_omegas), ref.exponent(log_omegas))
 
 
 class TestLinearTerm:
@@ -756,16 +882,16 @@ class TestLinearTerm:
                          for kind in ("hs", "pure", "boundary") * 2])
         _, h = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
         ent_vals = ws.entropic_objective(rhos)
-        ana_vals = ws.analytic_objective(_induced_logs(ws, rhos))
+        ana_vals = ws.analytic_objective(_induced_logs(_PerChannel(datum), rhos))
         assert np.max(np.abs(ana_vals - engine._gibbs(h)[2])) < 1e-12
         assert np.all(ana_vals >= ent_vals - 1e-12)
 
 
 class TestSpectralCounts:
     """One eigendecomposition per iterate: counted eigh / eigvalsh calls
-    (one call per batched stack), told apart by matrix size. The datum has
-    input dimension 3 and outputs 2 and 4, so a 3 x 3 call is on the
-    exponent or the state."""
+    (one call per batched stack), told apart by matrix size. The data have
+    input dimension 3 and outputs 2 and 4, or three outputs of dimension 2,
+    so a 3 x 3 call is on the exponent or the state."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -812,3 +938,19 @@ class TestSpectralCounts:
         assert calls.count(("eigh", 2)) == calls.count(("eigh", 4)) == iters
         assert calls.count(("eigvalsh", 2)) == calls.count(("eigvalsh", 4)) == 1
         assert len(calls) == 1 + 2 + iters * (1 + datum.n)
+
+    def test_fixed_point_one_eigh_per_output_dimension(self, calls):
+        datum = _equal_dims_datum()
+        ws = engine._Workspace(datum)
+        rhos0 = engine._initial_states(3, BUDGET.seeds())
+        calls.clear()
+        _, _, trace = engine._fixed_point_multi(ws, rhos0, BUDGET)
+        iters = len(trace)
+        assert iters > 5
+        # the initial states are not Gibbs states: one eigvalsh of them
+        assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", 3)]
+        # per iteration: one eigh of the exponent and one for all three
+        # outputs, which share their dimension
+        assert calls.count(("eigh", 3)) == iters
+        assert calls.count(("eigh", 2)) == iters + 1
+        assert len(calls) == 1 + 1 + iters * 2

@@ -32,6 +32,16 @@ def decode(m):
     return a[..., 0] + 1j * a[..., 1]
 
 
+class TestValidation:
+    @pytest.mark.parametrize("cls", [op.HermitianOperator, op.PSDOperator, op.DensityOperator])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, cls, bad):
+        # a nan entry once gave eigenvalues [nan, 1] and support rank 1,
+        # an inf entry eigenvalues [nan, nan] and support rank 0
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 class TestLogSumExp:
     """operators.log_sum_exp against scipy.special.logsumexp as reference."""
 
