@@ -34,11 +34,6 @@ from .engine import (
     OptimizerBudget,
     SamplerConfig,
     _ascent,
-    _eigh_log,
-    _gram_states,
-    _pullback,
-    _relative_entropy_grad,
-    _sqrt_psd,
     bl_membership,
     optimal_constant_analytic,
     optimal_constant_entropic,
@@ -55,10 +50,14 @@ from .operators import (
     DensityOperator,
     PSDOperator,
     _log_mean,
+    eigh_log,
+    from_spectrum,
     identity,
     lieb_triple_integral,
     log_trace_exp_sum,
     matrix_log,
+    relative_entropy_grad,
+    sqrt_psd,
     trace_exp_sum,
     xlogx_sum,
 )
@@ -338,18 +337,17 @@ class MinOutputReport:
 _DUAL_FLOOR = 1e-13
 
 
-def _neg_output_entropy(ch: Channel, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-H(E(rho)) at the pure states rho = vv^dag / |v|^2 (vs stacked as
-    d x 1 columns) and its gradient in v: the gradient in rho is
+def _neg_output_entropy(ch: Channel, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-H(E(rho)) on a stack of states and its Hermitian gradient in rho,
     E^dag(log E(rho))."""
-    rhos, norms = _gram_states(vs)
-    vals, log_out = _eigh_log(apply(ch, rhos))
-    return xlogx_sum(vals), _pullback(apply_adjoint(ch, log_out), rhos, vs, norms)
+    vals, log_out = eigh_log(apply(ch, rhos))
+    return xlogx_sum(vals), apply_adjoint(ch, log_out)
 
 
 def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
     """Minimize the output entropy over pure inputs by gradient ascent of
-    its negative; vec0s holds stacked complex start vectors."""
+    its negative over rho = vv^dag / |v|^2; vec0s holds stacked complex
+    start vectors."""
     fvals, vs, _ = _ascent(partial(_neg_output_entropy, ch), vec0s[..., None], budget.max_iters)
     i = int(np.argmax(fvals))
     v = vs[i, :, 0] / np.linalg.norm(vs[i])
@@ -360,8 +358,7 @@ def _dual_top(ch: Channel, omega: np.ndarray) -> tuple[float, np.ndarray]:
     """lambda_max(E^dag log omega), with the spectrum of omega floored at
     _DUAL_FLOOR inside the log, and its eigenvector."""
     wv, wu = np.linalg.eigh(omega)
-    logw = (wu * np.log(np.clip(wv, _DUAL_FLOOR, None))) @ wu.conj().T
-    m = apply_adjoint(ch, logw)
+    m = apply_adjoint(ch, from_spectrum(np.log(np.clip(wv, _DUAL_FLOOR, None)), wu))
     mv, mu = np.linalg.eigh(0.5 * (m + m.conj().T))
     return float(mv[-1]), mu[:, -1]
 
@@ -538,21 +535,19 @@ _RATIO_MIN_DIVERGENCE = 1e-6
 
 
 def _divergence_ratio(
-    ch: Channel, log_sigma: np.ndarray, log_esig: np.ndarray, xs: np.ndarray
+    ch: Channel, log_sigma: np.ndarray, log_esig: np.ndarray, rhos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """D(E rho||E sigma) / D(rho||sigma) at rho = XX^dag / tr XX^dag and its
-    gradient in X, by the quotient rule on the two relative-entropy
-    gradients; -inf (gradient 0) where D(rho||sigma) is too small to
-    resolve the ratio."""
-    rhos, t = _gram_states(xs)
-    d_in, g_in = _relative_entropy_grad(rhos, log_sigma)
-    d_out, g_out = _relative_entropy_grad(apply(ch, rhos), log_esig)
+    """D(E rho||E sigma) / D(rho||sigma) on a stack of states and its
+    Hermitian gradient in rho, by the quotient rule on the two
+    relative-entropy gradients; -inf (gradient 0) where D(rho||sigma) is
+    too small to resolve the ratio."""
+    d_in, g_in = relative_entropy_grad(rhos, log_sigma)
+    d_out, g_out = relative_entropy_grad(apply(ch, rhos), log_esig)
     ok = d_in > _RATIO_MIN_DIVERGENCE
     d_in = np.where(ok, d_in, 1.0)
     r = d_out / d_in
     g = (apply_adjoint(ch, g_out) - r[:, None, None] * g_in) / d_in[:, None, None]
-    grad = _pullback(g, rhos, xs, t)
-    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], grad, 0.0)
+    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], g, 0.0)
 
 
 def contraction_coefficient(
@@ -581,7 +576,7 @@ def contraction_coefficient(
             for i, s in enumerate(seeds)
         ]
     )
-    fvals, _, _ = _ascent(ratio, _sqrt_psd(rhos0), budget.max_iters)
+    fvals, _, _ = _ascent(ratio, sqrt_psd(rhos0), budget.max_iters)
     finite = fvals[np.isfinite(fvals)]
     eta_ascent = float(np.max(finite)) if finite.size else 0.0
     eta = max(eta_pert, eta_ascent, 0.0)
@@ -620,9 +615,9 @@ def depolarizing_sdpi_scalar_gap(t: np.ndarray, p: float, eta: float) -> np.ndar
     return rhs - lhs
 
 
-def depolarizing_sdpi_scan(p: float, eta: float, step: float = 1e-3) -> tuple[float, float]:
-    """Minimum scalar-reduction gap over the t-grid and its location."""
-    grid = np.arange(0.0, 1.0 + step / 2, step)
+def depolarizing_sdpi_scan(p: float, eta: float) -> tuple[float, float]:
+    """Minimum scalar-reduction gap over the t-grid of step 1e-3 and its location."""
+    grid = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
     gaps = depolarizing_sdpi_scalar_gap(grid, p, eta)
     i = int(np.argmin(gaps))
     return float(gaps[i]), float(grid[i])
@@ -645,8 +640,7 @@ def superadditivity_constant(sigma_ab, dims: tuple[int, int]) -> float:
         raise SingularMarginal("reference marginals must have full support")
 
     def inv_sqrt(s: PSDOperator) -> np.ndarray:
-        vals, vecs = s.eigenvalues, s.eigenvectors
-        return (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return from_spectrum(1.0 / np.sqrt(s.eigenvalues), s.eigenvectors)
 
     w = np.kron(inv_sqrt(sa), inv_sqrt(sb))
     x = w @ sig.matrix @ w

@@ -57,9 +57,11 @@ class Channel:
         if not ops:
             raise ValueError("need at least one Kraus operator")
         dout, din = ops[0].shape
-        for k in ops:
+        for i, k in enumerate(ops):
             if k.shape != (dout, din):
                 raise DimensionMismatch("Kraus operators have mixed shapes")
+            if not np.isfinite(k).all():
+                raise ValueError(f"Kraus operator {i} has a non-finite entry")
         self.signs = np.ones(len(ops)) if signs is None else np.asarray(signs, dtype=float)
         if self.signs.shape != (len(ops),):
             raise DimensionMismatch("signs must match the number of Kraus operators")
@@ -90,9 +92,9 @@ class Channel:
         else:
             self._spot_check_positivity()
 
-    def _spot_check_positivity(self, samples: int = 16) -> None:
+    def _spot_check_positivity(self) -> None:
         rng = np.random.default_rng(7)
-        for _ in range(samples):
+        for _ in range(16):
             v = rng.normal(size=self.dim_in) + 1j * rng.normal(size=self.dim_in)
             rho = np.outer(v, v.conj())
             rho /= np.trace(rho).real
@@ -216,7 +218,7 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     return Channel(kraus, label=label)
 
 
-def measurement_channel(basis: Sequence[np.ndarray], label: str = "") -> Channel:
+def measurement_channel(basis: Sequence[np.ndarray]) -> Channel:
     """Pinching channel sum_x <x|.|x> |x><x| for an orthonormal basis."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
     d = vecs[0].size
@@ -224,7 +226,7 @@ def measurement_channel(basis: Sequence[np.ndarray], label: str = "") -> Channel
     if len(vecs) != d or np.max(np.abs(gram - np.eye(d))) > 1e-10:
         raise NotOrthonormal("basis is not a complete orthonormal family")
     kraus = [np.outer(v, v.conj()) for v in vecs]
-    return Channel(kraus, label=label or "measurement")
+    return Channel(kraus, label="measurement")
 
 
 def pauli_basis(axis: str) -> list[np.ndarray]:

@@ -13,14 +13,15 @@ supp sigma_k has constant +inf and is reported as such before any search.
 Each estimator step eigendecomposes each iterate once. The batched
 workspace applies all channels of a datum as one stacked linear map, one
 matmul each way, and stacks the outputs E_k(rho) of equal dimension, so
-a step takes one eigh per output dimension, not one per channel. The
-fixed point and the analytic sweep iterate one map, rho -> Gibbs(H) with
+a step takes one eigh per output dimension, not one per channel; the
+matrix functions it applies are those of operators. The fixed point and the analytic sweep iterate one map, rho -> Gibbs(H) with
 H = M + sum_k q_k E_k^dag(log E_k rho), and both carry the Gibbs state
 and its exponent: one eigh of H gives the next state and log tr exp H,
 which is the analytic value of the omega tuple the duality proof pairs
 with rho, and one eigh per output dimension of the E_k(rho) gives the
-entropic value and the next exponent. The ascent evaluates the trial
-steps of one backtracking round in a single batched call.
+entropic value and the next exponent. The ascent climbs functions of
+states over rho = XX^dag / tr XX^dag and evaluates the trial steps of
+one backtracking round in a single batched call.
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
 sample at a time only where a support can leak: when sigma and every
@@ -44,17 +45,19 @@ from .operators import (
     DensityOperator,
     PSDOperator,
     SupportLog,
+    eigh_log,
     exp_on_support,
+    gibbs,
     hermitian_part,
     log_sum_exp,
     log_trace_exp_sum,
     matrix_log,
+    sqrt_psd,
+    trace_prod,
     xlogx_sum,
 )
 from .policy import eps_supp
 from .sampling import random_density
-
-_EIG_FLOOR = 1e-300
 
 # a search stops iterating a restart once an iteration gains less than
 # this (the analytic sweep stops once no restart does)
@@ -193,28 +196,6 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
 # Fast batched evaluators on raw arrays
 # ---------------------------------------------------------------------------
 
-def _trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(A B), batched over the leading axes of A and B."""
-    return np.einsum("...ij,...ji->...", a, b).real
-
-
-def _eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra and logarithms of PSD stacks; eigenvalues are lifted to a
-    relative floor inside the log so kernels stay finite."""
-    vals, vecs = np.linalg.eigh(mats)
-    floor = np.maximum(vals[..., -1:] * 1e-18, _EIG_FLOOR)
-    logs = np.log(np.maximum(vals, floor))
-    return vals, (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def _relative_entropy_grad(rhos: np.ndarray, log_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(rho || ref) = tr rho (log rho - log ref) on a stack of states, and
-    its Hermitian gradient in rho, log rho - log ref (up to the identity,
-    which the trace constraint removes)."""
-    vals, log_rho = _eigh_log(rhos)
-    return xlogx_sum(vals) - _trace_prod(rhos, log_ref), log_rho - log_ref
-
-
 class _Workspace:
     """Precomputed arrays for a support-compatible datum with PD sigma.
 
@@ -281,7 +262,7 @@ class _Workspace:
     def entropic_objective(self, rhos: np.ndarray) -> np.ndarray:
         """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma), batched:
         tr(rho M) - sum lambda log lambda + sum_k q_k sum lambda_k log lambda_k."""
-        out = _trace_prod(rhos, self.linear) - xlogx_sum(np.linalg.eigvalsh(rhos))
+        out = trace_prod(rhos, self.linear) - xlogx_sum(np.linalg.eigvalsh(rhos))
         for taus, qs in self._outputs(rhos):
             out = out + xlogx_sum(np.linalg.eigvalsh(taus)) @ qs
         return out
@@ -294,22 +275,20 @@ class _Workspace:
         H = log sigma + sum_k E_k^dag(q_k (log E_k rho - log sigma_k)) is
         the exponent whose Gibbs state is the next fixed-point iterate, and
         H - log rho is the Hermitian gradient of the objective in rho."""
-        out = _trace_prod(rhos, self.linear) - xlogx_sum(vals)
+        out = trace_prod(rhos, self.linear) - xlogx_sum(vals)
         logs = []
         for taus, qs in self._outputs(rhos):
-            tvals, tlog = _eigh_log(taus)
+            tvals, tlog = eigh_log(taus)
             out = out + xlogx_sum(tvals) @ qs
             logs.append(tlog.reshape(*tlog.shape[:-3], -1))
         return out, self.linear + self._pull_back(np.concatenate(logs, axis=-1) * self.weights)
 
-    def entropic_value_grad(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entropic objective at rho = XX^dag / tr XX^dag and its
-        gradient in X, from the Hermitian gradient in rho
-        G = M + sum_k q_k E_k^dag(log E_k rho) - log rho."""
-        rhos, t = _gram_states(xs)
-        vals, log_rho = _eigh_log(rhos)
+    def entropic_value_grad(self, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entropic objective at states rho and its Hermitian gradient
+        in rho, G = H - log rho = M + sum_k q_k E_k^dag(log E_k rho) - log rho."""
+        vals, log_rho = eigh_log(rhos)
         out, h = self.entropic_step(rhos, vals)
-        return out, _pullback(h - log_rho, rhos, xs, t)
+        return out, h - log_rho
 
     def exponent(self, log_omegas: list[np.ndarray]) -> np.ndarray:
         """log sigma + sum_k E_k^dag(log w_k), batched over the leading axes
@@ -341,18 +320,14 @@ def _gram_states(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho / t[..., None, None], t
 
 
-def _pullback(g: np.ndarray, rhos: np.ndarray, xs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient in X (real and imaginary parts as one complex array) of
-    f(XX^dag / t), given the Hermitian gradient G of f in rho:
-    (2/t)(G - tr(G rho)) X."""
-    gx = g @ xs - _trace_prod(g, rhos)[..., None, None] * xs
-    return (2.0 / t)[..., None, None] * gx
-
-
-def _sqrt_psd(rhos: np.ndarray) -> np.ndarray:
-    """Batched PSD square roots: ascent parameters X with rho = XX^dag."""
-    vals, vecs = np.linalg.eigh(rhos)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+def _x_value_grad(value_grad, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """value_grad at rho = XX^dag / t, t = tr XX^dag, with the Hermitian
+    gradient G in rho pulled back to the gradient in X (real and imaginary
+    parts as one complex array), (2/t)(G - tr(G rho)) X."""
+    rhos, t = _gram_states(xs)
+    vals, g = value_grad(rhos)
+    gx = g @ xs - trace_prod(g, rhos)[..., None, None] * xs
+    return vals, (2.0 / t)[..., None, None] * gx
 
 
 # trial steps t, t/2, t/4 of one backtracking round, evaluated in one
@@ -363,20 +338,21 @@ _LADDER = 3
 
 
 def _ascent(value_grad, x0: np.ndarray, max_iters: int):
-    """Vectorized multi-restart gradient ascent with backtracking (Armijo)
-    line search, each restart frozen once an iteration gains less than
-    GAIN_TOL.
+    """Vectorized multi-restart gradient ascent over rho = XX^dag / tr XX^dag
+    with backtracking (Armijo) line search, each restart frozen once an
+    iteration gains less than GAIN_TOL; X is d x d or d x 1, as x0 is.
 
-    value_grad(X) maps a stack X (restarts on the first axis) to the
-    objective values and their gradients, each row evaluated on its own.
-    Each backtracking round evaluates the next _LADDER trial steps t, t/2,
-    ... of every pending restart in one value_grad call and accepts the
-    largest that passes the Armijo test. That is the step a search trying
-    one step at a time accepts: at most 40 trial steps per iteration, none
-    at or below 1e-13. Returns (values, parameters, running-best trace).
+    value_grad(rho) maps a stack of states (restarts on the first axis) to
+    the objective values and their Hermitian gradients in rho, each row
+    evaluated on its own. Each backtracking round evaluates the next _LADDER
+    trial steps t, t/2, ... of every pending restart in one value_grad call
+    and accepts the largest that passes the Armijo test. That is the step a
+    search trying one step at a time accepts: at most 40 trial steps per
+    iteration, none at or below 1e-13. Returns (values, parameters X,
+    running-best trace).
     """
     x = np.array(x0, dtype=complex)
-    fvals, grads = value_grad(x)
+    fvals, grads = _x_value_grad(value_grad, x)
     axes = tuple(range(1, x.ndim))
     bcast = (slice(None),) + (None,) * (x.ndim - 1)
     rungs = np.arange(_LADDER)
@@ -399,7 +375,7 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
             valid = (ts > 1e-13) & (tried[rows, None] + rungs < 40)
             r, j = np.nonzero(valid)
             trial = x[idx[rows[r]]] + ts[r, j][bcast] * g[rows[r]]
-            ft, gt = value_grad(trial)
+            ft, gt = _x_value_grad(value_grad, trial)
             ok = np.zeros(valid.shape, dtype=bool)
             ok[r, j] = ft > f0[rows[r]] + 1e-4 * ts[r, j] * gn2[rows[r]]
             hit = ok.any(axis=1)
@@ -474,7 +450,7 @@ def optimal_constant_entropic(
 
     best_val, best_rho, fp_trace = _fixed_point_multi(ws, rhos, budget)
 
-    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, _sqrt_psd(rhos), budget.max_iters)
+    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(rhos), budget.max_iters)
     method = "fixed_point"
     if np.max(fvals, initial=-np.inf) > best_val:
         i = int(np.argmax(fvals))
@@ -505,7 +481,7 @@ def _fixed_point_multi(
         if not active.any():
             break
         idx = np.where(active)[0]
-        nxt, vals, _ = _gibbs(h[idx])
+        nxt, vals, _ = gibbs(h[idx])
         fnew, h[idx] = ws.entropic_step(nxt, vals)
         bad = ~np.isfinite(fnew)
         fnew[bad] = fvals[idx][bad]
@@ -520,30 +496,6 @@ def _fixed_point_multi(
         raise Diverged("all fixed-point restarts left the support cone")
     i = int(np.nanargmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
     return float(fvals[i]), rhos[i], trace
-
-
-def _gibbs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gibbs states exp(H) / tr exp(H) of a Hermitian stack, their spectra
-    and log tr exp(H), from one eigh."""
-    vals, vecs = np.linalg.eigh(hermitian_part(h))
-    top = vals[..., -1:]
-    w = np.exp(vals - top)
-    z = np.sum(w, axis=-1, keepdims=True)
-    w /= z
-    rhos = (vecs * w[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return rhos, w, (np.log(z) + top)[..., 0]
-
-
-_HARDEN_CUT = 1e-12
-
-
-def harden_support(rho: np.ndarray) -> np.ndarray:
-    """Zero eigenvalues below _HARDEN_CUT * lambda_max so downstream support
-    projections see an exact kernel instead of numerical dust."""
-    vals, vecs = np.linalg.eigh(hermitian_part(np.asarray(rho, dtype=complex)))
-    vals = np.where(vals > _HARDEN_CUT * vals[-1], vals, 0.0)
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T
 
 
 def induced_analytic_witness(datum: BLDatum, rho) -> list[DensityOperator]:
@@ -593,11 +545,11 @@ def optimal_constant_analytic(
     Monotone closed-form sweeps (_sweep) from random omega tuples: each
     pass moves to the tuple the duality proof pairs with the current Gibbs
     state, which never decreases the analytic objective. The witness is
-    the tuple induced by the hardened Gibbs state of the best restart,
-    supported exactly on supp E_k(rho), so it may be rank-deficient; the
-    reported constant is its exact re-evaluation (analytic_gap at C = 0),
-    a certified lower bound. A datum whose E_k(sigma) leaks out of
-    supp sigma_k has constant +inf.
+    the tuple induced by the Gibbs state rho of the best restart,
+    supported exactly on supp E_k(rho) (the eps_supp cut of each E_k(rho)),
+    so it may be rank-deficient; the reported constant is its exact
+    re-evaluation (analytic_gap at C = 0), a certified lower bound. A datum
+    whose E_k(sigma) leaks out of supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
     leak = _support_leak(datum)
@@ -617,12 +569,12 @@ def optimal_constant_analytic(
             stack.append(random_density(dk, rng, kind))
         omegas.append(np.stack(stack))
 
-    fvals, rhos, trace = _sweep(ws, [_eigh_log(om)[1] for om in omegas], budget)
+    fvals, rhos, trace = _sweep(ws, [eigh_log(om)[1] for om in omegas], budget)
 
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
     try:
-        witness = induced_analytic_witness(datum, harden_support(rhos[i]))
-    except (ValueError, ZeroDivisionError) as exc:
+        witness = induced_analytic_witness(datum, rhos[i])
+    except ValueError as exc:
         raise Diverged(f"cannot build the induced analytic witness: {exc}") from exc
     best_val = -analytic_gap(datum.with_constant(0.0), witness)
     best_internal = float(fvals[i])
@@ -655,13 +607,13 @@ def _sweep(
     later pass and leaves the sweep. Returns the values, the kept Gibbs
     states and the running-best trace.
     """
-    rhos, vals, log_z = _gibbs(ws.exponent(log_omegas))
+    rhos, vals, log_z = gibbs(ws.exponent(log_omegas))
     fvals = ws.minus_rhs(log_z, log_omegas)
     h = ws.entropic_step(rhos, vals)[1]
     live = np.arange(len(fvals))  # the restarts whose last step was kept
     trace: list[tuple[int, float]] = []
     for it in range(budget.max_iters):
-        nxt, vals, fnew = _gibbs(h)
+        nxt, vals, fnew = gibbs(h)
         gains = fnew - fvals[live]
         keep = gains >= 0
         live = live[keep]
@@ -780,7 +732,7 @@ def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> 
     logs = []
     exact = np.zeros(len(omegas[0]), dtype=bool)
     for om in omegas:
-        vals, log_om = _eigh_log(hermitian_part(om))
+        vals, log_om = eigh_log(hermitian_part(om))
         eps = np.array([eps_supp(max(top, 0.0)) for top in vals[:, -1]])
         exact |= vals[:, 0] <= eps
         logs.append(log_om)

@@ -16,7 +16,7 @@ from .operators import (
     HermitianOperator,
     PSDOperator,
     SupportLog,
-    hermitian_part,
+    from_spectrum,
     log_trace_exp_sum,
     matrix_log,
     sum_on_joint_support,
@@ -105,9 +105,7 @@ def variational_optimizer_state(h, sigma) -> DensityOperator:
     vals, vecs = sum_on_joint_support([term, matrix_log(sigma)])
     if vals.size == 0:
         raise ZeroTrace("joint support of H and sigma is empty")
-    w = np.exp(vals - vals.max())
-    w /= w.sum()
-    return DensityOperator(hermitian_part((vecs * w) @ vecs.conj().T))
+    return DensityOperator(from_spectrum(np.exp(vals - vals.max()), vecs))
 
 
 def legendre_trace_exp(h, sigma) -> float:

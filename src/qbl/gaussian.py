@@ -130,10 +130,8 @@ def heat_flow(g: GaussianState, t: float) -> GaussianState:
     return GaussianState(g.cov + t * np.eye(2 * g.modes), g.mean)
 
 
-def geometric_datum_check(
-    subspaces: list[Subspace], q: list[float], tol: float = 1e-9
-) -> tuple[bool, float, float]:
-    """Verify sum q_k Pi_k = identity on R^m.
+def geometric_datum_check(subspaces: list[Subspace], q: list[float]) -> tuple[bool, float, float]:
+    """Verify sum q_k Pi_k = identity on R^m, to 1e-9 entrywise.
 
     Returns (ok, max deviation, trace identity residual sum q_k m_k - m).
     """
@@ -148,7 +146,7 @@ def geometric_datum_check(
         total += qk * sub.projector()
         tr_sum += qk * sub.dim
     dev = float(np.max(np.abs(total - np.eye(m))))
-    return dev <= tol, dev, float(tr_sum - m)
+    return dev <= 1e-9, dev, float(tr_sum - m)
 
 
 def geometric_bl_deficit(

@@ -29,12 +29,12 @@ def hs_mixed(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def boundary_biased(d: int, rng: np.random.Generator, floor: float = 1e-6) -> np.ndarray:
-    """Rank-deficient state plus a small isotropic floor, renormalized."""
+def boundary_biased(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Rank-deficient state plus an isotropic floor 1e-6, renormalized."""
     rank = int(rng.integers(1, d)) if d > 1 else 1
     g = complex_gaussian(rng, (d, rank))
     rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real + floor * np.eye(d)
+    rho = rho / np.trace(rho).real + 1e-6 * np.eye(d)
     return rho / np.trace(rho).real
 
 
@@ -48,15 +48,15 @@ def random_density(d: int, rng: np.random.Generator, ensemble: str = "hs") -> np
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
-def random_pd(d: int, rng: np.random.Generator, floor: float = 1e-3) -> np.ndarray:
-    """Full-rank positive definite matrix with unit trace."""
-    rho = hs_mixed(d, rng) + floor * np.eye(d)
+def random_pd(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank unit-trace PD matrix: a Hilbert-Schmidt state plus 1e-3 I, renormalized."""
+    rho = hs_mixed(d, rng) + 1e-3 * np.eye(d)
     return rho / np.trace(rho).real
 
 
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     g = complex_gaussian(rng, (d, d))
-    return scale * 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().T)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,9 +84,9 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
 
 
-def bloch_sample(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
-    """Uniformly sampled Bloch vector (sphere surface or solid ball)."""
+def bloch_sample(rng: np.random.Generator) -> np.ndarray:
+    """Qubit state with a Bloch vector uniform in the solid ball."""
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    r = 1.0 if pure else rng.uniform() ** (1.0 / 3.0)
+    r = rng.uniform() ** (1.0 / 3.0)
     return bloch_state(*(r * v))

@@ -55,6 +55,9 @@ def decode_channel(data: Any, path: str = "channel") -> Channel:
     kraus = [
         decode_matrix(k, f"{path}.kraus[{i}]") for i, k in enumerate(data["kraus"])
     ]
+    for i, k in enumerate(kraus):
+        if not np.isfinite(k).all():
+            raise SpecFormatError(f"{path}.kraus[{i}]", "matrix has a non-finite entry")
     return Channel(
         kraus,
         label=data.get("label", ""),
@@ -81,14 +84,8 @@ def decode_datum(data: dict, path: str = "$") -> BLDatum:
     channels = [
         decode_channel(c, f"{path}.channels[{i}]") for i, c in enumerate(data["channels"])
     ]
-    try:
-        sigma = PSDOperator(decode_matrix(data["sigma"], f"{path}.sigma"))
-        sigmas = [
-            PSDOperator(decode_matrix(s, f"{path}.sigmas[{i}]"))
-            for i, s in enumerate(data["sigmas"])
-        ]
-    except ValueError as exc:
-        raise SpecFormatError(f"{path}.sigma", str(exc)) from exc
+    sigma = _decode_psd(data["sigma"], f"{path}.sigma")
+    sigmas = [_decode_psd(s, f"{path}.sigmas[{i}]") for i, s in enumerate(data["sigmas"])]
     q = data["q"]
     if not isinstance(q, list) or not q or not all(_finite_number(x) and x > 0 for x in q):
         raise SpecFormatError(f"{path}.q", "expected a non-empty list of finite positive numbers")
@@ -99,20 +96,17 @@ def decode_datum(data: dict, path: str = "$") -> BLDatum:
     return BLDatum(q, channels, sigma, sigmas, c)
 
 
+def _decode_psd(data: Any, path: str) -> PSDOperator:
+    m = decode_matrix(data, path)
+    try:
+        return PSDOperator(m)
+    except ValueError as exc:
+        raise SpecFormatError(path, str(exc)) from exc
+
+
 def _finite_number(x: Any) -> bool:
     """Whether x is a finite JSON number (a bool is not a number)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def encode_gaussian_task(state: GaussianState, subspaces: list[Subspace], q: list[float]) -> dict:
-    return {
-        "type": "gaussian",
-        "modes": state.modes,
-        "cov": [[float(x) for x in row] for row in state.cov],
-        "mean": [float(x) for x in state.mean],
-        "subspaces": [[[float(x) for x in row] for row in s.basis] for s in subspaces],
-        "q": [float(x) for x in q],
-    }
 
 
 def decode_gaussian_task(data: dict, path: str = "$") -> tuple[GaussianState, list[Subspace], list[float]]:

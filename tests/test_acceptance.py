@@ -95,13 +95,13 @@ def test_03_contraction_coefficient_and_scalar_sdpi():
         p = float(round(p, 10))
         eta = app.contraction_coefficient(ch.depolarizing(p), np.eye(2) / 2, budget)
         worst = max(worst, abs(eta - (1 - p) ** 2))
-        gap, _ = app.depolarizing_sdpi_scan(p, (1 - p) ** 2, step=1e-3)
+        gap, _ = app.depolarizing_sdpi_scan(p, (1 - p) ** 2)
         scan_ok &= gap >= -1e-12
         # probing below the optimum must expose a violation; at p = 0.9
         # the 0.01 step would leave (0, 1], so halve eta there instead
         eta_ref = (1 - p) ** 2
         eta_bad = eta_ref - 0.01 if eta_ref > 0.01 else eta_ref / 2
-        gap_bad, _ = app.depolarizing_sdpi_scan(p, eta_bad, step=1e-3)
+        gap_bad, _ = app.depolarizing_sdpi_scan(p, eta_bad)
         scan_ok &= gap_bad < 0
     ok = worst <= 1e-3 and scan_ok
     record(3, "contraction coefficient", ok, f"max |eta - (1-p)^2| = {worst:.2e}", started)

@@ -389,12 +389,12 @@ class TestSdpi:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_scalar_grid_and_violation(self, p):
         eta = (1 - p) ** 2
-        gap, _ = app.depolarizing_sdpi_scan(p, eta, step=1e-3)
+        gap, _ = app.depolarizing_sdpi_scan(p, eta)
         assert gap >= -1e-12
         # probe below the optimal constant; at p = 0.9 the 0.01 step would
         # leave the (0, 1] domain, so halve eta instead
         eta_bad = eta - 0.01 if eta > 0.01 else eta / 2
-        gap_bad, _ = app.depolarizing_sdpi_scan(p, eta_bad, step=1e-3)
+        gap_bad, _ = app.depolarizing_sdpi_scan(p, eta_bad)
         assert gap_bad < -1e-6
 
     def test_matrix_form_at_contraction_coefficient(self):

@@ -24,6 +24,11 @@ class TestChannelBasics:
         rho = hs_mixed(3, rng)
         np.testing.assert_allclose(ch.identity_channel(3)(rho), rho, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        with pytest.raises(ValueError, match="Kraus operator 0 has a non-finite entry"):
+            ch.Channel([[[bad, 0.0], [0.0, 1.0]]])
+
     def test_trace_preserving_enforced(self):
         with pytest.raises(NotTracePreserving):
             ch.Channel([np.diag([1.0, 0.5])])

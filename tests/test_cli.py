@@ -8,8 +8,9 @@ import pytest
 from qbl.cli import main
 from qbl.engine import BLDatum
 from qbl.operators import PSDOperator
+from qbl import channels as ch
 from qbl.channels import depolarizing, identity_channel
-from qbl.serialization import encode_datum
+from qbl.serialization import encode_channel, encode_datum, encode_matrix
 
 
 @pytest.fixture
@@ -292,6 +293,132 @@ class TestSpecFields:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert f"spec error at {path}" in captured.err
+
+
+class TestErrorLines:
+    """Each input error is one stderr line, naming one path once; stdout
+    stays empty and the exit code is 1."""
+
+    NAN_QUBIT = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    @pytest.mark.parametrize("update,line", [
+        ({"q": [-1.0]}, "spec error at $.q: expected a non-empty list of finite positive numbers"),
+        ({"sigmas": [NAN_QUBIT]}, "spec error at $.sigmas[0]: matrix has a non-finite entry"),
+        ({"channels": [{"kraus": [NAN_QUBIT]}]},
+         "spec error at $.channels[0].kraus[0]: matrix has a non-finite entry"),
+    ])
+    def test_spec_field(self, capsys, tmp_path, dpi_spec, update, line):
+        with open(dpi_spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data.update(update)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["constant", str(bad), "--no-meta"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+    def test_bad_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QBL_SEED", "abc")
+        code = main(["verify", "dpi-qubit", "--samples", "10", "--no-meta"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: QBL_SEED must be an integer, got 'abc'\n"
+
+
+def _channel_task(tmp_path, channel, **fields):
+    spec = {"type": "channel_task", "task": "contraction", "channel": encode_channel(channel),
+            "sigma": encode_matrix(np.eye(2) / 2)}
+    spec.update(fields)
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+class TestChannelTaskSpec:
+    TAIL = ["--budget", "restarts=2,iters=50", "--seed", "0", "--no-meta"]
+
+    def test_eta_field_is_not_read(self, capsys, tmp_path):
+        plain = _channel_task(tmp_path, depolarizing(0.5))
+        _, want = run(capsys, "contraction", plain, *self.TAIL)
+        code, out = run(capsys, "contraction",
+                        _channel_task(tmp_path, depolarizing(0.5), eta="x"), *self.TAIL)
+        assert (code, out) == (0, want)
+
+    def test_unknown_task_rejected(self, capsys, tmp_path):
+        spec = _channel_task(tmp_path, depolarizing(0.5), task="min_output_entropi")
+        code = main(["verify", spec] + self.TAIL)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "spec error at $.task: expected 'contraction' or 'min_output_entropy'\n"
+        )
+
+    @pytest.mark.parametrize("channel,label", [
+        (depolarizing(0.5), "depolarizing"),
+        (identity_channel(2), "depolarizing(p=0.5)"),
+        (ch.Channel([np.diag([1.0, np.sqrt(0.5)]), np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]])]),
+         "depolarizing(p=0.5)"),
+    ])
+    def test_scalar_scan_only_for_the_depolarizing_channel(self, capsys, tmp_path, channel, label):
+        spec = _channel_task(tmp_path, channel)
+        with open(spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["channel"]["label"] = label
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code, out = run(capsys, "contraction", spec, *self.TAIL)
+        assert code == 0
+        assert set(json.loads(out)["contraction"]) == {"eta"}
+
+    def test_scalar_scan_for_a_depolarizing_spec(self, capsys, tmp_path):
+        code, out = run(capsys, "contraction", _channel_task(tmp_path, depolarizing(0.5)),
+                        *self.TAIL)
+        assert code == 0
+        assert "scalar_scan_min_gap" in json.loads(out)["contraction"]
+
+    def test_non_finite_kraus_rejected(self, capsys, tmp_path):
+        spec = _channel_task(tmp_path, depolarizing(0.5))
+        with open(spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["channel"]["kraus"][1][0][0] = [float("nan"), 0.0]
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code = main(["contraction", spec] + self.TAIL)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "spec error at $.channel.kraus[1]: matrix has a non-finite entry\n"
+
+
+class TestVerifyForms:
+    """--form selects the forms evaluated and gated on the checker presets;
+    a skipped form is reported as null, and every sample is still drawn,
+    so a run of one form reports the worst gap of that form in --form both."""
+
+    @pytest.mark.parametrize("preset,block,fields", [
+        ("six-state", "six_state", ("worst_entropic_gap_bits", "worst_analytic_gap")),
+        ("mu-pauli-xz", "mu", ("worst_entropic_gap_bits", "worst_analytic_gap")),
+    ])
+    def test_one_form(self, capsys, preset, block, fields):
+        tail = ["--samples", "40", "--seed", "3", "--no-meta"]
+        _, out = run(capsys, "verify", preset, "--form", "both", *tail)
+        both = json.loads(out)[block]
+        for form, kept, skipped in (("entropic", *fields), ("analytic", *fields[::-1])):
+            code, out = run(capsys, "verify", preset, "--form", form, *tail)
+            rep = json.loads(out)[block]
+            assert code == 0
+            assert rep[kept] == both[kept]
+            assert rep[skipped] is None
+
+    def test_skipped_form_is_not_gated(self, capsys, monkeypatch):
+        import qbl.cli
+
+        def failing_chain(*args):
+            raise AssertionError("analytic checker called for --form entropic")
+
+        monkeypatch.setattr(qbl.cli, "mu_analytic_check", failing_chain)
+        code, _ = run(capsys, "verify", "mu-pauli-xz", "--form", "entropic", "--samples", "20",
+                      "--no-meta")
+        assert code == 0
 
 
 class TestVerifyChannelTask:

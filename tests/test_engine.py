@@ -1,6 +1,7 @@
 """BL engine: gaps, optimal constants, duality, membership, tensorization."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,6 +172,26 @@ class TestOptimalConstants:
         monkeypatch.setattr(engine, "induced_analytic_witness", fail)
         with pytest.raises(Diverged, match="empty support"):
             optimal_constant_analytic(dpi_datum(3), OptimizerBudget(restarts=2, max_iters=5))
+
+    def test_dust_below_the_support_cut_leaves_the_witness(self):
+        # eigenvalues below 1e-12 lambda_max add at most d 1e-12 to each
+        # E_k(rho) (E_k is positive and trace-preserving), which stays
+        # below the eps_supp cut of 1e-10: the induced tuple of a near-pure
+        # state is that of the state with its dust zeroed
+        rng = np.random.default_rng(71)
+        sigma = op.PSDOperator(random_pd(3, rng))
+        chans = [ch.identity_channel(3), ch.measurement_channel(list(np.eye(3)))]
+        datum = BLDatum([0.7, 1.4], chans, sigma, [op.PSDOperator(c(sigma)) for c in chans], 0.0)
+        u = haar_unitary(3, rng)
+        dusty = (u * np.array([1.0, 2e-14, 5e-15])) @ u.conj().T
+        clean = (u * np.array([1.0, 0.0, 0.0])) @ u.conj().T
+        assert np.linalg.eigvalsh(dusty)[0] > 0
+        for om_d, om_c in zip(induced_analytic_witness(datum, dusty),
+                              induced_analytic_witness(datum, clean)):
+            assert om_d.support_rank == om_c.support_rank
+            assert np.max(np.abs(om_d.matrix - om_c.matrix)) < 1e-12
+        ranks = [om.support_rank for om in induced_analytic_witness(datum, dusty)]
+        assert ranks == [1, 3]
 
     def test_restart_seeds_recorded(self):
         d = dpi_datum(10)
@@ -474,7 +495,7 @@ class TestBatchedMembership:
         rows[4][0] = (u * np.array([1.0 - 1e-12, 1e-12])) @ u.conj().T
         stacks = [np.stack(col) for col in zip(*rows)]
         gaps = engine._analytic_gaps(datum, ws, stacks)
-        floored = datum.c - ws.analytic_objective([engine._eigh_log(s)[1] for s in stacks])
+        floored = datum.c - ws.analytic_objective([op.eigh_log(s)[1] for s in stacks])
         for i in (2, 4):
             assert gaps[i] == analytic_gap(datum, rows[i])
             # the workspace objective is far from the exact value there
@@ -509,9 +530,11 @@ class TestBatchedMembership:
 # Fused estimator steps against the step-by-step composition
 # ---------------------------------------------------------------------------
 
-def _sequential_ascent(value_grad, x0, max_iters, tol):
+def _sequential_ascent(value_grad_rho, x0, max_iters, tol):
     """Reference line search: the Armijo ascent trying one step per
-    value_grad call, t, then t/2, ..., at most 40 trials per iteration."""
+    value_grad call, t, then t/2, ..., at most 40 trials per iteration,
+    over rho = XX^dag / tr XX^dag as _ascent parametrizes it."""
+    value_grad = partial(engine._x_value_grad, value_grad_rho)
     x = np.array(x0, dtype=complex)
     fvals, grads = value_grad(x)
     axes = tuple(range(1, x.ndim))
@@ -551,7 +574,8 @@ def _sequential_ascent(value_grad, x0, max_iters, tol):
 
 def _gradient_problem(name):
     """One of the three value-and-gradient problems of
-    tests/test_gradients.py, with its starting stack."""
+    tests/test_gradients.py (states to values and Hermitian gradients in
+    rho), with its starting stack of ascent parameters X."""
     from qbl import applications as app
 
     def stack(rng, shape):
@@ -567,13 +591,13 @@ def _gradient_problem(name):
     if name == "output-entropy":
         rng = np.random.default_rng(32)
         c = random_channel(3, 2, rng=rng)
-        return (lambda vs: app._neg_output_entropy(c, vs)), stack(rng, (4, 3, 1))
+        return (lambda rhos: app._neg_output_entropy(c, rhos)), stack(rng, (4, 3, 1))
     rng = np.random.default_rng(33)
     c = random_channel(2, 3, rng=rng)
     s = op.DensityOperator(random_pd(2, rng))
     log_s = op.matrix_log(s).finite
     log_es = op.matrix_log(op.PSDOperator(c(s))).finite
-    return (lambda xs: app._divergence_ratio(c, log_s, log_es, xs)), stack(rng, (4, 2, 2))
+    return (lambda rhos: app._divergence_ratio(c, log_s, log_es, rhos)), stack(rng, (4, 2, 2))
 
 
 def _reference_gibbs(h):
@@ -598,16 +622,16 @@ class _PerChannel(engine._Workspace):
         )
 
     def entropic_objective(self, rhos):
-        out = engine._trace_prod(rhos, self.linear) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
+        out = op.trace_prod(rhos, self.linear) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
         for qk, c in zip(self.q, self.channels):
             out = out + qk * op.xlogx_sum(np.linalg.eigvalsh(ch.apply(c, rhos)))
         return out
 
     def entropic_step(self, rhos, vals):
-        out = engine._trace_prod(rhos, self.linear) - op.xlogx_sum(vals)
+        out = op.trace_prod(rhos, self.linear) - op.xlogx_sum(vals)
         h = self.linear
         for qk, c in zip(self.q, self.channels):
-            tvals, tlog = engine._eigh_log(ch.apply(c, rhos))
+            tvals, tlog = op.eigh_log(ch.apply(c, rhos))
             out = out + qk * op.xlogx_sum(tvals)
             h = h + qk * ch.apply_adjoint(c, tlog)
         return out, h
@@ -621,10 +645,10 @@ class _PerChannel(engine._Workspace):
 
 def _reference_entropic_objective(ref, rhos):
     """sum_k q_k D(E_k rho || sigma_k) - D(rho || sigma) term by term."""
-    out = engine._trace_prod(rhos, ref.log_sigma) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
+    out = op.trace_prod(rhos, ref.log_sigma) - op.xlogx_sum(np.linalg.eigvalsh(rhos))
     for qk, chan, ls in zip(ref.q, ref.channels, ref.log_sigmas):
         taus = ch.apply(chan, rhos)
-        out = out + qk * (op.xlogx_sum(np.linalg.eigvalsh(taus)) - engine._trace_prod(taus, ls))
+        out = out + qk * (op.xlogx_sum(np.linalg.eigvalsh(taus)) - op.trace_prod(taus, ls))
     return out
 
 
@@ -632,7 +656,7 @@ def _induced_logs(ref, rhos):
     """q_k (log E_k(rho) - log sigma_k) for every k, batched: the log w_k
     the duality proof pairs with rho."""
     return [
-        qk * (engine._eigh_log(ch.apply(chan, rhos))[1] - ls)
+        qk * (op.eigh_log(ch.apply(chan, rhos))[1] - ls)
         for qk, chan, ls in zip(ref.q, ref.channels, ref.log_sigmas)
     ]
 
@@ -685,12 +709,12 @@ def _reference_sweep(ref, log_omegas, budget):
 def _all_rows_sweep(ws, log_omegas, budget):
     """The sweep stepping every restart on every pass, a restart whose
     step was refused included."""
-    rhos, vals, log_z = engine._gibbs(ws.exponent(log_omegas))
+    rhos, vals, log_z = op.gibbs(ws.exponent(log_omegas))
     fvals = ws.minus_rhs(log_z, log_omegas)
     h = ws.entropic_step(rhos, vals)[1]
     trace = []
     for it in range(budget.max_iters):
-        nxt, vals, fnew = engine._gibbs(h)
+        nxt, vals, fnew = op.gibbs(h)
         gain = float(np.max(fnew - fvals))
         keep = fnew >= fvals
         rhos[keep] = nxt[keep]
@@ -716,7 +740,7 @@ def _initial_log_omegas(datum, seeds):
     out = []
     for k, c in enumerate(datum.channels):
         stack = [random_density(c.dim_out, np.random.default_rng(s * 7 + k)) for s in seeds]
-        out.append(engine._eigh_log(np.stack(stack))[1])
+        out.append(op.eigh_log(np.stack(stack))[1])
     return out
 
 
@@ -762,8 +786,8 @@ class TestFusedSteps:
         ws = engine._Workspace(datum)
         log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
         rows = []  # restarts stepped, per pass
-        gibbs = engine._gibbs
-        monkeypatch.setattr(engine, "_gibbs", lambda h: rows.append(len(h)) or gibbs(h))
+        gibbs = engine.gibbs
+        monkeypatch.setattr(engine, "gibbs", lambda h: rows.append(len(h)) or gibbs(h))
         fvals, rhos, trace = engine._sweep(ws, log_omegas, BUDGET)
         monkeypatch.undo()
         # a restart whose step was refused would refuse it again on every
@@ -837,7 +861,7 @@ class TestStackedMap:
                          for kind in ("hs", "pure", "boundary") * 2])
         vals = np.linalg.eigvalsh(rhos)
         log_omegas = [
-            engine._eigh_log(np.stack([random_density(c.dim_out, rng, kind)
+            op.eigh_log(np.stack([random_density(c.dim_out, rng, kind)
                                        for kind in ("hs", "boundary") * 3]))[1]
             for c in datum.channels
         ]
@@ -867,7 +891,8 @@ class TestLinearTerm:
         ]
         assert _close(ws.entropic_objective(rhos), want)
         assert _close(ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))[0], want)
-        assert _close(ws.entropic_value_grad(engine._sqrt_psd(rhos))[0], want)
+        states = engine._gram_states(op.sqrt_psd(rhos))[0]
+        assert _close(ws.entropic_value_grad(states)[0], want)
 
     @pytest.mark.parametrize("make", [_mixed_dims_datum, _rank_deficient_datum])
     def test_induced_tuple_scores_log_tr_exp_of_the_exponent(self, make):
@@ -883,7 +908,7 @@ class TestLinearTerm:
         _, h = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
         ent_vals = ws.entropic_objective(rhos)
         ana_vals = ws.analytic_objective(_induced_logs(_PerChannel(datum), rhos))
-        assert np.max(np.abs(ana_vals - engine._gibbs(h)[2])) < 1e-12
+        assert np.max(np.abs(ana_vals - op.gibbs(h)[2])) < 1e-12
         assert np.all(ana_vals >= ent_vals - 1e-12)
 
 

@@ -1,15 +1,20 @@
 """Exact gradients of the ascent objectives against central differences.
 
-Each value-and-gradient function maps a stack of complex parameters to
-values and a complex gradient whose real and imaginary parts are the
-derivatives along the real and imaginary parts of each entry.
+Each value-and-gradient function maps a stack of states to values and
+Hermitian gradients in rho. Composed with rho = XX^dag / tr XX^dag by
+engine._x_value_grad, as engine._ascent composes it, it maps a stack of
+complex parameters X to values and a complex gradient whose real and
+imaginary parts are the derivatives along the real and imaginary parts of
+each entry.
 """
+
+from functools import partial
 
 import numpy as np
 
 from qbl import applications as app
 from qbl import operators as op
-from qbl.engine import BLDatum, _Workspace
+from qbl.engine import BLDatum, _Workspace, _x_value_grad
 from qbl.sampling import random_channel, random_pd
 
 
@@ -41,14 +46,17 @@ def test_entropic_gradient():
     sig = op.PSDOperator(random_pd(3, rng))
     sigmas = [op.PSDOperator(random_pd(2, rng)), op.PSDOperator(random_pd(3, rng))]
     ws = _Workspace(BLDatum([0.7, 1.3], [e1, e2], sig, sigmas, 0.0))
-    assert_gradient_matches(ws.entropic_value_grad, random_stack(rng, (4, 3, 3)))
+    assert_gradient_matches(
+        partial(_x_value_grad, ws.entropic_value_grad), random_stack(rng, (4, 3, 3))
+    )
 
 
 def test_output_entropy_gradient():
     rng = np.random.default_rng(32)
     ch = random_channel(3, 2, rng=rng)
     assert_gradient_matches(
-        lambda vs: app._neg_output_entropy(ch, vs), random_stack(rng, (4, 3, 1))
+        partial(_x_value_grad, partial(app._neg_output_entropy, ch)),
+        random_stack(rng, (4, 3, 1)),
     )
 
 
@@ -59,6 +67,6 @@ def test_divergence_ratio_gradient():
     log_sigma = op.matrix_log(sig).finite
     log_esig = op.matrix_log(op.PSDOperator(ch(sig))).finite
     assert_gradient_matches(
-        lambda xs: app._divergence_ratio(ch, log_sigma, log_esig, xs),
+        partial(_x_value_grad, partial(app._divergence_ratio, ch, log_sigma, log_esig)),
         random_stack(rng, (4, 2, 2)),
     )

@@ -203,7 +203,7 @@ class TestWeightedAntinorm:
         # neither a norm nor an anti-norm for p > 1: the randomized search
         # finds a quadruple breaking each direction; the frozen fixture
         # replays a previously found instance
-        found = op.find_antinorm_counterexample(p=2.0, seed=0, max_tries=20000)
+        found = op.find_antinorm_counterexample(p=2.0, seed=0)
         assert found["sub_violation"]["gap"] > 0
         assert found["super_violation"]["gap"] < 0
         with open(os.path.join(DATA_DIR, "antinorm_p2_violation.json")) as fh:

@@ -1,0 +1,169 @@
+"""Compare the answers of two qbl source trees on the benchmark's tasks.
+
+    python3 tools/compare_answers.py BASE_SRC CHANGE_SRC [--seeds 0 1 2]
+
+Builds every task of the three benchmark workloads at each seed with
+``perfbench/workloads.build`` (the module is imported, never edited), with
+qbl imported from BASE_SRC, so both trees read the same input files. Each
+tree then runs every task through ``qbl.cli.main`` in one child process of
+its own, with qbl imported from that tree and BLAS pinned to one thread.
+Prints the tasks whose exit codes differ, the count of byte-identical
+outputs, the tasks whose non-numeric fields differ, and per workload the
+largest absolute difference of every numeric field (a JSON path with list
+indices dropped, or a CSV column).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOADS = ("crosscheck-small", "crosscheck-d8", "verify-sampling")
+
+
+def build_tasks(base_src: Path, seeds: list[int], workdir: Path) -> list[dict]:
+    """Every task of every workload at every seed, as (workload, name, argv)."""
+    sys.path[:0] = [str(base_src), str(ROOT / "perfbench")]
+    import workloads
+
+    tasks = []
+    for name in WORKLOADS:
+        for seed in seeds:
+            built = workloads.build(name, seed, workdir / f"{name}-{seed}")
+            tasks += [{"workload": name, "name": f"seed {seed} {t.name}", "argv": t.argv}
+                      for t in built.tasks]
+    return tasks
+
+
+def run_tasks(src: str, tasks_path: str, out_path: str) -> None:
+    """Child process: run each task through qbl.cli.main from src."""
+    sys.path.insert(0, src)
+    import qbl.cli
+
+    if Path(qbl.cli.__file__).resolve().parent != Path(src).resolve() / "qbl":
+        raise SystemExit(f"imported qbl from {qbl.cli.__file__}, not from {src}")
+    results = []
+    for task in json.loads(Path(tasks_path).read_text(encoding="utf-8")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = qbl.cli.main(task["argv"])
+        results.append({"exit": code, "stdout": out.getvalue()})
+    Path(out_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def leaves(text: str) -> dict[str, list]:
+    """Field -> values of one output: JSON leaves by path, or CSV columns."""
+    out: dict[str, list] = {}
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        rows = list(csv.reader(io.StringIO(text)))
+        for row in rows[1:]:
+            for key, cell in zip(rows[0], row):
+                out.setdefault(key, []).append(cell)
+        return out
+
+    def walk(x, path):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v, path)
+        else:
+            out.setdefault(path, []).append(x)
+
+    walk(report, "")
+    return out
+
+
+def as_number(x):
+    """A JSON number or a numeric string ("inf", a CSV cell) as a float."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
+    identical = 0
+    exit_mismatch, other = [], []
+    largest: dict[str, dict[str, float]] = {name: {} for name in WORKLOADS}
+    for task, a, b in zip(tasks, base, change):
+        label = f"{task['workload']}: {task['name']}"
+        if a["exit"] != b["exit"]:
+            exit_mismatch.append(f"{label}: exit {a['exit']} -> {b['exit']}")
+        if a["stdout"] == b["stdout"]:
+            identical += 1
+            continue
+        fa, fb = leaves(a["stdout"]), leaves(b["stdout"])
+        if fa.keys() != fb.keys():
+            other.append(f"{label}: fields {sorted(fa.keys() ^ fb.keys())} differ")
+        for key in fa.keys() & fb.keys():
+            va, vb = fa[key], fb[key]
+            if len(va) != len(vb):
+                other.append(f"{label}: {key} has {len(va)} -> {len(vb)} values")
+                continue
+            for x, y in zip(va, vb):
+                nx, ny = as_number(x), as_number(y)
+                if nx is None or ny is None:
+                    if x != y:
+                        other.append(f"{label}: {key} {x!r} -> {y!r}")
+                    continue
+                diff = 0.0 if nx == ny else abs(nx - ny)
+                field = largest[task["workload"]]
+                field[key] = max(field.get(key, 0.0), diff)
+    print(f"tasks: {len(tasks)}")
+    print(f"exit-code mismatches: {len(exit_mismatch)}")
+    for line in exit_mismatch:
+        print(f"  {line}")
+    print(f"byte-identical outputs: {identical}/{len(tasks)}")
+    print(f"non-numeric differences: {len(other)}")
+    for line in other:
+        print(f"  {line}")
+    for name in WORKLOADS:
+        moved = {k: v for k, v in largest[name].items() if v != 0.0}
+        print(f"{name}: largest difference per numeric field"
+              + ("" if moved else ": none"))
+        for key in sorted(moved):
+            print(f"  {key}: {moved[key]:.3g}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="src directory of the base tree")
+    parser.add_argument("change", type=Path, help="src directory of the changed tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    args = parser.parse_args()
+    os.environ.update({v: "1" for v in THREAD_VARS})  # before numpy loads
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        tasks = build_tasks(args.base.resolve(), args.seeds, work)
+        tasks_path = work / "tasks.json"
+        tasks_path.write_text(json.dumps(tasks), encoding="utf-8")
+        results = []
+        for i, src in enumerate((args.base, args.change)):
+            out_path = work / f"results-{i}.json"
+            subprocess.run([sys.executable, __file__, "--run", str(src.resolve()),
+                            str(tasks_path), str(out_path)], check=True, cwd=work)
+            results.append(json.loads(out_path.read_text(encoding="utf-8")))
+    compare(tasks, *results)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 5 and sys.argv[1] == "--run":
+        run_tasks(*sys.argv[2:])
+    else:
+        main()
