@@ -57,11 +57,12 @@ class Channel:
         if not ops:
             raise ValueError("need at least one Kraus operator")
         dout, din = ops[0].shape
-        for i, k in enumerate(ops):
+        for k in ops:
             if k.shape != (dout, din):
                 raise DimensionMismatch("Kraus operators have mixed shapes")
-            if not np.isfinite(k).all():
-                raise ValueError(f"Kraus operator {i} has a non-finite entry")
+        stacked = np.stack(ops)
+        if not np.isfinite(stacked).all():
+            raise ValueError("a Kraus operator has a non-finite entry")
         self.signs = np.ones(len(ops)) if signs is None else np.asarray(signs, dtype=float)
         if self.signs.shape != (len(ops),):
             raise DimensionMismatch("signs must match the number of Kraus operators")
@@ -70,7 +71,6 @@ class Channel:
             raise NotTracePreserving(
                 f"sum s K^dag K deviates from identity by {np.max(np.abs(acc - np.eye(din))):.3e}"
             )
-        stacked = np.stack(ops)
         stacked.setflags(write=False)
         self.signs.setflags(write=False)
         self.kraus = stacked

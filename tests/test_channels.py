@@ -26,7 +26,7 @@ class TestChannelBasics:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kraus_rejected(self, bad):
-        with pytest.raises(ValueError, match="Kraus operator 0 has a non-finite entry"):
+        with pytest.raises(ValueError, match="a Kraus operator has a non-finite entry"):
             ch.Channel([[[bad, 0.0], [0.0, 1.0]]])
 
     def test_trace_preserving_enforced(self):
