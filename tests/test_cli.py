@@ -370,12 +370,6 @@ class TestChannelTaskSpec:
         assert code == 0
         assert set(json.loads(out)["contraction"]) == {"eta"}
 
-    def test_scalar_scan_for_a_depolarizing_spec(self, capsys, tmp_path):
-        code, out = run(capsys, "contraction", _channel_task(tmp_path, depolarizing(0.5)),
-                        *self.TAIL)
-        assert code == 0
-        assert "scalar_scan_min_gap" in json.loads(out)["contraction"]
-
     def test_non_finite_kraus_rejected(self, capsys, tmp_path):
         spec = _channel_task(tmp_path, depolarizing(0.5))
         with open(spec, encoding="utf-8") as fh:
