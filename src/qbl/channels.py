@@ -66,6 +66,8 @@ class Channel:
         self.signs = np.ones(len(ops)) if signs is None else np.asarray(signs, dtype=float)
         if self.signs.shape != (len(ops),):
             raise DimensionMismatch("signs must match the number of Kraus operators")
+        if not np.isfinite(self.signs).all():
+            raise ValueError("a sign is non-finite")
         acc = sum(s * k.conj().T @ k for s, k in zip(self.signs, ops))
         if np.max(np.abs(acc - np.eye(din))) > 1e-10:
             raise NotTracePreserving(

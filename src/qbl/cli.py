@@ -50,6 +50,7 @@ from .engine import (
 from .entropy import von_neumann
 from .errors import QblError, SpecFormatError
 from .gaussian import deficit_trajectory, geometric_datum_check
+from .operators import DensityOperator
 from .presets import PRESET_NAMES, build_preset
 from .sampling import bloch_sample, random_pd
 from .serialization import decode_datum, decode_gaussian_task, encode_matrix
@@ -85,7 +86,12 @@ def _load_task(spec: str, seed: int) -> dict:
             out = {"kind": "channel_task", "task": task,
                    "channel": decode_channel(data.get("channel"), "$.channel")}
             if "sigma" in data:
-                out["sigma"] = decode_matrix(data["sigma"], "$.sigma")
+                sigma = decode_matrix(data["sigma"], "$.sigma")
+                try:
+                    DensityOperator(sigma)
+                except ValueError as exc:
+                    raise SpecFormatError("$.sigma", str(exc)) from exc
+                out["sigma"] = sigma
             return out
         raise SpecFormatError("$.type", f"unknown problem type {kind!r}")
     if spec in PRESET_NAMES:

@@ -52,6 +52,11 @@ def encode_channel(ch: Channel) -> dict:
 def decode_channel(data: Any, path: str = "channel") -> Channel:
     if not isinstance(data, dict) or "kraus" not in data:
         raise SpecFormatError(path, "expected an object with a 'kraus' field")
+    if not isinstance(data["kraus"], list) or not data["kraus"]:
+        raise SpecFormatError(f"{path}.kraus", "expected a non-empty list of matrices")
+    signs = data.get("signs")
+    if signs is not None and not (isinstance(signs, list) and all(map(_finite_number, signs))):
+        raise SpecFormatError(f"{path}.signs", "expected a list of finite numbers")
     kraus = [
         decode_matrix(k, f"{path}.kraus[{i}]") for i, k in enumerate(data["kraus"])
     ]
@@ -62,7 +67,7 @@ def decode_channel(data: Any, path: str = "channel") -> Channel:
         kraus,
         label=data.get("label", ""),
         allow_positive_only=bool(data.get("allow_positive_only", False)),
-        signs=data.get("signs"),
+        signs=signs,
     )
 
 

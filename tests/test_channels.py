@@ -29,6 +29,13 @@ class TestChannelBasics:
         with pytest.raises(ValueError, match="a Kraus operator has a non-finite entry"):
             ch.Channel([[[bad, 0.0], [0.0, 1.0]]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sign_rejected(self, bad):
+        # a nan sign once passed the trace-preserving test (nan > 1e-10 is
+        # false) and failed later, inside the Choi eigendecomposition
+        with pytest.raises(ValueError, match="a sign is non-finite"):
+            ch.Channel([np.eye(2)], signs=[bad])
+
     def test_trace_preserving_enforced(self):
         with pytest.raises(NotTracePreserving):
             ch.Channel([np.diag([1.0, 0.5])])

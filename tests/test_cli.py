@@ -383,6 +383,26 @@ class TestChannelTaskSpec:
         assert captured.err == "spec error at $.channel.kraus[1]: matrix has a non-finite entry\n"
 
 
+    @pytest.mark.parametrize("field,value,line", [
+        ("sigma", [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+         "spec error at $.sigma: matrix has a non-finite entry"),
+        ("signs", [float("nan")], "spec error at $.channel.signs: expected a list of finite numbers"),
+        ("kraus", 5, "spec error at $.channel.kraus: expected a non-empty list of matrices"),
+    ])
+    def test_bad_field_is_one_error_line(self, capsys, tmp_path, field, value, line):
+        # each of these ended in a traceback (ValueError, LinAlgError and
+        # TypeError) instead of a spec error line
+        spec = _channel_task(tmp_path, depolarizing(0.5))
+        with open(spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+        (data if field == "sigma" else data["channel"])[field] = value
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code = main(["contraction", spec] + self.TAIL)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+
 class TestVerifyForms:
     """--form selects the forms evaluated and gated on the checker presets;
     a skipped form is reported as null, and every sample is still drawn,

@@ -8,9 +8,11 @@ qbl imported from BASE_SRC, so both trees read the same input files. Each
 tree then runs every task through ``qbl.cli.main`` in one child process of
 its own, with qbl imported from that tree and BLAS pinned to one thread.
 Prints the tasks whose exit codes differ, the count of byte-identical
-outputs, the tasks whose non-numeric fields differ, and per workload the
-largest absolute difference of every numeric field (a JSON path with list
-indices dropped, or a CSV column).
+outputs, the tasks whose non-numeric fields differ, and per workload, for
+every numeric field that moved (a JSON path with list indices dropped, or a
+CSV column), its largest absolute difference and its largest decrease and
+largest increase (change - base), so that "no constant went down" reads
+off one line per field.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def as_number(x):
 def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
     identical = 0
     exit_mismatch, other = [], []
-    largest: dict[str, dict[str, float]] = {name: {} for name in WORKLOADS}
+    # per workload and field: the most negative and the most positive
+    # change - base
+    moved: dict[str, dict[str, list[float]]] = {name: {} for name in WORKLOADS}
     for task, a, b in zip(tasks, base, change):
         label = f"{task['workload']}: {task['name']}"
         if a["exit"] != b["exit"]:
@@ -122,9 +126,9 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
                     if x != y:
                         other.append(f"{label}: {key} {x!r} -> {y!r}")
                     continue
-                diff = 0.0 if nx == ny else abs(nx - ny)
-                field = largest[task["workload"]]
-                field[key] = max(field.get(key, 0.0), diff)
+                diff = 0.0 if nx == ny else ny - nx
+                span = moved[task["workload"]].setdefault(key, [0.0, 0.0])
+                span[0], span[1] = min(span[0], diff), max(span[1], diff)
     print(f"tasks: {len(tasks)}")
     print(f"exit-code mismatches: {len(exit_mismatch)}")
     for line in exit_mismatch:
@@ -134,11 +138,12 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
     for line in other:
         print(f"  {line}")
     for name in WORKLOADS:
-        moved = {k: v for k, v in largest[name].items() if v != 0.0}
-        print(f"{name}: largest difference per numeric field"
-              + ("" if moved else ": none"))
-        for key in sorted(moved):
-            print(f"  {key}: {moved[key]:.3g}")
+        fields = {k: v for k, v in moved[name].items() if v != [0.0, 0.0]}
+        print(f"{name}: largest |difference|, decrease and increase per numeric field"
+              + ("" if fields else ": none"))
+        for key in sorted(fields):
+            down, up = fields[key]
+            print(f"  {key}: {max(-down, up):.3g} (down {down:.3g}, up {up:+.3g})")
 
 
 def main() -> None:
