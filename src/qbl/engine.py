@@ -24,12 +24,14 @@ value and their next exponents. The plain step is exponentiated-gradient
 ascent with step 1. The loop accelerates it by Anderson extrapolation of
 the exponent, taken only where the entropic value does not drop, and
 takes the plain step where a Gibbs spectrum reaches the support cut. The
-entropic side starts the loop from random states. The analytic side
-starts it from the Gibbs states of random omega tuples, and values its
-final states by log tr exp H: the analytic value of the omega tuple the
-duality proof pairs with rho. The ascent climbs functions of states over
-rho = XX^dag / tr XX^dag and evaluates the trial steps of one
-backtracking round in a single batched call.
+entropic side starts the loop from random states and polishes its final
+states by the ascent. The analytic side starts it from the Gibbs states
+of random omega tuples, and values its final states by log tr exp H: the
+analytic value of the omega tuple the duality proof pairs with rho. The
+ascent climbs functions of states over rho = XX^dag / tr XX^dag, which
+reaches the rank-deficient states toward which the loop's exponent
+diverges, and evaluates the trial steps of one backtracking round in a
+single batched call.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
@@ -575,13 +577,14 @@ def optimal_constant_entropic(
 ) -> tuple[float, DensityOperator, OptimizationResult]:
     """Estimate sup_rho [sum q_k D(E_k rho||sigma_k) - D(rho||sigma)].
 
-    Runs the accelerated fixed-point loop, each restart frozen once a step
-    gains less than GAIN_TOL, and an exact-gradient ascent over
-    rho = XX^dag / tr XX^dag from every restart and returns the best
-    value found, its witness state, and the search record. The estimate
-    is a lower bound on the true optimal constant. A datum whose E_k(sigma)
-    leaks out of supp sigma_k has constant +inf, witnessed by sigma / tr
-    sigma.
+    Runs the accelerated fixed-point loop from random states, each restart
+    frozen once a step gains less than GAIN_TOL, then polishes every
+    restart's final state by the exact-gradient ascent over
+    rho = XX^dag / tr XX^dag, which reaches the rank-deficient optima
+    where the loop's plain step crawls. Returns the best value found, its
+    witness state, and the search record. The estimate is a lower bound on
+    the true optimal constant. A datum whose E_k(sigma) leaks out of
+    supp sigma_k has constant +inf, witnessed by sigma / tr sigma.
     """
     seeds = budget.seeds()
     if _support_leak(datum) is not None:
@@ -593,24 +596,20 @@ def optimal_constant_entropic(
     fp_rhos, fp_vals, _, fp_trace = _fixed_point(
         ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters, together=False
     )
-    finite = np.isfinite(fp_vals)
-    if not finite.any():
+    if not np.isfinite(fp_vals).any():
         raise Diverged("all fixed-point restarts left the support cone")
-    i = int(np.argmax(np.where(finite, fp_vals, -np.inf)))
-    best_val, best_rho = float(fp_vals[i]), fp_rhos[i]
-
-    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(rhos), budget.max_iters)
-    method = "fixed_point"
-    if np.max(fvals, initial=-np.inf) > best_val:
-        i = int(np.argmax(fvals))
-        best_val = float(fvals[i])
-        best_rho = _gram_states(xs[i])[0]
-        method = "ascent"
-    witness = DensityOperator(hermitian_part(best_rho))
+    # each ascent row starts at a fixed-point end state and accepts only
+    # rises, so its best row is the estimate
+    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), budget.max_iters)
+    i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
+    best_val = float(fvals[i])
+    witness = DensityOperator(hermitian_part(_gram_states(xs[i])[0]))
     check = float(ws.entropic_objective(witness.matrix[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
-    result = OptimizationResult(best_val, [witness.matrix], method, seeds, fp_trace + as_trace)
+    result = OptimizationResult(
+        best_val, [witness.matrix], "fixed_point+ascent", seeds, fp_trace + as_trace
+    )
     return best_val, witness, result
 
 

@@ -1,0 +1,44 @@
+"""tools/compare_answers.py: the comparison of two trees' outputs as a gate."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_answers.py"
+_spec = importlib.util.spec_from_file_location("compare_answers", _PATH)
+compare_answers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_answers)
+
+
+def _run(code, constant, verdict):
+    report = {"c_entropic": constant, "agree": True, "verdict": verdict}
+    return {"exit": code, "stdout": json.dumps(report)}
+
+
+TASKS = [{"workload": "crosscheck-small", "name": f"seed 0 task-{i}"} for i in range(2)]
+BASE = [_run(0, 0.5, "holds_on_samples"), _run(0, 1.25, "holds_on_samples")]
+
+
+@pytest.mark.parametrize(
+    "change, status",
+    [
+        (BASE, 0),
+        # a constant moved: reported, but not a failure
+        ([BASE[0], _run(0, 1.25 + 3e-11, "holds_on_samples")], 0),
+        ([BASE[0], _run(0, 1.25, "violated")], 1),
+        ([_run(1, 0.5, "holds_on_samples"), BASE[1]], 1),
+    ],
+    ids=["identical", "numeric-move", "verdict-change", "exit-change"],
+)
+def test_compare_status(change, status):
+    assert compare_answers.compare(TASKS, BASE, change) == status
+
+
+def test_planted_verdict_change_is_named(capsys):
+    change = [BASE[0], _run(0, 1.25, "violated")]
+    assert compare_answers.compare(TASKS, BASE, change) == 1
+    out = capsys.readouterr().out
+    assert "non-numeric differences: 1" in out
+    assert "seed 0 task-1: verdict 'holds_on_samples' -> 'violated'" in out

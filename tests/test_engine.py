@@ -887,6 +887,49 @@ class TestAcceleratedLoop:
         assert np.max(fast[1]) >= np.max(slow[1]) - 1e-9
 
 
+class TestAscentHandoff:
+    """The entropic estimator polishes the fixed point's final states by
+    the ascent, rather than searching again from the random starts."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        seen = {}
+
+        def recorded(name):
+            fn = getattr(engine, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name] = (args, out)
+                return out
+
+            monkeypatch.setattr(engine, name, wrapped)
+
+        recorded("_fixed_point")
+        recorded("_ascent")
+        return seen
+
+    @pytest.mark.parametrize("make", [partial(_random_datum, 42), partial(_acceptance_datum, 0)])
+    def test_ascent_starts_at_the_fixed_point_states(self, runs, make):
+        c = optimal_constant_entropic(make(), BUDGET)[0]
+        fp_rhos, fp_vals = runs["_fixed_point"][1][:2]
+        x0 = runs["_ascent"][0][1]
+        assert np.max(np.abs(engine._gram_states(x0)[0] - fp_rhos)) < 1e-12
+        assert c >= np.max(fp_vals) - 1e-12
+
+    def test_pure_state_optimum_keeps_its_value(self):
+        # acceptance datum 0 has a pure-state optimum, where the plain step
+        # crawls; the ascent from the random starts reported 0.8152066995870
+        budget = OptimizerBudget(restarts=32, max_iters=500, base_seed=0)
+        c, _, res = optimal_constant_entropic(_acceptance_datum(0), budget)
+        assert c >= 0.8152066995870 - 1e-12
+        assert res.method == "fixed_point+ascent"
+
+    def test_converged_fixed_point_leaves_the_ascent_nothing_to_do(self, runs):
+        optimal_constant_entropic(dpi_datum(), BUDGET)
+        assert len(runs["_ascent"][1][2]) <= 2
+
+
 def _rank_deficient_datum(seed=51):
     """sigma_2 has rank 2 in dimension 3, and E_2 maps into its support."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,8 @@ outputs, the tasks whose non-numeric fields differ, and per workload, for
 every numeric field that moved (a JSON path with list indices dropped, or a
 CSV column), its largest absolute difference and its largest decrease and
 largest increase (change - base), so that "no constant went down" reads
-off one line per field.
+off one line per field. Exits 1 when any exit code or non-numeric field
+differs, so a script can use it as a gate; numeric moves alone exit 0.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def as_number(x):
         return None
 
 
-def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
+def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
+    """Print the differences of two runs of the tasks; 1 if an exit code or
+    a non-numeric field differs, else 0."""
     identical = 0
     exit_mismatch, other = [], []
     # per workload and field: the most negative and the most positive
@@ -144,9 +147,10 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> None:
         for key in sorted(fields):
             down, up = fields[key]
             print(f"  {key}: {max(-down, up):.3g} (down {down:.3g}, up {up:+.3g})")
+    return 1 if exit_mismatch or other else 0
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="src directory of the base tree")
     parser.add_argument("change", type=Path, help="src directory of the changed tree")
@@ -164,11 +168,11 @@ def main() -> None:
             subprocess.run([sys.executable, __file__, "--run", str(src.resolve()),
                             str(tasks_path), str(out_path)], check=True, cwd=work)
             results.append(json.loads(out_path.read_text(encoding="utf-8")))
-    compare(tasks, *results)
+    return compare(tasks, *results)
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 5 and sys.argv[1] == "--run":
         run_tasks(*sys.argv[2:])
     else:
-        main()
+        sys.exit(main())
