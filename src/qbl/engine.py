@@ -16,22 +16,23 @@ matmul each way, and stacks the outputs E_k(rho) of equal dimension, so
 a step takes one eigh per output dimension, not one per channel; the
 matrix functions it applies are those of operators.
 
-Both estimators run one fixed-point loop over exponents, the map
-rho -> Gibbs(H) with H = M + sum_k q_k E_k^dag(log E_k rho). A pass takes
-one eigh of the proposed exponents, which gives the next states, and one
-eigh per output dimension of the E_k(rho), which gives their entropic
-value and their next exponents. The plain step is exponentiated-gradient
-ascent with step 1. The loop accelerates it by Anderson extrapolation of
-the exponent, taken only where the entropic value does not drop, and
-takes the plain step where a Gibbs spectrum reaches the support cut. The
-entropic side starts the loop from random states and polishes its final
-states by the ascent. The analytic side starts it from the Gibbs states
-of random omega tuples, and values its final states by log tr exp H: the
-analytic value of the omega tuple the duality proof pairs with rho. The
-ascent climbs functions of states over rho = XX^dag / tr XX^dag, which
-reaches the rank-deficient states toward which the loop's exponent
-diverges, and evaluates the trial steps of one backtracking round in a
-single batched call.
+Both estimators run one search, a fixed-point loop over exponents followed
+by an ascent. The loop iterates rho -> Gibbs(H) with
+H = M + sum_k q_k E_k^dag(log E_k rho). A pass takes one eigh of the
+proposed exponents, which gives the next states, and one eigh per output
+dimension of the E_k(rho), which gives their entropic value and their
+next exponents. The plain step is exponentiated-gradient ascent with step
+1. The loop accelerates it by Anderson extrapolation of the exponent,
+taken only where the entropic value does not drop, and takes the plain
+step where a Gibbs spectrum reaches the support cut. The ascent then
+polishes every final state over rho = XX^dag / tr XX^dag, which reaches
+the rank-deficient states toward which the loop's exponent diverges, and
+evaluates the trial steps of one backtracking round in a single batched
+call. The two sides differ only in their random starts (states on the
+entropic side, the Gibbs states of random omega tuples on the analytic
+side) and in how they certify the winning state: the entropic side
+re-evaluates its value, the analytic side re-evaluates exactly the omega
+tuple the duality proof pairs with it.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling uses them one
@@ -70,8 +71,8 @@ from .operators import (
 from .policy import SUPP_RTOL, eps_supp
 from .sampling import random_density
 
-# a search stops iterating a restart once an iteration gains less than
-# this (the analytic side stops all restarts once no restart does)
+# the search stops iterating a restart once an iteration gains less than
+# this
 GAIN_TOL = 1e-9
 
 
@@ -353,7 +354,8 @@ _LADDER = 3
 def _ascent(value_grad, x0: np.ndarray, max_iters: int):
     """Vectorized multi-restart gradient ascent over rho = XX^dag / tr XX^dag
     with backtracking (Armijo) line search, each restart frozen once an
-    iteration gains less than GAIN_TOL; X is d x d or d x 1, as x0 is.
+    iteration gains less than GAIN_TOL, or cannot gain it at its first
+    trial step; X is d x d or d x 1, as x0 is.
 
     value_grad(rho) maps a stack of states (restarts on the first axis) to
     the objective values and their Hermitian gradients in rho, each row
@@ -381,7 +383,9 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
         gn2 = np.sum(np.abs(g) ** 2, axis=axes)
         t = np.maximum(step[idx], 1e-10)
         tried = np.zeros(len(idx), dtype=int)
-        pending = gn2 > 0
+        # an iteration gains at most about t gn2: a restart that cannot gain
+        # GAIN_TOL at its first trial step freezes without trying smaller ones
+        pending = t * gn2 >= GAIN_TOL
         while pending.any():
             rows = np.where(pending)[0]
             ts = t[rows, None] * 0.5**rungs
@@ -434,8 +438,7 @@ def _anderson_coefficients(dr: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, flat @ r.reshape(rows, -1).view(float)[..., None])[..., 0]
 
 
-def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int,
-                 together: bool):
+def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
     """Iterate rho -> Gibbs(H(rho)), H = M + sum_k q_k E_k^dag(log E_k rho),
     from the start states rhos with spectra vals, with safeguarded type-II
     Anderson acceleration in exponent space (Walker and Ni, SIAM J. Numer.
@@ -457,15 +460,13 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     lambda_max takes the plain step: toward a rank-deficient optimum the
     exponent diverges, and extrapolating it stalls.
 
-    Stop rule: with together False, a restart stops once an accepted step
-    gains less than GAIN_TOL; with together True, all restarts stop at the
-    first pass in which none gains GAIN_TOL. The live restarts are held in
+    Stop rule: a restart stops once an accepted step gains less than
+    GAIN_TOL, or a plain step is refused. The live restarts are held in
     compact arrays, compacted when one stops. Returns, per restart, the
-    last accepted state, its value F, its exponent H and the running-best
-    trace of F.
+    last accepted state and its value F, and the running-best trace of F.
     """
     f, g = ws.entropic_step(rhos, vals)
-    out = [np.array(rhos, dtype=complex), f, g]
+    end_rhos, end_f = np.array(rhos, dtype=complex), f
     ids = np.flatnonzero(np.isfinite(f))
     d, live = ws.dim, len(ids)
     rho, f, g, vals = rhos[ids], f[ids], g[ids], vals[ids]
@@ -503,16 +504,14 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
         res = gnew - cand
         res -= res.trace(axis1=1, axis2=2)[:, None, None] * ident
         ok = fnew >= f  # false on nan
+        stop = np.where(ok, fnew - f < GAIN_TOL, plain)
         if ok.all():
-            gain = fnew - f
             rho, vals, g, f = nxt, nvals, gnew, fnew
             if it:
                 dr[:, col], dg[:, col] = res - r_last, gnew - g_last
                 depth += 1
             r_last, g_last = res, gnew
-            stop = None if together else gain < GAIN_TOL
         else:
-            gain = np.where(ok, fnew - f, 0.0)
             sel = ok[:, None, None]
             rho = np.where(sel, nxt, rho)
             vals = np.where(ok[:, None], nvals, vals)
@@ -526,21 +525,18 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             depth = np.where(ok, depth + (it > 0), 0)
             r_last = np.where(sel, res, r_last)
             g_last = np.where(sel, gnew, g_last)
-            stop = ~ok & plain if together else (ok & (gain < GAIN_TOL)) | (~ok & plain)
         col = (col + 1) % _WINDOW
         best = max(best, float(f.max()))
         trace.append((it, best))
-        if together and not (gain >= GAIN_TOL).any():
-            break
-        if stop is not None and stop.any():
+        if stop.any():
             done, keep = ids[stop], ~stop
-            out[0][done], out[1][done], out[2][done] = rho[stop], f[stop], g[stop]
+            end_rhos[done], end_f[done] = rho[stop], f[stop]
             ids, rho, f, g, vals = ids[keep], rho[keep], f[keep], g[keep], vals[keep]
             r_last, g_last, dr, dg = r_last[keep], g_last[keep], dr[keep], dg[keep]
             depth, need = depth[keep], need[keep]
             live = len(ids)
-    out[0][ids], out[1][ids], out[2][ids] = rho, f, g
-    return out[0], out[1], out[2], trace
+    end_rhos[ids], end_f[ids] = rho, f
+    return end_rhos, end_f, trace
 
 
 @dataclass
@@ -572,19 +568,34 @@ def _support_leak(datum: BLDatum) -> int | None:
     return None
 
 
+def _search(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
+    """The search of both estimators: the accelerated fixed-point loop from
+    the start states rhos with spectra vals, then the exact-gradient ascent
+    from every restart's final state. Each ascent row starts at a loop end
+    state and accepts only rises, so its best row is the estimate. Returns
+    the best entropic value, its state and the joined running-best trace."""
+    fp_rhos, fp_vals, fp_trace = _fixed_point(ws, rhos, vals, max_iters)
+    if not np.isfinite(fp_vals).any():
+        raise Diverged("all fixed-point restarts left the support cone")
+    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), max_iters)
+    i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
+    return float(fvals[i]), hermitian_part(_gram_states(xs[i])[0]), fp_trace + as_trace
+
+
 def optimal_constant_entropic(
     datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()
 ) -> tuple[float, DensityOperator, OptimizationResult]:
     """Estimate sup_rho [sum q_k D(E_k rho||sigma_k) - D(rho||sigma)].
 
-    Runs the accelerated fixed-point loop from random states, each restart
-    frozen once a step gains less than GAIN_TOL, then polishes every
-    restart's final state by the exact-gradient ascent over
-    rho = XX^dag / tr XX^dag, which reaches the rank-deficient optima
-    where the loop's plain step crawls. Returns the best value found, its
-    witness state, and the search record. The estimate is a lower bound on
-    the true optimal constant. A datum whose E_k(sigma) leaks out of
-    supp sigma_k has constant +inf, witnessed by sigma / tr sigma.
+    Runs the search from random states: the accelerated fixed-point loop,
+    each restart frozen once a step gains less than GAIN_TOL, then the
+    exact-gradient ascent over rho = XX^dag / tr XX^dag from every
+    restart's final state, which reaches the rank-deficient optima where
+    the loop's plain step crawls. Returns the best value found, checked to
+    1e-8 against the workspace objective at its witness state, the witness
+    and the search record. The estimate is a lower bound on the true
+    optimal constant. A datum whose E_k(sigma) leaks out of supp sigma_k
+    has constant +inf, witnessed by sigma / tr sigma.
     """
     seeds = budget.seeds()
     if _support_leak(datum) is not None:
@@ -592,24 +603,12 @@ def optimal_constant_entropic(
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
     ws = _Workspace(datum)
     rhos = _initial_states(datum.dim, seeds)
-
-    fp_rhos, fp_vals, _, fp_trace = _fixed_point(
-        ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters, together=False
-    )
-    if not np.isfinite(fp_vals).any():
-        raise Diverged("all fixed-point restarts left the support cone")
-    # each ascent row starts at a fixed-point end state and accepts only
-    # rises, so its best row is the estimate
-    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), budget.max_iters)
-    i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
-    best_val = float(fvals[i])
-    witness = DensityOperator(hermitian_part(_gram_states(xs[i])[0]))
+    best_val, rho, trace = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
+    witness = DensityOperator(rho)
     check = float(ws.entropic_objective(witness.matrix[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
-    result = OptimizationResult(
-        best_val, [witness.matrix], "fixed_point+ascent", seeds, fp_trace + as_trace
-    )
+    result = OptimizationResult(best_val, [witness.matrix], "fixed_point+ascent", seeds, trace)
     return best_val, witness, result
 
 
@@ -665,16 +664,16 @@ def optimal_constant_analytic(
 ) -> tuple[float, list[DensityOperator], OptimizationResult]:
     """Estimate the optimal constant from the analytic side, multi-started.
 
-    Runs the accelerated fixed-point loop from the Gibbs states of random
-    omega tuples until no restart gains GAIN_TOL, and values each final
-    state rho by log tr exp H(rho), the analytic value of the tuple the
-    duality proof pairs with rho. The witness is that tuple for the best
-    restart, omega_k ~ exp(L_k) with L_k = q_k (log E_k(rho) - log
-    sigma_k), supported exactly on supp E_k(rho) (the eps_supp cut of each
-    E_k(rho)), so it may be rank-deficient. The reported constant is the
-    exact re-evaluation (analytic_gap at C = 0) of the logs L_k, a
-    certified lower bound. A datum whose E_k(sigma) leaks out of supp
-    sigma_k has constant +inf.
+    Runs the entropic side's search (fixed-point loop, then ascent) from
+    the Gibbs states of random omega tuples. The witness is the tuple the
+    duality proof pairs with the best final state rho, omega_k ~ exp(L_k)
+    with L_k = q_k (log E_k(rho) - log sigma_k), supported exactly on
+    supp E_k(rho) (the eps_supp cut of each E_k(rho)), so it may be
+    rank-deficient. The reported constant is the exact re-evaluation
+    (analytic_gap at C = 0) of the logs L_k, a certified lower bound: the
+    analytic value of the induced tuple is at least the entropic value at
+    rho, and falling 1e-8 below it raises Diverged. A datum whose E_k(sigma)
+    leaks out of supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
     leak = _support_leak(datum)
@@ -695,26 +694,18 @@ def optimal_constant_analytic(
         omegas.append(np.stack(stack))
 
     rhos, vals, _ = gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))
-    rhos, fvals, hs, trace = _fixed_point(ws, rhos, vals, budget.max_iters, together=True)
-    values = np.full(len(fvals), -np.inf)
-    finite = np.isfinite(fvals)
-    values[finite] = log_sum_exp(np.linalg.eigvalsh(hermitian_part(hs[finite])))
-
-    i = int(np.argmax(values))
+    internal, rho, trace = _search(ws, rhos, vals, budget.max_iters)
     try:
-        rho = DensityOperator(rhos[i])
+        rho = DensityOperator(rho)
         logs = induced_logs(datum, rho)
         witness = induced_analytic_witness(datum, rho)
     except ValueError as exc:
         raise Diverged(f"cannot build the induced analytic witness: {exc}") from exc
     best_val = -analytic_gap(datum.with_constant(0.0), logs)
-    best_internal = float(values[i])
-    if not np.isfinite(best_val) or best_val < best_internal - 1e-3:
-        raise Diverged(
-            f"witness re-evaluation drifted: {best_val} vs internal {best_internal}"
-        )
+    if not np.isfinite(best_val) or best_val < internal - 1e-8:
+        raise Diverged(f"witness re-evaluation drifted: {best_val} vs internal {internal}")
     result = OptimizationResult(
-        float(best_val), [w.matrix for w in witness], "fixed_point", seeds, trace
+        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, trace
     )
     return float(best_val), witness, result
 

@@ -42,3 +42,17 @@ def test_planted_verdict_change_is_named(capsys):
     out = capsys.readouterr().out
     assert "non-numeric differences: 1" in out
     assert "seed 0 task-1: verdict 'holds_on_samples' -> 'violated'" in out
+
+
+def test_largest_decrease_names_its_task(capsys):
+    change = [_run(0, 0.5 - 2e-12, "holds_on_samples"), _run(0, 1.25 - 4e-10, "holds_on_samples")]
+    assert compare_answers.compare(TASKS, BASE, change) == 0
+    out = capsys.readouterr().out
+    assert "c_entropic: 4e-10 (down -4e-10 at seed 0 task-1, up +0)" in out
+
+
+def test_increase_alone_names_no_task(capsys):
+    change = [BASE[0], _run(0, 1.25 + 3e-11, "holds_on_samples")]
+    assert compare_answers.compare(TASKS, BASE, change) == 0
+    out = capsys.readouterr().out
+    assert "c_entropic: 3e-11 (down 0, up +3e-11)" in out

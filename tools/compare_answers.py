@@ -10,9 +10,9 @@ its own, with qbl imported from that tree and BLAS pinned to one thread.
 Prints the tasks whose exit codes differ, the count of byte-identical
 outputs, the tasks whose non-numeric fields differ, and per workload, for
 every numeric field that moved (a JSON path with list indices dropped, or a
-CSV column), its largest absolute difference and its largest decrease and
-largest increase (change - base), so that "no constant went down" reads
-off one line per field. Exits 1 when any exit code or non-numeric field
+CSV column), its largest absolute difference and its largest decrease, with
+the task it came from, and largest increase (change - base), so that "no
+constant went down" reads off one line per field. Exits 1 when any exit code or non-numeric field
 differs, so a script can use it as a gate; numeric moves alone exit 0.
 """
 
@@ -105,9 +105,9 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     a non-numeric field differs, else 0."""
     identical = 0
     exit_mismatch, other = [], []
-    # per workload and field: the most negative and the most positive
-    # change - base
-    moved: dict[str, dict[str, list[float]]] = {name: {} for name in WORKLOADS}
+    # per workload and field: the most negative change - base, the task it
+    # came from, and the most positive change - base
+    moved: dict[str, dict[str, list]] = {name: {} for name in WORKLOADS}
     for task, a, b in zip(tasks, base, change):
         label = f"{task['workload']}: {task['name']}"
         if a["exit"] != b["exit"]:
@@ -130,8 +130,10 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
                         other.append(f"{label}: {key} {x!r} -> {y!r}")
                     continue
                 diff = 0.0 if nx == ny else ny - nx
-                span = moved[task["workload"]].setdefault(key, [0.0, 0.0])
-                span[0], span[1] = min(span[0], diff), max(span[1], diff)
+                span = moved[task["workload"]].setdefault(key, [0.0, None, 0.0])
+                if diff < span[0]:
+                    span[0], span[1] = diff, task["name"]
+                span[2] = max(span[2], diff)
     print(f"tasks: {len(tasks)}")
     print(f"exit-code mismatches: {len(exit_mismatch)}")
     for line in exit_mismatch:
@@ -141,12 +143,13 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     for line in other:
         print(f"  {line}")
     for name in WORKLOADS:
-        fields = {k: v for k, v in moved[name].items() if v != [0.0, 0.0]}
+        fields = {k: v for k, v in moved[name].items() if v[0] or v[2]}
         print(f"{name}: largest |difference|, decrease and increase per numeric field"
               + ("" if fields else ": none"))
         for key in sorted(fields):
-            down, up = fields[key]
-            print(f"  {key}: {max(-down, up):.3g} (down {down:.3g}, up {up:+.3g})")
+            down, where, up = fields[key]
+            at = f" at {where}" if where else ""
+            print(f"  {key}: {max(-down, up):.3g} (down {down:.3g}{at}, up {up:+.3g})")
     return 1 if exit_mismatch or other else 0
 
 
