@@ -914,10 +914,15 @@ class TestAcceleratedLoop:
     """The one fixed-point loop of both estimators: safeguarded Anderson
     acceleration of the plain step rho -> Gibbs(H(rho))."""
 
-    def test_accepted_values_never_drop(self):
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_accepted_values_never_drop(self, plain, monkeypatch):
         # the loop is deterministic, so the runs capped at 1, 2, ... passes
         # retrace one trajectory; each returns every restart's last
-        # accepted iterate, whose value never drops from one cap to the next
+        # accepted iterate, whose value never drops from one cap to the next;
+        # with plain True every proposal is forced to the plain step
+        if plain:
+            monkeypatch.setattr(engine, "_anderson_coefficients",
+                                lambda dr, r: np.zeros((len(r), engine._WINDOW)))
         datum = _random_datum(42)
         ws = engine._Workspace(datum)
         rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
