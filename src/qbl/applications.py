@@ -23,6 +23,7 @@ from .channels import (
     adjoint_on_log,
     apply,
     apply_adjoint,
+    basis_rows,
     measurement_channel,
     partial_trace,
     pauli_basis,
@@ -43,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     InvalidEta,
-    NotOrthonormal,
     SingularMarginal,
 )
 from .operators import (
@@ -52,12 +52,15 @@ from .operators import (
     _log_mean,
     eigh_log,
     from_spectrum,
+    hermitian_part,
     identity,
     lieb_triple_integral,
     log_trace_exp_sum,
     matrix_log,
+    psd_stack,
     relative_entropy_grad,
     sqrt_psd,
+    support_logs,
     trace_exp_sum,
     xlogx_sum,
 )
@@ -177,26 +180,50 @@ def conditional_shearer_probe(
 
 def maassen_uffink_constant(basis_x: Sequence[np.ndarray], basis_z: Sequence[np.ndarray]) -> float:
     """Largest squared overlap c = max |<x|z>|^2 between two bases."""
-    vx = [np.asarray(v, dtype=complex).reshape(-1) for v in basis_x]
-    vz = [np.asarray(v, dtype=complex).reshape(-1) for v in basis_z]
-    d = vx[0].size
-    for fam in (vx, vz):
-        gram = np.array([[np.vdot(u, v) for v in fam] for u in fam])
-        if len(fam) != d or np.max(np.abs(gram - np.eye(d))) > 1e-10:
-            raise NotOrthonormal("basis is not a complete orthonormal family")
-    return float(max(abs(np.vdot(x, z)) ** 2 for x in vx for z in vz))
+    vx, vz = basis_rows(basis_x), basis_rows(basis_z)
+    if vx.shape != vz.shape:
+        raise DimensionMismatch("the two bases span spaces of different dimension")
+    return float(np.max(np.abs(vx.conj() @ vz.T) ** 2))
 
 
-def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]) -> list[float]:
+def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]):
+    """Shannon entropies in bits of the outcomes of measuring rho in each
+    basis: a list of floats for one state, an array (len(bases), n) for a
+    stack of n states."""
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     out = []
     for basis in bases:
-        probs = np.array([float(np.vdot(v, mat @ v).real) for v in basis])
+        rows = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
+        # column x of mat @ rows^T is mat |x>, and <x| mat |x> its overlap with |x>
+        probs = np.einsum("xi,...ix->...x", rows.conj(), mat @ rows.T).real
         probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        pos = probs[probs > 0]
-        out.append(float(-np.sum(pos * np.log2(pos))))
-    return out
+        probs /= probs.sum(axis=-1, keepdims=True)
+        pos = probs > 0
+        out.append(-np.sum(np.where(pos, probs * np.log2(np.where(pos, probs, 1.0)), 0.0), axis=-1))
+    return np.array(out) if mat.ndim == 3 else [float(h) for h in out]
+
+
+def _density_spectra(rho) -> tuple[np.ndarray, np.ndarray]:
+    """One state (d, d) or a stack (n, d, d) as a stack of states, each
+    normalized to unit trace and certified as DensityOperator certifies one,
+    with their spectra from one eigh."""
+    mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    stack = mats.reshape(-1, *mats.shape[-2:]) if mats.ndim == 2 else mats
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    if not np.isfinite(tr).all():
+        raise ValueError("matrix has a non-finite entry")
+    if (tr <= 0).any():
+        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
+    states, vals, _ = psd_stack(stack / tr[:, None, None])
+    return states, vals
+
+
+def entropy_bits(rho):
+    """H(A) = -tr rho log2 rho in bits: a float for one state, an array for
+    a stack of states, each normalized and certified as DensityOperator
+    certifies one."""
+    h = -xlogx_sum(_density_spectra(rho)[1]) / LN2
+    return float(h[0]) if np.ndim(getattr(rho, "matrix", rho)) == 2 else h
 
 
 def uncertainty_datum(bases: Sequence[Sequence[np.ndarray]]) -> BLDatum:
@@ -236,21 +263,31 @@ class MuAnalyticReport:
     chain_holds: bool
 
 
+def _pinching_chain(bases, omegas) -> tuple[float, np.ndarray, float]:
+    """The first two links of a measurement checker's proof chain, for the
+    pinching channels M_k of the bases: lhs = tr exp(sum_k M_k^dag log w_k)
+    and jensen_mid = tr exp(sum_k log M_k^dag(w_k)), with the pinched
+    operators M_k^dag(w_k) as one stack. The omegas are validated as one
+    stack, with one eigh for them and one for the pinched operators; a
+    rank-deficient omega keeps its kernel flag (support-projected logs)."""
+    chans = [measurement_channel(b) for b in bases]
+    if len(omegas) != len(chans):
+        raise DimensionMismatch(f"expected {len(chans)} omegas, got {len(omegas)}")
+    mats, vals, vecs = psd_stack(omegas)
+    logs = support_logs(vals, vecs)
+    lhs = trace_exp_sum([adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
+    pinched = hermitian_part(np.stack([apply_adjoint(ch, w) for ch, w in zip(chans, mats)]))
+    jensen_mid = trace_exp_sum(support_logs(*np.linalg.eigh(pinched)))
+    return lhs, pinched, jensen_mid
+
+
 def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     """Evaluate the two-measurement trace-exponential bound and its proof
     chain (operator Jensen, then Golden-Thompson, then the overlap bound),
     verifying each intermediate step."""
     c = maassen_uffink_constant(basis_x, basis_z)
-    mx = measurement_channel(basis_x)
-    mz = measurement_channel(basis_z)
-    w1 = omega1 if isinstance(omega1, PSDOperator) else PSDOperator(omega1)
-    w2 = omega2 if isinstance(omega2, PSDOperator) else PSDOperator(omega2)
-    lw1, lw2 = matrix_log(w1), matrix_log(w2)
-    lhs = trace_exp_sum([adjoint_on_log(mx, lw1), adjoint_on_log(mz, lw2)])
-    px = PSDOperator(apply_adjoint(mx, w1.matrix))
-    pz = PSDOperator(apply_adjoint(mz, w2.matrix))
-    jensen_mid = trace_exp_sum([matrix_log(px), matrix_log(pz)])
-    gt_bound = float(np.trace(px.matrix @ pz.matrix).real)
+    lhs, (px, pz), jensen_mid = _pinching_chain([basis_x, basis_z], [omega1, omega2])
+    gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
         gt_bound <= c + PSD_SLACK
     )
@@ -286,29 +323,27 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
 
     The entropic side checks H(X) + H(Y) + H(Z) >= 2 + H(A) in bits and
     also reports the weaker two-measurement consequence 3/2 + (3/2) H(A).
-    The analytic side checks tr exp(sum M^dag log omega) <= 1/4 and walks
-    the triple-matrix-integral proof chain.
+    rho is one state, or a stack of states whose entropic fields are then
+    arrays, one entry per state. The analytic side checks
+    tr exp(sum M^dag log omega) <= 1/4 at three omegas and walks the
+    triple-matrix-integral proof chain.
     """
     bases = six_state_bases()
     report = SixStateReport()
     if rho is not None:
-        rho_d = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-        if rho_d.dim != 2:
+        states, vals = _density_spectra(rho)
+        if states.shape[-1] != 2:
             raise DimensionMismatch("six-state relation is a qubit statement")
-        hx, hy, hz = measurement_entropies_bits(rho_d, bases)
-        ha = entropy.von_neumann(rho_d) / LN2
-        report.entropy_sum_bits = hx + hy + hz
-        report.h_a_bits = ha
-        report.entropic_gap_bits = hx + hy + hz - 2.0 - ha
-        report.weaker_bound_gap_bits = hx + hy + hz - 1.5 - 1.5 * ha
+        hx, hy, hz = measurement_entropies_bits(states, bases)
+        ha = -xlogx_sum(vals) / LN2
+        fields = (hx + hy + hz, ha, hx + hy + hz - 2.0 - ha, hx + hy + hz - 1.5 - 1.5 * ha)
+        if np.ndim(getattr(rho, "matrix", rho)) == 2:
+            fields = tuple(float(f[0]) for f in fields)
+        (report.entropy_sum_bits, report.h_a_bits, report.entropic_gap_bits,
+         report.weaker_bound_gap_bits) = fields
     if omegas is not None:
-        chans = [measurement_channel(b) for b in bases]
-        ws = [w if isinstance(w, PSDOperator) else PSDOperator(w) for w in omegas]
-        logs = [matrix_log(w) for w in ws]
-        lhs = trace_exp_sum([adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
-        pinched = [PSDOperator(apply_adjoint(ch, w.matrix)) for ch, w in zip(chans, ws)]
-        jensen_mid = trace_exp_sum([matrix_log(pw) for pw in pinched])
-        triple = lieb_triple_integral(pinched[0], pinched[1], pinched[2])
+        lhs, pinched, jensen_mid = _pinching_chain(bases, omegas)
+        triple = lieb_triple_integral(*pinched)
         report.analytic_lhs = float(lhs)
         report.analytic_gap = float(0.25 - lhs)
         report.jensen_mid = float(jensen_mid)

@@ -68,19 +68,19 @@ class Channel:
             raise DimensionMismatch("signs must match the number of Kraus operators")
         if not np.isfinite(self.signs).all():
             raise ValueError("a sign is non-finite")
-        acc = sum(s * k.conj().T @ k for s, k in zip(self.signs, ops))
-        if np.max(np.abs(acc - np.eye(din))) > 1e-10:
-            raise NotTracePreserving(
-                f"sum s K^dag K deviates from identity by {np.max(np.abs(acc - np.eye(din))):.3e}"
-            )
-        stacked.setflags(write=False)
-        self.signs.setflags(write=False)
-        self.kraus = stacked
         # transfer[(i,l),(j,k)] = sum_a s_a K_a[i,j] conj(K_a[l,k]): one matmul
-        # over the Kraus index, then an axis permutation
+        # over the Kraus index, then an axis permutation. Its trace over the
+        # output pair (i = l) is conj(sum_a s_a K_a^dag K_a)[j,k], the
+        # trace-preserving test
         flat = stacked.reshape(len(ops), dout * din)
         pairs = (self.signs[:, None] * flat).T @ flat.conj()  # [(i,j),(l,k)]
         pairs = pairs.reshape(dout, din, dout, din).transpose(0, 2, 1, 3)
+        dev = np.max(np.abs(np.trace(pairs) - np.eye(din)))
+        if dev > 1e-10:
+            raise NotTracePreserving(f"sum s K^dag K deviates from identity by {dev:.3e}")
+        stacked.setflags(write=False)
+        self.signs.setflags(write=False)
+        self.kraus = stacked
         self.transfer = pairs.reshape(dout * dout, din * din)
         self.transfer.setflags(write=False)
         self.dim_in = din
@@ -108,12 +108,11 @@ class Channel:
 
     def choi_matrix(self) -> np.ndarray:
         """Choi matrix sum_ij |i><j| (x) E(|i><j|)."""
+        # entry [(j,i),(k,l)] is sum_a s_a K_a[i,j] conj(K_a[l,k]), the
+        # transfer matrix's entry [(i,l),(j,k)]
         din, dout = self.dim_in, self.dim_out
-        choi = np.zeros((din * dout, din * dout), dtype=complex)
-        for s, k in zip(self.signs, self.kraus):
-            vec = k.T.reshape(-1)  # |i> (x) K|i> stacked over i
-            choi += s * np.outer(vec, vec.conj())
-        return choi
+        t = self.transfer.reshape(dout, dout, din, din)
+        return t.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
 
     def __call__(self, rho) -> np.ndarray:
         return apply(self, rho)
@@ -220,14 +219,26 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     return Channel(kraus, label=label)
 
 
+def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors of a complete orthonormal basis as the rows of a d x d
+    array; NotOrthonormal if the Gram matrix deviates from the identity by
+    more than 1e-10, or the family is not a basis."""
+    try:
+        rows = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
+    except ValueError:  # vectors of mixed lengths
+        rows = np.empty((0, 0))
+    if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.size == 0:
+        raise NotOrthonormal("basis is not a complete orthonormal family")
+    gram = rows.conj() @ rows.T
+    if np.max(np.abs(gram - np.eye(len(rows)))) > 1e-10:
+        raise NotOrthonormal("basis is not a complete orthonormal family")
+    return rows
+
+
 def measurement_channel(basis: Sequence[np.ndarray]) -> Channel:
     """Pinching channel sum_x <x|.|x> |x><x| for an orthonormal basis."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
-    d = vecs[0].size
-    gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-    if len(vecs) != d or np.max(np.abs(gram - np.eye(d))) > 1e-10:
-        raise NotOrthonormal("basis is not a complete orthonormal family")
-    kraus = [np.outer(v, v.conj()) for v in vecs]
+    rows = basis_rows(basis)
+    kraus = rows[:, :, None] * rows.conj()[:, None, :]  # |x><x|, one per row
     return Channel(kraus, label="measurement")
 
 

@@ -35,11 +35,16 @@ re-evaluates its value, the analytic side re-evaluates exactly the omega
 tuple the duality proof pairs with it.
 
 The gap evaluators handle boundary supports exactly via the
-support-projected logarithm machinery. Membership sampling uses them one
-sample at a time only where a support can leak: when sigma and every
-sigma_k have full support it evaluates blocks of samples through the
-batched workspace objectives, and sends only an analytic sample with an
-omega_k eigenvalue at or below its eps_supp to the exact evaluator.
+support-projected logarithm machinery. Membership sampling evaluates blocks
+of samples through the batched workspace objectives whenever sigma is
+positive definite and no sigma_k is 0, singular sigma_k included: the
+analytic right-hand side is taken on supp sigma_k, and an entropic sample
+whose E_k(rho) leaks out of supp sigma_k gets -inf from one eigh per
+singular sigma_k. Only a sample near a support decision (an analytic
+omega_k eigenvalue at or below its eps_supp, an entropic eigenvalue or leak
+near its threshold) goes to the exact evaluator, and the reported worst gap
+is the exact re-evaluation of the witness. A datum the workspace cannot
+hold is sampled one sample at a time by the exact evaluators.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from .operators import (
     trace_prod,
     xlogx_sum,
 )
-from .policy import SUPP_RTOL, eps_supp
+from .policy import SUPP_RTOL, SUPPORT_LEAK_TOL
 from .sampling import random_density
 
 # the search stops iterating a restart once an iteration gains less than
@@ -195,7 +200,10 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
     for qk, ch, sk, om in zip(datum.q, datum.channels, datum.sigmas, oms):
         lw = om if isinstance(om, SupportLog) else matrix_log(om)
         lhs_terms.append(adjoint_on_log(ch, lw))
-        log_rhs += qk * log_trace_exp_sum([lw.scaled(1.0 / qk), matrix_log(sk)])
+        if sk.support_rank == 0:  # sigma_k = 0: the right-hand side is 0
+            log_rhs = -INF
+        else:
+            log_rhs += qk * log_trace_exp_sum([lw.scaled(1.0 / qk), matrix_log(sk)])
     log_lhs = log_trace_exp_sum(lhs_terms)
     if log_lhs == -INF and log_rhs == -INF:
         return 0.0
@@ -793,12 +801,14 @@ def reevaluate_report(datum: BLDatum, report: VerificationReport) -> float:
 _SAMPLE_BLOCK = 64
 
 
-def _full_support(datum: BLDatum) -> bool:
-    """Whether sigma and every sigma_k have full support, so that no support
-    containment in either gap can fail."""
-    return datum.sigma.support_rank == datum.dim and all(
-        sk.support_rank == sk.dim for sk in datum.sigmas
-    )
+# a batched entropic row with a support decision within this factor of its
+# threshold (an E_k(rho) eigenvalue near eps_supp, a leak near
+# SUPPORT_LEAK_TOL) goes to entropic_gap. The two paths' E_k(rho) differ by
+# rounding, about 1e-16; with no eigenvalue within the band, the support cut
+# lies in a spectral gap of about eps_supp * _CUT_BAND, so the support
+# projector, and with it the leak, moves by about 1e-9: outside the band
+# both paths decide alike
+_CUT_BAND = 1e3
 
 
 def _draw_sample(datum: BLDatum, rng: np.random.Generator, form: str, kind: str) -> list[np.ndarray]:
@@ -809,6 +819,34 @@ def _draw_sample(datum: BLDatum, rng: np.random.Generator, form: str, kind: str)
     return [random_density(ch.dim_out, rng, full_kind) for ch in datum.channels]
 
 
+def _entropic_gaps(datum: BLDatum, ws: _Workspace, rhos: np.ndarray) -> np.ndarray:
+    """entropic_gap on a stack of states (one sample per row) through the
+    workspace objective. For each singular sigma_k one eigh of the E_k(rho)
+    stack decides the supports: a row whose E_k(rho) leaks out of supp
+    sigma_k gets -inf, and a row with a support decision within _CUT_BAND
+    of its threshold is evaluated by entropic_gap itself."""
+    gaps = datum.c - ws.entropic_objective(rhos)
+    exact = np.zeros(len(rhos), dtype=bool)
+    for ch, sk in zip(datum.channels, datum.sigmas):
+        if sk.support_rank == sk.dim:
+            continue
+        vals, vecs = np.linalg.eigh(apply(ch, rhos))
+        eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
+        kernel = sk.eigenvectors[:, sk.eigenvalues <= sk.eps_supp]
+        # the leak ||P_ker V_supp||: the support basis of each E_k(rho), its
+        # other columns zeroed, projected on ker sigma_k; its largest
+        # singular value from the Gram matrix A A^dag
+        a = kernel.conj().T @ (vecs * (vals > eps)[:, None, :])
+        top = np.linalg.eigvalsh(a @ a.conj().swapaxes(1, 2))[:, -1]
+        leak = np.sqrt(np.maximum(top, 0.0))
+        gaps[leak > SUPPORT_LEAK_TOL] = -INF
+        exact |= np.any((vals > eps / _CUT_BAND) & (vals <= eps * _CUT_BAND), axis=1)
+        exact |= (leak > SUPPORT_LEAK_TOL / _CUT_BAND) & (leak <= SUPPORT_LEAK_TOL * _CUT_BAND)
+    for i in np.flatnonzero(exact):
+        gaps[i] = entropic_gap(datum, rhos[i])
+    return gaps
+
+
 def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> np.ndarray:
     """analytic_gap on stacks of omega_k (one sample per row) through the
     workspace objective; a row in which some omega_k has an eigenvalue at
@@ -817,8 +855,7 @@ def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> 
     exact = np.zeros(len(omegas[0]), dtype=bool)
     for om in omegas:
         vals, log_om = eigh_log(hermitian_part(om))
-        eps = np.array([eps_supp(max(top, 0.0)) for top in vals[:, -1]])
-        exact |= vals[:, 0] <= eps
+        exact |= vals[:, 0] <= SUPP_RTOL * np.maximum(1.0, vals[:, -1])
         logs.append(log_om)
     gaps = datum.c - ws.analytic_objective(logs)
     for i in np.flatnonzero(exact):
@@ -835,22 +872,27 @@ def _sample_gaps(datum: BLDatum, ws: _Workspace | None, form: str,
             return np.array([entropic_gap(datum, s[0]) for s in samples])
         return np.array([analytic_gap(datum, s) for s in samples])
     if form == "entropic":
-        return datum.c - ws.entropic_objective(np.stack([s[0] for s in samples]))
+        return _entropic_gaps(datum, ws, np.stack([s[0] for s in samples]))
     return _analytic_gaps(datum, ws, [np.stack(col) for col in zip(*samples)])
 
 
 def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> VerificationReport:
     """Sample one form of the inequality and report the worst gap seen.
 
-    The worst gap is the first strict minimum over the samples; a nan gap
-    is never selected. When sigma and every sigma_k have full support the
-    samples are evaluated in blocks through the batched workspace
-    objectives, otherwise one at a time by the exact-support evaluators.
+    The witness is the sample of the first strict minimum over the
+    samples' gaps; a nan gap is never selected. The samples are evaluated
+    in blocks through the batched workspace objectives whenever the
+    workspace can hold the datum (sigma positive definite, no sigma_k equal
+    to 0), singular sigma_k included; otherwise one at a time by the
+    exact-support evaluators. The reported worst gap is the exact
+    re-evaluation of the witness (reevaluate_report), and the verdict
+    follows from it.
     """
     if config.form not in ("entropic", "analytic"):
         raise ValueError(f"unknown form {config.form!r}")
     rng = np.random.default_rng(config.seed)
-    ws = _Workspace(datum) if _full_support(datum) else None
+    held = datum.sigma.support_rank == datum.dim and all(sk.support_rank for sk in datum.sigmas)
+    ws = _Workspace(datum) if held else None
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles
@@ -865,14 +907,11 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
         if below[i] < worst:
             worst = float(below[i])
             witness = samples[i]
-    verdict = "holds_on_samples" if worst >= -1e-9 else "violated"
-    return VerificationReport(
-        form=config.form,
-        worst_gap=float(worst),
-        witness=witness,
-        samples=config.samples,
-        verdict=verdict,
-    )
+    report = VerificationReport(config.form, worst, witness, config.samples)
+    if witness:
+        report.worst_gap = float(reevaluate_report(datum, report))
+    report.verdict = "holds_on_samples" if report.worst_gap >= -1e-9 else "violated"
+    return report
 
 
 @dataclass

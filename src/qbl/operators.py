@@ -24,7 +24,7 @@ from .errors import (
     SingularC,
     ZeroOperator,
 )
-from .policy import HERM_RTOL, PSD_SLACK, SUPPORT_LEAK_TOL, eps_supp
+from .policy import HERM_RTOL, PSD_SLACK, SUPP_RTOL, SUPPORT_LEAK_TOL, eps_supp
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -99,6 +99,21 @@ def sqrt_psd(rhos: np.ndarray) -> np.ndarray:
     return from_spectrum(np.sqrt(np.maximum(vals, 0.0)), vecs)
 
 
+def _checked_hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a matrix or of each matrix of a stack; ValueError
+    if an entry is non-finite or max |A - A^dag| exceeds
+    HERM_RTOL * max(1, max |entry|)."""
+    flat = (*mats.shape[:-2], -1)
+    scale = np.abs(mats).reshape(flat).max(axis=-1, initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has a non-finite entry")
+    adj = np.swapaxes(mats.conj(), -1, -2)
+    skew = np.abs(mats - adj).reshape(flat).max(axis=-1, initial=0.0)
+    if (skew > HERM_RTOL * np.maximum(1.0, scale)).any():
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {np.max(skew):.3e}")
+    return 0.5 * (mats + adj)
+
+
 class HermitianOperator:
     """A d x d complex Hermitian matrix with a cached eigendecomposition.
 
@@ -110,13 +125,7 @@ class HermitianOperator:
         mat = np.array(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-        if not np.isfinite(scale):
-            raise ValueError("matrix has a non-finite entry")
-        skew = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if skew > HERM_RTOL * max(1.0, scale):
-            raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {skew:.3e}")
-        mat = hermitian_part(mat)
+        mat = _checked_hermitian_part(mat)
         mat.setflags(write=False)
         self._mat = mat
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -290,6 +299,40 @@ def exp_on_support(terms: Sequence) -> np.ndarray:
     """exp(sum of terms) as a d x d matrix, zero on the flagged kernel."""
     vals, vecs = sum_on_joint_support(terms)
     return hermitian_part(from_spectrum(np.exp(vals), vecs))
+
+
+def psd_stack(mats: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of square matrices, each certified Hermitian and PSD as
+    PSDOperator certifies one, from one eigh for the stack: their Hermitian
+    parts (n, d, d), spectra (n, d) and eigenvectors (n, d, d)."""
+    try:
+        stack = np.stack([_as_matrix(m) for m in mats])
+    except ValueError:  # no matrix, or matrices of different shapes
+        stack = np.empty(0)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch("expected square matrices of one shape")
+    herm = _checked_hermitian_part(stack)
+    vals, vecs = np.linalg.eigh(herm)
+    eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1])
+    bad = vals[:, 0] < -eps
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[i, 0]:.3e} < -{eps[i]:.3e}")
+    return herm, vals, vecs
+
+
+def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
+    """matrix_log of each operator of a PSD stack, from its spectrum (n, d)
+    and eigenvectors (n, d, d): the finite parts from one batched product,
+    each kernel (eigenvalues at or below eps_supp) flagged as matrix_log
+    flags it."""
+    keep = vals > SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
+    if not keep.any(axis=1).all():
+        raise ZeroOperator("cannot take the logarithm of the zero operator")
+    # log 1 = 0: kernel directions add nothing to the finite part
+    finite = hermitian_part(from_spectrum(np.log(np.where(keep, vals, 1.0)), vecs))
+    kernel = from_spectrum((~keep).astype(float), vecs)
+    return [SupportLog(f, None if k.all() else w) for f, w, k in zip(finite, kernel, keep)]
 
 
 def matrix_log(a: PSDOperator) -> SupportLog:

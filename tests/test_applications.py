@@ -10,7 +10,13 @@ from qbl import channels as ch
 from qbl import entropy as ent
 from qbl import operators as op
 from qbl.engine import OptimizerBudget, analytic_gap, duality_crosscheck, entropic_gap
-from qbl.errors import CoverViolation, InvalidEta, NotOrthonormal, SingularMarginal
+from qbl.errors import (
+    CoverViolation,
+    DimensionMismatch,
+    InvalidEta,
+    NotOrthonormal,
+    SingularMarginal,
+)
 from qbl.sampling import (
     bloch_sample,
     haar_pure,
@@ -463,6 +469,94 @@ class TestApplicationDataDuality:
         rep = duality_crosscheck(d, OptimizerBudget(restarts=6, max_iters=250, base_seed=0))
         assert rep.agree
         assert rep.c_entropic == pytest.approx(0.0, abs=1e-5)
+
+
+def _reference_chain(bases, omegas):
+    """The measurement checkers' first proof-chain links, one operator at a
+    time through PSDOperator and matrix_log SupportLogs: lhs, the pinched
+    operators and jensen_mid."""
+    chans = [ch.measurement_channel(b) for b in bases]
+    ws = [op.PSDOperator(w) for w in omegas]
+    lhs = op.trace_exp_sum([ch.adjoint_on_log(c, op.matrix_log(w)) for c, w in zip(chans, ws)])
+    pinched = [op.PSDOperator(ch.apply_adjoint(c, w.matrix)) for c, w in zip(chans, ws)]
+    jensen_mid = op.trace_exp_sum([op.matrix_log(p) for p in pinched])
+    return lhs, pinched, jensen_mid
+
+
+def _reference_six_state(omegas):
+    lhs, pinched, jensen_mid = _reference_chain(app.six_state_bases(), omegas)
+    return lhs, jensen_mid, op.lieb_triple_integral(*pinched)
+
+
+def _reference_mu(bx, bz, omegas):
+    lhs, (px, pz), jensen_mid = _reference_chain([bx, bz], omegas)
+    return lhs, jensen_mid, float(np.trace(px.matrix @ pz.matrix).real)
+
+
+class TestStackedCheckers:
+    """The checkers validate their omegas as one stack and take one eigh for
+    them and one for the pinched operators; the entropic forms take stacks
+    of states."""
+
+    def test_stacked_entropies_match_per_state(self):
+        rng = np.random.default_rng(40)
+        rhos = np.stack([bloch_sample(rng) for _ in range(60)]
+                        + [haar_pure(2, rng), np.diag([1.0, 0.0]), np.eye(2) / 2])
+        bases = app.six_state_bases()
+        stacked = app.measurement_entropies_bits(rhos, bases)
+        ha = app.entropy_bits(rhos)
+        rep = app.six_state_check(rho=rhos)
+        assert stacked.shape == (3, len(rhos)) and ha.shape == (len(rhos),)
+        for i, rho in enumerate(rhos):
+            single = app.measurement_entropies_bits(rho, bases)
+            assert np.max(np.abs(stacked[:, i] - single)) <= 1e-12
+            assert abs(ha[i] - ent.von_neumann(rho) / LN2) <= 1e-12
+            assert abs(app.entropy_bits(rho) - ha[i]) <= 1e-12
+            one = app.six_state_check(rho=rho)
+            for key in ("entropy_sum_bits", "h_a_bits", "entropic_gap_bits",
+                        "weaker_bound_gap_bits"):
+                assert abs(getattr(rep, key)[i] - getattr(one, key)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["pd", "rank-deficient"])
+    def test_checkers_match_the_support_log_chain(self, kind):
+        rng = np.random.default_rng(41)
+        bx, bz = ch.pauli_basis("x"), random_basis(2, rng)
+
+        def omega():
+            return random_pd(2, rng) if kind == "pd" else haar_pure(2, rng)
+
+        for _ in range(100):
+            oms = [omega(), random_pd(2, rng), random_pd(2, rng)]
+            rep = app.six_state_check(omegas=oms)
+            got = (rep.analytic_lhs, rep.jensen_mid, rep.triple_integral)
+            assert np.max(np.abs(np.subtract(got, _reference_six_state(oms)))) <= 1e-12
+            rep = app.mu_analytic_check(bx, bz, *oms[:2])
+            got = (rep.lhs, rep.jensen_mid, rep.gt_bound)
+            assert np.max(np.abs(np.subtract(got, _reference_mu(bx, bz, oms[:2])))) <= 1e-12
+
+    def test_singular_omega_keeps_its_kernel(self):
+        bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
+        rep = app.mu_analytic_check(bx, bz, np.diag([1.0, 0.0]), np.eye(2) / 2)
+        assert rep.lhs == 0.0
+        rep = app.six_state_check(omegas=[np.eye(2) / 2, np.diag([0.0, 1.0]), np.eye(2) / 2])
+        assert rep.analytic_lhs == 0.0
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -0.1]),  # not PSD
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+    ])
+    def test_invalid_omega_rejected(self, bad):
+        half = np.eye(2) / 2
+        with pytest.raises(ValueError):
+            app.six_state_check(omegas=[half, bad, half])
+        with pytest.raises(ValueError):
+            app.mu_analytic_check(ch.pauli_basis("x"), ch.pauli_basis("z"), half, bad)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_six_state_needs_three_omegas(self, count):
+        with pytest.raises(DimensionMismatch, match="expected 3 omegas"):
+            app.six_state_check(omegas=[np.eye(2) / 2] * count)
 
 
 class TestRankDeficientOmega:

@@ -40,6 +40,26 @@ class TestChannelBasics:
         with pytest.raises(NotTracePreserving):
             ch.Channel([np.diag([1.0, 0.5])])
 
+    def test_signed_family_must_be_trace_preserving(self):
+        with pytest.raises(NotTracePreserving):
+            ch.Channel([np.eye(2), 0.1 * np.eye(2)], signs=[1.0, -1.0], allow_positive_only=True)
+        with pytest.raises(NotTracePreserving):
+            ch.Channel([np.ones((3, 2)) / np.sqrt(2)])  # sum K^dag K = 1.5 (all ones)
+
+    def test_choi_matrix_matches_the_kraus_sum(self):
+        rng = np.random.default_rng(21)
+        for e in (random_channel(2, 3, rng=rng), random_channel(3, 2, rng=rng),
+                  ch.transpose_map(3)):
+            vecs = [k.T.reshape(-1) for k in e.kraus]  # |i> (x) K|i> stacked over i
+            want = sum(s * np.outer(v, v.conj()) for s, v in zip(e.signs, vecs))
+            np.testing.assert_allclose(e.choi_matrix(), want, atol=1e-14)
+
+    def test_not_completely_positive_rejected(self):
+        # a trace-preserving signed family whose Choi matrix is not PSD
+        k = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5 * ch.PAULI_X, 0.5 * ch.PAULI_Y]
+        with pytest.raises(NotCompletelyPositive):
+            ch.Channel(k, signs=[1.0, 1.0, 1.0, -1.0])
+
     def test_transpose_needs_positive_only_flag(self):
         # the transpose map is trace-preserving and positive but not CP:
         # its Choi matrix (the swap) has a negative eigenvalue
@@ -209,6 +229,16 @@ class TestMeasurement:
     def test_not_orthonormal_rejected(self):
         with pytest.raises(NotOrthonormal):
             ch.measurement_channel([np.array([1.0, 0.0]), np.array([1.0, 1e-3])])
+
+    @pytest.mark.parametrize("basis", [
+        [np.array([1.0, 0.0])],  # incomplete
+        [np.array([2.0, 0.0]), np.array([0.0, 1.0])],  # not normalized
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])],  # mixed lengths
+        [np.eye(3)[0], np.eye(3)[1], np.eye(3)[0]],  # repeated vector
+    ])
+    def test_not_a_basis_rejected(self, basis):
+        with pytest.raises(NotOrthonormal):
+            ch.measurement_channel(basis)
 
 
 class TestDepolarizing:

@@ -164,6 +164,24 @@ class TestConstant:
         assert rep["constant"]["analytic_nats"] == "inf"
         assert rep["constant"]["agree"]
 
+    @pytest.mark.parametrize("form", ["entropic", "analytic"])
+    def test_zero_sigma_k_is_violated(self, capsys, tmp_path, form):
+        # sigma_1 = 0: the right-hand side of either form is 0 while sigma
+        # is positive definite, so every gap is -inf and the constant +inf
+        datum = BLDatum([1.0], [identity_channel(2)], PSDOperator(np.eye(2) / 2),
+                        [PSDOperator(np.zeros((2, 2)))], 0.0)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(encode_datum(datum)))
+        code, out = run(capsys, "verify", str(path), "--form", form, "--samples", "20",
+                        "--no-meta")
+        assert code == 2
+        rep = json.loads(out)
+        assert rep[form]["worst_gap"] == "-inf"
+        assert rep[form]["verdict"] == rep["verdict"] == "violated"
+        code, out = run(capsys, "constant", str(path), "--budget", "restarts=4", "--no-meta")
+        assert code == 0
+        assert json.loads(out)["constant"]["entropic_nats"] == "inf"
+
     def test_non_finite_numbers_are_strict_json(self, capsys, leaking_spec):
         def reject(token):
             raise ValueError(f"non-strict JSON token {token}")

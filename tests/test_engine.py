@@ -113,6 +113,15 @@ class TestGapEvaluators:
         with pytest.raises(ValueError, match="non-finite"):
             entropic_gap(d, np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    def test_zero_sigma_k_gives_minus_inf(self):
+        # sigma_1 = 0 makes the right-hand side of either form 0, while
+        # sigma is positive definite
+        datum = _zero_sigma_k_datum()
+        rng = np.random.default_rng(6)
+        for omega in (hs_mixed(2, rng), np.diag([1.0, 0.0])):
+            assert analytic_gap(datum, [omega]) == -np.inf
+            assert entropic_gap(datum, omega) == -np.inf
+
     def test_analytic_gap_takes_logs(self):
         # a tuple given by its support-projected logs is evaluated as it
         # is: the induced logs of a state give the gap of its induced tuple
@@ -477,14 +486,45 @@ def _scalar_membership(datum, config):
     return worst, witness, verdict, samples, np.array(gaps)
 
 
+def _leaking_datum():
+    # sigma_1 = diag(1, 0) misses half of E(sigma): the constant is +inf
+    return BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.eye(2) / 2),
+                   [op.PSDOperator(np.diag([1.0, 0.0]))], 0.0)
+
+
+def _zero_sigma_k_datum():
+    # sigma_1 = 0: every gap of either form is -inf
+    return BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.eye(2) / 2),
+                   [op.PSDOperator(np.zeros((2, 2)))], 0.0)
+
+
+def _singular_sigma_k_datum(seed):
+    """A PD sigma and a singular sigma_k for every k. E_1 maps into a proper
+    subspace of its output space and sigma_1 = E_1(sigma), so no E_1(rho)
+    leaks out of supp sigma_1; on odd seeds a second channel has a rank-one
+    sigma_2, which every sampled E_2(rho) leaks out of."""
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    iso = haar_unitary(m + 1, rng)[:, :m]  # an isometry C^m -> C^(m+1)
+    e1 = ch.Channel([iso @ k for k in random_channel(d, m, rng=rng).kraus])
+    sig = op.PSDOperator(random_pd(d, rng))
+    q, chans, sigmas = [float(rng.uniform(0.5, 2.0))], [e1], [op.PSDOperator(e1(sig))]
+    if seed % 2:
+        q.append(float(rng.uniform(0.5, 2.0)))
+        chans.append(random_channel(d, 2, rng=rng))
+        sigmas.append(op.PSDOperator(haar_pure(2, rng)))
+    return BLDatum(q, chans, sig, sigmas, 0.1)
+
+
 class TestBatchedMembership:
     DATA = {"mixed-dims": _mixed_dims_datum, "shearer-pairs": _shearer_pairs_datum}
+    SINGULAR = {"rank-deficient": _leaking_datum, "zero-sigma-k": _zero_sigma_k_datum,
+                **{f"random-{seed}": partial(_singular_sigma_k_datum, seed) for seed in range(6)}}
 
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
     @pytest.mark.parametrize("name", sorted(DATA))
     def test_matches_scalar_reference(self, name, form):
         datum = self.DATA[name]()
-        assert engine._full_support(datum)
         # 150 samples: two full blocks and a partial one
         config = SamplerConfig(samples=150, seed=7, form=form)
         assert config.samples % engine._SAMPLE_BLOCK != 0
@@ -510,27 +550,107 @@ class TestBatchedMembership:
             assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
             assert rep.verdict == verdict
 
-    def test_full_support_skips_the_scalar_evaluators(self, monkeypatch):
-        def scalar(*args):
-            raise AssertionError("scalar evaluator called on a full-support datum")
+    @pytest.mark.parametrize("form", ["entropic", "analytic"])
+    def test_full_support_makes_one_scalar_call_on_the_witness(self, form, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(engine, "entropic_gap", scalar)
-        monkeypatch.setattr(engine, "analytic_gap", scalar)
-        for form in ("entropic", "analytic"):
-            bl_membership(_shearer_pairs_datum(), SamplerConfig(samples=20, seed=1, form=form))
+        def other(*args):
+            raise AssertionError("the other form's scalar evaluator was called")
 
-    def test_singular_sigma_k_uses_the_exact_path(self):
-        # sigma_1 = diag(1, 0) misses half of E(sigma): the exact entropic
-        # gap is -inf, which no batched objective can produce
-        datum = BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.eye(2) / 2),
-                        [op.PSDOperator(np.diag([1.0, 0.0]))], 0.0)
-        assert not engine._full_support(datum)
-        config = SamplerConfig(samples=70, seed=5, form="entropic")
+        def recording(real):
+            def scalar(datum, arg):
+                calls.append(arg)
+                return real(datum, arg)
+            return scalar
+
+        name = f"{form}_gap"
+        unused = "analytic_gap" if form == "entropic" else "entropic_gap"
+        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
+        monkeypatch.setattr(engine, unused, other)
+        datum = _shearer_pairs_datum()
+        for seed in (1, 2):
+            calls.clear()
+            rep = bl_membership(datum, SamplerConfig(samples=20, seed=seed, form=form))
+            assert len(calls) == 1
+            assert calls[0] is (rep.witness[0] if form == "entropic" else rep.witness)
+
+    @pytest.mark.parametrize("form", ["entropic", "analytic"])
+    @pytest.mark.parametrize("name", sorted(SINGULAR))
+    def test_singular_sigma_k_matches_scalar_reference(self, name, form):
+        datum = self.SINGULAR[name]()
+        config = SamplerConfig(samples=70, seed=5, form=form)
         rep = bl_membership(datum, config)
         worst, witness, verdict, _, _ = _scalar_membership(datum, config)
-        assert rep.worst_gap == worst == -np.inf
-        assert rep.verdict == verdict == "violated"
+        assert rep.worst_gap == worst
+        assert len(rep.witness) == len(witness)
         assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
+        assert rep.verdict == verdict
+
+    def test_singular_data_cover_both_leak_outcomes(self):
+        # the random singular data include samples whose E_k(rho) stays in
+        # supp sigma_k (finite gaps) and samples whose E_k(rho) leaks (-inf)
+        finite = leaking = 0
+        for name in sorted(self.SINGULAR):
+            datum = self.SINGULAR[name]()
+            if not all(sk.support_rank for sk in datum.sigmas):
+                continue  # the workspace cannot hold sigma_k = 0
+            config = SamplerConfig(samples=70, seed=5, form="entropic")
+            _, _, _, samples, gaps = _scalar_membership(datum, config)
+            batched = engine._sample_gaps(datum, engine._Workspace(datum), "entropic", samples)
+            fin = np.isfinite(gaps)
+            assert np.array_equal(fin, np.isfinite(batched))
+            assert np.all(batched[~fin] == gaps[~fin])
+            assert np.all(np.abs(batched[fin] - gaps[fin])
+                          <= 1e-12 * np.maximum(1.0, np.abs(gaps[fin])))
+            finite += fin.sum()
+            leaking += (~fin).sum()
+        assert finite > 0 and leaking > 0
+
+    def test_entropic_rows_near_a_support_decision_are_evaluated_exactly(self, monkeypatch):
+        # sigma_2 has a kernel; E_2 = id, so E_2(rho) = rho. Row 0 stays in
+        # supp sigma_2 and row 1 leaks (-inf); row 2 has an eigenvalue just
+        # below the support cut whose eigenvector lies in the kernel, rows 3
+        # and 4 leak by 3e-9 and 3e-8, either side of SUPPORT_LEAK_TOL: the
+        # last three go to entropic_gap
+        rng = np.random.default_rng(3)
+        u = haar_unitary(3, rng)
+        e1 = random_channel(3, 2, rng=rng)
+        sig = op.PSDOperator(random_pd(3, rng))
+        sigma_2 = op.PSDOperator((u * np.array([0.0, 1.0, 2.0])) @ u.conj().T)
+        datum = BLDatum([0.8, 0.6], [e1, ch.identity_channel(3)], sig,
+                        [op.PSDOperator(e1(sig)), sigma_2], 0.0)
+        inside = u[:, 1:]
+
+        def state(vals, vecs):
+            rho = (vecs * vals) @ vecs.conj().T
+            return rho / np.trace(rho).real
+
+        def tilted(leak):  # a plane of supp sigma_2 tilted by leak into its kernel
+            tilt = np.sqrt(1 - leak**2) * u[:, 1] + leak * u[:, 0]
+            return np.linalg.qr(np.stack([tilt, u[:, 2]], axis=1))[0]
+
+        rows = np.stack([
+            state(np.array([0.3, 0.7]), inside),
+            hs_mixed(3, rng),
+            state(np.array([0.5, 0.5, 1e-10]), u[:, [1, 2, 0]]),
+            state(np.array([0.6, 0.4]), tilted(3e-9)),
+            state(np.array([0.6, 0.4]), tilted(3e-8)),
+        ])
+        calls = []
+        real = engine.entropic_gap
+
+        def scalar(datum, rho):
+            calls.append(rho)
+            return real(datum, rho)
+
+        monkeypatch.setattr(engine, "entropic_gap", scalar)
+        gaps = engine._entropic_gaps(datum, engine._Workspace(datum), rows)
+        assert len(calls) == 3
+        assert all(np.array_equal(c, r) for c, r in zip(calls, rows[2:]))
+        assert np.isfinite(gaps[[0, 2, 3]]).all() and gaps[1] == gaps[4] == -np.inf
+        for i in range(len(rows)):
+            want = real(datum, rows[i])
+            assert gaps[i] == want or abs(gaps[i] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_rank_deficient_row_is_evaluated_exactly(self):
         datum = _mixed_dims_datum()
@@ -567,10 +687,19 @@ class TestBatchedMembership:
             starts.append(samples)
             return planted[start:start + len(samples)].copy()
 
+        reevaluated = []
+
+        def exact_gap(datum, rho):
+            reevaluated.append(rho)
+            return -3.0
+
         monkeypatch.setattr(engine, "_sample_gaps", fake_gaps)
+        monkeypatch.setattr(engine, "entropic_gap", exact_gap)
         rep = bl_membership(datum, SamplerConfig(samples=n, seed=2, form="entropic"))
-        assert rep.worst_gap == -2.0
         assert rep.witness is starts[0][2]
+        # the reported worst gap is the exact re-evaluation of the witness
+        assert len(reevaluated) == 1 and reevaluated[0] is rep.witness[0]
+        assert rep.worst_gap == -3.0
         assert rep.verdict == "violated"
 
 

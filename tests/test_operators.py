@@ -16,6 +16,7 @@ import qbl
 from qbl import operators as op
 from qbl.channels import Channel
 from qbl.errors import (
+    DimensionMismatch,
     InvalidExponent,
     NotCompletelyPositive,
     NotUnital,
@@ -40,6 +41,47 @@ class TestValidation:
         # an inf entry eigenvalues [nan, nan] and support rank 0
         with pytest.raises(ValueError, match="non-finite"):
             cls(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """psd_stack and support_logs: PSDOperator's checks and matrix_log on a
+    stack, one eigh for all of it."""
+
+    def test_support_logs_match_matrix_log(self):
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        mats = [random_pd(3, rng), (u * [0.0, 0.3, 0.7]) @ u.conj().T, np.diag([1.0, 0.0, 0.0]),
+                np.diag([1.0, 1e-11, 2.0])]
+        herm, vals, vecs = op.psd_stack(mats)
+        for m, h, got in zip(mats, herm, op.support_logs(vals, vecs)):
+            want = op.matrix_log(op.PSDOperator(m))
+            np.testing.assert_array_equal(h, op.PSDOperator(m).matrix)
+            np.testing.assert_allclose(got.finite, want.finite, rtol=0, atol=1e-12)
+            assert got.has_kernel == want.has_kernel
+            if want.has_kernel:
+                np.testing.assert_allclose(got.weight, want.weight, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -0.1]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, 0.1], [0.0, 0.5]]),
+    ])
+    def test_psd_stack_rejects_what_psd_operator_rejects(self, bad):
+        with pytest.raises(ValueError) as want:
+            op.PSDOperator(bad)
+        with pytest.raises(ValueError) as got:
+            op.psd_stack([np.eye(2), bad])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("mats", [[], [np.eye(2), np.eye(3)], [np.ones((2, 3))]])
+    def test_psd_stack_needs_square_matrices_of_one_shape(self, mats):
+        with pytest.raises(DimensionMismatch):
+            op.psd_stack(mats)
+
+    def test_support_logs_of_zero_raise(self):
+        _, vals, vecs = op.psd_stack([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ZeroOperator):
+            op.support_logs(vals, vecs)
 
 
 class TestLogSumExp:
