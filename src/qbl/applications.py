@@ -263,13 +263,15 @@ class MuAnalyticReport:
     chain_holds: bool
 
 
-def _pinching_chain(bases, omegas) -> tuple[float, np.ndarray, float]:
+def _pinching_chain(bases, omegas):
     """The first two links of a measurement checker's proof chain, for the
-    pinching channels M_k of the bases: lhs = tr exp(sum_k M_k^dag log w_k)
-    and jensen_mid = tr exp(sum_k log M_k^dag(w_k)), with the pinched
-    operators M_k^dag(w_k) as one stack. The omegas are validated as one
-    stack, with one eigh for them and one for the pinched operators; a
-    rank-deficient omega keeps its kernel flag (support-projected logs)."""
+    pinching channels M_k of the bases: (lhs, pinched, (vals, vecs),
+    jensen_mid) with lhs = tr exp(sum_k M_k^dag log w_k), the pinched
+    operators M_k^dag(w_k) as one stack, their spectra and eigenvectors,
+    and jensen_mid = tr exp(sum_k log M_k^dag(w_k)).
+    The omegas are validated as one stack, with one eigh for them and one
+    for the pinched operators; a rank-deficient omega keeps its kernel flag
+    (support-projected logs)."""
     chans = [measurement_channel(b) for b in bases]
     if len(omegas) != len(chans):
         raise DimensionMismatch(f"expected {len(chans)} omegas, got {len(omegas)}")
@@ -277,8 +279,9 @@ def _pinching_chain(bases, omegas) -> tuple[float, np.ndarray, float]:
     logs = support_logs(vals, vecs)
     lhs = trace_exp_sum([adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
     pinched = hermitian_part(np.stack([apply_adjoint(ch, w) for ch, w in zip(chans, mats)]))
-    jensen_mid = trace_exp_sum(support_logs(*np.linalg.eigh(pinched)))
-    return lhs, pinched, jensen_mid
+    spectra = np.linalg.eigh(pinched)
+    jensen_mid = trace_exp_sum(support_logs(*spectra))
+    return lhs, pinched, spectra, jensen_mid
 
 
 def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
@@ -286,7 +289,7 @@ def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     chain (operator Jensen, then Golden-Thompson, then the overlap bound),
     verifying each intermediate step."""
     c = maassen_uffink_constant(basis_x, basis_z)
-    lhs, (px, pz), jensen_mid = _pinching_chain([basis_x, basis_z], [omega1, omega2])
+    lhs, (px, pz), _, jensen_mid = _pinching_chain([basis_x, basis_z], [omega1, omega2])
     gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
         gt_bound <= c + PSD_SLACK
@@ -342,8 +345,8 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
         (report.entropy_sum_bits, report.h_a_bits, report.entropic_gap_bits,
          report.weaker_bound_gap_bits) = fields
     if omegas is not None:
-        lhs, pinched, jensen_mid = _pinching_chain(bases, omegas)
-        triple = lieb_triple_integral(*pinched)
+        lhs, pinched, (pvals, pvecs), jensen_mid = _pinching_chain(bases, omegas)
+        triple = lieb_triple_integral(*pinched, spectrum=(pvals[2], pvecs[2]))
         report.analytic_lhs = float(lhs)
         report.analytic_gap = float(0.25 - lhs)
         report.jensen_mid = float(jensen_mid)

@@ -24,15 +24,20 @@ dimension of the E_k(rho), which gives their entropic value and their
 next exponents. The plain step is exponentiated-gradient ascent with step
 1. The loop accelerates it by Anderson extrapolation of the exponent,
 taken only where the entropic value does not drop, and takes the plain
-step where a Gibbs spectrum reaches the support cut. The ascent then
-polishes every final state over rho = XX^dag / tr XX^dag, which reaches
-the rank-deficient states toward which the loop's exponent diverges, and
-evaluates the trial steps of one backtracking round in a single batched
-call. The two sides differ only in their random starts (states on the
-entropic side, the Gibbs states of random omega tuples on the analytic
-side) and in how they certify the winning state: the entropic side
-re-evaluates its value, the analytic side re-evaluates exactly the omega
-tuple the duality proof pairs with it.
+step where a Gibbs spectrum reaches the support cut or a refused
+extrapolation has cleared the restart's history. There the plain step is
+over-relaxed: its step doubles while the value rises and falls back to 1
+when it drops. Where an E_k(rho) is rank-deficient, its kernel eigenvalues
+are rounding noise; the log floor of eigh_log, 1e-15 lambda_max, keeps
+that noise out of the next exponent. The ascent then polishes every final
+state over rho = XX^dag / tr XX^dag, which reaches the rank-deficient
+states toward which the loop's exponent diverges, and evaluates the trial
+steps of one backtracking round in a single batched call. The two sides
+differ only in their random starts (states on the entropic side, the
+Gibbs states of random omega tuples on the analytic side) and in how they
+certify the winning state: the entropic side re-evaluates its value, the
+analytic side re-evaluates exactly the omega tuple the duality proof pairs
+with it.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling evaluates blocks
@@ -431,6 +436,11 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
 # plain step, frozen on GAIN_TOL, stops 0.2% below it
 _WINDOW = 3
 
+# largest relaxation eta of the plain step: on the 20 acceptance-1 data at
+# their budget the loop takes 1634 passes with 16 (1739 with 8, 1650 with
+# 64; 4176 without relaxation)
+_RELAX_CAP = 16.0
+
 
 def _anderson_coefficients(dr: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per row, the real gamma minimizing ||r - sum_j gamma_j dr[:, j]||
@@ -463,15 +473,31 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
 
     A proposal is taken only if F does not drop. A refused Anderson step
     clears the restart's history: from its next pass it takes plain steps
-    until its window is full again. A refused plain step stops the restart.
-    A restart whose Gibbs spectrum has lambda_min below SUPP_RTOL
-    lambda_max takes the plain step: toward a rank-deficient optimum the
-    exponent diverges, and extrapolating it stalls.
+    until its window is full again. A restart whose Gibbs spectrum has
+    lambda_min below SUPP_RTOL lambda_max takes the plain step: toward a
+    rank-deficient optimum the exponent diverges, and extrapolating it
+    stalls.
+
+    After the first pass, whose start states need not be Gibbs states, the
+    plain step is over-relaxed (Matz and Duhamel, ITW 2004, read accelerated
+    Blahut-Arimoto-type iterations so): each restart keeps the exponent h of
+    its current iterate and a step eta, and proposes h + eta (H - h), the
+    residual H - h taken traceless so that the exponent's trace does not
+    grow with eta. An accepted plain step doubles eta, up to _RELAX_CAP; a
+    refused plain step with eta > 1 resets it to 1 and the restart steps
+    on. The restarts at the support cut and those refilling their window
+    take plain steps, and there the step-1 iteration crawls. Where an
+    E_k(rho) is rank-deficient its kernel eigenvalues are rounding noise;
+    eigh_log floors them at 1e-15 lambda_max, above that noise, so the next
+    exponent is not set by rounding (with the floor below it, the values of
+    one restart on two roundings of the same map drifted 1e-6 apart within
+    3 passes, and a relaxed step carries such a drift further).
 
     Stop rule: a restart stops once an accepted step gains less than
-    GAIN_TOL, or a plain step is refused. The live restarts are held in
-    compact arrays, compacted when one stops. Returns, per restart, the
-    last accepted state and its value F, and the running-best trace of F.
+    GAIN_TOL, or a plain step at eta = 1 is refused. The live restarts are
+    held in compact arrays, compacted when one stops. Returns, per restart,
+    the last accepted state and its value F, and the running-best trace of
+    F, one entry per pass.
     """
     f, g = ws.entropic_step(rhos, vals)
     end_rhos, end_f = np.array(rhos, dtype=complex), f
@@ -492,6 +518,11 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     depth = np.zeros(live, dtype=int)
     need = np.ones(live, dtype=int)
     ident = np.eye(d) / d
+    # per restart: the exponent whose Gibbs state is the current iterate
+    # (g stands in before the first pass, which is plain with eta 1) and
+    # the plain step's relaxation eta
+    h = g
+    eta = np.ones(live)
     best = float(np.max(f, initial=-np.inf))
     trace: list[tuple[int, float]] = []
     for it in range(max_iters):
@@ -507,14 +538,21 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
                 gamma[plain] = 0.0
             mix = gamma[:, None, :] @ dg.reshape(live, _WINDOW, -1).view(float)
             cand = g - mix.view(complex).reshape(g.shape)
+        relax = plain & (eta > 1.0)
+        if relax.any():
+            # h + eta (H - h) up to the identity: the traceless residual
+            # r_last = H - h keeps the exponent's trace from growing
+            cand = np.where(relax[:, None, None], h + eta[:, None, None] * r_last, cand)
         nxt, nvals, _ = gibbs(cand)
         fnew, gnew = ws.entropic_step(nxt, nvals)
         res = gnew - cand
         res -= res.trace(axis1=1, axis2=2)[:, None, None] * ident
         ok = fnew >= f  # false on nan
-        stop = np.where(ok, fnew - f < GAIN_TOL, plain)
+        stop = np.where(ok, fnew - f < GAIN_TOL, plain & ~relax)
+        if it:
+            eta = np.where(plain, np.where(ok, np.minimum(2.0 * eta, _RELAX_CAP), 1.0), eta)
         if ok.all():
-            rho, vals, g, f = nxt, nvals, gnew, fnew
+            rho, vals, g, f, h = nxt, nvals, gnew, fnew, cand
             if it:
                 dr[:, col], dg[:, col] = res - r_last, gnew - g_last
                 depth += 1
@@ -525,6 +563,7 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             vals = np.where(ok[:, None], nvals, vals)
             g = np.where(sel, gnew, g)
             f = np.where(ok, fnew, f)
+            h = np.where(sel, cand, h)
             if it:
                 dr[:, col] = np.where(sel, res - r_last, 0.0)
                 dg[:, col] = np.where(sel, gnew - g_last, 0.0)
@@ -541,7 +580,7 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             end_rhos[done], end_f[done] = rho[stop], f[stop]
             ids, rho, f, g, vals = ids[keep], rho[keep], f[keep], g[keep], vals[keep]
             r_last, g_last, dr, dg = r_last[keep], g_last[keep], dr[keep], dg[keep]
-            depth, need = depth[keep], need[keep]
+            depth, need, h, eta = depth[keep], need[keep], h[keep], eta[keep]
             live = len(ids)
     end_rhos[ids], end_f[ids] = rho, f
     return end_rhos, end_f, trace
@@ -549,11 +588,17 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
 
 @dataclass
 class OptimizationResult:
+    """A search's estimate, witness and record: its running-best trace and
+    its length per phase, fixed-point passes and then ascent iterations
+    (recorded for callers and tests; the CLI does not print them)."""
+
     value: float
     witness: list[np.ndarray]
     method: str
     restart_seeds: list[int] = field(default_factory=list)
     trace: list[tuple[int, float]] = field(default_factory=list)
+    loop_passes: int = 0
+    ascent_iters: int = 0
 
 
 def _initial_states(d: int, seeds: list[int]) -> np.ndarray:
@@ -581,13 +626,15 @@ def _search(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
     the start states rhos with spectra vals, then the exact-gradient ascent
     from every restart's final state. Each ascent row starts at a loop end
     state and accepts only rises, so its best row is the estimate. Returns
-    the best entropic value, its state and the joined running-best trace."""
+    the best entropic value, its state, the joined running-best trace and
+    the lengths of its two parts (loop passes, ascent iterations)."""
     fp_rhos, fp_vals, fp_trace = _fixed_point(ws, rhos, vals, max_iters)
     if not np.isfinite(fp_vals).any():
         raise Diverged("all fixed-point restarts left the support cone")
     fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), max_iters)
     i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
-    return float(fvals[i]), hermitian_part(_gram_states(xs[i])[0]), fp_trace + as_trace
+    counts = (len(fp_trace), len(as_trace))
+    return float(fvals[i]), hermitian_part(_gram_states(xs[i])[0]), fp_trace + as_trace, counts
 
 
 def optimal_constant_entropic(
@@ -611,12 +658,14 @@ def optimal_constant_entropic(
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
     ws = _Workspace(datum)
     rhos = _initial_states(datum.dim, seeds)
-    best_val, rho, trace = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
+    best_val, rho, trace, counts = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
     witness = DensityOperator(rho)
     check = float(ws.entropic_objective(witness.matrix[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
-    result = OptimizationResult(best_val, [witness.matrix], "fixed_point+ascent", seeds, trace)
+    result = OptimizationResult(
+        best_val, [witness.matrix], "fixed_point+ascent", seeds, trace, *counts
+    )
     return best_val, witness, result
 
 
@@ -702,7 +751,7 @@ def optimal_constant_analytic(
         omegas.append(np.stack(stack))
 
     rhos, vals, _ = gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))
-    internal, rho, trace = _search(ws, rhos, vals, budget.max_iters)
+    internal, rho, trace, counts = _search(ws, rhos, vals, budget.max_iters)
     try:
         rho = DensityOperator(rho)
         logs = induced_logs(datum, rho)
@@ -713,7 +762,7 @@ def optimal_constant_analytic(
     if not np.isfinite(best_val) or best_val < internal - 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {best_val} vs internal {internal}")
     result = OptimizationResult(
-        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, trace
+        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, trace, *counts
     )
     return float(best_val), witness, result
 

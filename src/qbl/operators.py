@@ -67,10 +67,13 @@ def log_sum_exp(vals: np.ndarray) -> np.ndarray:
 
 def eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra and logarithms of PSD stacks; eigenvalues are lifted to the
-    floor 1e-18 lambda_max (at least 1e-300) inside the log so kernels stay
-    finite."""
+    floor 1e-15 lambda_max (at least 1e-300) inside the log so kernels stay
+    finite. eigh returns a kernel eigenvalue as rounding noise of about
+    1e-16 lambda_max, so the floor sits just above it: below it the log of
+    a kernel eigenvalue would be the log of that noise, which differs
+    between two roundings of the same matrix."""
     vals, vecs = np.linalg.eigh(mats)
-    floor = np.maximum(vals[..., -1:] * 1e-18, 1e-300)
+    floor = np.maximum(vals[..., -1:] * 1e-15, 1e-300)
     return vals, from_spectrum(np.log(np.maximum(vals, floor)), vecs)
 
 
@@ -407,22 +410,32 @@ def _log_mean(vals: np.ndarray) -> np.ndarray:
     return np.where(near, 1.0 / top, split)
 
 
-def lieb_triple_integral(a: PSDOperator, b: PSDOperator, c: PSDOperator) -> float:
+def lieb_triple_integral(
+    a: PSDOperator,
+    b: PSDOperator,
+    c: PSDOperator,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Integral_0^inf tr a (c^-1 + t)^-1 b (c^-1 + t)^-1 dt.
 
     In the eigenbasis of c (eigenvalues g, a~ and b~ the rotated a and b)
     each t-integral is g_i g_j L(g_i, g_j), with L the log-mean kernel, so
     the integral is the finite sum sum_ij a~_ij b~_ji g_i g_j L(g_i, g_j).
     Upper-bounds tr exp(log a + log b + log c); that bound is verified in
-    tests, not assumed here.
+    tests, not assumed here. A caller that has already eigendecomposed c
+    passes its spectrum (eigenvalues ascending, eigenvectors), which is
+    then used in place of a PSDOperator of c; either way c must be
+    positive definite, every eigenvalue above its eps_supp.
     """
     am, bm, cm = (_as_matrix(x) for x in (a, b, c))
     if not (am.shape == bm.shape == cm.shape):
         raise DimensionMismatch("triple integral needs three same-dimension operators")
-    cop = c if isinstance(c, PSDOperator) else PSDOperator(cm)
-    if cop.support_rank < cop.dim:
+    if spectrum is None:
+        cop = c if isinstance(c, PSDOperator) else PSDOperator(cm)
+        spectrum = cop.eigenvalues, cop.eigenvectors
+    gvals, gvecs = spectrum
+    if not np.all(gvals > eps_supp(max(float(gvals[-1]), 0.0))):
         raise SingularC("third argument must be strictly positive definite")
-    gvals, gvecs = cop.eigenvalues, cop.eigenvectors
     at = gvecs.conj().T @ am @ gvecs
     bt = gvecs.conj().T @ bm @ gvecs
     weight = np.outer(gvals, gvals) * _log_mean(gvals)

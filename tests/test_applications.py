@@ -534,6 +534,27 @@ class TestStackedCheckers:
             got = (rep.lhs, rep.jensen_mid, rep.gt_bound)
             assert np.max(np.abs(np.subtract(got, _reference_mu(bx, bz, oms[:2])))) <= 1e-12
 
+    def test_triple_integral_takes_the_stacked_spectrum(self, monkeypatch):
+        # six_state_check hands lieb_triple_integral the eigendecomposition
+        # of the third pinched operator from the chain's one stacked eigh,
+        # and gets the value a PSDOperator of that operator gives
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append((args, kwargs))
+            return op.lieb_triple_integral(*args, **kwargs)
+
+        monkeypatch.setattr(app, "lieb_triple_integral", recorded)
+        rng = np.random.default_rng(42)
+        oms = [random_pd(2, rng) for _ in range(3)]
+        rep = app.six_state_check(omegas=oms)
+        (pinched, kwargs), = seen
+        vals, vecs = kwargs["spectrum"]
+        assert np.array_equal(vals, np.linalg.eigh(pinched[2])[0])
+        assert np.max(np.abs((vecs * vals[None, :]) @ vecs.conj().T - pinched[2])) <= 1e-14
+        ops = [op.PSDOperator(p) for p in pinched]
+        assert rep.triple_integral == op.lieb_triple_integral(*ops)
+
     def test_singular_omega_keeps_its_kernel(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
         rep = app.mu_analytic_check(bx, bz, np.diag([1.0, 0.0]), np.eye(2) / 2)

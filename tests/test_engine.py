@@ -26,6 +26,7 @@ from qbl.engine import (
 )
 from qbl import engine
 from qbl.errors import DimensionMismatch, Diverged, ZeroTrace
+from qbl.policy import SUPP_RTOL
 from qbl.sampling import (
     haar_pure,
     haar_unitary,
@@ -914,6 +915,21 @@ class TestFusedSteps:
         assert np.max(np.abs(rhos - ref_rhos)) < 1e-9
         assert _close(fvals, _reference_entropic_objective(ref, rhos))
 
+    def test_every_restart_matches_the_composition(self):
+        # the composition test compares the running best only. Restarts 4
+        # and 7 of this datum start at pure states, whose E_k(rho) have
+        # kernels; with the log floor at 1e-18 lambda_max, below eigh's
+        # rounding noise, restart 7's value after 3 passes differed by
+        # 1.2e-6 between the stacked map and the per-channel loops (2.4e-9
+        # after 2). At 1e-15 lambda_max the worst restart differs by 1.1e-9
+        datum = _random_datum(42)
+        ws, ref = engine._Workspace(datum), _PerChannel(datum)
+        rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
+        vals0 = np.linalg.eigvalsh(rhos0)
+        fvals = engine._fixed_point(ws, rhos0, vals0, 3)[1]
+        ref_fvals = engine._fixed_point(ref, rhos0, vals0, 3)[1]
+        assert _close(fvals, ref_fvals, 1e-8)
+
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_sweep_matches_the_composition(self, seed):
         # the analytic side runs the loop from the Gibbs states of random
@@ -1052,17 +1068,83 @@ class TestAcceleratedLoop:
         if plain:
             monkeypatch.setattr(engine, "_anderson_coefficients",
                                 lambda dr, r: np.zeros((len(r), engine._WINDOW)))
-        datum = _random_datum(42)
+        for datum in (_random_datum(42), _acceptance_datum(0)):
+            ws = engine._Workspace(datum)
+            rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
+            vals0 = np.linalg.eigvalsh(rhos0)
+            full = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2]
+            assert len(full) > 20
+            prev = engine._fixed_point(ws, rhos0, vals0, 0)[1]
+            for cap in list(range(1, 21)) + [len(full)]:
+                fvals = engine._fixed_point(ws, rhos0, vals0, cap)[1]
+                assert np.all(fvals >= prev)
+                prev = fvals
+        # acceptance datum 0 has a pure-state optimum: its restarts sit at
+        # the support cut, so relaxed plain steps were among those checked,
+        # and with eta held at 1 its first 20 passes end elsewhere
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_RELAX_CAP", 1.0)
+            unrelaxed = engine._fixed_point(ws, rhos0, vals0, 20)[1]
+        assert not np.array_equal(unrelaxed, engine._fixed_point(ws, rhos0, vals0, 20)[1])
+
+    def test_refused_relaxed_step_leaves_the_restart_live(self, monkeypatch):
+        # one restart of acceptance datum 0 at the support cut, where every
+        # proposal is a plain step: find a relaxed one (not the plain
+        # exponent H) whose value drops, and see the restart step on
+        datum = _acceptance_datum(0)
         ws = engine._Workspace(datum)
-        rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
-        vals0 = np.linalg.eigvalsh(rhos0)
-        full = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2]
-        assert len(full) > 20
-        prev = engine._fixed_point(ws, rhos0, vals0, 0)[1]
-        for cap in list(range(1, 21)) + [len(full)]:
-            fvals = engine._fixed_point(ws, rhos0, vals0, cap)[1]
-            assert np.all(fvals >= prev)
-            prev = fvals
+        step = ws.entropic_step
+        rows = []  # per valuation: state spectrum, value, next exponent H
+
+        def recorded(rhos, vals):
+            out = step(rhos, vals)
+            rows.append((vals[0], out[0][0], out[1][0]))
+            return out
+
+        proposals = []
+        gibbs = engine.gibbs
+
+        def proposed(h):
+            proposals.append(h[0])
+            return gibbs(h)
+
+        ws.entropic_step = recorded
+        monkeypatch.setattr(engine, "gibbs", proposed)
+        rho0 = engine._initial_states(datum.dim, [0])
+        trace = engine._fixed_point(ws, rho0, np.linalg.eigvalsh(rho0), BUDGET.max_iters)[2]
+        assert len(proposals) == len(trace) == len(rows) - 1
+        refused = []
+        vals, f, g = rows[0]
+        for p, (cand, (nvals, fnew, gnew)) in enumerate(zip(proposals, rows[1:])):
+            at_cut = vals[0] < SUPP_RTOL * vals[-1]
+            if fnew < f and at_cut and np.max(np.abs(cand - g)) > 1e-6:
+                refused.append(p)
+            if fnew >= f:
+                vals, f, g = nvals, fnew, gnew
+        assert refused and refused[0] < len(trace) - 1
+        # a relaxed step moves the exponent by its traceless residual only,
+        # so the proposals' traces stay at the scale of the exponents H
+        # (with h + eta (H - h), trace kept, they reached |tr| = 11085 on
+        # this datum's 8 restarts, against 43 with the residual traceless)
+        top = max(abs(np.trace(h)) for _, _, h in rows)
+        assert max(abs(np.trace(h)) for h in proposals) <= 2 * top
+
+    def test_relaxed_steps_cut_the_gibbs_calls(self, monkeypatch):
+        # the 20 acceptance-1 data at their budget, both sides: 4196 Gibbs
+        # calls without relaxation (one per loop pass, plus the analytic
+        # side's start states), 1654 with it; the results count the passes
+        calls = []
+        gibbs = engine.gibbs
+        monkeypatch.setattr(engine, "gibbs", lambda h: calls.append(len(h)) or gibbs(h))
+        passes = 0
+        for i in range(20):
+            budget = OptimizerBudget(restarts=32, max_iters=500, base_seed=i)
+            datum = _acceptance_datum(i)
+            for estimate in (optimal_constant_entropic, optimal_constant_analytic):
+                res = estimate(datum, budget)[2]
+                assert res.loop_passes + res.ascent_iters == len(res.trace)
+                passes += res.loop_passes
+        assert passes + 20 == len(calls) < 2500
 
     def test_anderson_beats_the_plain_step(self, monkeypatch):
         # with every proposal forced to the plain step the loop is the

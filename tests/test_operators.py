@@ -350,6 +350,22 @@ class TestLiebTriple:
                 op.identity(2), op.identity(2), op.PSDOperator(np.diag([1.0, 0.0]))
             )
 
+    def test_given_spectrum_of_c(self):
+        # a caller's eigendecomposition of c gives the value a PSDOperator
+        # of c gives, and a singular c is rejected either way
+        rng = np.random.default_rng(63)
+        for dim in (2, 3, 4):
+            a, b, c = (random_pd(dim, rng) for _ in range(3))
+            ops = [op.PSDOperator(x) for x in (a, b, c)]
+            given = op.lieb_triple_integral(*ops, spectrum=np.linalg.eigh(ops[2].matrix))
+            assert given == op.lieb_triple_integral(*ops)
+        for c in (np.diag([1.0, 0.0]), np.diag([1.0, 5e-11])):
+            with pytest.raises(SingularC):
+                op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
+        # an eigenvalue just above the support cut is positive definite
+        c = np.diag([1.0, 2e-10])
+        op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
+
 
 class TestOperatorJensen:
     def test_identity_map(self):
