@@ -608,12 +608,8 @@ def contraction_coefficient(
         _divergence_ratio, ch, matrix_log(sig).finite, matrix_log(PSDOperator(esig)).finite
     )
     seeds = budget.seeds()
-    rhos0 = np.stack(
-        [
-            random_density(d, np.random.default_rng(s), ("hs", "pure")[i % 2])
-            for i, s in enumerate(seeds)
-        ]
-    )
+    kinds = [("hs", "pure")[i % 2] for i in range(len(seeds))]
+    rhos0 = random_density(d, [np.random.default_rng(s) for s in seeds], kinds)
     fvals, _, _ = _ascent(ratio, sqrt_psd(rhos0), budget.max_iters)
     finite = fvals[np.isfinite(fvals)]
     eta_ascent = float(np.max(finite)) if finite.size else 0.0

@@ -52,7 +52,7 @@ from .errors import QblError, SpecFormatError
 from .gaussian import deficit_trajectory, geometric_datum_check
 from .operators import DensityOperator
 from .presets import PRESET_NAMES, build_preset
-from .sampling import bloch_sample, random_pd
+from .sampling import blocks, bloch_sample, draw, random_pd
 from .serialization import decode_datum, decode_gaussian_task, encode_matrix
 
 LN2 = float(np.log(2.0))
@@ -185,17 +185,17 @@ def cmd_verify(args) -> int:
     elif kind == "six_state":
         # every sample is drawn, in the same order, whichever forms run
         rng = np.random.default_rng(seed)
-        rhos = np.stack([bloch_sample(rng) for _ in range(args.samples)])
+        rhos = np.concatenate([bloch_sample(rng, m) for m in blocks(args.samples)])
         worst = {}  # the worst gap of each form run
         if "entropic" in forms:
             worst["entropic"] = float(np.min(six_state_check(rho=rhos).entropic_gap_bits))
         if "analytic" in forms:
             worst["analytic"] = np.inf
-            for _ in range(args.samples):
-                oms = [random_pd(2, rng) for _ in range(3)]
-                rep = six_state_check(omegas=oms)
-                worst["analytic"] = min(worst["analytic"], rep.analytic_gap)
-                violated |= not rep.chain_holds
+            for m in blocks(args.samples):
+                for oms in random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2):
+                    rep = six_state_check(omegas=oms)
+                    worst["analytic"] = min(worst["analytic"], rep.analytic_gap)
+                    violated |= not rep.chain_holds
         report["six_state"] = {
             "worst_entropic_gap_bits": worst.get("entropic"),
             "worst_analytic_gap": worst.get("analytic"),
@@ -206,9 +206,10 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(seed)
         bx, bz = task["basis_x"], task["basis_z"]
         c = maassen_uffink_constant(bx, bz)
-        # per sample, in this order: rho, omega_1, omega_2
-        draws = [(bloch_sample(rng), random_pd(2, rng), random_pd(2, rng))
-                 for _ in range(args.samples)]
+        draws = []  # per sample, in this order: rho, omega_1, omega_2
+        for m in blocks(args.samples):
+            flat = draw(rng, [("bloch", 2), ("pd", 2), ("pd", 2)] * m)
+            draws += zip(flat[::3], flat[1::3], flat[2::3])
         worst = {}
         if "entropic" in forms:
             rhos = np.stack([rho for rho, _, _ in draws])

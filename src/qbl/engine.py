@@ -79,7 +79,7 @@ from .operators import (
     xlogx_sum,
 )
 from .policy import SUPP_RTOL, SUPPORT_LEAK_TOL
-from .sampling import random_density
+from .sampling import SAMPLE_BLOCK, draw, random_density
 
 # the search stops iterating a restart once an iteration gains less than
 # this
@@ -602,12 +602,8 @@ class OptimizationResult:
 
 
 def _initial_states(d: int, seeds: list[int]) -> np.ndarray:
-    kinds = ("hs", "pure", "boundary")
-    out = []
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        out.append(random_density(d, rng, kinds[i % 3]))
-    return np.stack(out)
+    kinds = [("hs", "pure", "boundary")[i % 3] for i in range(len(seeds))]
+    return random_density(d, [np.random.default_rng(s) for s in seeds], kinds)
 
 
 def _support_leak(datum: BLDatum) -> int | None:
@@ -741,14 +737,11 @@ def optimal_constant_analytic(
         )
     ws = _Workspace(datum)
     dims = [ch.dim_out for ch in datum.channels]
-    omegas = []
-    for k, dk in enumerate(dims):
-        stack = []
-        for i, s in enumerate(seeds):
-            rng = np.random.default_rng(s * 1000003 + k)
-            kind = ("hs", "boundary")[i % 2]
-            stack.append(random_density(dk, rng, kind))
-        omegas.append(np.stack(stack))
+    kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
+    omegas = [
+        random_density(dk, [np.random.default_rng(s * 1000003 + k) for s in seeds], kinds)
+        for k, dk in enumerate(dims)
+    ]
 
     rhos, vals, _ = gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))
     internal, rho, trace, counts = _search(ws, rhos, vals, budget.max_iters)
@@ -844,12 +837,6 @@ def reevaluate_report(datum: BLDatum, report: VerificationReport) -> float:
     return analytic_gap(datum, report.witness)
 
 
-# samples drawn and evaluated together by bl_membership: bounds the stacks
-# held at once (all 500 d = 8 samples of a verify call held together cost
-# about 3 MB of peak memory)
-_SAMPLE_BLOCK = 64
-
-
 # a batched entropic row with a support decision within this factor of its
 # threshold (an E_k(rho) eigenvalue near eps_supp, a leak near
 # SUPPORT_LEAK_TOL) goes to entropic_gap. The two paths' E_k(rho) differ by
@@ -858,14 +845,6 @@ _SAMPLE_BLOCK = 64
 # projector, and with it the leak, moves by about 1e-9: outside the band
 # both paths decide alike
 _CUT_BAND = 1e3
-
-
-def _draw_sample(datum: BLDatum, rng: np.random.Generator, form: str, kind: str) -> list[np.ndarray]:
-    if form == "entropic":
-        return [random_density(datum.dim, rng, kind)]
-    # the analytic form only needs full-support density operators
-    full_kind = "hs" if kind == "pure" else kind
-    return [random_density(ch.dim_out, rng, full_kind) for ch in datum.channels]
 
 
 def _entropic_gaps(datum: BLDatum, ws: _Workspace, rhos: np.ndarray) -> np.ndarray:
@@ -945,11 +924,16 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles
-    for start in range(0, config.samples, _SAMPLE_BLOCK):
-        block = range(start, min(start + _SAMPLE_BLOCK, config.samples))
-        samples = [
-            _draw_sample(datum, rng, config.form, ensembles[i % len(ensembles)]) for i in block
-        ]
+    for start in range(0, config.samples, SAMPLE_BLOCK):
+        block = range(start, min(start + SAMPLE_BLOCK, config.samples))
+        kinds = [ensembles[i % len(ensembles)] for i in block]
+        if config.form == "entropic":
+            samples = [[rho] for rho in random_density(datum.dim, rng, kinds)]
+        else:  # full-support omegas only: "pure" draws "hs"
+            n = len(datum.channels)
+            flat = draw(rng, [("hs" if kind == "pure" else kind, ch.dim_out)
+                              for kind in kinds for ch in datum.channels])
+            samples = [flat[j:j + n] for j in range(0, len(flat), n)]
         gaps = _sample_gaps(datum, ws, config.form, samples)
         below = np.where(gaps < worst, gaps, INF)  # nan compares false
         i = int(np.argmin(below))

@@ -2,56 +2,165 @@
 
 All samplers take an explicit numpy Generator so every search and report
 is reproducible from a single seed.
+
+The state samplers are views of one kernel, draw: it makes the generator
+calls of the one-at-a-time samplers, in their order, with runs of normal
+draws merged into one call, and then builds each (ensemble, d, rank) group
+of states as one stack. A block of states, such as the 64 samples that
+qbl verify draws at a time, is therefore bit-identical to the same states
+drawn one at a time.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .channels import Channel
+
+# the state ensembles of draw: Hilbert-Schmidt ("hs"), Haar pure, rank-
+# deficient with a 1e-6 floor ("boundary"), Hilbert-Schmidt with a 1e-3
+# floor ("pd", full rank) and qubits uniform in the Bloch ball ("bloch")
+ENSEMBLES = ("hs", "pure", "boundary", "pd", "bloch")
+
+# samples drawn (and, by bl_membership, evaluated) together: bounds the
+# stacks held at once (all 500 d = 8 samples of a verify call held together
+# cost about 3 MB of peak memory)
+SAMPLE_BLOCK = 64
+
+
+def blocks(n: int) -> list[int]:
+    """The sizes of the blocks of at most SAMPLE_BLOCK samples that n
+    samples are drawn in, in order."""
+    return [min(SAMPLE_BLOCK, n - s) for s in range(0, n, SAMPLE_BLOCK)]
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def draw(rng, plan: Sequence[tuple[str, int]]) -> list[np.ndarray]:
+    """One density matrix per (ensemble, d) item of plan, in plan order.
+
+    rng is one Generator, from which the items are drawn in plan order, or
+    a sequence of Generators, one per item. The generator calls are those
+    of drawing each item alone: a Gaussian matrix G (real parts, then
+    imaginary parts), d x d for "hs" and "pd", d x 1 for "pure" and d x r
+    for "boundary", whose rank r = integers(1, d) is drawn first (r = 1 at
+    d = 1), and for "bloch" a normal 3-vector and then a uniform radius.
+    Consecutive normal draws are merged into one call. Each state is then
+    G G^dag / tr, plus 1e-6 I ("boundary") or 1e-3 I ("pd") and
+    renormalized, the projector onto G / |G| ("pure"), or bloch_state of
+    u^(1/3) v / |v| ("bloch"); every (ensemble, d, rank) group is built as
+    one stack, with one np.linalg.norm per vector.
+    """
+    plan = list(plan)
+    bad = [(e, d) for e, d in plan if e not in ENSEMBLES or (e == "bloch" and d != 2)]
+    if bad:
+        raise ValueError(f"unknown ensemble or dimension {bad[0]!r}")
+    rngs = [rng] * len(plan) if isinstance(rng, np.random.Generator) else list(rng)
+    chunks: list[np.ndarray] = []  # the normal draws, in the order they were made
+    done = pending = 0  # normals drawn so far; normals owed by the current generator
+    groups: dict[tuple[str, int, int], list] = {}  # key -> (item, offset, radius)
+    gen = None
+
+    def flush():
+        nonlocal done, pending
+        if pending:
+            chunks.append(gen.normal(size=pending))
+            done, pending = done + pending, 0
+
+    for i, ((ens, d), g) in enumerate(zip(plan, rngs, strict=True)):
+        if g is not gen:
+            flush()
+            gen = g
+        cols = d if ens in ("hs", "pd") else 1
+        if ens == "boundary" and d > 1:
+            flush()
+            cols = int(g.integers(1, d))
+        offset, radius = done + pending, None
+        if ens == "bloch":
+            pending += 3
+            flush()
+            radius = g.uniform() ** (1.0 / 3.0)
+        else:
+            pending += 2 * d * cols
+        groups.setdefault((ens, d, cols), []).append((i, offset, radius))
+    flush()
+    z = np.concatenate(chunks) if chunks else np.empty(0)
+
+    out: list[np.ndarray] = [None] * len(plan)
+    for (ens, d, cols), items in groups.items():
+        idx, offsets, radii = zip(*items)
+        width = 3 if ens == "bloch" else 2 * d * cols
+        rows = z[np.array(offsets)[:, None] + np.arange(width)]
+        for i, state in zip(idx, _build(ens, d, cols, rows, radii)):
+            out[i] = state
+    return out
+
+
+def _build(ens: str, d: int, cols: int, rows: np.ndarray, radii) -> np.ndarray:
+    """The states of one (ensemble, d, rank) group, one per row of its
+    normal draws (for a matrix G: the real parts, then the imaginary parts)."""
+    if ens == "bloch":
+        return bloch_state(*(np.array(radii)[:, None] * _unit_rows(rows)).T)
+    n = d * cols
+    g = rows[:, :n] + 1j * rows[:, n:]
+    if ens == "pure":
+        v = _unit_rows(g)
+        return v[:, :, None] * v.conj()[:, None, :]
+    g = g.reshape(-1, d, cols)
+    rhos = _unit_trace(g @ g.conj().swapaxes(1, 2))
+    if ens == "hs":
+        return rhos
+    return _unit_trace(rhos + (1e-3 if ens == "pd" else 1e-6) * np.eye(d))
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # one np.linalg.norm per vector: a batched norm differs in the last bit
+    return v / np.array([np.linalg.norm(x) for x in v])[:, None]
+
+
+def _unit_trace(rhos: np.ndarray) -> np.ndarray:
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+def _stack(states: list[np.ndarray], d: int) -> np.ndarray:
+    return np.stack(states) if states else np.empty((0, d, d), dtype=complex)
+
+
 def haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     """Rank-one projector onto a Haar-random unit vector."""
-    v = complex_gaussian(rng, d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    return draw(rng, [("pure", d)])[0]
 
 
 def hs_mixed(d: int, rng: np.random.Generator) -> np.ndarray:
     """Hilbert-Schmidt random density matrix G G^dag / tr."""
-    g = complex_gaussian(rng, (d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return draw(rng, [("hs", d)])[0]
 
 
 def boundary_biased(d: int, rng: np.random.Generator) -> np.ndarray:
     """Rank-deficient state plus an isotropic floor 1e-6, renormalized."""
-    rank = int(rng.integers(1, d)) if d > 1 else 1
-    g = complex_gaussian(rng, (d, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real + 1e-6 * np.eye(d)
-    return rho / np.trace(rho).real
+    return draw(rng, [("boundary", d)])[0]
 
 
-def random_density(d: int, rng: np.random.Generator, ensemble: str = "hs") -> np.ndarray:
-    if ensemble == "hs":
-        return hs_mixed(d, rng)
-    if ensemble == "pure":
-        return haar_pure(d, rng)
-    if ensemble == "boundary":
-        return boundary_biased(d, rng)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+def random_density(d: int, rng, ensemble: str | Sequence[str] = "hs") -> np.ndarray:
+    """One state of the ensemble (one of ENSEMBLES), or, for a sequence of
+    ensembles, an (n, d, d) stack with one state per entry, drawn from rng
+    in order or, when rng is a sequence of Generators, the i-th from
+    rng[i]."""
+    if isinstance(ensemble, str):
+        return draw(rng, [(ensemble, d)])[0]
+    return _stack(draw(rng, [(e, d) for e in ensemble]), d)
 
 
-def random_pd(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank unit-trace PD matrix: a Hilbert-Schmidt state plus 1e-3 I, renormalized."""
-    rho = hs_mixed(d, rng) + 1e-3 * np.eye(d)
-    return rho / np.trace(rho).real
+def random_pd(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Full-rank unit-trace PD matrix: a Hilbert-Schmidt state plus 1e-3 I,
+    renormalized; with a count n, an (n, d, d) stack of n such draws."""
+    if n is None:
+        return draw(rng, [("pd", d)])[0]
+    return _stack(draw(rng, [("pd", d)] * n), d)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,14 +188,18 @@ def random_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Channel:
     return Channel(kraus, label=f"random({d_in}->{d_out},k={d_in})")
 
 
-def bloch_state(x: float, y: float, z: float) -> np.ndarray:
-    """Qubit state (1 + r . sigma)/2 for a Bloch vector inside the ball."""
-    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
+def bloch_state(x, y, z) -> np.ndarray:
+    """Qubit state (1 + r . sigma)/2 for a Bloch vector inside the ball; for
+    arrays of coordinates, a stack of such states."""
+    out = np.empty(np.shape(x) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = 1 + z, x - 1j * y
+    out[..., 1, 0], out[..., 1, 1] = x + 1j * y, 1 - z
+    return 0.5 * out
 
 
-def bloch_sample(rng: np.random.Generator) -> np.ndarray:
-    """Qubit state with a Bloch vector uniform in the solid ball."""
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    r = rng.uniform() ** (1.0 / 3.0)
-    return bloch_state(*(r * v))
+def bloch_sample(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Qubit state with a Bloch vector uniform in the solid ball; with a
+    count n, an (n, 2, 2) stack of n such draws."""
+    if n is None:
+        return draw(rng, [("bloch", 2)])[0]
+    return _stack(draw(rng, [("bloch", 2)] * n), 2)

@@ -56,3 +56,11 @@ def test_increase_alone_names_no_task(capsys):
     assert compare_answers.compare(TASKS, BASE, change) == 0
     out = capsys.readouterr().out
     assert "c_entropic: 3e-11 (down 0, up +3e-11)" in out
+
+
+def test_differing_outputs_are_named(capsys):
+    change = [BASE[0], _run(0, 1.25 + 3e-11, "holds_on_samples")]
+    compare_answers.compare(TASKS, BASE, change)
+    out = capsys.readouterr().out
+    assert "byte-identical outputs: 1/2\n  differs: crosscheck-small: seed 0 task-1\n" in out
+    assert "task-0" not in out

@@ -528,7 +528,7 @@ class TestBatchedMembership:
         datum = self.DATA[name]()
         # 150 samples: two full blocks and a partial one
         config = SamplerConfig(samples=150, seed=7, form=form)
-        assert config.samples % engine._SAMPLE_BLOCK != 0
+        assert config.samples % engine.SAMPLE_BLOCK != 0
         worst, witness, verdict, samples, gaps = _scalar_membership(datum, config)
         batched = engine._sample_gaps(datum, engine._Workspace(datum), form, samples)
         assert np.all(np.abs(batched - gaps) <= 1e-12 * np.maximum(1.0, np.abs(gaps)))
@@ -540,7 +540,7 @@ class TestBatchedMembership:
         assert rep.verdict == verdict
         assert rep.samples == config.samples
 
-    @pytest.mark.parametrize("samples", [1, 5, engine._SAMPLE_BLOCK, engine._SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("samples", [1, 5, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1])
     def test_sample_counts_around_the_block_size(self, samples):
         datum = _mixed_dims_datum()
         for form in ("entropic", "analytic"):
@@ -677,10 +677,10 @@ class TestBatchedMembership:
         # planted gaps over two blocks: nan first, the minimum -2 tied
         # within the first block and again in the second
         datum = _mixed_dims_datum()
-        n = engine._SAMPLE_BLOCK + 10
+        n = engine.SAMPLE_BLOCK + 10
         planted = np.full(n, 1.0)
         planted[[0, 5]] = np.nan
-        planted[[2, 4, engine._SAMPLE_BLOCK + 1]] = -2.0
+        planted[[2, 4, engine.SAMPLE_BLOCK + 1]] = -2.0
         starts = []
 
         def fake_gaps(datum, ws, form, samples):

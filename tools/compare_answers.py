@@ -8,11 +8,12 @@ qbl imported from BASE_SRC, so both trees read the same input files. Each
 tree then runs every task through ``qbl.cli.main`` in one child process of
 its own, with qbl imported from that tree and BLAS pinned to one thread.
 Prints the tasks whose exit codes differ, the count of byte-identical
-outputs, the tasks whose non-numeric fields differ, and per workload, for
-every numeric field that moved (a JSON path with list indices dropped, or a
-CSV column), its largest absolute difference and its largest decrease, with
-the task it came from, and largest increase (change - base), so that "no
-constant went down" reads off one line per field. Exits 1 when any exit code or non-numeric field
+outputs and the tasks whose outputs are not, the tasks whose non-numeric
+fields differ, and per workload, for every numeric field that moved (a JSON
+path with list indices dropped, or a CSV column), its largest absolute
+difference and its largest decrease, with the task it came from, and
+largest increase (change - base), so that "no constant went down" reads off
+one line per field. Exits 1 when any exit code or non-numeric field
 differs, so a script can use it as a gate; numeric moves alone exit 0.
 """
 
@@ -103,8 +104,7 @@ def as_number(x):
 def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     """Print the differences of two runs of the tasks; 1 if an exit code or
     a non-numeric field differs, else 0."""
-    identical = 0
-    exit_mismatch, other = [], []
+    exit_mismatch, differing, other = [], [], []
     # per workload and field: the most negative change - base, the task it
     # came from, and the most positive change - base
     moved: dict[str, dict[str, list]] = {name: {} for name in WORKLOADS}
@@ -113,8 +113,8 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
         if a["exit"] != b["exit"]:
             exit_mismatch.append(f"{label}: exit {a['exit']} -> {b['exit']}")
         if a["stdout"] == b["stdout"]:
-            identical += 1
             continue
+        differing.append(label)
         fa, fb = leaves(a["stdout"]), leaves(b["stdout"])
         if fa.keys() != fb.keys():
             other.append(f"{label}: fields {sorted(fa.keys() ^ fb.keys())} differ")
@@ -138,7 +138,9 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     print(f"exit-code mismatches: {len(exit_mismatch)}")
     for line in exit_mismatch:
         print(f"  {line}")
-    print(f"byte-identical outputs: {identical}/{len(tasks)}")
+    print(f"byte-identical outputs: {len(tasks) - len(differing)}/{len(tasks)}")
+    for line in differing:
+        print(f"  differs: {line}")
     print(f"non-numeric differences: {len(other)}")
     for line in other:
         print(f"  {line}")
