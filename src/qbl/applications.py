@@ -24,18 +24,19 @@ from .channels import (
     apply,
     apply_adjoint,
     basis_rows,
+    identity_channel,
     measurement_channel,
     partial_trace,
     pauli_basis,
     ptrace,
 )
 from .engine import (
-    GAIN_TOL,
     BLDatum,
     OptimizerBudget,
     SamplerConfig,
     _ascent,
     bl_membership,
+    duality_crosscheck,
     optimal_constant_analytic,
     optimal_constant_entropic,
 )
@@ -50,7 +51,6 @@ from .operators import (
     DensityOperator,
     PSDOperator,
     _log_mean,
-    eigh_log,
     from_spectrum,
     hermitian_part,
     identity,
@@ -65,7 +65,7 @@ from .operators import (
     xlogx_sum,
 )
 from .policy import PSD_SLACK, eps_supp
-from .sampling import complex_gaussian, random_density
+from .sampling import random_density
 
 LN2 = float(np.log(2.0))
 
@@ -366,120 +366,39 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
 @dataclass
 class MinOutputReport:
     h_min: float  # best (smallest) estimate, nats
-    direct: float  # min_psi H(E(|psi><psi|))
-    dual: float  # -max_omega lambda_max(E^dag log omega)
+    direct: float  # min_rho H(E(rho)), the entropic side
+    dual: float  # -max_omega log tr exp(log omega_1 + E^dag log omega_2), unit-trace omegas
     witness_state: np.ndarray
     witness_omega: np.ndarray
 
 
-_DUAL_FLOOR = 1e-13
-
-
-def _neg_output_entropy(ch: Channel, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-H(E(rho)) on a stack of states and its Hermitian gradient in rho,
-    E^dag(log E(rho))."""
-    vals, log_out = eigh_log(apply(ch, rhos))
-    return xlogx_sum(vals), apply_adjoint(ch, log_out)
-
-
-def _minout_direct(ch: Channel, vec0s: np.ndarray, budget: OptimizerBudget):
-    """Minimize the output entropy over pure inputs by gradient ascent of
-    its negative over rho = vv^dag / |v|^2; vec0s holds stacked complex
-    start vectors."""
-    fvals, vs, _ = _ascent(partial(_neg_output_entropy, ch), vec0s[..., None], budget.max_iters)
-    i = int(np.argmax(fvals))
-    v = vs[i, :, 0] / np.linalg.norm(vs[i])
-    return float(-fvals[i]), v
-
-
-def _dual_top(ch: Channel, omega: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_max(E^dag log omega), with the spectrum of omega floored at
-    _DUAL_FLOOR inside the log, and its eigenvector."""
-    wv, wu = np.linalg.eigh(omega)
-    m = apply_adjoint(ch, from_spectrum(np.log(np.clip(wv, _DUAL_FLOOR, None)), wu))
-    mv, mu = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return float(mv[-1]), mu[:, -1]
-
-
-def _minout_dual_iterate(ch: Channel, omega0: np.ndarray, max_iters: int):
-    """Alternating maximization of lambda_max(E^dag log omega): the top
-    eigenvector feeds the channel, whose output is the next omega."""
-    d_out = ch.dim_out
-    omega = omega0
-    best = -np.inf
-    best_omega = omega0
-    lam_prev = -np.inf
-    for _ in range(max_iters):
-        lam, top = _dual_top(ch, omega)
-        if lam > best:
-            best, best_omega = lam, omega
-        out = apply(ch, np.outer(top, top.conj()))
-        omega = (1.0 - _DUAL_FLOOR) * out / np.trace(out).real + _DUAL_FLOOR * np.eye(d_out) / d_out
-        if abs(lam - lam_prev) < GAIN_TOL:
-            break
-        lam_prev = lam
-    return best, best_omega
+def min_output_datum(ch: Channel) -> BLDatum:
+    """BL datum whose optimal constant is minus the minimum output entropy
+    of ch: q = (1, 1), channels (id, E), reference operators identities."""
+    one_in, one_out = identity(ch.dim_in), identity(ch.dim_out)
+    return BLDatum([1.0, 1.0], [identity_channel(ch.dim_in), ch], one_in, [one_in, one_out], 0.0)
 
 
 def min_output_entropy(
     ch: Channel, budget: OptimizerBudget = OptimizerBudget(restarts=8)
 ) -> MinOutputReport:
-    """Minimum output entropy, estimated two independent ways.
-
-    (a) direct minimization of the output entropy over pure inputs;
-    (b) the largest-eigenvalue variational form, maximized over
-    full-support omega by alternating the eigenvector and Gibbs updates.
-    When the multi-start estimates disagree, each method is refined from
-    the other's witness; Diverged is raised only if they still differ
-    beyond 1e-5.
+    """Minimum output entropy min_rho H(E(rho)), as minus the optimal
+    constant of min_output_datum estimated from both sides: direct is the
+    entropic estimate, dual the analytic one, and their witnesses are the
+    entropic state and the omega of the E slot. Diverged is raised when
+    the two differ beyond 1e-5.
     """
-    d_in, d_out = ch.dim_in, ch.dim_out
-    seeds = budget.seeds()
-    starts = np.stack(
-        [complex_gaussian(np.random.default_rng(s), d_in) for s in seeds]
-    )
-    direct, vbest = _minout_direct(ch, starts, budget)
-
-    best_dual = -np.inf
-    best_omega = np.eye(d_out) / d_out
-    for s in seeds:
-        rng = np.random.default_rng(s + 77)
-        lam, om = _minout_dual_iterate(ch, random_density(d_out, rng), budget.max_iters)
-        if lam > best_dual:
-            best_dual, best_omega = lam, om
-    dual = float(-best_dual)
-
-    if abs(direct - dual) > 1e-6:
-        # cross-seed: each route refines from the other's witness
-        lam, om = _minout_dual_iterate(
-            ch, apply(ch, np.outer(vbest, vbest.conj())), budget.max_iters
-        )
-        if lam > best_dual:
-            best_dual, best_omega = lam, om
-            dual = float(-best_dual)
-        top = _dual_top(ch, best_omega)[1]
-        d2, v2 = _minout_direct(ch, top[None, :], budget)
-        if d2 < direct:
-            direct, vbest = d2, v2
-    psi = np.outer(vbest, vbest.conj())
+    rep = duality_crosscheck(min_output_datum(ch), budget)
+    direct, dual = -rep.c_entropic, -rep.c_analytic
     if abs(direct - dual) > 1e-5:
         raise Diverged(f"minimum output entropy estimates disagree: {direct} vs {dual}")
     return MinOutputReport(
         h_min=min(direct, dual),
         direct=direct,
         dual=dual,
-        witness_state=psi,
-        witness_omega=best_omega,
+        witness_state=rep.witness_entropic,
+        witness_omega=rep.witness_analytic[1],
     )
-
-
-def min_output_dual_gap(ch: Channel, omega1, omega2, h_min: float) -> float:
-    """exp(-H_min) - tr exp(log omega1 + E^dag(log omega2)); non-negative
-    for every pair of states when h_min is a valid lower output entropy."""
-    w1 = omega1 if isinstance(omega1, PSDOperator) else PSDOperator(omega1)
-    w2 = omega2 if isinstance(omega2, PSDOperator) else PSDOperator(omega2)
-    lhs = trace_exp_sum([matrix_log(w1), adjoint_on_log(ch, matrix_log(w2))])
-    return float(np.exp(-h_min) - lhs)
 
 
 # ---------------------------------------------------------------------------

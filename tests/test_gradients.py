@@ -52,11 +52,13 @@ def test_entropic_gradient():
 
 
 def test_output_entropy_gradient():
+    # -H(E(rho)) over pure states rho = xx^dag / |x|^2: the objective of the
+    # minimum-output-entropy datum, whose log rho terms cancel
     rng = np.random.default_rng(32)
     ch = random_channel(3, 2, rng=rng)
+    ws = _Workspace(app.min_output_datum(ch))
     assert_gradient_matches(
-        partial(_x_value_grad, partial(app._neg_output_entropy, ch)),
-        random_stack(rng, (4, 3, 1)),
+        partial(_x_value_grad, ws.entropic_value_grad), random_stack(rng, (4, 3, 1))
     )
 
 
