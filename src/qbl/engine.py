@@ -7,9 +7,10 @@ omega_k, in the log domain. The optimal constant is the same supremum seen
 from either side; it is estimated independently from both, and agreement
 of the two estimates is the duality cross-check.
 
-Optimizers work on raw arrays, are vectorized across restarts, and assume
-a strictly positive definite sigma. A datum whose E_k(sigma) leaks out of
-supp sigma_k has constant +inf and is reported as such before any search.
+Optimizers work on raw arrays, are vectorized across restarts, and search
+a datum with singular sigma on supp sigma (_compress). A datum whose
+E_k(sigma) leaks out of supp sigma_k has constant +inf and is reported as
+such before any search.
 Each estimator step eigendecomposes each iterate once. The batched
 workspace applies all channels of a datum as one stacked linear map, one
 matmul each way, and stacks the outputs E_k(rho) of equal dimension, so
@@ -40,16 +41,15 @@ analytic side re-evaluates exactly the omega tuple the duality proof pairs
 with it.
 
 The gap evaluators handle boundary supports exactly via the
-support-projected logarithm machinery. Membership sampling evaluates blocks
-of samples through the batched workspace objectives whenever sigma is
-positive definite and no sigma_k is 0, singular sigma_k included: the
-analytic right-hand side is taken on supp sigma_k, and an entropic sample
-whose E_k(rho) leaks out of supp sigma_k gets -inf from one eigh per
-singular sigma_k. Only a sample near a support decision (an analytic
-omega_k eigenvalue at or below its eps_supp, an entropic eigenvalue or leak
-near its threshold) goes to the exact evaluator, and the reported worst gap
-is the exact re-evaluation of the witness. A datum the workspace cannot
-hold is sampled one sample at a time by the exact evaluators.
+support-projected logarithm machinery. Membership sampling evaluates every
+valid datum in blocks through the batched workspace objectives of its
+compressed datum, entropic samples drawn on supp sigma: the analytic
+right-hand side is taken on supp sigma_k (-inf for sigma_k = 0), and an
+entropic sample whose E_k(rho) leaks out of supp sigma_k gets -inf from one
+eigh per singular sigma_k. Only a sample near a support decision (an
+analytic omega_k eigenvalue at or below its eps_supp, an entropic eigenvalue
+or leak near its threshold) goes to the exact evaluator, and the reported
+worst gap is the exact re-evaluation of the witness on the datum itself.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 
 from .channels import Channel, adjoint_on_log, apply
 from .entropy import INF, relative_entropy, supports_contained
-from .errors import DimensionMismatch, Diverged
+from .errors import DimensionMismatch, Diverged, ZeroOperator
 from .operators import (
     DensityOperator,
     PSDOperator,
@@ -224,7 +224,9 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Precomputed arrays for a support-compatible datum with PD sigma.
+    """Precomputed arrays for a support-compatible datum with PD sigma
+    (_compress); sigma_k = 0 has an empty support basis, finite log 0 and a
+    right-hand side of -inf.
 
     The datum's channels act as one stacked linear map on row-major
     vectorizations, ordered by output dimension so that the outputs of
@@ -235,8 +237,6 @@ class _Workspace:
     """
 
     def __init__(self, datum: BLDatum):
-        if datum.sigma.support_rank < datum.dim:
-            raise Diverged("optimal-constant search requires strictly PD sigma")
         self.q = datum.q
         self.dim = datum.dim
         dims = [ch.dim_out for ch in datum.channels]
@@ -257,11 +257,11 @@ class _Workspace:
         self.rhs_bases = []  # support bases V_k (d_k x r_k)
         self.rhs_logs = []  # compressed log sigma_k (r_k x r_k)
         for sk in datum.sigmas:
-            ls = matrix_log(sk)
-            log_sigmas.append(ls.finite)
             v = sk.support_basis()
+            ls = matrix_log(sk).finite if v.size else np.zeros((sk.dim, sk.dim))
+            log_sigmas.append(ls)
             self.rhs_bases.append(v)
-            self.rhs_logs.append(v.conj().T @ ls.finite @ v)
+            self.rhs_logs.append(v.conj().T @ ls @ v)
         # M = log sigma - sum_k q_k E_k^dag(log sigma_k): the part of the
         # entropic objective linear in rho is tr(rho M)
         self.linear = self.log_sigma - self._pull_back(self._stacked(log_sigmas) * self.weights)
@@ -617,6 +617,29 @@ def _support_leak(datum: BLDatum) -> int | None:
     return None
 
 
+def _compress(datum: BLDatum) -> tuple[BLDatum, np.ndarray | None]:
+    """(datum, None) for PD sigma; else the datum on supp sigma (Kraus
+    operators K V, V^dag sigma V, the same sigma_k, q and C) and the support
+    basis V of sigma. A state off supp sigma has D(rho||sigma) = +inf, and
+    log sigma confines the trace-exponential to supp sigma: both data have
+    the same constant and gaps, rho on the first being V rho V^dag (_lift)."""
+    sigma = datum.sigma
+    if sigma.support_rank == sigma.dim:
+        return datum, None
+    if sigma.support_rank == 0:
+        raise ZeroOperator("sigma is the zero operator: no state has finite D(rho||sigma)")
+    v = sigma.support_basis()
+    chans = [Channel(ch.kraus @ v, ch.label, ch.allow_positive_only, ch.signs)
+             for ch in datum.channels]
+    inner = np.diag(sigma.eigenvalues[sigma.eigenvalues > sigma.eps_supp])
+    return BLDatum(datum.q, chans, inner, datum.sigmas, datum.c), v
+
+
+def _lift(v: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
+    """A state of the compressed datum as a state of the datum: V rho V^dag."""
+    return rho if v is None else v @ rho @ v.conj().T
+
+
 def _search(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
     """The search of both estimators: the accelerated fixed-point loop from
     the start states rhos with spectra vals, then the exact-gradient ascent
@@ -652,13 +675,14 @@ def optimal_constant_entropic(
     if _support_leak(datum) is not None:
         witness = DensityOperator(datum.sigma.matrix)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
-    ws = _Workspace(datum)
-    rhos = _initial_states(datum.dim, seeds)
+    inner, v = _compress(datum)
+    ws = _Workspace(inner)
+    rhos = _initial_states(inner.dim, seeds)
     best_val, rho, trace, counts = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
-    witness = DensityOperator(rho)
-    check = float(ws.entropic_objective(witness.matrix[None])[0])
+    check = float(ws.entropic_objective(rho[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
+    witness = DensityOperator(_lift(v, rho))
     result = OptimizationResult(
         best_val, [witness.matrix], "fixed_point+ascent", seeds, trace, *counts
     )
@@ -735,7 +759,8 @@ def optimal_constant_analytic(
         return INF, witness, OptimizationResult(
             INF, [w.matrix for w in witness], "support_leak", seeds
         )
-    ws = _Workspace(datum)
+    inner, v = _compress(datum)
+    ws = _Workspace(inner)
     dims = [ch.dim_out for ch in datum.channels]
     kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
     omegas = [
@@ -746,7 +771,7 @@ def optimal_constant_analytic(
     rhos, vals, _ = gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))
     internal, rho, trace, counts = _search(ws, rhos, vals, budget.max_iters)
     try:
-        rho = DensityOperator(rho)
+        rho = DensityOperator(_lift(v, rho))
         logs = induced_logs(datum, rho)
         witness = induced_analytic_witness(datum, rho)
     except ValueError as exc:
@@ -891,14 +916,9 @@ def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> 
     return gaps
 
 
-def _sample_gaps(datum: BLDatum, ws: _Workspace | None, form: str,
+def _sample_gaps(datum: BLDatum, ws: _Workspace, form: str,
                  samples: list[list[np.ndarray]]) -> np.ndarray:
-    """The gap of the given form at each sample; batched when a workspace
-    is given, else through the exact-support evaluators one at a time."""
-    if ws is None:
-        if form == "entropic":
-            return np.array([entropic_gap(datum, s[0]) for s in samples])
-        return np.array([analytic_gap(datum, s) for s in samples])
+    """The gap of the given form at each sample, batched through ws."""
     if form == "entropic":
         return _entropic_gaps(datum, ws, np.stack([s[0] for s in samples]))
     return _analytic_gaps(datum, ws, [np.stack(col) for col in zip(*samples)])
@@ -909,18 +929,17 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
 
     The witness is the sample of the first strict minimum over the
     samples' gaps; a nan gap is never selected. The samples are evaluated
-    in blocks through the batched workspace objectives whenever the
-    workspace can hold the datum (sigma positive definite, no sigma_k equal
-    to 0), singular sigma_k included; otherwise one at a time by the
-    exact-support evaluators. The reported worst gap is the exact
-    re-evaluation of the witness (reevaluate_report), and the verdict
-    follows from it.
+    in blocks through the batched workspace objectives of the compressed
+    datum (_compress), singular sigma and sigma_k included: entropic
+    samples are drawn on supp sigma and the witness is lifted back. The
+    reported worst gap is the exact re-evaluation of the witness on the
+    datum (reevaluate_report), and the verdict follows from it.
     """
     if config.form not in ("entropic", "analytic"):
         raise ValueError(f"unknown form {config.form!r}")
     rng = np.random.default_rng(config.seed)
-    held = datum.sigma.support_rank == datum.dim and all(sk.support_rank for sk in datum.sigmas)
-    ws = _Workspace(datum) if held else None
+    inner, v = _compress(datum)
+    ws = _Workspace(inner)
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles
@@ -928,18 +947,20 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
         block = range(start, min(start + SAMPLE_BLOCK, config.samples))
         kinds = [ensembles[i % len(ensembles)] for i in block]
         if config.form == "entropic":
-            samples = [[rho] for rho in random_density(datum.dim, rng, kinds)]
+            samples = [[rho] for rho in random_density(inner.dim, rng, kinds)]
         else:  # full-support omegas only: "pure" draws "hs"
             n = len(datum.channels)
             flat = draw(rng, [("hs" if kind == "pure" else kind, ch.dim_out)
                               for kind in kinds for ch in datum.channels])
             samples = [flat[j:j + n] for j in range(0, len(flat), n)]
-        gaps = _sample_gaps(datum, ws, config.form, samples)
+        gaps = _sample_gaps(inner, ws, config.form, samples)
         below = np.where(gaps < worst, gaps, INF)  # nan compares false
         i = int(np.argmin(below))
         if below[i] < worst:
             worst = float(below[i])
             witness = samples[i]
+    if v is not None and config.form == "entropic" and witness:
+        witness = [_lift(v, witness[0])]
     report = VerificationReport(config.form, worst, witness, config.samples)
     if witness:
         report.worst_gap = float(reevaluate_report(datum, report))

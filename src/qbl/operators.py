@@ -56,9 +56,9 @@ def xlogx_sum(vals: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp(vals: np.ndarray) -> np.ndarray:
-    """log sum_i exp(x_i) over the last axis (non-empty), shifted by the row
-    maximum; an all -inf row gives -inf without a warning, nan propagates."""
-    top = np.max(vals, axis=-1, keepdims=True)
+    """log sum_i exp(x_i) over the last axis, shifted by the row maximum; an
+    empty or all -inf row gives -inf without a warning, nan propagates."""
+    top = np.max(vals, axis=-1, keepdims=True, initial=-np.inf)
     top[~np.isfinite(top)] = 0.0
     total = np.sum(np.exp(vals - top), axis=-1)
     out = np.log(total, out=np.full(np.shape(total), -np.inf), where=total != 0)

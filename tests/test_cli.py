@@ -8,6 +8,7 @@ import pytest
 from qbl.cli import main
 from qbl.engine import BLDatum
 from qbl.operators import PSDOperator
+from qbl.sampling import random_channel
 from qbl import channels as ch
 from qbl.channels import depolarizing, identity_channel
 from qbl.serialization import encode_channel, encode_datum, encode_matrix
@@ -181,6 +182,42 @@ class TestConstant:
         code, out = run(capsys, "constant", str(path), "--budget", "restarts=4", "--no-meta")
         assert code == 0
         assert json.loads(out)["constant"]["entropic_nats"] == "inf"
+
+    def test_singular_sigma_gets_a_constant(self, capsys, tmp_path):
+        # sigma = diag(0.6, 0.4, 0) is valid: the search runs on supp sigma,
+        # and entropic samples are drawn there
+        e = random_channel(3, 2, rng=np.random.default_rng(3))
+        sigma = PSDOperator(np.diag([0.6, 0.4, 0.0]))
+        datum = BLDatum([1.3], [e], sigma, [PSDOperator(e(sigma))], 0.0)
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(encode_datum(datum)))
+        code, out = run(capsys, "constant", str(path), "--budget", "restarts=8,iters=300",
+                        "--no-meta")
+        assert code == 0
+        rep = json.loads(out)["constant"]
+        assert rep["agree"] is True
+        assert np.isfinite(rep["entropic_nats"]) and np.isfinite(rep["analytic_nats"])
+        assert abs(rep["entropic_nats"] - rep["analytic_nats"]) <= 1e-9
+        code, out = run(capsys, "verify", str(path), "--form", "both", "--samples", "50",
+                        "--no-meta")
+        assert code == 0
+        rep = json.loads(out)
+        assert all(0 <= rep[form]["worst_gap"] < np.inf for form in ("entropic", "analytic"))
+
+    def test_zero_sigma_is_one_error_line(self, capsys, tmp_path):
+        datum = BLDatum([1.0], [identity_channel(2)], PSDOperator(np.zeros((2, 2))),
+                        [PSDOperator(np.eye(2) / 2)], 0.0)
+        path = tmp_path / "zero-sigma.json"
+        path.write_text(json.dumps(encode_datum(datum)))
+        lines = set()
+        for argv in (["verify", str(path), "--form", "entropic"],
+                     ["verify", str(path), "--form", "analytic"],
+                     ["constant", str(path), "--budget", "restarts=2"]):
+            assert main([*argv, "--no-meta"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.add(captured.err)
+        assert lines == {"error: sigma is the zero operator: no state has finite D(rho||sigma)\n"}
 
     def test_non_finite_numbers_are_strict_json(self, capsys, leaking_spec):
         def reject(token):

@@ -26,7 +26,7 @@ from qbl.engine import (
     tensorization_check,
 )
 from qbl import engine
-from qbl.errors import DimensionMismatch, Diverged, ZeroTrace
+from qbl.errors import DimensionMismatch, Diverged, ZeroOperator, ZeroTrace
 from qbl.policy import SUPP_RTOL
 from qbl.sampling import (
     haar_pure,
@@ -468,19 +468,23 @@ def _shearer_pairs_datum():
 
 def _scalar_membership(datum, config):
     """Reference loop: one sample at a time through the exact-support
-    evaluators, drawing in the order bl_membership draws."""
+    evaluators, drawing in the order bl_membership draws, entropic states on
+    supp sigma (the compressed datum's space), each evaluated and reported
+    lifted onto the datum's space. Returns the samples as drawn."""
     rng = np.random.default_rng(config.seed)
+    inner, v = engine._compress(datum)
     worst, witness, samples, gaps = np.inf, [], [], []
     for i in range(config.samples):
         kind = config.ensembles[i % len(config.ensembles)]
         if config.form == "entropic":
-            cand = [random_density(datum.dim, rng, kind)]
+            drawn = [random_density(inner.dim, rng, kind)]
+            cand = [engine._lift(v, drawn[0])]
             gap = entropic_gap(datum, cand[0])
         else:
             full_kind = "hs" if kind == "pure" else kind
-            cand = [random_density(c.dim_out, rng, full_kind) for c in datum.channels]
+            drawn = cand = [random_density(c.dim_out, rng, full_kind) for c in datum.channels]
             gap = analytic_gap(datum, cand)
-        samples.append(cand)
+        samples.append(drawn)
         gaps.append(gap)
         if gap < worst:
             worst, witness = gap, cand
@@ -518,10 +522,43 @@ def _singular_sigma_k_datum(seed):
     return BLDatum(q, chans, sig, sigmas, 0.1)
 
 
+def _defect_d_datum():
+    # sigma = diag(0.6, 0.4, 0) and sigma_1 = E(sigma), q = 1.3: the
+    # optimal constant is 0 (equality at rho = sigma / tr sigma)
+    e = random_channel(3, 2, rng=np.random.default_rng(3))
+    sig = op.PSDOperator(np.diag([0.6, 0.4, 0.0]))
+    return BLDatum([1.3], [e], sig, [op.PSDOperator(e(sig))], 0.0)
+
+
+def _singular_sigma_datum(seed):
+    """sigma of rank d - 1 in a Haar basis, sigma_1 = E_1(sigma) and C =
+    0.1. On odd seeds E_1 maps into a proper subspace of its output space,
+    so that sigma_1 is singular too; seed 3 adds a channel with a rank-one
+    sigma_2, which every sampled E_2(rho) leaks out of."""
+    rng = np.random.default_rng(100 + seed)
+    d, m = int(rng.integers(3, 5)), int(rng.integers(2, 4))
+    u = haar_unitary(d, rng)
+    sig = op.PSDOperator((u * np.append(rng.uniform(0.2, 1.0, d - 1), 0.0)) @ u.conj().T)
+    e1 = random_channel(d, m, rng=rng)
+    if seed % 2:
+        iso = haar_unitary(m + 1, rng)[:, :m]  # an isometry C^m -> C^(m+1)
+        e1 = ch.Channel([iso @ k for k in e1.kraus])
+    q, chans, sigmas = [float(rng.uniform(0.5, 2.0))], [e1], [op.PSDOperator(e1(sig))]
+    if seed == 3:
+        q.append(float(rng.uniform(0.5, 2.0)))
+        chans.append(random_channel(d, 2, rng=rng))
+        sigmas.append(op.PSDOperator(haar_pure(2, rng)))
+    assert sig.support_rank == d - 1
+    return BLDatum(q, chans, sig, sigmas, 0.1)
+
+
 class TestBatchedMembership:
     DATA = {"mixed-dims": _mixed_dims_datum, "shearer-pairs": _shearer_pairs_datum}
     SINGULAR = {"rank-deficient": _leaking_datum, "zero-sigma-k": _zero_sigma_k_datum,
-                **{f"random-{seed}": partial(_singular_sigma_k_datum, seed) for seed in range(6)}}
+                "defect-d": _defect_d_datum,
+                **{f"random-{seed}": partial(_singular_sigma_k_datum, seed) for seed in range(6)},
+                **{f"singular-sigma-{seed}": partial(_singular_sigma_datum, seed)
+                   for seed in range(4)}}
 
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
     @pytest.mark.parametrize("name", sorted(DATA))
@@ -590,22 +627,25 @@ class TestBatchedMembership:
 
     def test_singular_data_cover_both_leak_outcomes(self):
         # the random singular data include samples whose E_k(rho) stays in
-        # supp sigma_k (finite gaps) and samples whose E_k(rho) leaks (-inf)
+        # supp sigma_k (finite gaps) and samples whose E_k(rho) leaks (-inf);
+        # the batched gaps of both forms, on the compressed datum, are the
+        # exact gaps of the samples lifted onto the datum's space
         finite = leaking = 0
         for name in sorted(self.SINGULAR):
             datum = self.SINGULAR[name]()
-            if not all(sk.support_rank for sk in datum.sigmas):
-                continue  # the workspace cannot hold sigma_k = 0
-            config = SamplerConfig(samples=70, seed=5, form="entropic")
-            _, _, _, samples, gaps = _scalar_membership(datum, config)
-            batched = engine._sample_gaps(datum, engine._Workspace(datum), "entropic", samples)
-            fin = np.isfinite(gaps)
-            assert np.array_equal(fin, np.isfinite(batched))
-            assert np.all(batched[~fin] == gaps[~fin])
-            assert np.all(np.abs(batched[fin] - gaps[fin])
-                          <= 1e-12 * np.maximum(1.0, np.abs(gaps[fin])))
-            finite += fin.sum()
-            leaking += (~fin).sum()
+            inner, _ = engine._compress(datum)
+            for form in ("entropic", "analytic"):
+                config = SamplerConfig(samples=70, seed=5, form=form)
+                _, _, _, samples, gaps = _scalar_membership(datum, config)
+                batched = engine._sample_gaps(inner, engine._Workspace(inner), form, samples)
+                fin = np.isfinite(gaps)
+                assert np.array_equal(fin, np.isfinite(batched))
+                assert np.all(batched[~fin] == gaps[~fin])
+                assert np.all(np.abs(batched[fin] - gaps[fin])
+                              <= 1e-12 * np.maximum(1.0, np.abs(gaps[fin])))
+                if form == "entropic":
+                    finite += fin.sum()
+                    leaking += (~fin).sum()
         assert finite > 0 and leaking > 0
 
     def test_entropic_rows_near_a_support_decision_are_evaluated_exactly(self, monkeypatch):
@@ -1063,6 +1103,82 @@ class TestConvergence:
         c_ana = optimal_constant_analytic(datum, budget)[0]
         assert np.isfinite(c_ana)
         assert abs(c_ana - c_ent) <= 1e-9
+
+
+def _embedded_datum(datum):
+    """datum on one more input direction e, where sigma is 0: sigma (+) 0,
+    Kraus operators K P with P = eye(d, d + 1), and per channel of output
+    dimension m the operators |j><e| / sqrt(m), j < m, which keep it
+    trace-preserving. Its sigma_k, q and C are those of datum."""
+    d = datum.dim
+    p, e = np.eye(d, d + 1), np.eye(d + 1)[d]
+    chans = []
+    for c in datum.channels:
+        m = c.dim_out
+        extra = [np.outer(np.eye(m)[j], e) / np.sqrt(m) for j in range(m)]
+        chans.append(ch.Channel([k @ p for k in c.kraus] + extra))
+    sigma = op.PSDOperator(np.pad(datum.sigma.matrix, (0, 1)))
+    return BLDatum(datum.q, chans, sigma, datum.sigmas, datum.c)
+
+
+class TestSingularSigma:
+    """A datum with singular sigma is the datum E_k o Ad_V, V^dag sigma V on
+    supp sigma (V its support basis): both estimators search that one."""
+
+    BUDGET = OptimizerBudget(restarts=8, max_iters=300)
+
+    def test_positive_definite_sigma_is_not_compressed(self):
+        datum = _acceptance_datum(0)
+        inner, v = engine._compress(datum)
+        assert inner is datum and v is None
+
+    def test_defect_d_both_sides(self):
+        # the search used to refuse this datum for its singular sigma;
+        # rho = sigma / tr sigma gives 0, and both sides find 0 (measured
+        # 3.3e-16 and 1.8e-16)
+        datum = _defect_d_datum()
+        c_ent, w_ent, _ = optimal_constant_entropic(datum, self.BUDGET)
+        c_ana, w_ana, _ = optimal_constant_analytic(datum, self.BUDGET)
+        assert np.isfinite(c_ent) and np.isfinite(c_ana)
+        assert abs(c_ent - c_ana) <= 1e-9
+        assert abs(c_ent) <= 1e-9
+        # the entropic witness lies in supp sigma, the span of e_1, e_2
+        assert np.max(np.abs(w_ent.matrix[2])) <= 1e-12
+        assert entropic_gap(datum, w_ent) == pytest.approx(-c_ent, abs=1e-9)
+        assert analytic_gap(datum, w_ana) == pytest.approx(-c_ana, abs=1e-9)
+
+    def test_superadditivity_datum(self):
+        # sigma_AB = diag(0.5, 0.2, 0.3, 0): the constant of the
+        # super-additivity datum is 0
+        datum = app.superadditivity_datum(np.diag([0.5, 0.2, 0.3, 0.0]), (2, 2))
+        assert optimal_constant_entropic(datum, self.BUDGET)[0] == pytest.approx(0.0, abs=1e-9)
+        assert optimal_constant_analytic(datum, self.BUDGET)[0] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_embedding_leaves_the_constant(self, index):
+        # one more input direction on which sigma is 0 changes no constant
+        datum = _acceptance_datum(index)
+        big = _embedded_datum(datum)
+        assert big.sigma.support_rank == datum.dim == big.dim - 1
+        budget = OptimizerBudget(restarts=16, max_iters=500, base_seed=3)
+        c_ent, w_ent, _ = optimal_constant_entropic(big, budget)
+        assert abs(c_ent - optimal_constant_entropic(datum, budget)[0]) <= 1e-9
+        assert np.max(np.abs(w_ent.matrix[datum.dim])) <= 1e-12
+        c_ana = optimal_constant_analytic(big, budget)[0]
+        assert abs(c_ana - optimal_constant_analytic(datum, budget)[0]) <= 1e-9
+
+    def test_zero_sigma_is_one_error(self):
+        # sigma = 0: no state has finite D(rho||sigma); every route raises
+        # the same error
+        datum = BLDatum([1.0], [ch.identity_channel(2)], op.PSDOperator(np.zeros((2, 2))),
+                        [op.PSDOperator(np.eye(2) / 2)], 0.0)
+        calls = [partial(optimal_constant_entropic, budget=self.BUDGET),
+                 partial(optimal_constant_analytic, budget=self.BUDGET),
+                 *(partial(bl_membership, config=SamplerConfig(samples=5, form=form))
+                   for form in ("entropic", "analytic"))]
+        for call in calls:
+            with pytest.raises(ZeroOperator, match="^sigma is the zero operator"):
+                call(datum)
 
 
 class TestAcceleratedLoop:
