@@ -55,13 +55,13 @@ from .operators import (
     hermitian_part,
     identity,
     lieb_triple_integral,
-    log_trace_exp_sum,
     matrix_log,
     psd_stack,
     relative_entropy_grad,
     sqrt_psd,
     support_logs,
     trace_exp_sum,
+    weighted_antinorm,
     xlogx_sum,
 )
 from .policy import PSD_SLACK, eps_supp
@@ -193,7 +193,7 @@ def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]):
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     out = []
     for basis in bases:
-        rows = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
+        rows = basis_rows(basis)
         # column x of mat @ rows^T is mat |x>, and <x| mat |x> its overlap with |x>
         probs = np.einsum("xi,...ix->...x", rows.conj(), mat @ rows.T).real
         probs = np.clip(probs, 0.0, None)
@@ -263,25 +263,32 @@ class MuAnalyticReport:
     chain_holds: bool
 
 
-def _pinching_chain(bases, omegas):
-    """The first two links of a measurement checker's proof chain, for the
-    pinching channels M_k of the bases: (lhs, pinched, (vals, vecs),
-    jensen_mid) with lhs = tr exp(sum_k M_k^dag log w_k), the pinched
-    operators M_k^dag(w_k) as one stack, their spectra and eigenvectors,
-    and jensen_mid = tr exp(sum_k log M_k^dag(w_k)).
+def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
+    """The operator-Jensen links of an analytic checker's proof chain for the
+    channels E_k: (lhs, pulled, (vals, vecs), jensen_mid) with
+    lhs = tr exp(log sigma + sum_k E_k^dag log w_k), the pulled-back
+    operators E_k^dag(w_k) as one stack, their spectra and eigenvectors, and
+    jensen_mid = tr exp(log sigma + sum_k log E_k^dag(w_k)); without
+    log_sigma the log sigma term is 0 (sigma = I).
     The omegas are validated as one stack, with one eigh for them and one
-    for the pinched operators; a rank-deficient omega keeps its kernel flag
-    (support-projected logs)."""
-    chans = [measurement_channel(b) for b in bases]
+    for the pulled-back operators; a rank-deficient omega keeps its kernel
+    flag (support-projected logs). With unit_trace, ValueError unless every
+    omega has trace 1 within 1e-9: the uncertainty bounds c and 1/4 hold
+    for unit-trace omegas only."""
     if len(omegas) != len(chans):
         raise DimensionMismatch(f"expected {len(chans)} omegas, got {len(omegas)}")
     mats, vals, vecs = psd_stack(omegas)
+    if unit_trace:
+        traces = np.trace(mats, axis1=1, axis2=2).real
+        if np.max(np.abs(traces - 1.0)) > 1e-9:
+            raise ValueError(f"the bound needs unit-trace omegas, got traces {traces.tolist()}")
+    head = [] if log_sigma is None else [log_sigma]
     logs = support_logs(vals, vecs)
-    lhs = trace_exp_sum([adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
-    pinched = hermitian_part(np.stack([apply_adjoint(ch, w) for ch, w in zip(chans, mats)]))
-    spectra = np.linalg.eigh(pinched)
-    jensen_mid = trace_exp_sum(support_logs(*spectra))
-    return lhs, pinched, spectra, jensen_mid
+    lhs = trace_exp_sum(head + [adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
+    pulled = hermitian_part(np.stack([apply_adjoint(ch, w) for ch, w in zip(chans, mats)]))
+    spectra = np.linalg.eigh(pulled)
+    jensen_mid = trace_exp_sum(head + support_logs(*spectra))
+    return lhs, pulled, spectra, jensen_mid
 
 
 def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
@@ -289,7 +296,8 @@ def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     chain (operator Jensen, then Golden-Thompson, then the overlap bound),
     verifying each intermediate step."""
     c = maassen_uffink_constant(basis_x, basis_z)
-    lhs, (px, pz), _, jensen_mid = _pinching_chain([basis_x, basis_z], [omega1, omega2])
+    chans = [measurement_channel(basis_x), measurement_channel(basis_z)]
+    lhs, (px, pz), _, jensen_mid = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
     gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
         gt_bound <= c + PSD_SLACK
@@ -345,7 +353,8 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
         (report.entropy_sum_bits, report.h_a_bits, report.entropic_gap_bits,
          report.weaker_bound_gap_bits) = fields
     if omegas is not None:
-        lhs, pinched, (pvals, pvecs), jensen_mid = _pinching_chain(bases, omegas)
+        chans = [measurement_channel(b) for b in bases]
+        lhs, pinched, (pvals, pvecs), jensen_mid = _jensen_chain(chans, omegas, unit_trace=True)
         triple = lieb_triple_integral(*pinched, spectrum=(pvals[2], pvecs[2]))
         report.analytic_lhs = float(lhs)
         report.analytic_gap = float(0.25 - lhs)
@@ -405,11 +414,22 @@ def min_output_entropy(
 # Data processing and strong data processing
 # ---------------------------------------------------------------------------
 
+def dpi_datum(ch: Channel, sigma, eta: float = 1.0) -> BLDatum:
+    """BL datum of strong data processing D(E rho||E sigma) <= eta D(rho||sigma):
+    q = 1/eta, channel E, reference sigma, sigma_1 = E(sigma), C = 0. Its
+    optimal constant is 0 exactly when eta is at least the contraction
+    coefficient; eta = 1 is plain data processing."""
+    if not 0.0 < eta <= 1.0:
+        raise InvalidEta(f"eta must be in (0, 1], got {eta}")
+    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
+    return BLDatum([1.0 / eta], [ch], sig, [PSDOperator(apply(ch, sig.matrix))], 0.0)
+
+
 @dataclass
 class DpiAnalyticReport:
     lhs: float  # tr exp(log sigma + E^dag log omega)
     rhs_dual: float  # tr exp(log omega + log E(sigma))
-    rhs_weak: float  # tr omega E(sigma), the Jensen/Golden-Thompson bound
+    rhs_weak: float  # tr sigma E^dag(omega) = tr omega E(sigma), the Golden-Thompson bound
     jensen_mid: float  # tr exp(log sigma + log E^dag(omega))
     gap: float  # rhs_dual - lhs
     strictly_stronger: bool  # rhs_dual < rhs_weak
@@ -417,22 +437,15 @@ class DpiAnalyticReport:
 
 def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     """Dual analytic form of data processing at one (sigma, omega) pair,
-    together with the weaker operator-Jensen/Golden-Thompson chain."""
-    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
-    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega)
-    if sig.dim != ch.dim_in or w.dim != ch.dim_out:
-        raise DimensionMismatch("sigma/omega dims do not match the channel")
-    lw = matrix_log(w)
-    ls = matrix_log(sig)
-    lhs = trace_exp_sum([ls, adjoint_on_log(ch, lw)])
-    esig = PSDOperator(apply(ch, sig.matrix))
-    rhs_dual = trace_exp_sum([lw, matrix_log(esig)])
-    adj_w = PSDOperator(apply_adjoint(ch, w.matrix))
-    jensen_mid = trace_exp_sum([ls, matrix_log(adj_w)])
-    rhs_weak = float(np.trace(w.matrix @ esig.matrix).real)
+    on dpi_datum(ch, sigma), together with the weaker operator-Jensen /
+    Golden-Thompson chain."""
+    datum = dpi_datum(ch, sigma)
+    lhs, (pulled,), _, jensen_mid = _jensen_chain([ch], [omega], matrix_log(datum.sigma))
+    rhs_dual = weighted_antinorm(omega, datum.sigmas[0], 1.0)
+    rhs_weak = float(np.trace(datum.sigma.matrix @ pulled).real)
     return DpiAnalyticReport(
         lhs=float(lhs),
-        rhs_dual=float(rhs_dual),
+        rhs_dual=rhs_dual,
         rhs_weak=rhs_weak,
         jensen_mid=float(jensen_mid),
         gap=float(rhs_dual - lhs),
@@ -520,11 +533,11 @@ def contraction_coefficient(
     if sig.support_rank < sig.dim:
         raise SingularMarginal("contraction coefficient needs a full-support reference")
     d = sig.dim
-    esig = apply(ch, sig.matrix)
     eta_pert = _perturbative_eta(ch, sig.matrix)
 
+    datum = dpi_datum(ch, sig)
     ratio = partial(
-        _divergence_ratio, ch, matrix_log(sig).finite, matrix_log(PSDOperator(esig)).finite
+        _divergence_ratio, ch, matrix_log(datum.sigma).finite, matrix_log(datum.sigmas[0]).finite
     )
     seeds = budget.seeds()
     kinds = [("hs", "pure")[i % 2] for i in range(len(seeds))]
@@ -536,20 +549,6 @@ def contraction_coefficient(
     if eta > 1.0 + 1e-9:
         raise Diverged(f"contraction estimate {eta} violates data processing")
     return eta
-
-
-def sdpi_analytic_check(ch: Channel, sigma, eta: float, omega) -> float:
-    """Gap of the strong-data-processing analytic inequality at omega:
-    ||exp(log omega + (1/eta) log E(sigma))||_eta - tr exp(log sigma + E^dag log omega)."""
-    if not 0.0 < eta <= 1.0:
-        raise InvalidEta(f"eta must be in (0, 1], got {eta}")
-    sig = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
-    w = omega if isinstance(omega, PSDOperator) else PSDOperator(omega)
-    lw = matrix_log(w)
-    lhs = trace_exp_sum([matrix_log(sig), adjoint_on_log(ch, lw)])
-    esig = PSDOperator(apply(ch, sig.matrix))
-    log_rhs = log_trace_exp_sum([lw.scaled(eta), matrix_log(esig)]) / eta
-    return float(np.exp(log_rhs) - lhs)
 
 
 def depolarizing_sdpi_scalar_gap(t: np.ndarray, p: float, eta: float) -> np.ndarray:

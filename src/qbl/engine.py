@@ -810,6 +810,12 @@ class DualityReport:
         }
 
 
+def agreement_tol(c: float) -> float:
+    """How far the entropic and analytic estimates of a constant c may lie
+    apart and still agree: 1e-4 nats, or 1e-3 |c| when that is larger."""
+    return max(1e-4, 1e-3 * abs(c)) if np.isfinite(c) else 1e-4
+
+
 def duality_crosscheck(
     datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()
 ) -> DualityReport:
@@ -821,7 +827,7 @@ def duality_crosscheck(
     """
     c_ent, w_ent, _ = optimal_constant_entropic(datum, budget)
     c_ana, w_ana, _ = optimal_constant_analytic(datum, budget)
-    tol = max(1e-4, 1e-3 * abs(c_ent)) if np.isfinite(c_ent) else 1e-4
+    tol = agreement_tol(c_ent)
     return DualityReport(
         c_entropic=c_ent,
         c_analytic=c_ana,

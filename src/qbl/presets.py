@@ -11,16 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import depolarizing, pauli_basis
-from .engine import BLDatum
 from .gaussian import GaussianState, coordinate_axes, mercedes_star
-from .operators import PSDOperator, identity
-from .applications import shearer_datum, superadditivity_datum
+from .applications import dpi_datum, shearer_datum, superadditivity_datum
 from .sampling import random_channel, random_pd
-
-
-def _dpi_datum(channel, sigma) -> BLDatum:
-    sig = PSDOperator(sigma)
-    return BLDatum([1.0], [channel], sig, [PSDOperator(channel(sig))], 0.0)
 
 
 def _bell_pair() -> np.ndarray:
@@ -35,13 +28,13 @@ def build_preset(name: str, seed: int = 0) -> dict:
     if name == "dpi-qubit":
         return {
             "kind": "bl_datum",
-            "datum": _dpi_datum(depolarizing(0.3), np.diag([0.7, 0.3])),
+            "datum": dpi_datum(depolarizing(0.3), np.diag([0.7, 0.3])),
         }
     if name == "dpi-random-qubit":
         rng = np.random.default_rng(seed)
         return {
             "kind": "bl_datum",
-            "datum": _dpi_datum(random_channel(2, 2, rng=rng), random_pd(2, rng)),
+            "datum": dpi_datum(random_channel(2, 2, rng=rng), random_pd(2, rng)),
         }
     if name == "shearer-3qubit-pairs":
         return {

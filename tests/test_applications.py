@@ -141,6 +141,14 @@ class TestMaassenUffink:
         with pytest.raises(NotOrthonormal):
             app.maassen_uffink_constant([np.array([1.0, 0.0])], ch.pauli_basis("z"))
 
+    def test_measurement_entropies_validate_their_bases(self):
+        # [e0, e0] is no basis: no outcome distribution, not 1 bit
+        e0 = np.array([1.0, 0.0])
+        with pytest.raises(NotOrthonormal):
+            app.measurement_entropies_bits(np.eye(2) / 2, [[e0, e0]])
+        with pytest.raises(NotOrthonormal):
+            app.measurement_entropies_bits(np.eye(2) / 2, [ch.pauli_basis("z"), [e0, e0]])
+
     def test_bound_both_forms_pauli(self):
         bases = [ch.pauli_basis("x"), ch.pauli_basis("z")]
         assert app.uncertainty_bound_entropic(bases, BUDGET) == pytest.approx(LN2, abs=1e-4)
@@ -383,13 +391,15 @@ class TestSdpi:
         rng = np.random.default_rng(18)
         e = random_channel(2, 2, rng=rng)
         sig, om = random_pd(2, rng), random_pd(2, rng)
-        gap_sdpi = app.sdpi_analytic_check(e, sig, 1.0, om)
+        gap_sdpi = analytic_gap(app.dpi_datum(e, sig, 1.0), [om])
         rep = app.dpi_analytic_check(sig, e, om)
-        assert gap_sdpi == pytest.approx(rep.gap, abs=1e-9)
+        assert gap_sdpi == pytest.approx(np.log(rep.rhs_dual / rep.lhs), abs=1e-9)
+        assert np.sign(gap_sdpi) == np.sign(rep.gap)
 
     def test_invalid_eta(self):
-        with pytest.raises(InvalidEta):
-            app.sdpi_analytic_check(ch.depolarizing(0.5), np.eye(2) / 2, 0.0, np.eye(2) / 2)
+        for eta in (0.0, -0.5, 1.5):
+            with pytest.raises(InvalidEta):
+                app.dpi_datum(ch.depolarizing(0.5), np.eye(2) / 2, eta)
         with pytest.raises(InvalidEta):
             app.depolarizing_sdpi_scalar_gap(np.array([0.5]), 0.5, 1.5)
 
@@ -408,10 +418,36 @@ class TestSdpi:
         rng = np.random.default_rng(19)
         p = 0.4
         e = ch.depolarizing(p)
-        eta = (1 - p) ** 2
+        datum = app.dpi_datum(e, np.eye(2) / 2, (1 - p) ** 2)
         for _ in range(100):
-            gap = app.sdpi_analytic_check(e, np.eye(2) / 2, eta, random_pd(2, rng))
-            assert gap >= -1e-9
+            assert analytic_gap(datum, [random_pd(2, rng)]) >= -1e-9
+
+    def test_datum_is_the_hand_built_dpi_datum(self):
+        rng = np.random.default_rng(21)
+        e, sigma = random_channel(2, 2, rng=rng), random_pd(2, rng)
+        sig = op.PSDOperator(sigma)
+        datum = app.dpi_datum(e, sigma)
+        assert datum.q.tolist() == [1.0] and datum.channels == (e,) and datum.c == 0.0
+        assert np.array_equal(datum.sigma.matrix, sig.matrix)
+        assert np.array_equal(datum.sigmas[0].matrix, op.PSDOperator(e(sig)).matrix)
+        assert app.dpi_datum(e, sigma, 0.25).q.tolist() == [4.0]
+
+    @pytest.mark.parametrize("case", ["depolarizing", "random"])
+    def test_datum_constant_vanishes_from_the_contraction_coefficient_on(self, case):
+        # the constant of dpi_datum(E, sigma, eta) is 0 exactly when eta is at
+        # least the contraction coefficient eta*: both estimators read 0 just
+        # above eta* and agree on a positive constant below it
+        budget = OptimizerBudget(8, 300, 3)
+        if case == "depolarizing":
+            e, sigma = ch.depolarizing(0.5), np.eye(2) / 2
+        else:
+            e = random_channel(2, 2, np.random.default_rng(5))
+            sigma = random_pd(2, np.random.default_rng(6))
+        eta = app.contraction_coefficient(e, sigma, budget)
+        above = duality_crosscheck(app.dpi_datum(e, sigma, min(1.0, 1.02 * eta)), budget)
+        assert abs(above.c_entropic) <= 1e-9 and abs(above.c_analytic) <= 1e-9
+        below = duality_crosscheck(app.dpi_datum(e, sigma, 0.9 * eta), budget)
+        assert below.c_entropic > 1e-3 and below.c_analytic > 1e-3 and below.agree
 
     def test_unital_identity_reference_reduction(self):
         # eta = 1 with unital channel: tr exp(E^dag log w) <= tr w
@@ -581,6 +617,33 @@ class TestStackedCheckers:
             app.six_state_check(omegas=[np.eye(2) / 2] * count)
 
 
+class TestUnitTraceOmegas:
+    """The uncertainty bounds c and 1/4 hold for unit-trace omegas only:
+    doubling omega_1 doubles the checkers' left-hand side, while the
+    datum's analytic_gap scales both of its sides alike."""
+
+    W1 = np.diag([0.7, 0.3])
+    W2 = np.array([[0.6, 0.1], [0.1, 0.4]])
+    BX, BZ = ch.pauli_basis("x"), ch.pauli_basis("z")
+
+    def test_other_traces_are_rejected(self):
+        with pytest.raises(ValueError, match="unit-trace"):
+            app.mu_analytic_check(self.BX, self.BZ, 2 * self.W1, self.W2)
+        with pytest.raises(ValueError, match="unit-trace"):
+            app.six_state_check(omegas=[2 * self.W1, self.W2, self.W2])
+        datum = app.uncertainty_datum([self.BX, self.BZ]).with_constant(np.log(0.5))
+        gap = analytic_gap(datum, [self.W1, self.W2])
+        assert gap > 0.1
+        assert analytic_gap(datum, [2 * self.W1, self.W2]) == pytest.approx(gap, abs=1e-12)
+
+    def test_unit_traces_within_1e_9_pass(self):
+        w1 = self.W1 * (1.0 + 5e-10)
+        assert app.mu_analytic_check(self.BX, self.BZ, w1, self.W2).chain_holds
+        assert app.six_state_check(omegas=[w1, self.W2, self.W2]).chain_holds
+        with pytest.raises(ValueError, match="unit-trace"):
+            app.mu_analytic_check(self.BX, self.BZ, self.W1 * (1.0 + 2e-9), self.W2)
+
+
 class TestRankDeficientOmega:
     """The checkers push the kernel of log omega through E^dag: a
     rank-deficient omega whose kernel E^dag spreads over the whole input
@@ -611,10 +674,9 @@ class TestRankDeficientOmega:
         assert rep.gap == pytest.approx(0.5, abs=1e-12)
 
     def test_sdpi_analytic_check(self):
+        # the left-hand side is 0 and the right-hand side 1/2
         meas = ch.measurement_channel(ch.pauli_basis("x"))
-        assert app.sdpi_analytic_check(meas, self.HALF, 1.0, self.W0) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert analytic_gap(app.dpi_datum(meas, self.HALF, 1.0), [self.W0]) == np.inf
 
     def test_min_output_dual_gap(self):
         # E^dag = E for the depolarizing channel, and E(diag(0, 1)) has full

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qbl.applications import dpi_datum
 from qbl.cli import main
 from qbl.engine import BLDatum
 from qbl.operators import PSDOperator
@@ -16,9 +17,7 @@ from qbl.serialization import encode_channel, encode_datum, encode_matrix
 
 @pytest.fixture
 def dpi_spec(tmp_path):
-    ch = depolarizing(0.3)
-    sigma = PSDOperator(np.diag([0.6, 0.4]))
-    datum = BLDatum([1.0], [ch], sigma, [PSDOperator(ch(sigma))], 0.0)
+    datum = dpi_datum(depolarizing(0.3), np.diag([0.6, 0.4]))
     path = tmp_path / "dpi.json"
     path.write_text(json.dumps(encode_datum(datum)))
     return str(path)
@@ -134,6 +133,20 @@ class TestConstant:
         assert rep["uncertainty_bound"]["entropic_nats"] == pytest.approx(np.log(2), abs=1e-3)
         assert rep["uncertainty_bound"]["analytic_nats"] == pytest.approx(np.log(2), abs=1e-3)
         assert rep["uncertainty_bound"]["entropic_bits"] == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("offset, code", [(5e-4, 0), (8e-4, 2)])
+    def test_uncertainty_bounds_use_the_engine_agreement_rule(self, capsys, monkeypatch,
+                                                              offset, code):
+        # the two estimates of ln 2 agree within agreement_tol(ln 2) = 6.9e-4,
+        # as duality_crosscheck's would, not within a looser 1e-3
+        from qbl import cli
+        from qbl.engine import agreement_tol
+
+        assert agreement_tol(np.log(2)) == pytest.approx(1e-3 * np.log(2), abs=1e-15)
+        monkeypatch.setattr(cli, "uncertainty_bound_entropic", lambda bases, budget: np.log(2))
+        monkeypatch.setattr(cli, "uncertainty_bound_analytic",
+                            lambda bases, budget: np.log(2) + offset)
+        assert run(capsys, "constant", "mu-pauli-xz", "--no-meta")[0] == code
 
     def test_minout_depol(self, capsys):
         code, out = run(
@@ -264,6 +277,19 @@ class TestGaussianCmd:
         path.write_text(json.dumps(spec))
         code = main(["gaussian", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["verify", "gaussian"])
+    def test_invalid_geometric_datum_one_error(self, tmp_path, capsys, command):
+        # sum q_k Pi_k = 0.5 on one mode: both commands report the error
+        # deficit_trajectory raises
+        spec = {"type": "gaussian", "cov": [[1.0, 0.0], [0.0, 1.0]],
+                "subspaces": [[[1.0]]], "q": [0.5]}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sum q_k Pi_k deviates from identity by 5.000e-01\n"
 
 
 class TestContractionCmd:

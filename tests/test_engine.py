@@ -43,8 +43,7 @@ BUDGET = OptimizerBudget(restarts=8, max_iters=300, base_seed=0)
 def dpi_datum(seed=0, d=2):
     rng = np.random.default_rng(seed)
     e = random_channel(d, d, rng=rng)
-    sig = op.PSDOperator(random_pd(d, rng))
-    return BLDatum([1.0], [e], sig, [op.PSDOperator(e(sig))], 0.0)
+    return app.dpi_datum(e, random_pd(d, rng))
 
 
 def identity_datum(d=2):
@@ -315,7 +314,7 @@ class TestInfiniteConstant:
 class TestDualityCrosscheck:
     def test_dpi(self):
         rep = duality_crosscheck(dpi_datum(13), BUDGET)
-        assert rep.agree
+        assert rep.agree and rep.tol == engine.agreement_tol(rep.c_entropic) == 1e-4
         assert rep.c_entropic == pytest.approx(0.0, abs=1e-6)
         assert rep.c_analytic == pytest.approx(0.0, abs=1e-6)
 
