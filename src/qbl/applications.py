@@ -20,6 +20,7 @@ import numpy as np
 from . import entropy
 from .channels import (
     Channel,
+    _pinching,
     adjoint_on_log,
     apply,
     apply_adjoint,
@@ -180,7 +181,11 @@ def conditional_shearer_probe(
 
 def maassen_uffink_constant(basis_x: Sequence[np.ndarray], basis_z: Sequence[np.ndarray]) -> float:
     """Largest squared overlap c = max |<x|z>|^2 between two bases."""
-    vx, vz = basis_rows(basis_x), basis_rows(basis_z)
+    return _max_overlap(basis_rows(basis_x), basis_rows(basis_z))
+
+
+def _max_overlap(vx: np.ndarray, vz: np.ndarray) -> float:
+    """maassen_uffink_constant of two bases given by their basis_rows."""
     if vx.shape != vz.shape:
         raise DimensionMismatch("the two bases span spaces of different dimension")
     return float(np.max(np.abs(vx.conj() @ vz.T) ** 2))
@@ -294,9 +299,10 @@ def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
 def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     """Evaluate the two-measurement trace-exponential bound and its proof
     chain (operator Jensen, then Golden-Thompson, then the overlap bound),
-    verifying each intermediate step."""
-    c = maassen_uffink_constant(basis_x, basis_z)
-    chans = [measurement_channel(basis_x), measurement_channel(basis_z)]
+    verifying each intermediate step. Each basis is validated once."""
+    vx, vz = basis_rows(basis_x), basis_rows(basis_z)
+    c = _max_overlap(vx, vz)
+    chans = [_pinching(vx), _pinching(vz)]
     lhs, (px, pz), _, jensen_mid = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
     gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (

@@ -1,10 +1,11 @@
 """Trace-preserving positive maps in Kraus form.
 
 Kraus operators are the single source of truth; Choi matrices are built on
-demand to certify complete positivity. Maps that are positive but not CP
-(allowed in the duality theorems) can be registered with
-allow_positive_only=True, which replaces the Choi certificate by sampled
-positivity spot checks.
+demand to certify the complete positivity of a signed family (a family
+without a negative sign is completely positive by construction). Maps that
+are positive but not CP (allowed in the duality theorems) can be
+registered with allow_positive_only=True, which replaces the Choi
+certificate by sampled positivity spot checks.
 
 Each channel also keeps a read-only transfer matrix derived from its Kraus
 stack, S = sum_a s_a K_a (x) conj(K_a), of d_out^2 x d_in^2 complex
@@ -15,7 +16,6 @@ single matmul over any stack of matrices.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,13 @@ class Channel:
     families represent trace-preserving positive-but-not-CP maps (e.g. the
     transpose); those must be registered with allow_positive_only=True,
     which replaces the Choi certificate by sampled positivity checks.
+
+    A family without a negative sign is completely positive by construction
+    (its Choi matrix is sum_a s_a vec(K_a) vec(K_a)^dag with s_a >= 0; Choi,
+    Linear Algebra Appl. 10, 1975), so only a family with a negative sign
+    and allow_positive_only=False pays for the Choi spectrum. A channel
+    keeps its Kraus stack, signs and transfer matrix as read-only arrays,
+    so the data and workspaces built on it can keep what they derive.
     """
 
     def __init__(
@@ -87,12 +94,12 @@ class Channel:
         self.dim_out = dout
         self.label = label
         self.allow_positive_only = allow_positive_only
-        if not allow_positive_only:
+        if allow_positive_only:
+            self._spot_check_positivity()
+        elif (self.signs < 0).any():
             cmin = float(np.linalg.eigvalsh(self.choi_matrix())[0])
             if cmin < -PSD_SLACK:
                 raise NotCompletelyPositive(f"Choi matrix eigenvalue {cmin:.3e}")
-        else:
-            self._spot_check_positivity()
 
     def _spot_check_positivity(self) -> None:
         rng = np.random.default_rng(7)
@@ -192,7 +199,9 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     """Channel tracing out every subsystem not in ``keep``.
 
     Kraus family {1_keep (x) <j|_discard} composed with the subsystem
-    permutation that sorts kept factors first (in their original order).
+    permutation that sorts kept factors first (in their original order):
+    the identity with its subsystems permuted to (discard, keep) order, cut
+    into one block of rows per discarded basis state j.
     """
     dims = [int(d) for d in dims]
     n = len(dims)
@@ -202,21 +211,9 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     discard = [i for i in range(n) if i not in keep]
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     total = int(np.prod(dims))
-    kraus = []
-    keep_ranges = [range(dims[i]) for i in keep]
-    for j in product(*(range(dims[i]) for i in discard)):
-        k = np.zeros((dk, total))
-        for row, kept_idx in enumerate(product(*keep_ranges)):
-            full = [0] * n
-            for pos, i in enumerate(keep):
-                full[i] = kept_idx[pos]
-            for pos, i in enumerate(discard):
-                full[i] = j[pos]
-            col = int(np.ravel_multi_index(full, dims))
-            k[row, col] = 1.0
-        kraus.append(k)
+    perm = np.eye(total).reshape(*dims, total).transpose(*discard, *keep, n)
     label = f"ptrace(keep={keep} of {dims})"
-    return Channel(kraus, label=label)
+    return Channel(perm.reshape(total // dk, dk, total), label=label)
 
 
 def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -237,7 +234,12 @@ def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
 
 def measurement_channel(basis: Sequence[np.ndarray]) -> Channel:
     """Pinching channel sum_x <x|.|x> |x><x| for an orthonormal basis."""
-    rows = basis_rows(basis)
+    return _pinching(basis_rows(basis))
+
+
+def _pinching(rows: np.ndarray) -> Channel:
+    """measurement_channel of a basis already validated by basis_rows,
+    given as its rows."""
     kraus = rows[:, :, None] * rows.conj()[:, None, :]  # |x><x|, one per row
     return Channel(kraus, label="measurement")
 

@@ -55,6 +55,7 @@ worst gap is the exact re-evaluation of the witness on the datum itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
@@ -107,7 +108,16 @@ class SamplerConfig:
 
 
 class BLDatum:
-    """One BL inequality instance (q, channels, sigma, sigmas, C)."""
+    """One BL inequality instance (q, channels, sigma, sigmas, C).
+
+    On first use a datum computes and keeps its support-leak verdict
+    (_support_leak) and its search space (_compress and the _Workspace),
+    which both estimators and membership sampling share. That is safe as
+    their inputs do not change: the fields cannot be reassigned, q is a
+    read-only copy, and channels and operators hold read-only arrays. The
+    kept space never refers to the datum itself, so a dropped datum is
+    freed without the cyclic garbage collector.
+    """
 
     def __init__(
         self,
@@ -117,7 +127,8 @@ class BLDatum:
         sigmas: Sequence[PSDOperator],
         c: float = 0.0,
     ):
-        self.q = np.asarray(q, dtype=float)
+        self.q = np.array(q, dtype=float)
+        self.q.setflags(write=False)
         self.channels = tuple(channels)
         self.sigma = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
         self.sigmas = tuple(s if isinstance(s, PSDOperator) else PSDOperator(s) for s in sigmas)
@@ -133,6 +144,11 @@ class BLDatum:
             if ch.dim_out != sk.dim:
                 raise DimensionMismatch(f"channel {k}: dim_out {ch.dim_out} != dim(sigma_{k})")
 
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"BLDatum.{name} cannot be reassigned; build a new datum")
+        super().__setattr__(name, value)
+
     @property
     def n(self) -> int:
         return len(self.channels)
@@ -140,6 +156,21 @@ class BLDatum:
     @property
     def dim(self) -> int:
         return self.sigma.dim
+
+    @cached_property
+    def _leak(self) -> int | None:
+        return _support_leak(self)
+
+    @cached_property
+    def _space(self) -> tuple[BLDatum | None, np.ndarray | None, _Workspace]:
+        inner, v = _compress(self)
+        # None stands for this datum (positive definite sigma), not a cycle
+        return (None if inner is self else inner), v, _Workspace(inner)
+
+    def _search_space(self) -> tuple[BLDatum, np.ndarray | None, _Workspace]:
+        """_compress(datum) and its _Workspace, built once."""
+        inner, v, ws = self._space
+        return (self if inner is None else inner), v, ws
 
     def with_constant(self, c: float) -> "BLDatum":
         return BLDatum(self.q, self.channels, self.sigma, self.sigmas, c)
@@ -609,8 +640,11 @@ def _initial_states(d: int, seeds: list[int]) -> np.ndarray:
 def _support_leak(datum: BLDatum) -> int | None:
     """Index of the first k with supp E_k(sigma) not inside supp sigma_k,
     or None. Such a datum has optimal constant +inf: at rho = sigma / tr
-    sigma the left-hand side D(E_k(rho) || sigma_k) is already infinite."""
+    sigma the left-hand side D(E_k(rho) || sigma_k) is already infinite.
+    Nothing leaks out of a sigma_k of full support, which is not checked."""
     for k, (ch, sk) in enumerate(zip(datum.channels, datum.sigmas)):
+        if sk.support_rank == sk.dim:
+            continue
         image = PSDOperator(apply(ch, datum.sigma.matrix))
         if not supports_contained(image, sk):
             return k
@@ -672,11 +706,10 @@ def optimal_constant_entropic(
     has constant +inf, witnessed by sigma / tr sigma.
     """
     seeds = budget.seeds()
-    if _support_leak(datum) is not None:
+    if datum._leak is not None:
         witness = DensityOperator(datum.sigma.matrix)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
-    inner, v = _compress(datum)
-    ws = _Workspace(inner)
+    inner, v, ws = datum._search_space()
     rhos = _initial_states(inner.dim, seeds)
     best_val, rho, trace, counts = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
     check = float(ws.entropic_objective(rho[None])[0])
@@ -753,14 +786,13 @@ def optimal_constant_analytic(
     leaks out of supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
-    leak = _support_leak(datum)
+    leak = datum._leak
     if leak is not None:
         witness = _leak_witness(datum, leak)
         return INF, witness, OptimizationResult(
             INF, [w.matrix for w in witness], "support_leak", seeds
         )
-    inner, v = _compress(datum)
-    ws = _Workspace(inner)
+    inner, v, ws = datum._search_space()
     dims = [ch.dim_out for ch in datum.channels]
     kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
     omegas = [
@@ -944,8 +976,7 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     if config.form not in ("entropic", "analytic"):
         raise ValueError(f"unknown form {config.form!r}")
     rng = np.random.default_rng(config.seed)
-    inner, v = _compress(datum)
-    ws = _Workspace(inner)
+    inner, v, ws = datum._search_space()
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles

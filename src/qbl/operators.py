@@ -179,6 +179,7 @@ class PSDOperator(HermitianOperator):
                 f"matrix is not PSD: min eigenvalue {float(vals[0]):.3e} < -{eps:.3e}"
             )
         self._eps_supp = eps
+        self._log: SupportLog | None = None  # matrix_log, on first use
 
     @property
     def eps_supp(self) -> float:
@@ -343,18 +344,28 @@ def matrix_log(a: PSDOperator) -> SupportLog:
 
     Eigenvalues below eps_supp are not regularized; the corresponding
     kernel projector travels with the result as a -infinity flag.
+
+    The logarithm of a PSDOperator is computed once and kept on it, as its
+    eigendecomposition is: the operator is immutable and the kept arrays
+    are read-only, so every caller (the workspace, induced_logs,
+    analytic_gap, the checkers) can share them.
     """
     if not isinstance(a, PSDOperator):
         a = PSDOperator(a)
-    if a.support_rank == 0:
-        raise ZeroOperator("cannot take the logarithm of the zero operator")
-    vals, vecs = a.eigenvalues, a.eigenvectors
-    mask = vals > a.eps_supp
-    finite = hermitian_part(from_spectrum(np.log(vals[mask]), vecs[:, mask]))
-    if np.all(mask):
-        return SupportLog(finite, None)
-    vk = vecs[:, ~mask]
-    return SupportLog(finite, vk @ vk.conj().T)
+    if a._log is None:
+        if a.support_rank == 0:
+            raise ZeroOperator("cannot take the logarithm of the zero operator")
+        vals, vecs = a.eigenvalues, a.eigenvectors
+        mask = vals > a.eps_supp
+        finite = hermitian_part(from_spectrum(np.log(vals[mask]), vecs[:, mask]))
+        weight = None
+        if not np.all(mask):
+            vk = vecs[:, ~mask]
+            weight = vk @ vk.conj().T
+            weight.setflags(write=False)
+        finite.setflags(write=False)
+        a._log = SupportLog(finite, weight)
+    return a._log
 
 
 def matrix_exp(h: HermitianOperator) -> PSDOperator:

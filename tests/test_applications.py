@@ -179,6 +179,18 @@ class TestMaassenUffink:
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
         assert rep.chain_holds
 
+    def test_analytic_check_validates_each_basis(self):
+        rng = np.random.default_rng(10)
+        bx, bz = random_basis(3, rng), random_basis(3, rng)
+        w = [random_pd(3, rng), random_pd(3, rng)]
+        w = [m / np.trace(m).real for m in w]
+        assert app.mu_analytic_check(bx, bz, *w).c == app.maassen_uffink_constant(bx, bz)
+        e0 = np.array([1.0, 0.0])
+        with pytest.raises(NotOrthonormal):
+            app.mu_analytic_check([e0, e0], ch.pauli_basis("z"), np.eye(2) / 2, np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch):
+            app.mu_analytic_check(ch.pauli_basis("x"), bz, np.eye(2) / 2, np.eye(3) / 3)
+
     def test_analytic_check_sampled(self):
         rng = np.random.default_rng(8)
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")

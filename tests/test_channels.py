@@ -68,6 +68,22 @@ class TestChannelBasics:
         with pytest.raises(NotCompletelyPositive):
             ch.Channel(t.kraus, signs=t.signs, allow_positive_only=False)
 
+    def test_signed_positive_only_family_is_spot_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(ch.Channel, "_spot_check_positivity",
+                            lambda self: checked.append(self.dim_in))
+        ch.transpose_map(2)
+        assert checked == [2]
+
+    def test_unsigned_family_takes_no_choi_spectrum(self, monkeypatch):
+        # nonnegative weights make a Kraus family completely positive
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(ch.np.linalg, "eigvalsh", refused)
+        ch.depolarizing(0.5)
+        ch.partial_trace([2, 2, 2], [0, 1])
+
     def test_transpose_acts_as_transpose(self):
         rng = np.random.default_rng(12)
         t = ch.transpose_map(3)
@@ -173,7 +189,37 @@ class TestTransferKernel:
             ch.apply_adjoint(e, np.zeros((4, 2, 2)))
 
 
+def _partial_trace_kraus_loop(dims, keep):
+    """Reference: the Kraus operators 1_keep (x) <j|_discard of a partial
+    trace, one entry at a time."""
+    from itertools import product
+
+    n = len(dims)
+    discard = [i for i in range(n) if i not in keep]
+    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
+    kraus = []
+    for j in product(*(range(dims[i]) for i in discard)):
+        k = np.zeros((dk, int(np.prod(dims))))
+        for row, kept in enumerate(product(*(range(dims[i]) for i in keep))):
+            full = [0] * n
+            for pos, i in enumerate(keep):
+                full[i] = kept[pos]
+            for pos, i in enumerate(discard):
+                full[i] = j[pos]
+            k[row, int(np.ravel_multi_index(full, dims))] = 1.0
+        kraus.append(k)
+    return np.stack(kraus).astype(complex)
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("dims,keep", [
+        ([2, 2, 2], [0, 1]), ([2, 2, 2], [0, 2]), ([2, 3], [1]), ([3, 2, 2], [1]),
+        ([2, 2, 2, 2], [0, 3]), ([2, 2], []),
+    ])
+    def test_kraus_stack_matches_the_loop(self, dims, keep):
+        got = ch.partial_trace(dims, keep).kraus
+        assert np.array_equal(got, _partial_trace_kraus_loop(dims, keep))
+
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(3)
         pt = ch.partial_trace([2, 3], [0, 1])

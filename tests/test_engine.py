@@ -1509,3 +1509,84 @@ class TestSpectralCounts:
         assert calls.count(("eigh", 3)) == iters
         assert calls.count(("eigh", 2)) == iters + 1
         assert len(calls) == 1 + 1 + iters * 2
+
+
+class TestDatumCaches:
+    """A datum keeps its support-leak verdict and its search space (the
+    compressed datum, the support basis of sigma and the workspace): both
+    sides of a cross-check and both forms of qbl verify share them."""
+
+    SMALL = OptimizerBudget(restarts=2, max_iters=20)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"workspace": 0, "leak": 0}
+        workspace, leak = engine._Workspace, engine._support_leak
+
+        def counted_workspace(datum):
+            counts["workspace"] += 1
+            return workspace(datum)
+
+        def counted_leak(datum):
+            counts["leak"] += 1
+            return leak(datum)
+
+        monkeypatch.setattr(engine, "_Workspace", counted_workspace)
+        monkeypatch.setattr(engine, "_support_leak", counted_leak)
+        return counts
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum],
+                             ids=["definite-sigma", "singular-sigma"])
+    def test_one_workspace_and_leak_check_per_crosscheck(self, built, make):
+        duality_crosscheck(make(), self.SMALL)
+        assert built == {"workspace": 1, "leak": 1}
+
+    def test_one_workspace_per_datum_for_verify_both(self, built, capsys):
+        from qbl.cli import main
+
+        argv = ["verify", "shearer-3qubit-pairs", "--form", "both", "--samples", "20", "--no-meta"]
+        assert main(argv) == 0
+        assert built["workspace"] == 1
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum],
+                             ids=["definite-sigma", "singular-sigma"])
+    def test_a_used_datum_answers_as_a_fresh_one(self, make):
+        used = make()
+        bl_membership(used, SamplerConfig(samples=20, form="analytic"))
+        first = duality_crosscheck(used, self.SMALL)
+        for rep in (duality_crosscheck(used, self.SMALL), duality_crosscheck(make(), self.SMALL)):
+            assert (rep.c_entropic, rep.c_analytic) == (first.c_entropic, first.c_analytic)
+            assert np.array_equal(rep.witness_entropic, first.witness_entropic)
+
+    def test_q_is_a_read_only_copy(self):
+        q = np.array([1.0])
+        sig = op.PSDOperator(np.eye(2) / 2)
+        datum = BLDatum(q, [ch.identity_channel(2)], sig, [sig], 0.0)
+        with pytest.raises(ValueError):
+            datum.q[0] = 2.0
+        q[0] = 2.0  # the caller's array stays writable and is not shared
+        assert datum.q[0] == 1.0
+
+    @pytest.mark.parametrize("field", ["q", "channels", "sigma", "sigmas", "c"])
+    def test_fields_cannot_be_reassigned(self, field):
+        # a reassigned field would leave the kept search space stale
+        datum = _defect_d_datum()
+        optimal_constant_entropic(datum, self.SMALL)
+        with pytest.raises(AttributeError):
+            setattr(datum, field, getattr(datum, field))
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum],
+                             ids=["definite-sigma", "singular-sigma"])
+    def test_dropped_datum_is_freed_without_the_cyclic_collector(self, make):
+        import gc
+        import weakref
+
+        datum = make()
+        gc.disable()
+        try:
+            duality_crosscheck(datum, self.SMALL)
+            ref = weakref.ref(datum)
+            del datum
+            assert ref() is None
+        finally:
+            gc.enable()

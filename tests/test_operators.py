@@ -149,6 +149,26 @@ class TestMatrixLogExp:
         assert res.has_kernel
         np.testing.assert_allclose(res.weight, np.diag([0.0, 1.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("diag", [[0.3, 0.7], [1.0, 0.0]], ids=["definite", "kernel"])
+    def test_log_kept_on_the_operator(self, diag):
+        # a second call returns the same arrays, which no caller can write
+        a = op.PSDOperator(np.diag(diag))
+        first = op.matrix_log(a)
+        again = op.matrix_log(a)
+        assert again.finite is first.finite and again.weight is first.weight
+        arrays = [first.finite] + ([first.weight] if first.has_kernel else [])
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        fresh = op.matrix_log(op.PSDOperator(np.diag(diag)))
+        np.testing.assert_array_equal(first.finite, fresh.finite)
+
+    def test_zero_operator_raises_every_time(self):
+        a = op.PSDOperator(np.zeros((2, 2)))
+        for _ in range(2):
+            with pytest.raises(ZeroOperator):
+                op.matrix_log(a)
+
 
 class TestTraceExpSum:
     def test_zero_operator(self):
