@@ -38,7 +38,10 @@ differ only in their random starts (states on the entropic side, the
 Gibbs states of random omega tuples on the analytic side) and in how they
 certify the winning state: the entropic side re-evaluates its value, the
 analytic side re-evaluates exactly the omega tuple the duality proof pairs
-with it.
+with it. A cross-check searches both sides' restarts as one stack, one
+loop and one ascent, and each side certifies the best row of its own
+half. Every step acts on each row alone, so each side finds what a search
+of its restarts alone finds.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling evaluates every
@@ -112,11 +115,14 @@ class BLDatum:
 
     On first use a datum computes and keeps its support-leak verdict
     (_support_leak) and its search space (_compress and the _Workspace),
-    which both estimators and membership sampling share. That is safe as
-    their inputs do not change: the fields cannot be reassigned, q is a
-    read-only copy, and channels and operators hold read-only arrays. The
-    kept space never refers to the datum itself, so a dropped datum is
-    freed without the cyclic garbage collector.
+    which both estimators and membership sampling share. It also keeps
+    each side's search (_search), for the last budget that side was
+    searched at: a cross-check searches both sides' restarts as one stack,
+    and each estimator then certifies its own side's winner. That is safe
+    as their inputs do not change: the fields cannot be reassigned, q is a
+    read-only copy, and channels and operators hold read-only arrays. What
+    is kept never refers to the datum itself, so a dropped datum is freed
+    without the cyclic garbage collector.
     """
 
     def __init__(
@@ -133,6 +139,7 @@ class BLDatum:
         self.sigma = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
         self.sigmas = tuple(s if isinstance(s, PSDOperator) else PSDOperator(s) for s in sigmas)
         self.c = float(c)
+        self._found: dict[str, tuple[OptimizerBudget, tuple]] = {}  # side: (budget, _search result)
         n = len(self.channels)
         if not (len(self.q) == len(self.sigmas) == n):
             raise DimensionMismatch("q, channels, sigmas must have equal length")
@@ -254,6 +261,16 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
 # Fast batched evaluators on raw arrays
 # ---------------------------------------------------------------------------
 
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each row of a stack a (n, k) on its own: numpy sends a single
+    row to gemv, whose rounding differs from gemm's, so a single row is
+    multiplied as a stack of two. A row's product then does not depend on
+    the rows stacked with it (the two sides of a cross-check)."""
+    if a.ndim == 2 and len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 class _Workspace:
     """Precomputed arrays for a support-compatible datum with PD sigma
     (_compress); sigma_k = 0 has an empty support basis, finite log 0 and a
@@ -308,13 +325,13 @@ class _Workspace:
         """E_k(rho) for every k from one matmul: per output dimension m, the
         (..., g, m, m) stack of its outputs and the weights q_k of its g
         channels."""
-        taus = rhos.reshape(*rhos.shape[:-2], -1) @ self.forward
+        taus = _row_product(rhos.reshape(*rhos.shape[:-2], -1), self.forward)
         return [(taus[..., cols].reshape(*taus.shape[:-1], -1, m, m), qs)
                 for m, cols, qs in self.blocks]
 
     def _pull_back(self, ys: np.ndarray) -> np.ndarray:
         """sum_k E_k^dag(Y_k) from the stacked vec(Y_k), in one matmul."""
-        return (ys @ self.adjoint).reshape(*ys.shape[:-1], self.dim, self.dim)
+        return _row_product(ys, self.adjoint).reshape(*ys.shape[:-1], self.dim, self.dim)
 
     # -- objectives ----------------------------------------------------
     def entropic_objective(self, rhos: np.ndarray) -> np.ndarray:
@@ -395,7 +412,14 @@ def _x_value_grad(value_grad, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LADDER = 3
 
 
-def _ascent(value_grad, x0: np.ndarray, max_iters: int):
+def _parts(sizes: Sequence[int] | None, n: int) -> list[tuple[int, int]]:
+    """The row ranges [lo, hi) of consecutive parts of the given sizes, or
+    of one part of n rows."""
+    edges = [0, *np.cumsum(sizes or [n]).tolist()]
+    return list(zip(edges, edges[1:]))
+
+
+def _ascent(value_grad, x0: np.ndarray, max_iters: int, sizes: Sequence[int] | None = None):
     """Vectorized multi-restart gradient ascent over rho = XX^dag / tr XX^dag
     with backtracking (Armijo) line search, each restart frozen once an
     iteration gains less than GAIN_TOL, or cannot gain it at its first
@@ -408,7 +432,10 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
     and accepts the largest that passes the Armijo test. That is the step a
     search trying one step at a time accepts: at most 40 trial steps per
     iteration, none at or below 1e-13. Returns (values, parameters X,
-    running-best trace).
+    running-best trace). Every step acts on each row alone, so the rows may
+    be consecutive parts of the given sizes searched together (the two
+    sides of a cross-check): the return then ends in one trace per part,
+    the trace an ascent of that part's rows alone records.
     """
     x = np.array(x0, dtype=complex)
     fvals, grads = _x_value_grad(value_grad, x)
@@ -417,10 +444,12 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
     rungs = np.arange(_LADDER)
     step = np.full(len(x), 0.25)
     active = np.isfinite(fvals)
-    trace: list[tuple[int, float]] = []
+    parts = _parts(sizes, len(x))
+    traces: list[list[tuple[int, float]]] = [[] for _ in parts]
     for it in range(max_iters):
         if not active.any():
             break
+        stepped = [active[lo:hi].any() for lo, hi in parts]
         idx = np.where(active)[0]
         f0 = fvals[idx]
         g = grads[idx]
@@ -456,9 +485,11 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int):
             pending[miss] = (t[miss] > 1e-13) & (tried[miss] < 40)
         step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
         active[idx[fvals[idx] - f0 < GAIN_TOL]] = False
-        finite = fvals[np.isfinite(fvals)]
-        trace.append((it, float(np.max(finite)) if finite.size else float("-inf")))
-    return fvals, x, trace
+        for trace, (lo, hi), on in zip(traces, parts, stepped):
+            if on:
+                part = fvals[lo:hi]
+                trace.append((it, float(np.max(part, initial=-np.inf, where=np.isfinite(part)))))
+    return (fvals, x, *traces)
 
 
 # residual differences an Anderson step mixes: on acceptance datum 12 at
@@ -487,7 +518,8 @@ def _anderson_coefficients(dr: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, flat @ r.reshape(rows, -1).view(float)[..., None])[..., 0]
 
 
-def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
+def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int,
+                 sizes: Sequence[int] | None = None):
     """Iterate rho -> Gibbs(H(rho)), H = M + sum_k q_k E_k^dag(log E_k rho),
     from the start states rhos with spectra vals, with safeguarded type-II
     Anderson acceleration in exponent space (Walker and Ni, SIAM J. Numer.
@@ -528,7 +560,11 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     GAIN_TOL, or a plain step at eta = 1 is refused. The live restarts are
     held in compact arrays, compacted when one stops. Returns, per restart,
     the last accepted state and its value F, and the running-best trace of
-    F, one entry per pass.
+    F, one entry per pass. Every step acts on each row alone (Anderson
+    coefficients, eta, stop rule, compaction), so the restarts may be
+    consecutive parts of the given sizes searched together, as _ascent
+    takes them: the return then ends in one trace per part, the trace a
+    loop over that part's rows alone records.
     """
     f, g = ws.entropic_step(rhos, vals)
     end_rhos, end_f = np.array(rhos, dtype=complex), f
@@ -554,8 +590,12 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     # the plain step's relaxation eta
     h = g
     eta = np.ones(live)
-    best = float(np.max(f, initial=-np.inf))
-    trace: list[tuple[int, float]] = []
+    # per part: its live rows, a slice of the compact arrays (compaction
+    # keeps the row order), and its running best
+    edges = np.cumsum(sizes or [len(rhos)])
+    cuts = [0, *np.searchsorted(ids, edges).tolist()]
+    best = [float(np.max(f[lo:hi], initial=-np.inf)) for lo, hi in zip(cuts, cuts[1:])]
+    traces: list[list[tuple[int, float]]] = [[] for _ in best]
     for it in range(max_iters):
         if not live:
             break
@@ -604,8 +644,10 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             r_last = np.where(sel, res, r_last)
             g_last = np.where(sel, gnew, g_last)
         col = (col + 1) % _WINDOW
-        best = max(best, float(f.max()))
-        trace.append((it, best))
+        for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if lo < hi:
+                best[p] = max(best[p], float(f[lo:hi].max()))
+                traces[p].append((it, best[p]))
         if stop.any():
             done, keep = ids[stop], ~stop
             end_rhos[done], end_f[done] = rho[stop], f[stop]
@@ -613,8 +655,9 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             r_last, g_last, dr, dg = r_last[keep], g_last[keep], dr[keep], dg[keep]
             depth, need, h, eta = depth[keep], need[keep], h[keep], eta[keep]
             live = len(ids)
+            cuts = [0, *np.searchsorted(ids, edges).tolist()]
     end_rhos[ids], end_f[ids] = rho, f
-    return end_rhos, end_f, trace
+    return (end_rhos, end_f, *traces)
 
 
 @dataclass
@@ -674,20 +717,50 @@ def _lift(v: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
     return rho if v is None else v @ rho @ v.conj().T
 
 
-def _search(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
-    """The search of both estimators: the accelerated fixed-point loop from
-    the start states rhos with spectra vals, then the exact-gradient ascent
-    from every restart's final state. Each ascent row starts at a loop end
-    state and accepts only rises, so its best row is the estimate. Returns
-    the best entropic value, its state, the joined running-best trace and
-    the lengths of its two parts (loop passes, ascent iterations)."""
-    fp_rhos, fp_vals, fp_trace = _fixed_point(ws, rhos, vals, max_iters)
-    if not np.isfinite(fp_vals).any():
-        raise Diverged("all fixed-point restarts left the support cone")
-    fvals, xs, as_trace = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), max_iters)
-    i = int(np.argmax(np.where(np.isfinite(fvals), fvals, -np.inf)))
-    counts = (len(fp_trace), len(as_trace))
-    return float(fvals[i]), hermitian_part(_gram_states(xs[i])[0]), fp_trace + as_trace, counts
+def _start_states(side: str, inner: BLDatum, ws: _Workspace, seeds: list[int]):
+    """A side's random starts and their spectra: random states on the
+    entropic side, the Gibbs states of random omega tuples on the analytic
+    side."""
+    if side == "entropic":
+        rhos = _initial_states(inner.dim, seeds)
+        return rhos, np.linalg.eigvalsh(rhos)
+    kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
+    omegas = [
+        random_density(ch.dim_out, [np.random.default_rng(s * 1000003 + k) for s in seeds], kinds)
+        for k, ch in enumerate(inner.channels)
+    ]
+    return gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))[:2]
+
+
+def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str) -> list[tuple]:
+    """The search of both estimators on a datum that does not leak: the
+    accelerated fixed-point loop from each side's random starts, then the
+    exact-gradient ascent from every restart's final state. The sides not
+    yet kept on the datum for this budget go as one stack, in the order
+    given, through one loop and one ascent. Both act on each row alone, so
+    each side finds and records what a search of its rows alone does. Each
+    ascent row starts at a loop end state and accepts only rises, so a
+    side's best row is its estimate. Returns, per side, the best entropic
+    value, its state on the compressed datum, the joined running-best trace
+    and the lengths of its two parts (loop passes, ascent iterations)."""
+    todo = [side for side in sides if datum._found.get(side, (None,))[0] != budget]
+    if todo:
+        inner, _, ws = datum._search_space()
+        starts = [_start_states(side, inner, ws, budget.seeds()) for side in todo]
+        sizes = [len(rhos) for rhos, _ in starts]
+        rhos, vals = (np.concatenate(a) for a in zip(*starts))
+        fp_rhos, fp_vals, *fp_traces = _fixed_point(ws, rhos, vals, budget.max_iters, sizes)
+        parts = _parts(sizes, len(rhos))
+        if any(not np.isfinite(fp_vals[lo:hi]).any() for lo, hi in parts):
+            raise Diverged("all fixed-point restarts left the support cone")
+        fvals, xs, *as_traces = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos),
+                                        budget.max_iters, sizes)
+        for side, (lo, hi), fp, asc in zip(todo, parts, fp_traces, as_traces):
+            part = fvals[lo:hi]
+            i = lo + int(np.argmax(np.where(np.isfinite(part), part, -np.inf)))
+            rho = hermitian_part(_gram_states(xs[i])[0])
+            datum._found[side] = (budget, (float(fvals[i]), rho, fp + asc, (len(fp), len(asc))))
+    return [datum._found[side][1] for side in sides]
 
 
 def optimal_constant_entropic(
@@ -695,29 +768,30 @@ def optimal_constant_entropic(
 ) -> tuple[float, DensityOperator, OptimizationResult]:
     """Estimate sup_rho [sum q_k D(E_k rho||sigma_k) - D(rho||sigma)].
 
-    Runs the search from random states: the accelerated fixed-point loop,
-    each restart frozen once a step gains less than GAIN_TOL, then the
-    exact-gradient ascent over rho = XX^dag / tr XX^dag from every
-    restart's final state, which reaches the rank-deficient optima where
-    the loop's plain step crawls. Returns the best value found, checked to
-    1e-8 against the workspace objective at its witness state, the witness
-    and the search record. The estimate is a lower bound on the true
-    optimal constant. A datum whose E_k(sigma) leaks out of supp sigma_k
-    has constant +inf, witnessed by sigma / tr sigma.
+    Runs the search (_search) from random states: the accelerated
+    fixed-point loop, each restart frozen once a step gains less than
+    GAIN_TOL, then the exact-gradient ascent over rho = XX^dag / tr XX^dag
+    from every restart's final state, which reaches the rank-deficient
+    optima where the loop's plain step crawls. A cross-check has already
+    searched these restarts in one stack with the analytic side's, and this
+    side's half is read from the datum. Returns the best value found,
+    checked to 1e-8 against the workspace objective at its witness state,
+    the witness and the search record. The estimate is a lower bound on the
+    true optimal constant. A datum whose E_k(sigma) leaks out of supp
+    sigma_k has constant +inf, witnessed by sigma / tr sigma.
     """
     seeds = budget.seeds()
     if datum._leak is not None:
         witness = DensityOperator(datum.sigma.matrix)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
-    inner, v, ws = datum._search_space()
-    rhos = _initial_states(inner.dim, seeds)
-    best_val, rho, trace, counts = _search(ws, rhos, np.linalg.eigvalsh(rhos), budget.max_iters)
+    _, v, ws = datum._search_space()
+    best_val, rho, trace, counts = _search(datum, budget, "entropic")[0]
     check = float(ws.entropic_objective(rho[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
     witness = DensityOperator(_lift(v, rho))
     result = OptimizationResult(
-        best_val, [witness.matrix], "fixed_point+ascent", seeds, trace, *counts
+        best_val, [witness.matrix], "fixed_point+ascent", seeds, list(trace), *counts
     )
     return best_val, witness, result
 
@@ -774,16 +848,18 @@ def optimal_constant_analytic(
 ) -> tuple[float, list[DensityOperator], OptimizationResult]:
     """Estimate the optimal constant from the analytic side, multi-started.
 
-    Runs the entropic side's search (fixed-point loop, then ascent) from
-    the Gibbs states of random omega tuples. The witness is the tuple the
-    duality proof pairs with the best final state rho, omega_k ~ exp(L_k)
-    with L_k = q_k (log E_k(rho) - log sigma_k), supported exactly on
-    supp E_k(rho) (the eps_supp cut of each E_k(rho)), so it may be
-    rank-deficient. The reported constant is the exact re-evaluation
-    (analytic_gap at C = 0) of the logs L_k, a certified lower bound: the
-    analytic value of the induced tuple is at least the entropic value at
-    rho, and falling 1e-8 below it raises Diverged. A datum whose E_k(sigma)
-    leaks out of supp sigma_k has constant +inf.
+    Runs the entropic side's search (_search: fixed-point loop, then
+    ascent) from the Gibbs states of random omega tuples; after a
+    cross-check, this side's half of its stacked search is read from the
+    datum. The witness is the tuple the duality proof pairs with the best
+    final state rho, omega_k ~ exp(L_k) with L_k = q_k (log E_k(rho) -
+    log sigma_k), supported exactly on supp E_k(rho) (the eps_supp cut of
+    each E_k(rho)), so it may be rank-deficient. The reported constant is
+    the exact re-evaluation (analytic_gap at C = 0) of the logs L_k, a
+    certified lower bound: the analytic value of the induced tuple is at
+    least the entropic value at rho, and falling 1e-8 below it raises
+    Diverged. A datum whose E_k(sigma) leaks out of supp sigma_k has
+    constant +inf.
     """
     seeds = budget.seeds()
     leak = datum._leak
@@ -792,16 +868,8 @@ def optimal_constant_analytic(
         return INF, witness, OptimizationResult(
             INF, [w.matrix for w in witness], "support_leak", seeds
         )
-    inner, v, ws = datum._search_space()
-    dims = [ch.dim_out for ch in datum.channels]
-    kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
-    omegas = [
-        random_density(dk, [np.random.default_rng(s * 1000003 + k) for s in seeds], kinds)
-        for k, dk in enumerate(dims)
-    ]
-
-    rhos, vals, _ = gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))
-    internal, rho, trace, counts = _search(ws, rhos, vals, budget.max_iters)
+    _, v, _ = datum._search_space()
+    internal, rho, trace, counts = _search(datum, budget, "analytic")[0]
     try:
         rho = DensityOperator(_lift(v, rho))
         logs = induced_logs(datum, rho)
@@ -812,7 +880,8 @@ def optimal_constant_analytic(
     if not np.isfinite(best_val) or best_val < internal - 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {best_val} vs internal {internal}")
     result = OptimizationResult(
-        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, trace, *counts
+        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, list(trace),
+        *counts
     )
     return float(best_val), witness, result
 
@@ -853,10 +922,15 @@ def duality_crosscheck(
 ) -> DualityReport:
     """Estimate the optimal constant from both forms and compare.
 
-    The duality theorem makes the two suprema equal, so disagreement
-    beyond tol flags an optimizer or evaluator defect. Failure is a
-    report verdict, not an exception.
+    Both sides' restarts are searched as one stack (_search), the entropic
+    side's random states first, then the analytic side's Gibbs states; each
+    estimator then certifies the best row of its own half, exactly as a
+    lone call does. The duality theorem makes the two suprema equal, so
+    disagreement beyond tol flags an optimizer or evaluator defect. Failure
+    is a report verdict, not an exception.
     """
+    if datum._leak is None:
+        _search(datum, budget, "entropic", "analytic")
     c_ent, w_ent, _ = optimal_constant_entropic(datum, budget)
     c_ana, w_ana, _ = optimal_constant_analytic(datum, budget)
     tol = agreement_tol(c_ent)

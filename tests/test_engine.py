@@ -1347,6 +1347,37 @@ class TestAscentHandoff:
         assert calls == [32]
 
 
+class TestStackedSides:
+    """A cross-check searches both sides' restarts as one stack: the loop
+    and the ascent act on each row alone, so a row ends where it ends in a
+    stack of its own side's rows, and each side records the trace it
+    records alone."""
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, i) for i in range(20)]
+                             + [partial(_random_datum, 42)])
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self, make):
+        datum = make()
+        ws = engine._Workspace(datum)
+        starts = [engine._start_states(side, datum, ws, BUDGET.seeds())
+                  for side in ("entropic", "analytic")]
+
+        def search(rhos, vals, sizes=None):
+            fp_rhos, fp_vals, *fp_traces = engine._fixed_point(
+                ws, rhos, vals, BUDGET.max_iters, sizes)
+            fvals, xs, *as_traces = engine._ascent(
+                ws.entropic_value_grad, op.sqrt_psd(fp_rhos), BUDGET.max_iters, sizes)
+            return fp_rhos, fp_vals, fvals, xs, fp_traces, as_traces
+
+        sizes = [len(rhos) for rhos, _ in starts]
+        *stacked, fp_traces, as_traces = search(*(np.concatenate(a) for a in zip(*starts)), sizes)
+        for (lo, hi), start, fp_trace, as_trace in zip(
+                engine._parts(sizes, sum(sizes)), starts, fp_traces, as_traces):
+            *alone, (fp_alone,), (as_alone,) = search(*start)
+            for joint, lone in zip(stacked, alone):
+                assert np.array_equal(joint[lo:hi], lone)
+            assert fp_trace == fp_alone and as_trace == as_alone
+
+
 def _rank_deficient_datum(seed=51):
     """sigma_2 has rank 2 in dimension 3, and E_2 maps into its support."""
     rng = np.random.default_rng(seed)
@@ -1520,8 +1551,19 @@ class TestDatumCaches:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        counts = {"workspace": 0, "leak": 0}
+        # calls of the workspace and the leak check; per search phase, the
+        # rows of each call
+        counts = {"workspace": 0, "leak": 0, "_fixed_point": [], "_ascent": []}
         workspace, leak = engine._Workspace, engine._support_leak
+
+        def counted_rows(name):
+            fn = getattr(engine, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name].append(len(args[1]))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, wrapped)
 
         def counted_workspace(datum):
             counts["workspace"] += 1
@@ -1533,13 +1575,22 @@ class TestDatumCaches:
 
         monkeypatch.setattr(engine, "_Workspace", counted_workspace)
         monkeypatch.setattr(engine, "_support_leak", counted_leak)
+        counted_rows("_fixed_point")
+        counted_rows("_ascent")
         return counts
 
     @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum],
                              ids=["definite-sigma", "singular-sigma"])
     def test_one_workspace_and_leak_check_per_crosscheck(self, built, make):
+        # both sides' restarts go through one loop and one ascent
         duality_crosscheck(make(), self.SMALL)
-        assert built == {"workspace": 1, "leak": 1}
+        rows = [2 * self.SMALL.restarts]
+        assert built == {"workspace": 1, "leak": 1, "_fixed_point": rows, "_ascent": rows}
+
+    @pytest.mark.parametrize("estimate", [optimal_constant_entropic, optimal_constant_analytic])
+    def test_a_lone_estimate_searches_its_own_rows(self, built, estimate):
+        estimate(_acceptance_datum(0), self.SMALL)
+        assert built["_fixed_point"] == built["_ascent"] == [self.SMALL.restarts]
 
     def test_one_workspace_per_datum_for_verify_both(self, built, capsys):
         from qbl.cli import main
@@ -1548,15 +1599,30 @@ class TestDatumCaches:
         assert main(argv) == 0
         assert built["workspace"] == 1
 
-    @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum],
-                             ids=["definite-sigma", "singular-sigma"])
-    def test_a_used_datum_answers_as_a_fresh_one(self, make):
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, 0), _defect_d_datum,
+                                      _leaking_datum],
+                             ids=["definite-sigma", "singular-sigma", "support-leak"])
+    def test_a_used_datum_answers_as_a_fresh_one(self, make, monkeypatch):
+        if make is _leaking_datum:  # +inf on both sides, with no search
+            monkeypatch.setattr(engine, "_fixed_point", None)
         used = make()
         bl_membership(used, SamplerConfig(samples=20, form="analytic"))
         first = duality_crosscheck(used, self.SMALL)
         for rep in (duality_crosscheck(used, self.SMALL), duality_crosscheck(make(), self.SMALL)):
             assert (rep.c_entropic, rep.c_analytic) == (first.c_entropic, first.c_analytic)
             assert np.array_equal(rep.witness_entropic, first.witness_entropic)
+        # each side of the cross-checked datum, read from its stacked
+        # search, is what a lone estimate on a fresh datum finds
+        for estimate in (optimal_constant_entropic, optimal_constant_analytic):
+            c, _, res = estimate(used, self.SMALL)
+            c_fresh, _, fresh = estimate(make(), self.SMALL)
+            assert c == c_fresh
+            assert len(res.witness) == len(fresh.witness)
+            assert all(np.array_equal(a, b) for a, b in zip(res.witness, fresh.witness))
+            assert res.trace == fresh.trace
+            assert (res.loop_passes, res.ascent_iters) == (fresh.loop_passes, fresh.ascent_iters)
+        if make is _leaking_datum:
+            assert first.c_entropic == first.c_analytic == np.inf
 
     def test_q_is_a_read_only_copy(self):
         q = np.array([1.0])
