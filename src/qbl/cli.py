@@ -147,9 +147,12 @@ def _default_seed(args) -> int:
         return args.seed
     text = os.environ.get("QBL_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise QblError(f"QBL_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise QblError(f"QBL_SEED must be non-negative, got {text!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +440,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec", help="problem-spec JSON path or preset name")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default: $QBL_SEED or 0)")
+    common.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="RNG seed, at least 0 (default: $QBL_SEED or 0)")
     common.add_argument("--out", default=None, help="write the report/CSV to this path")
     common.add_argument("--no-meta", action="store_true", help="omit timestamp/version metadata")
 

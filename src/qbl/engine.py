@@ -41,7 +41,8 @@ analytic side re-evaluates exactly the omega tuple the duality proof pairs
 with it. A cross-check searches both sides' restarts as one stack, one
 loop and one ascent, and each side certifies the best row of its own
 half. Every step acts on each row alone, so each side finds what a search
-of its restarts alone finds.
+of its restarts alone finds, and both phases count their passes or
+iterations per row: a side records the most any of its restarts took.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling evaluates every
@@ -97,6 +98,10 @@ class OptimizerBudget:
     restarts: int = 32
     max_iters: int = 500
     base_seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"a search needs at least one restart, got {self.restarts}")
 
     def seeds(self) -> list[int]:
         return [self.base_seed + i for i in range(self.restarts)]
@@ -412,14 +417,7 @@ def _x_value_grad(value_grad, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LADDER = 3
 
 
-def _parts(sizes: Sequence[int] | None, n: int) -> list[tuple[int, int]]:
-    """The row ranges [lo, hi) of consecutive parts of the given sizes, or
-    of one part of n rows."""
-    edges = [0, *np.cumsum(sizes or [n]).tolist()]
-    return list(zip(edges, edges[1:]))
-
-
-def _ascent(value_grad, x0: np.ndarray, max_iters: int, sizes: Sequence[int] | None = None):
+def _ascent(value_grad, x0: np.ndarray, max_iters: int):
     """Vectorized multi-restart gradient ascent over rho = XX^dag / tr XX^dag
     with backtracking (Armijo) line search, each restart frozen once an
     iteration gains less than GAIN_TOL, or cannot gain it at its first
@@ -432,10 +430,10 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, sizes: Sequence[int] | N
     and accepts the largest that passes the Armijo test. That is the step a
     search trying one step at a time accepts: at most 40 trial steps per
     iteration, none at or below 1e-13. Returns (values, parameters X,
-    running-best trace). Every step acts on each row alone, so the rows may
-    be consecutive parts of the given sizes searched together (the two
-    sides of a cross-check): the return then ends in one trace per part,
-    the trace an ascent of that part's rows alone records.
+    iterations), the iterations per restart those in which it was active;
+    a restart with a start value that is not finite takes none. Every step
+    acts on each row alone, so a row ends as it would in an ascent of its
+    own.
     """
     x = np.array(x0, dtype=complex)
     fvals, grads = _x_value_grad(value_grad, x)
@@ -444,13 +442,12 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, sizes: Sequence[int] | N
     rungs = np.arange(_LADDER)
     step = np.full(len(x), 0.25)
     active = np.isfinite(fvals)
-    parts = _parts(sizes, len(x))
-    traces: list[list[tuple[int, float]]] = [[] for _ in parts]
+    iters = np.zeros(len(x), dtype=int)
     for it in range(max_iters):
         if not active.any():
             break
-        stepped = [active[lo:hi].any() for lo, hi in parts]
         idx = np.where(active)[0]
+        iters[idx] = it + 1
         f0 = fvals[idx]
         g = grads[idx]
         gn2 = np.sum(np.abs(g) ** 2, axis=axes)
@@ -485,11 +482,7 @@ def _ascent(value_grad, x0: np.ndarray, max_iters: int, sizes: Sequence[int] | N
             pending[miss] = (t[miss] > 1e-13) & (tried[miss] < 40)
         step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
         active[idx[fvals[idx] - f0 < GAIN_TOL]] = False
-        for trace, (lo, hi), on in zip(traces, parts, stepped):
-            if on:
-                part = fvals[lo:hi]
-                trace.append((it, float(np.max(part, initial=-np.inf, where=np.isfinite(part)))))
-    return (fvals, x, *traces)
+    return fvals, x, iters
 
 
 # residual differences an Anderson step mixes: on acceptance datum 12 at
@@ -518,8 +511,7 @@ def _anderson_coefficients(dr: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, flat @ r.reshape(rows, -1).view(float)[..., None])[..., 0]
 
 
-def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int,
-                 sizes: Sequence[int] | None = None):
+def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: int):
     """Iterate rho -> Gibbs(H(rho)), H = M + sum_k q_k E_k^dag(log E_k rho),
     from the start states rhos with spectra vals, with safeguarded type-II
     Anderson acceleration in exponent space (Walker and Ni, SIAM J. Numer.
@@ -559,15 +551,15 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     Stop rule: a restart stops once an accepted step gains less than
     GAIN_TOL, or a plain step at eta = 1 is refused. The live restarts are
     held in compact arrays, compacted when one stops. Returns, per restart,
-    the last accepted state and its value F, and the running-best trace of
-    F, one entry per pass. Every step acts on each row alone (Anderson
-    coefficients, eta, stop rule, compaction), so the restarts may be
-    consecutive parts of the given sizes searched together, as _ascent
-    takes them: the return then ends in one trace per part, the trace a
-    loop over that part's rows alone records.
+    the last accepted state, its value F and the passes in which the
+    restart was live; a restart with a start value that is not finite
+    takes none. Every step acts on each row alone (Anderson coefficients,
+    eta, stop rule, compaction), so a row ends as it would in a loop of
+    its own.
     """
     f, g = ws.entropic_step(rhos, vals)
     end_rhos, end_f = np.array(rhos, dtype=complex), f
+    passes = np.zeros(len(rhos), dtype=int)
     ids = np.flatnonzero(np.isfinite(f))
     d, live = ws.dim, len(ids)
     rho, f, g, vals = rhos[ids], f[ids], g[ids], vals[ids]
@@ -590,15 +582,10 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
     # the plain step's relaxation eta
     h = g
     eta = np.ones(live)
-    # per part: its live rows, a slice of the compact arrays (compaction
-    # keeps the row order), and its running best
-    edges = np.cumsum(sizes or [len(rhos)])
-    cuts = [0, *np.searchsorted(ids, edges).tolist()]
-    best = [float(np.max(f[lo:hi], initial=-np.inf)) for lo, hi in zip(cuts, cuts[1:])]
-    traces: list[list[tuple[int, float]]] = [[] for _ in best]
     for it in range(max_iters):
         if not live:
             break
+        passes[ids] = it + 1
         plain = (depth < need) | (vals[:, 0] < SUPP_RTOL * vals[:, -1])
         cand = g
         if not plain.all():
@@ -644,10 +631,6 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             r_last = np.where(sel, res, r_last)
             g_last = np.where(sel, gnew, g_last)
         col = (col + 1) % _WINDOW
-        for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if lo < hi:
-                best[p] = max(best[p], float(f[lo:hi].max()))
-                traces[p].append((it, best[p]))
         if stop.any():
             done, keep = ids[stop], ~stop
             end_rhos[done], end_f[done] = rho[stop], f[stop]
@@ -655,22 +638,20 @@ def _fixed_point(ws: _Workspace, rhos: np.ndarray, vals: np.ndarray, max_iters: 
             r_last, g_last, dr, dg = r_last[keep], g_last[keep], dr[keep], dg[keep]
             depth, need, h, eta = depth[keep], need[keep], h[keep], eta[keep]
             live = len(ids)
-            cuts = [0, *np.searchsorted(ids, edges).tolist()]
     end_rhos[ids], end_f[ids] = rho, f
-    return (end_rhos, end_f, *traces)
+    return end_rhos, end_f, passes
 
 
 @dataclass
 class OptimizationResult:
-    """A search's estimate, witness and record: its running-best trace and
-    its length per phase, fixed-point passes and then ascent iterations
-    (recorded for callers and tests; the CLI does not print them)."""
+    """A search's estimate, witness and record: the most fixed-point passes
+    and the most ascent iterations any of its restarts took (recorded for
+    callers and tests; the CLI does not print them)."""
 
     value: float
     witness: list[np.ndarray]
     method: str
     restart_seeds: list[int] = field(default_factory=list)
-    trace: list[tuple[int, float]] = field(default_factory=list)
     loop_passes: int = 0
     ascent_iters: int = 0
 
@@ -737,29 +718,29 @@ def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str) -> list[tuple]
     accelerated fixed-point loop from each side's random starts, then the
     exact-gradient ascent from every restart's final state. The sides not
     yet kept on the datum for this budget go as one stack, in the order
-    given, through one loop and one ascent. Both act on each row alone, so
-    each side finds and records what a search of its rows alone does. Each
-    ascent row starts at a loop end state and accepts only rises, so a
-    side's best row is its estimate. Returns, per side, the best entropic
-    value, its state on the compressed datum, the joined running-best trace
-    and the lengths of its two parts (loop passes, ascent iterations)."""
+    given, through one loop and one ascent, side i on rows [i restarts,
+    (i + 1) restarts). Both act on each row alone, so each side finds what
+    a search of its rows alone does. Each ascent row starts at a loop end
+    state and accepts only rises, so a side's best row is its estimate.
+    Returns, per side, the best entropic value, its state on the
+    compressed datum, and the most loop passes and ascent iterations any
+    of its rows took."""
     todo = [side for side in sides if datum._found.get(side, (None,))[0] != budget]
     if todo:
         inner, _, ws = datum._search_space()
         starts = [_start_states(side, inner, ws, budget.seeds()) for side in todo]
-        sizes = [len(rhos) for rhos, _ in starts]
         rhos, vals = (np.concatenate(a) for a in zip(*starts))
-        fp_rhos, fp_vals, *fp_traces = _fixed_point(ws, rhos, vals, budget.max_iters, sizes)
-        parts = _parts(sizes, len(rhos))
-        if any(not np.isfinite(fp_vals[lo:hi]).any() for lo, hi in parts):
+        fp_rhos, fp_vals, passes = _fixed_point(ws, rhos, vals, budget.max_iters)
+        rows = [slice(i * budget.restarts, (i + 1) * budget.restarts) for i in range(len(todo))]
+        if any(not np.isfinite(fp_vals[r]).any() for r in rows):
             raise Diverged("all fixed-point restarts left the support cone")
-        fvals, xs, *as_traces = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos),
-                                        budget.max_iters, sizes)
-        for side, (lo, hi), fp, asc in zip(todo, parts, fp_traces, as_traces):
-            part = fvals[lo:hi]
-            i = lo + int(np.argmax(np.where(np.isfinite(part), part, -np.inf)))
+        fvals, xs, iters = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), budget.max_iters)
+        for side, r in zip(todo, rows):
+            part = fvals[r]
+            i = r.start + int(np.argmax(np.where(np.isfinite(part), part, -np.inf)))
             rho = hermitian_part(_gram_states(xs[i])[0])
-            datum._found[side] = (budget, (float(fvals[i]), rho, fp + asc, (len(fp), len(asc))))
+            datum._found[side] = (budget, (float(fvals[i]), rho,
+                                           int(passes[r].max()), int(iters[r].max())))
     return [datum._found[side][1] for side in sides]
 
 
@@ -785,14 +766,12 @@ def optimal_constant_entropic(
         witness = DensityOperator(datum.sigma.matrix)
         return INF, witness, OptimizationResult(INF, [witness.matrix], "support_leak", seeds)
     _, v, ws = datum._search_space()
-    best_val, rho, trace, counts = _search(datum, budget, "entropic")[0]
+    best_val, rho, *counts = _search(datum, budget, "entropic")[0]
     check = float(ws.entropic_objective(rho[None])[0])
     if not np.isfinite(check) or abs(check - best_val) > 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {check} vs {best_val}")
     witness = DensityOperator(_lift(v, rho))
-    result = OptimizationResult(
-        best_val, [witness.matrix], "fixed_point+ascent", seeds, list(trace), *counts
-    )
+    result = OptimizationResult(best_val, [witness.matrix], "fixed_point+ascent", seeds, *counts)
     return best_val, witness, result
 
 
@@ -869,7 +848,7 @@ def optimal_constant_analytic(
             INF, [w.matrix for w in witness], "support_leak", seeds
         )
     _, v, _ = datum._search_space()
-    internal, rho, trace, counts = _search(datum, budget, "analytic")[0]
+    internal, rho, *counts = _search(datum, budget, "analytic")[0]
     try:
         rho = DensityOperator(_lift(v, rho))
         logs = induced_logs(datum, rho)
@@ -880,8 +859,7 @@ def optimal_constant_analytic(
     if not np.isfinite(best_val) or best_val < internal - 1e-8:
         raise Diverged(f"witness re-evaluation drifted: {best_val} vs internal {internal}")
     result = OptimizationResult(
-        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, list(trace),
-        *counts
+        float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, *counts
     )
     return float(best_val), witness, result
 

@@ -74,6 +74,9 @@ class Subspace:
         basis = np.asarray(basis, dtype=float)
         if basis.ndim == 1:
             basis = basis[:, None]
+        if basis.ndim != 2:
+            raise InvalidDatum(
+                f"subspace basis must be a vector or a matrix, got shape {basis.shape}")
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
             raise InvalidDatum("subspace basis columns are not orthonormal")
@@ -137,6 +140,8 @@ def geometric_datum_check(subspaces: list[Subspace], q: list[float]) -> tuple[bo
     """
     if not subspaces:
         raise InvalidDatum("need at least one subspace")
+    if len(q) != len(subspaces):
+        raise DimensionMismatch(f"{len(subspaces)} subspaces but {len(q)} weights")
     m = subspaces[0].ambient
     total = np.zeros((m, m))
     tr_sum = 0.0

@@ -25,10 +25,7 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(data: Any, path: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(path, f"not a numeric nested list: {exc}") from exc
+    arr = _decode_real(data, path)
     if arr.ndim == 3 and arr.shape[2] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim == 2:
@@ -60,9 +57,6 @@ def decode_channel(data: Any, path: str = "channel") -> Channel:
     kraus = [
         decode_matrix(k, f"{path}.kraus[{i}]") for i, k in enumerate(data["kraus"])
     ]
-    for i, k in enumerate(kraus):
-        if not np.isfinite(k).all():
-            raise SpecFormatError(f"{path}.kraus[{i}]", "matrix has a non-finite entry")
     return Channel(
         kraus,
         label=data.get("label", ""),
@@ -86,14 +80,15 @@ def decode_datum(data: dict, path: str = "$") -> BLDatum:
     for key in ("q", "channels", "sigma", "sigmas"):
         if key not in data:
             raise SpecFormatError(f"{path}.{key}", "missing required field")
+    for key in ("channels", "sigmas"):
+        if not isinstance(data[key], list):
+            raise SpecFormatError(f"{path}.{key}", "expected a list")
     channels = [
         decode_channel(c, f"{path}.channels[{i}]") for i, c in enumerate(data["channels"])
     ]
     sigma = _decode_psd(data["sigma"], f"{path}.sigma")
     sigmas = [_decode_psd(s, f"{path}.sigmas[{i}]") for i, s in enumerate(data["sigmas"])]
-    q = data["q"]
-    if not isinstance(q, list) or not q or not all(_finite_number(x) and x > 0 for x in q):
-        raise SpecFormatError(f"{path}.q", "expected a non-empty list of finite positive numbers")
+    q = _decode_weights(data["q"], f"{path}.q")
     c = data.get("c")
     c = 0.0 if c is None else c
     if not _finite_number(c):
@@ -109,6 +104,24 @@ def _decode_psd(data: Any, path: str) -> PSDOperator:
         raise SpecFormatError(path, str(exc)) from exc
 
 
+def _decode_weights(q: Any, path: str) -> list:
+    if not isinstance(q, list) or not q or not all(_finite_number(x) and x > 0 for x in q):
+        raise SpecFormatError(path, "expected a non-empty list of finite positive numbers")
+    return q
+
+
+def _decode_real(data: Any, path: str) -> np.ndarray:
+    """A nested list of finite real numbers (a matrix, or a vector) as an
+    array."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(path, f"not a numeric nested list: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise SpecFormatError(path, "matrix has a non-finite entry")
+    return arr
+
+
 def _finite_number(x: Any) -> bool:
     """Whether x is a finite JSON number (a bool is not a number)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -118,8 +131,14 @@ def decode_gaussian_task(data: dict, path: str = "$") -> tuple[GaussianState, li
     for key in ("cov", "subspaces", "q"):
         if key not in data:
             raise SpecFormatError(f"{path}.{key}", "missing required field")
-    cov = np.asarray(data["cov"], dtype=float)
-    mean = np.asarray(data.get("mean", np.zeros(cov.shape[0])), dtype=float)
-    state = GaussianState(cov, mean)
-    subs = [Subspace(np.asarray(b, dtype=float)) for b in data["subspaces"]]
-    return state, subs, [float(x) for x in data["q"]]
+    cov = _decode_real(data["cov"], f"{path}.cov")
+    mean = data.get("mean")
+    state = GaussianState(cov, None if mean is None else _decode_real(mean, f"{path}.mean"))
+    if not isinstance(data["subspaces"], list):
+        raise SpecFormatError(f"{path}.subspaces", "expected a list")
+    subs = [Subspace(_decode_real(b, f"{path}.subspaces[{i}]"))
+            for i, b in enumerate(data["subspaces"])]
+    q = _decode_weights(data["q"], f"{path}.q")
+    if len(q) != len(subs):
+        raise SpecFormatError(f"{path}.q", f"expected {len(subs)} weights, one per subspace")
+    return state, subs, [float(x) for x in q]

@@ -387,6 +387,8 @@ class TestErrorLines:
         ({"sigmas": [NAN_QUBIT]}, "spec error at $.sigmas[0]: matrix has a non-finite entry"),
         ({"channels": [{"kraus": [NAN_QUBIT]}]},
          "spec error at $.channels[0].kraus[0]: matrix has a non-finite entry"),
+        ({"channels": 5}, "spec error at $.channels: expected a list"),
+        ({"sigmas": 7}, "spec error at $.sigmas: expected a list"),
     ])
     def test_spec_field(self, capsys, tmp_path, dpi_spec, update, line):
         with open(dpi_spec, encoding="utf-8") as fh:
@@ -398,12 +400,55 @@ class TestErrorLines:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", line + "\n")
 
+    X_AXIS, Y_AXIS, DIAGONAL = [[1.0], [0.0]], [[0.0], [1.0]], [[0.6], [0.8]]
+    WEIGHTS = "spec error at $.q: expected a non-empty list of finite positive numbers"
+
+    @pytest.mark.parametrize("command", ["verify", "gaussian"])
+    @pytest.mark.parametrize("update,line", [
+        ({"cov": [["a", 0], [0, 1]]},
+         "spec error at $.cov: not a numeric nested list: could not convert string to float: 'a'"),
+        ({"cov": [[float("nan"), 0], [0, 1]]},
+         "spec error at $.cov: matrix has a non-finite entry"),
+        ({"q": ["x"]}, WEIGHTS),
+        ({"q": 1.0}, WEIGHTS),
+        ({"subspaces": 3}, "spec error at $.subspaces: expected a list"),
+        ({"subspaces": [X_AXIS, [["b"], [0]]]},
+         "spec error at $.subspaces[1]: not a numeric nested list: "
+         "could not convert string to float: 'b'"),
+        ({"subspaces": [X_AXIS, [Y_AXIS]]},
+         "error: subspace basis must be a vector or a matrix, got shape (1, 2, 1)"),
+        # three lines, two weights: the weights do not pair with the lines
+        ({"subspaces": [X_AXIS, Y_AXIS, DIAGONAL]},
+         "spec error at $.q: expected 3 weights, one per subspace"),
+    ])
+    def test_gaussian_spec_field(self, capsys, tmp_path, command, update, line):
+        spec = {"type": "gaussian", "cov": np.eye(4).tolist(),
+                "subspaces": [self.X_AXIS, self.Y_AXIS], "q": [1.0, 1.0]}
+        spec.update(update)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code = main([command, str(bad), "--no-meta"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
     def test_bad_seed_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("QBL_SEED", "abc")
-        code = main(["verify", "dpi-qubit", "--samples", "10", "--no-meta"])
+        for text, line in [("abc", "error: QBL_SEED must be an integer, got 'abc'\n"),
+                           ("-3", "error: QBL_SEED must be non-negative, got '-3'\n")]:
+            monkeypatch.setenv("QBL_SEED", text)
+            code = main(["verify", "dpi-qubit", "--samples", "10", "--no-meta"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == line
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_option(self, capsys, seed):
+        # a usage error: the usage, then one error line
+        code = main(["verify", "dpi-qubit", "--seed", seed, "--no-meta"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
-        assert captured.err == "error: QBL_SEED must be an integer, got 'abc'\n"
+        assert captured.err.splitlines()[-1] == (
+            f"qbl verify: error: argument --seed: expected an integer of at least 0, got '{seed}'")
+        assert "Traceback" not in captured.err
 
 
 def _channel_task(tmp_path, channel, **fields):

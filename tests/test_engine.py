@@ -191,7 +191,7 @@ class TestOptimalConstants:
 
             def wrapped(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                phases[name] = len(out[-1])
+                phases[name] = out[-1].max()
                 return out
 
             monkeypatch.setattr(engine, name, wrapped)
@@ -312,6 +312,12 @@ class TestInfiniteConstant:
 
 
 class TestDualityCrosscheck:
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_a_budget_needs_a_restart(self, restarts):
+        # each side of a cross-check certifies the best of its own rows
+        with pytest.raises(ValueError, match="at least one restart"):
+            OptimizerBudget(restarts=restarts)
+
     def test_dpi(self):
         rep = duality_crosscheck(dpi_datum(13), BUDGET)
         assert rep.agree and rep.tol == engine.agreement_tol(rep.c_entropic) == 1e-4
@@ -759,11 +765,12 @@ def _sequential_ascent(value_grad_rho, x0, max_iters, tol):
     bcast = (slice(None),) + (None,) * (x.ndim - 1)
     step = np.full(len(x), 0.25)
     active = np.isfinite(fvals)
-    trace = []
+    iters = np.zeros(len(x), dtype=int)
     for it in range(max_iters):
         if not active.any():
             break
         idx = np.where(active)[0]
+        iters[idx] = it + 1
         f0 = fvals[idx]
         g = grads[idx]
         gn2 = np.sum(np.abs(g) ** 2, axis=axes)
@@ -785,9 +792,7 @@ def _sequential_ascent(value_grad_rho, x0, max_iters, tol):
             pending &= t > 1e-13
         step[idx] = np.clip(t * 2.0, 1e-12, 4.0)
         active[idx[fvals[idx] - f0 < tol]] = False
-        finite = fvals[np.isfinite(fvals)]
-        trace.append((it, float(np.max(finite)) if finite.size else float("-inf")))
-    return fvals, x, trace
+    return fvals, x, iters
 
 
 def _gradient_problem(name):
@@ -914,10 +919,9 @@ class TestFusedSteps:
                 return value_grad(x)
             return f
 
-        f_lad, x_lad, tr_lad = engine._ascent(counted("ladder"), x0, 300)
-        f_seq, x_seq, tr_seq = _sequential_ascent(counted("sequential"), x0, 300, 1e-9)
-        assert len(tr_lad) == len(tr_seq) > 1
-        assert _close([v for _, v in tr_lad], [v for _, v in tr_seq])
+        f_lad, x_lad, it_lad = engine._ascent(counted("ladder"), x0, 300)
+        f_seq, x_seq, it_seq = _sequential_ascent(counted("sequential"), x0, 300, 1e-9)
+        assert np.array_equal(it_lad, it_seq) and it_lad.max() > 1
         assert _close(f_lad, f_seq)
         assert calls["ladder"] < calls["sequential"]
 
@@ -943,20 +947,21 @@ class TestFusedSteps:
         rows = []  # restarts stepped, per pass
         gibbs = engine.gibbs
         monkeypatch.setattr(engine, "gibbs", lambda h: rows.append(len(h)) or gibbs(h))
-        rhos, fvals, trace = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)
+        rhos, fvals, passes = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)
         monkeypatch.undo()
         # a frozen restart leaves the arrays the loop steps
         assert rows[0] == BUDGET.restarts
         assert all(a >= b for a, b in zip(rows, rows[1:])) and rows[-1] < rows[0]
-        ref_rhos, ref_fvals, ref_trace = engine._fixed_point(ref, rhos0, vals0, BUDGET.max_iters)
-        assert len(trace) == len(ref_trace) > 1
-        assert _close([v for _, v in trace], [v for _, v in ref_trace])
+        # each pass steps the restarts live in it
+        assert rows == [int(np.sum(passes > p)) for p in range(len(rows))]
+        ref_rhos, ref_fvals, ref_passes = engine._fixed_point(ref, rhos0, vals0, BUDGET.max_iters)
+        assert np.array_equal(passes, ref_passes) and passes.max() > 1
         assert _close(fvals, ref_fvals)
         assert np.max(np.abs(rhos - ref_rhos)) < 1e-9
         assert _close(fvals, _reference_entropic_objective(ref, rhos))
 
     def test_every_restart_matches_the_composition(self):
-        # the composition test compares the running best only. Restarts 4
+        # the composition test compares the end values only. Restarts 4
         # and 7 of this datum start at pure states, whose E_k(rho) have
         # kernels; with the log floor at 1e-18 lambda_max, below eigh's
         # rounding noise, restart 7's value after 3 passes differed by
@@ -979,10 +984,9 @@ class TestFusedSteps:
         log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
         rhos0, vals0, _ = op.gibbs(ws.exponent(log_omegas))
         assert _close(rhos0, _reference_gibbs(ref.exponent(log_omegas)))
-        rhos, fvals, trace = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)
-        _, ref_fvals, ref_trace = engine._fixed_point(ref, rhos0, vals0, BUDGET.max_iters)
-        assert len(trace) == len(ref_trace) > 1
-        assert _close([v for _, v in trace], [v for _, v in ref_trace])
+        rhos, fvals, passes = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)
+        _, ref_fvals, ref_passes = engine._fixed_point(ref, rhos0, vals0, BUDGET.max_iters)
+        assert np.array_equal(passes, ref_passes) and passes.max() > 1
         assert _close(fvals, ref_fvals)
         assert _close(fvals, _reference_entropic_objective(ref, rhos))
 
@@ -1197,10 +1201,10 @@ class TestAcceleratedLoop:
             ws = engine._Workspace(datum)
             rhos0 = engine._initial_states(datum.dim, BUDGET.seeds())
             vals0 = np.linalg.eigvalsh(rhos0)
-            full = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2]
-            assert len(full) > 20
+            full = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2].max()
+            assert full > 20
             prev = engine._fixed_point(ws, rhos0, vals0, 0)[1]
-            for cap in list(range(1, 21)) + [len(full)]:
+            for cap in list(range(1, 21)) + [full]:
                 fvals = engine._fixed_point(ws, rhos0, vals0, cap)[1]
                 assert np.all(fvals >= prev)
                 prev = fvals
@@ -1236,8 +1240,8 @@ class TestAcceleratedLoop:
         ws.entropic_step = recorded
         monkeypatch.setattr(engine, "gibbs", proposed)
         rho0 = engine._initial_states(datum.dim, [0])
-        trace = engine._fixed_point(ws, rho0, np.linalg.eigvalsh(rho0), BUDGET.max_iters)[2]
-        assert len(proposals) == len(trace) == len(rows) - 1
+        (passes,) = engine._fixed_point(ws, rho0, np.linalg.eigvalsh(rho0), BUDGET.max_iters)[2]
+        assert len(proposals) == passes == len(rows) - 1
         refused = []
         vals, f, g = rows[0]
         for p, (cand, (nvals, fnew, gnew)) in enumerate(zip(proposals, rows[1:])):
@@ -1246,7 +1250,7 @@ class TestAcceleratedLoop:
                 refused.append(p)
             if fnew >= f:
                 vals, f, g = nvals, fnew, gnew
-        assert refused and refused[0] < len(trace) - 1
+        assert refused and refused[0] < passes - 1
         # a relaxed step moves the exponent by its traceless residual only,
         # so the proposals' traces stay at the scale of the exponents H
         # (with h + eta (H - h), trace kept, they reached |tr| = 11085 on
@@ -1266,9 +1270,7 @@ class TestAcceleratedLoop:
             budget = OptimizerBudget(restarts=32, max_iters=500, base_seed=i)
             datum = _acceptance_datum(i)
             for estimate in (optimal_constant_entropic, optimal_constant_analytic):
-                res = estimate(datum, budget)[2]
-                assert res.loop_passes + res.ascent_iters == len(res.trace)
-                passes += res.loop_passes
+                passes += estimate(datum, budget)[2].loop_passes
         assert passes + 20 == len(calls) < 2500
 
     def test_anderson_beats_the_plain_step(self, monkeypatch):
@@ -1282,7 +1284,7 @@ class TestAcceleratedLoop:
         monkeypatch.setattr(engine, "_anderson_coefficients",
                             lambda dr, r: np.zeros((len(r), engine._WINDOW)))
         slow = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)
-        assert len(fast[2]) < len(slow[2])
+        assert fast[2].max() < slow[2].max()
         assert np.max(fast[1]) >= np.max(slow[1]) - 1e-9
 
 
@@ -1326,7 +1328,7 @@ class TestAscentHandoff:
 
     def test_converged_fixed_point_leaves_the_ascent_nothing_to_do(self, runs):
         optimal_constant_entropic(dpi_datum(), BUDGET)
-        assert len(runs["_ascent"][1][2]) <= 2
+        assert runs["_ascent"][1][2].max() <= 2
 
     def test_stationary_restarts_spend_no_trial_steps(self):
         # from the end states of 500 fixed-point passes on acceptance datum
@@ -1349,9 +1351,9 @@ class TestAscentHandoff:
 
 class TestStackedSides:
     """A cross-check searches both sides' restarts as one stack: the loop
-    and the ascent act on each row alone, so a row ends where it ends in a
-    stack of its own side's rows, and each side records the trace it
-    records alone."""
+    and the ascent act on each row alone, so a row ends where it ends, and
+    takes the passes and iterations it takes, in a stack of its own side's
+    rows."""
 
     @pytest.mark.parametrize("make", [partial(_acceptance_datum, i) for i in range(20)]
                              + [partial(_random_datum, 42)])
@@ -1361,21 +1363,16 @@ class TestStackedSides:
         starts = [engine._start_states(side, datum, ws, BUDGET.seeds())
                   for side in ("entropic", "analytic")]
 
-        def search(rhos, vals, sizes=None):
-            fp_rhos, fp_vals, *fp_traces = engine._fixed_point(
-                ws, rhos, vals, BUDGET.max_iters, sizes)
-            fvals, xs, *as_traces = engine._ascent(
-                ws.entropic_value_grad, op.sqrt_psd(fp_rhos), BUDGET.max_iters, sizes)
-            return fp_rhos, fp_vals, fvals, xs, fp_traces, as_traces
+        def search(rhos, vals):
+            fp = engine._fixed_point(ws, rhos, vals, BUDGET.max_iters)
+            return fp + engine._ascent(ws.entropic_value_grad, op.sqrt_psd(fp[0]),
+                                       BUDGET.max_iters)
 
-        sizes = [len(rhos) for rhos, _ in starts]
-        *stacked, fp_traces, as_traces = search(*(np.concatenate(a) for a in zip(*starts)), sizes)
-        for (lo, hi), start, fp_trace, as_trace in zip(
-                engine._parts(sizes, sum(sizes)), starts, fp_traces, as_traces):
-            *alone, (fp_alone,), (as_alone,) = search(*start)
-            for joint, lone in zip(stacked, alone):
-                assert np.array_equal(joint[lo:hi], lone)
-            assert fp_trace == fp_alone and as_trace == as_alone
+        stacked = search(*(np.concatenate(a) for a in zip(*starts)))
+        for i, start in enumerate(starts):
+            rows = slice(i * BUDGET.restarts, (i + 1) * BUDGET.restarts)
+            for joint, lone in zip(stacked, search(*start), strict=True):
+                assert np.array_equal(joint[rows], lone)
 
 
 def _rank_deficient_datum(seed=51):
@@ -1498,8 +1495,7 @@ class TestSpectralCounts:
         ws = engine._Workspace(datum)
         rhos0 = engine._initial_states(3, BUDGET.seeds())
         calls.clear()
-        trace = engine._fixed_point(ws, rhos0, np.linalg.eigvalsh(rhos0), BUDGET.max_iters)[2]
-        iters = len(trace)
+        iters = engine._fixed_point(ws, rhos0, np.linalg.eigvalsh(rhos0), BUDGET.max_iters)[2].max()
         assert iters > 5
         # the initial states are not Gibbs states: one eigvalsh of them
         assert calls.count(("eigvalsh", 3)) == 1
@@ -1515,8 +1511,7 @@ class TestSpectralCounts:
         log_omegas = _initial_log_omegas(datum, BUDGET.seeds())
         calls.clear()
         rhos0, vals0, _ = op.gibbs(ws.exponent(log_omegas))
-        trace = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2]
-        iters = len(trace)
+        iters = engine._fixed_point(ws, rhos0, vals0, BUDGET.max_iters)[2].max()
         assert iters > 5
         # the start: one eigh of each exponent and one per E_k(rho); per
         # pass: one eigh of the exponent and one per E_k(rho)
@@ -1530,8 +1525,7 @@ class TestSpectralCounts:
         ws = engine._Workspace(datum)
         rhos0 = engine._initial_states(3, BUDGET.seeds())
         calls.clear()
-        trace = engine._fixed_point(ws, rhos0, np.linalg.eigvalsh(rhos0), BUDGET.max_iters)[2]
-        iters = len(trace)
+        iters = engine._fixed_point(ws, rhos0, np.linalg.eigvalsh(rhos0), BUDGET.max_iters)[2].max()
         assert iters > 5
         # the initial states are not Gibbs states: one eigvalsh of them
         assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", 3)]
@@ -1619,7 +1613,6 @@ class TestDatumCaches:
             assert c == c_fresh
             assert len(res.witness) == len(fresh.witness)
             assert all(np.array_equal(a, b) for a, b in zip(res.witness, fresh.witness))
-            assert res.trace == fresh.trace
             assert (res.loop_passes, res.ascent_iters) == (fresh.loop_passes, fresh.ascent_iters)
         if make is _leaking_datum:
             assert first.c_entropic == first.c_analytic == np.inf

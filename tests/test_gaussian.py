@@ -157,6 +157,17 @@ class TestGeometricDatum:
             fails += not ok
         assert fails == 20
 
+    def test_one_weight_per_subspace(self):
+        # the x and y axes with weights 1 resolve the identity; a third
+        # line must not be dropped by pairing three lines with two weights
+        subs = g.coordinate_axes(2) + [g.Subspace(np.array([[0.6], [0.8]]))]
+        with pytest.raises(DimensionMismatch):
+            g.geometric_datum_check(subs, [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            g.geometric_bl_deficit(g.vacuum(2), subs, [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            g.deficit_trajectory(g.vacuum(2), subs, [1.0, 1.0], [0.0])
+
 
 class TestDeficit:
     def test_axes_product_state_zero(self):
