@@ -12,7 +12,6 @@ those relations); everything else is in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +34,8 @@ from .engine import (
     BLDatum,
     OptimizerBudget,
     SamplerConfig,
-    _ascent,
     bl_membership,
+    critical_scale,
     duality_crosscheck,
     optimal_constant_analytic,
     optimal_constant_entropic,
@@ -51,22 +50,18 @@ from .errors import (
 from .operators import (
     DensityOperator,
     PSDOperator,
-    _log_mean,
     from_spectrum,
     hermitian_part,
     identity,
     lieb_triple_integral,
     matrix_log,
     psd_stack,
-    relative_entropy_grad,
-    sqrt_psd,
     support_logs,
     trace_exp_sum,
     weighted_antinorm,
     xlogx_sum,
 )
-from .policy import PSD_SLACK, eps_supp
-from .sampling import random_density
+from .policy import PSD_SLACK
 
 LN2 = float(np.log(2.0))
 
@@ -459,99 +454,16 @@ def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     )
 
 
-def _traceless_hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the traceless Hermitian d x d matrices as a
-    (d^2 - 1, d, d) stack."""
-    basis = np.zeros((d * d - 1, d, d), dtype=complex)
-    n = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            basis[n, i, j] = basis[n, j, i] = 1.0 / np.sqrt(2.0)
-            basis[n + 1, i, j] = -1j / np.sqrt(2.0)
-            basis[n + 1, j, i] = 1j / np.sqrt(2.0)
-            n += 2
-    for k in range(1, d):
-        diag = np.zeros(d)
-        diag[:k] = 1.0
-        diag[k] = -k
-        basis[n] = np.diag(diag) / np.sqrt(k * (k + 1))
-        n += 1
-    return basis
-
-
-def _km_form(sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Gram matrix of the local curvature of D(sigma + x || sigma) over a
-    stack of directions xs, taken on supp sigma (the eigenvalues above
-    eps_supp): a direction x with sigma +- tx >= 0 for some t > 0, such as
-    E(x) at sigma = E(full-support state), lives there."""
-    vals, vecs = np.linalg.eigh(sigma)
-    keep = vals > eps_supp(vals[-1])
-    vals, vecs = vals[keep], vecs[:, keep]
-    kernel = _log_mean(vals)
-    tilted = vecs.conj().T @ xs @ vecs
-    return np.einsum("ij,aij,bij->ab", kernel, tilted.conj(), tilted).real
-
-
-def _perturbative_eta(ch: Channel, sigma: np.ndarray) -> float:
-    """The rho -> sigma limit of the contraction ratio: the top generalized
-    eigenvalue of the output against the input curvature form, with the
-    input form (positive definite for a full-support sigma) whitened by
-    its Cholesky factor."""
-    basis = _traceless_hermitian_basis(sigma.shape[0])
-    m_in = _km_form(sigma, basis)
-    m_out = _km_form(apply(ch, sigma), apply(ch, basis))
-    white = np.linalg.inv(np.linalg.cholesky(m_in))
-    return float(np.linalg.eigvalsh(white @ m_out @ white.T)[-1])
-
-
-# below this D(rho||sigma) cancellation error (about 4e-16 / D) dominates
-# the ratio and exact-gradient ascent climbs the noise; the rho -> sigma
-# limit is covered exactly by the perturbative probe
-_RATIO_MIN_DIVERGENCE = 1e-6
-
-
-def _divergence_ratio(
-    ch: Channel, log_sigma: np.ndarray, log_esig: np.ndarray, rhos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """D(E rho||E sigma) / D(rho||sigma) on a stack of states and its
-    Hermitian gradient in rho, by the quotient rule on the two
-    relative-entropy gradients; -inf (gradient 0) where D(rho||sigma) is
-    too small to resolve the ratio."""
-    d_in, g_in = relative_entropy_grad(rhos, log_sigma)
-    d_out, g_out = relative_entropy_grad(apply(ch, rhos), log_esig)
-    ok = d_in > _RATIO_MIN_DIVERGENCE
-    d_in = np.where(ok, d_in, 1.0)
-    r = d_out / d_in
-    g = (apply_adjoint(ch, g_out) - r[:, None, None] * g_in) / d_in[:, None, None]
-    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], g, 0.0)
-
-
 def contraction_coefficient(
     ch: Channel, sigma, budget: OptimizerBudget = OptimizerBudget(restarts=8)
 ) -> float:
-    """Best multiplicative data-processing constant at a reference state.
-
-    Combines a perturbative probe (the exact ratio of local curvatures of
-    the relative entropy, maximized by a generalized eigenproblem; this is
-    the rho -> sigma limit) with multi-start ascent of the finite ratio.
-    """
+    """Best multiplicative data-processing constant at a full-support
+    reference state: 1 / t* for the critical scale t* of dpi_datum(ch, sigma)
+    (engine.critical_scale), which is 0 when t* = inf."""
     sig = sigma if isinstance(sigma, DensityOperator) else DensityOperator(sigma)
     if sig.support_rank < sig.dim:
         raise SingularMarginal("contraction coefficient needs a full-support reference")
-    d = sig.dim
-    eta_pert = _perturbative_eta(ch, sig.matrix)
-
-    datum = dpi_datum(ch, sig)
-    ratio = partial(
-        _divergence_ratio, ch, matrix_log(datum.sigma).finite, matrix_log(datum.sigmas[0]).finite
-    )
-    seeds = budget.seeds()
-    kinds = [("hs", "pure")[i % 2] for i in range(len(seeds))]
-    rhos0 = random_density(d, [np.random.default_rng(s) for s in seeds], kinds)
-    fvals, _, _ = _ascent(ratio, sqrt_psd(rhos0), budget.max_iters)
-    finite = fvals[np.isfinite(fvals)]
-    eta_ascent = float(np.max(finite)) if finite.size else 0.0
-    eta = max(eta_pert, eta_ascent, 0.0)
+    eta = 1.0 / critical_scale(dpi_datum(ch, sig), budget)
     if eta > 1.0 + 1e-9:
         raise Diverged(f"contraction estimate {eta} violates data processing")
     return eta

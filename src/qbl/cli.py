@@ -389,13 +389,18 @@ def cmd_contraction(args) -> int:
         sigma = np.eye(ch.dim_in) / ch.dim_in
     if getattr(args, "p_sweep", None):  # verify has no --p-sweep
         ps = _parse_p_sweep(args.p_sweep)
+        half = np.eye(2) / 2
+        at_half = np.shape(sigma) == (2, 2) and np.max(np.abs(sigma - half)) <= 1e-12
+        if _depolarizing_p(ch) is None or not at_half:
+            raise SpecFormatError("--p-sweep", "the sweep runs depolarizing(p) at I/2: the spec "
+                                  "needs a depolarizing channel and sigma absent or I/2")
         out = args.out or "-"
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
         try:
             writer = csv.writer(handle)
             writer.writerow(["p", "eta", "eta_formula"])
             for p in ps:
-                eta = contraction_coefficient(depolarizing(p), np.eye(2) / 2, budget)
+                eta = contraction_coefficient(depolarizing(p), half, budget)
                 writer.writerow([_fmt(p), _fmt(eta), _fmt((1.0 - p) ** 2)])
         finally:
             if handle is not sys.stdout:

@@ -44,6 +44,13 @@ half. Every step acts on each row alone, so each side finds what a search
 of its restarts alone finds, and both phases count their passes or
 iterations per row: a side records the most any of its restarts took.
 
+A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
+has a critical scale t*, the q scale up to which its constant is 0.
+critical_scale runs the same ascent on the same workspace over
+t*^-1 = sup_rho sum_k q_k D(E_k rho||sigma_k) / D(rho||sigma), and takes the
+ratio's rho -> sigma limit from the Kubo-Mori curvature forms. The
+contraction coefficient is 1/t* of dpi_datum.
+
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling evaluates every
 valid datum in blocks through the batched workspace objectives of its
@@ -59,7 +66,7 @@ worst gap is the exact re-evaluation of the witness on the datum itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from typing import Sequence
 
@@ -67,11 +74,12 @@ import numpy as np
 
 from .channels import Channel, adjoint_on_log, apply
 from .entropy import INF, relative_entropy, supports_contained
-from .errors import DimensionMismatch, Diverged, ZeroOperator
+from .errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator
 from .operators import (
     DensityOperator,
     PSDOperator,
     SupportLog,
+    _log_mean,
     eigh_log,
     exp_on_support,
     gibbs,
@@ -83,7 +91,7 @@ from .operators import (
     trace_prod,
     xlogx_sum,
 )
-from .policy import SUPP_RTOL, SUPPORT_LEAK_TOL
+from .policy import HERM_RTOL, SUPP_RTOL, SUPPORT_LEAK_TOL
 from .sampling import SAMPLE_BLOCK, draw, random_density
 
 # the search stops iterating a restart once an iteration gains less than
@@ -921,6 +929,78 @@ def duality_crosscheck(
         witness_analytic=[w.matrix for w in w_ana],
         seeds=budget.seeds(),
     )
+
+
+# below this D(rho||sigma) cancellation error (about 4e-16 / D) dominates
+# the ratio and exact-gradient ascent climbs the noise; the rho -> sigma
+# limit is covered exactly by _curvature_limit
+_RATIO_MIN_DIVERGENCE = 1e-6
+
+
+def _ratio_value_grad(ws: _Workspace, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k q_k D(E_k rho||sigma_k) / D(rho||sigma) on a stack of states and
+    its Hermitian gradient in rho, by the quotient rule on one entropic_step:
+    with its F and H and D_in = tr rho (log rho - log sigma), the numerator
+    is F + D_in, and the two gradients are H - log sigma and
+    log rho - log sigma. -inf (gradient 0) where D_in is too small to
+    resolve the ratio."""
+    vals, log_rho = eigh_log(rhos)
+    f, h = ws.entropic_step(rhos, vals)
+    g_in = log_rho - ws.log_sigma
+    d_in = trace_prod(rhos, g_in)
+    ok = d_in > _RATIO_MIN_DIVERGENCE
+    den = np.where(ok, d_in, 1.0)
+    r = (f + d_in) / den
+    g = (h - ws.log_sigma - r[:, None, None] * g_in) / den[:, None, None]
+    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], g, 0.0)
+
+
+def _curvature_limit(datum: BLDatum) -> float:
+    """The rho -> sigma limit of the ratio: the top generalized eigenvalue,
+    over traceless directions x, of the Kubo-Mori forms (the curvatures of
+    the relative entropies) sum_k q_k <E_k x, E_k x>_{sigma_k} against
+    <x, x>_sigma, each output form taken on supp sigma_k, where E_k x lives.
+    In the matrix units of sigma's eigenbasis the input form is diagonal
+    (_log_mean of sigma's spectrum), so it is whitened by a division. The
+    top eigenvalue, sum_k q_k, belongs to sigma (the E_k preserve the
+    trace), and the traceless matrices are exactly its complement in the
+    input form, so the limit is the second-largest."""
+    vals, vecs = datum.sigma.eigenvalues, datum.sigma.eigenvectors
+    units = np.kron(vecs, vecs.conj())  # column (i, j): vec(v_i v_j^dag), row-major
+    form = 0.0
+    for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
+        keep = sk.eigenvalues > sk.eps_supp
+        w = sk.eigenvectors[:, keep]
+        # vec(W^dag E_k(X) W) = (W^dag (x) W^T) S_k vec(X)
+        tilted = np.kron(w.conj().T, w.T) @ ch.transfer @ units
+        form = form + qk * (tilted.conj().T * _log_mean(sk.eigenvalues[keep]).ravel()) @ tilted
+    scale = 1.0 / np.sqrt(_log_mean(vals).ravel())
+    return float(np.linalg.eigvalsh(scale[:, None] * form * scale)[-2])
+
+
+def critical_scale(datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()) -> float:
+    """t* = inf_rho D(rho||sigma) / sum_k q_k D(E_k rho||sigma_k): with every
+    q_k scaled by t, the optimal constant is 0 exactly for t <= t*.
+
+    1/t* is the larger of the ratio's ascent (_ratio_value_grad) on the
+    datum's workspace, from the entropic side's random states, and its
+    rho -> sigma limit (_curvature_limit); inf when both are 0. A state's
+    ratio bounds the supremum from below, so the estimate bounds t* from
+    above. InvalidDatum unless sigma is positive definite with trace 1 and
+    each E_k(sigma) is sigma_k within HERM_RTOL max(1, max |sigma_k entry|).
+    """
+    sigma = datum.sigma
+    if sigma.support_rank < sigma.dim or abs(np.trace(sigma.matrix).real - 1.0) > HERM_RTOL:
+        raise InvalidDatum("a critical scale needs a positive definite sigma of trace 1")
+    for k, (ch, sk) in enumerate(zip(datum.channels, datum.sigmas)):
+        dev = np.max(np.abs(apply(ch, sigma.matrix) - sk.matrix))
+        if dev > HERM_RTOL * max(1.0, np.max(np.abs(sk.matrix))):
+            raise InvalidDatum(f"sigma_{k} differs from E_{k}(sigma) by {dev:.3e}")
+    xs = sqrt_psd(_initial_states(datum.dim, budget.seeds()))
+    fvals, _, _ = _ascent(partial(_ratio_value_grad, datum._search_space()[2]), xs,
+                          budget.max_iters)
+    top = max(_curvature_limit(datum), float(np.max(fvals[np.isfinite(fvals)], initial=0.0)))
+    return 1.0 / top if top > 0.0 else INF
 
 
 @dataclass

@@ -74,7 +74,9 @@ class NegativeTime(QblError, ValueError):
 
 
 class InvalidDatum(QblError, ValueError):
-    """Geometric datum fails the resolution-of-identity condition."""
+    """Datum fails a condition its computation needs: the resolution of
+    identity of a geometric datum, the consistent reference of a critical
+    scale."""
 
 
 class SpecFormatError(QblError, ValueError):

@@ -77,14 +77,6 @@ def eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, from_spectrum(np.log(np.maximum(vals, floor)), vecs)
 
 
-def relative_entropy_grad(rhos: np.ndarray, log_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(rho || ref) = tr rho (log rho - log ref) on a stack of states, and
-    its Hermitian gradient in rho, log rho - log ref (up to the identity,
-    which the trace constraint removes)."""
-    vals, log_rho = eigh_log(rhos)
-    return xlogx_sum(vals) - trace_prod(rhos, log_ref), log_rho - log_ref
-
-
 def gibbs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gibbs states exp(H) / tr exp(H) of a Hermitian stack, their spectra
     and log tr exp(H), from one eigh."""

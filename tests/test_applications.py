@@ -9,7 +9,15 @@ from qbl import applications as app
 from qbl import channels as ch
 from qbl import entropy as ent
 from qbl import operators as op
-from qbl.engine import OptimizerBudget, analytic_gap, duality_crosscheck, entropic_gap
+from qbl.engine import (
+    BLDatum,
+    OptimizerBudget,
+    _curvature_limit,
+    analytic_gap,
+    critical_scale,
+    duality_crosscheck,
+    entropic_gap,
+)
 from qbl.errors import (
     CoverViolation,
     DimensionMismatch,
@@ -24,6 +32,7 @@ from qbl.sampling import (
     hs_mixed,
     random_basis,
     random_channel,
+    random_density,
     random_pd,
 )
 
@@ -359,7 +368,11 @@ class TestContraction:
         with pytest.raises(SingularMarginal):
             app.contraction_coefficient(ch.depolarizing(0.5), np.diag([1.0, 0.0]), BUDGET)
 
-    def test_perturbative_eta_matches_generalized_eigh(self):
+    def test_reference_of_the_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            app.contraction_coefficient(ch.depolarizing(0.5), np.eye(3) / 3, BUDGET)
+
+    def test_curvature_limit_matches_generalized_eigh(self):
         # loop reference: curvature forms in a random traceless Hermitian
         # basis (the top generalized eigenvalue does not depend on the basis)
         def km_form(sigma, xs):
@@ -386,7 +399,8 @@ class TestContraction:
             m_in = km_form(sigma, xs)
             m_out = km_form(ch.apply(e, sigma), [ch.apply(e, x) for x in xs])
             ref = eigh(m_out, m_in, eigvals_only=True)[-1]
-            assert app._perturbative_eta(e, sigma) == pytest.approx(ref, abs=1e-12)
+            limit = _curvature_limit(app.dpi_datum(e, sigma))
+            assert limit == pytest.approx(ref, abs=1e-12)
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(17)
@@ -498,6 +512,20 @@ class TestSuperadditivity:
     def test_singular_marginal_rejected(self):
         with pytest.raises(SingularMarginal):
             app.superadditivity_constant(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
+
+    @pytest.mark.parametrize("seed, alpha_star", [(0, 0.819), (1, 0.765), (2, 0.774), (3, 0.760)])
+    def test_critical_scale_is_the_optimal_exponent(self, seed, alpha_star):
+        # with q = (1, 1) the critical scale is the optimal exponent alpha*;
+        # the references were found by bisection on the optimal constant
+        rho = random_density(4, np.random.default_rng(seed))
+        prod = np.kron(ch.ptrace(rho, [2, 2], [0]), ch.ptrace(rho, [2, 2], [1]))
+        sigma = op.DensityOperator(0.5 * rho + 0.5 * prod)
+        sa, sb = (op.PSDOperator(ch.ptrace(sigma.matrix, [2, 2], [k])) for k in (0, 1))
+        marginals = [ch.partial_trace([2, 2], [0]), ch.partial_trace([2, 2], [1])]
+        datum = BLDatum([1.0, 1.0], marginals, sigma, [sa, sb], 0.0)
+        t_star = critical_scale(datum, OptimizerBudget(8, 300, 3))
+        assert t_star == pytest.approx(alpha_star, abs=2e-3)
+        assert t_star >= app.superadditivity_constant(sigma, (2, 2))
 
 
 class TestApplicationDataDuality:

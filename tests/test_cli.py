@@ -327,6 +327,33 @@ class TestContractionCmd:
             assert eta == pytest.approx((1 - p) ** 2, abs=1e-3)
             assert formula == pytest.approx((1 - p) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["random-channel", "depolarizing-off-half"])
+    def test_p_sweep_rejects_a_spec_it_would_not_run(self, capsys, tmp_path, case):
+        # the sweep runs depolarizing(p) at I/2, not the spec's channel and sigma
+        if case == "random-channel":
+            chan = random_channel(3, 3, np.random.default_rng(1))
+            sigma = np.diag([0.5, 0.3, 0.2])
+        else:
+            chan, sigma = depolarizing(0.5), np.diag([0.6, 0.4])
+        spec = _channel_task(tmp_path, chan, sigma=encode_matrix(sigma))
+        code = main(["contraction", spec, "--p-sweep", "0.1,0.5", "--no-meta"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("spec error at --p-sweep: ")
+
+    @pytest.mark.parametrize("sigma", [None, np.eye(2) / 2], ids=["absent", "half"])
+    def test_p_sweep_runs_a_depolarizing_spec(self, capsys, tmp_path, sigma):
+        # the spec's p does not enter the sweep
+        argv = ["--p-sweep", "0.1,0.5", "--budget", "restarts=2,iters=50", "--no-meta"]
+        _, want = run(capsys, "contraction", "contraction-depol-0.5", *argv)
+        spec = {"type": "channel_task", "channel": encode_channel(depolarizing(0.3))}
+        if sigma is not None:
+            spec["sigma"] = encode_matrix(sigma)
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "contraction", str(path), *argv) == (0, want)
+
 
 class TestNumericOptions:
     """Malformed or out-of-range numeric options are input errors: exit 1,

@@ -26,7 +26,7 @@ from qbl.engine import (
     tensorization_check,
 )
 from qbl import engine
-from qbl.errors import DimensionMismatch, Diverged, ZeroOperator, ZeroTrace
+from qbl.errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator, ZeroTrace
 from qbl.policy import SUPP_RTOL
 from qbl.sampling import (
     haar_pure,
@@ -817,10 +817,8 @@ def _gradient_problem(name):
         return ws.entropic_value_grad, stack(rng, (4, 3, 1))
     rng = np.random.default_rng(33)
     c = random_channel(2, 3, rng=rng)
-    s = op.DensityOperator(random_pd(2, rng))
-    log_s = op.matrix_log(s).finite
-    log_es = op.matrix_log(op.PSDOperator(c(s))).finite
-    return (lambda rhos: app._divergence_ratio(c, log_s, log_es, rhos)), stack(rng, (4, 2, 2))
+    ws = engine._Workspace(app.dpi_datum(c, op.DensityOperator(random_pd(2, rng))))
+    return partial(engine._ratio_value_grad, ws), stack(rng, (4, 2, 2))
 
 
 def _reference_gibbs(h):
@@ -1649,3 +1647,16 @@ class TestDatumCaches:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestCriticalScale:
+    @pytest.mark.parametrize("sigma, sigma_1", [
+        (np.diag([1.0, 0.0]), np.diag([0.75, 0.25])),  # singular sigma
+        (np.eye(2), np.eye(2)),  # trace 2
+        (np.eye(2) / 2, np.diag([0.7, 0.3])),  # sigma_1 != E(sigma)
+    ], ids=["singular", "trace", "inconsistent"])
+    def test_needs_a_consistent_reference(self, sigma, sigma_1):
+        datum = BLDatum([1.0], [ch.depolarizing(0.5)], op.PSDOperator(sigma),
+                        [op.PSDOperator(sigma_1)], 0.0)
+        with pytest.raises(InvalidDatum):
+            engine.critical_scale(datum, BUDGET)
