@@ -3,19 +3,23 @@
 Subcommands: verify (sample an inequality and report the worst gap),
 constant (estimate the optimal constant from both forms), gaussian
 (geometric deficit trajectories as CSV), contraction (strong-DPI
-coefficient). Problem specs are JSON files or named presets; reports are
+coefficient). Problem specs are JSON files (read by
+serialization.decode_spec) or named presets; main resolves the seed and
+loads the task once, then hands both to the command. Reports are
 deterministic for a fixed (spec, seed, budget). verify on a channel task
 runs constant (minimum output entropy) or contraction and prints its report.
 
 Exit codes: 0 = inequality holds / estimates agree, 1 = input error
-(command-line usage errors included), 2 = violation found (witness
-embedded in the report).
+(command-line usage errors, a spec that cannot be read and an --out that
+cannot be written included), 2 = violation found (witness embedded in the
+report).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -51,50 +55,24 @@ from .engine import (
 )
 from .errors import QblError, SpecFormatError
 from .gaussian import deficit_trajectory, geometric_datum_check
-from .operators import DensityOperator
 from .presets import PRESET_NAMES, build_preset
 from .sampling import blocks, bloch_sample, draw, random_pd
-from .serialization import decode_datum, decode_gaussian_task, encode_matrix
+from .serialization import decode_spec, encode_matrix
 
 LN2 = float(np.log(2.0))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _load_task(spec: str, seed: int) -> dict:
+    """The task of a spec file (decode_spec) or of a preset at seed."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecFormatError("$", f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict) or "type" not in data:
-            raise SpecFormatError("$.type", "missing required field")
-        kind = data["type"]
-        if kind == "bl_datum":
-            return {"kind": "bl_datum", "datum": decode_datum(data)}
-        if kind == "gaussian":
-            state, subs, q = decode_gaussian_task(data)
-            return {"kind": "gaussian", "state": state, "subspaces": subs, "q": q}
-        if kind == "channel_task":
-            from .serialization import decode_channel, decode_matrix
-
-            task = data.get("task", "contraction")
-            if task not in ("contraction", "min_output_entropy"):
-                raise SpecFormatError("$.task", "expected 'contraction' or 'min_output_entropy'")
-            out = {"kind": "channel_task", "task": task,
-                   "channel": decode_channel(data.get("channel"), "$.channel")}
-            if "sigma" in data:
-                sigma = decode_matrix(data["sigma"], "$.sigma")
-                try:
-                    DensityOperator(sigma)
-                except ValueError as exc:
-                    raise SpecFormatError("$.sigma", str(exc)) from exc
-                out["sigma"] = sigma
-            return out
-        raise SpecFormatError("$.type", f"unknown problem type {kind!r}")
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError("$", f"invalid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecFormatError("$", f"cannot read the file: {exc}") from exc
+        return decode_spec(data)
     if spec in PRESET_NAMES:
         return build_preset(spec, seed)
     raise SpecFormatError("$", f"no such file or preset: {spec!r}")
@@ -112,18 +90,45 @@ def _strict(x):
     return x
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QblError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report: dict, args) -> None:
-    if not getattr(args, "no_meta", False):
-        report = dict(report)
-        report["meta"] = {
+    """Print the report as JSON, and write it to --out when given."""
+    if not args.no_meta:
+        report = {**report, "meta": {
             "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
+        }}
     text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.out:
+        _write_file(args.out, text + "\n")
     print(text)
+
+
+def _emit_csv(args, header: list[str], rows) -> None:
+    """Write the header, then each row of numbers to 12 significant digits,
+    as CSV to --out, or to stdout when --out is absent or "-"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{x:.12g}" for x in row] for row in rows)
+    if args.out and args.out != "-":
+        _write_file(args.out, buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
+
+
+def _nats_and_bits(**values: float) -> dict:
+    """Each value, given in nats, as name_nats and as name_bits."""
+    return {f"{name}_{unit}": x / scale for name, x in values.items()
+            for unit, scale in (("nats", 1.0), ("bits", LN2))}
 
 
 def _parse_budget(text: str, seed: int) -> OptimizerBudget:
@@ -159,9 +164,7 @@ def _default_seed(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
-    seed = _default_seed(args)
-    task = _load_task(args.spec, seed)
+def cmd_verify(args, seed: int, task: dict) -> int:
     kind = task["kind"]
     forms = ["entropic", "analytic"] if args.form == "both" else [args.form]
     report: dict = {"spec": args.spec, "seed": seed, "samples": args.samples, "units": "nats"}
@@ -241,9 +244,8 @@ def cmd_verify(args) -> int:
         }
         violated |= rows[0]["deficit"] < -1e-8
     elif kind == "channel_task":
-        if task["task"] == "min_output_entropy":
-            return cmd_constant(args)
-        return cmd_contraction(args)
+        command = cmd_constant if task["task"] == "min_output_entropy" else cmd_contraction
+        return command(args, seed, task)
     else:
         raise SpecFormatError("$.type", f"cannot verify task kind {kind!r}")
 
@@ -256,9 +258,7 @@ def cmd_verify(args) -> int:
 # constant
 # ---------------------------------------------------------------------------
 
-def cmd_constant(args) -> int:
-    seed = _default_seed(args)
-    task = _load_task(args.spec, seed)
+def cmd_constant(args, seed: int, task: dict) -> int:
     budget = _parse_budget(args.budget, seed)
     kind = task["kind"]
     report: dict = {"spec": args.spec, "seed": seed,
@@ -267,41 +267,30 @@ def cmd_constant(args) -> int:
     if kind == "bl_datum":
         rep = duality_crosscheck(task["datum"], budget)
         report["constant"] = {
-            "entropic_nats": rep.c_entropic,
-            "analytic_nats": rep.c_analytic,
-            "entropic_bits": rep.c_entropic / LN2,
-            "analytic_bits": rep.c_analytic / LN2,
+            **_nats_and_bits(entropic=rep.c_entropic, analytic=rep.c_analytic),
             "tolerance": rep.tol,
             "agree": rep.agree,
         }
-        _emit(report, args)
-        return 0 if rep.agree else 2
-    if kind in ("mu", "six_state"):
+        code = 0 if rep.agree else 2
+    elif kind in ("mu", "six_state"):
         bases = [task["basis_x"], task["basis_z"]] if kind == "mu" else six_state_bases()
         be = uncertainty_bound_entropic(bases, budget)
         ba = uncertainty_bound_analytic(bases, budget)
-        report["uncertainty_bound"] = {
-            "entropic_nats": be,
-            "analytic_nats": ba,
-            "entropic_bits": be / LN2,
-            "analytic_bits": ba / LN2,
-        }
+        report["uncertainty_bound"] = _nats_and_bits(entropic=be, analytic=ba)
         if kind == "mu":
             report["uncertainty_bound"]["c"] = maassen_uffink_constant(*bases)
-        _emit(report, args)
-        return 0 if abs(be - ba) <= agreement_tol(be) else 2
-    if kind == "channel_task" and task["task"] == "min_output_entropy":
+        code = 0 if abs(be - ba) <= agreement_tol(be) else 2
+    elif kind == "channel_task" and task["task"] == "min_output_entropy":
         rep = min_output_entropy(task["channel"], budget)
         report["min_output_entropy"] = {
-            "direct_nats": rep.direct,
-            "dual_nats": rep.dual,
-            "direct_bits": rep.direct / LN2,
-            "dual_bits": rep.dual / LN2,
+            **_nats_and_bits(direct=rep.direct, dual=rep.dual),
             "neg_constant": rep.h_min,
         }
-        _emit(report, args)
-        return 0
-    raise SpecFormatError("$.type", f"cannot estimate a constant for kind {kind!r}")
+        code = 0
+    else:
+        raise SpecFormatError("$.type", f"cannot estimate a constant for kind {kind!r}")
+    _emit(report, args)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +336,15 @@ def _parse_p_sweep(text: str) -> list[float]:
     return ps
 
 
-def cmd_gaussian(args) -> int:
-    seed = _default_seed(args)
-    task = _load_task(args.spec, seed)
+def cmd_gaussian(args, seed: int, task: dict) -> int:
     if task["kind"] != "gaussian":
         raise SpecFormatError("$.type", "gaussian command needs a gaussian task")
     grid = _parse_t_grid(args.t_grid)
     rows = deficit_trajectory(task["state"], task["subspaces"], task["q"], grid)
-    n_marg = len(task["subspaces"])
-    header = ["t", "H_total"] + [f"H_marginal_{k}" for k in range(n_marg)] + ["deficit"]
-    out = args.out or "-"
-    handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(row["t"]), _fmt(row["H_total"])]
-                + [_fmt(h) for h in row["H_marginals"]]
-                + [_fmt(row["deficit"])]
-            )
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    header = (["t", "H_total"] + [f"H_marginal_{k}" for k in range(len(task["subspaces"]))]
+              + ["deficit"])
+    _emit_csv(args, header, ([row["t"], row["H_total"], *row["H_marginals"], row["deficit"]]
+                             for row in rows))
     return 0
 
 
@@ -377,38 +352,26 @@ def cmd_gaussian(args) -> int:
 # contraction
 # ---------------------------------------------------------------------------
 
-def cmd_contraction(args) -> int:
-    seed = _default_seed(args)
-    task = _load_task(args.spec, seed)
+def cmd_contraction(args, seed: int, task: dict) -> int:
     if task["kind"] != "channel_task":
         raise SpecFormatError("$.type", "contraction command needs a channel task")
     budget = _parse_budget(args.budget, seed)
     ch = task["channel"]
-    sigma = task.get("sigma")
-    if sigma is None:
-        sigma = np.eye(ch.dim_in) / ch.dim_in
+    sigma = task.get("sigma", np.eye(ch.dim_in) / ch.dim_in)
+    p = _depolarizing_p(ch)
     if getattr(args, "p_sweep", None):  # verify has no --p-sweep
         ps = _parse_p_sweep(args.p_sweep)
         half = np.eye(2) / 2
         at_half = np.shape(sigma) == (2, 2) and np.max(np.abs(sigma - half)) <= 1e-12
-        if _depolarizing_p(ch) is None or not at_half:
+        if p is None or not at_half:
             raise SpecFormatError("--p-sweep", "the sweep runs depolarizing(p) at I/2: the spec "
                                   "needs a depolarizing channel and sigma absent or I/2")
-        out = args.out or "-"
-        handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(["p", "eta", "eta_formula"])
-            for p in ps:
-                eta = contraction_coefficient(depolarizing(p), half, budget)
-                writer.writerow([_fmt(p), _fmt(eta), _fmt((1.0 - p) ** 2)])
-        finally:
-            if handle is not sys.stdout:
-                handle.close()
+        _emit_csv(args, ["p", "eta", "eta_formula"],
+                  ([x, contraction_coefficient(depolarizing(x), half, budget), (1.0 - x) ** 2]
+                   for x in ps))
         return 0
     eta = contraction_coefficient(ch, sigma, budget)
     report = {"spec": args.spec, "seed": seed, "contraction": {"eta": eta}}
-    p = _depolarizing_p(ch)
     if task["task"] == "contraction" and p is not None:
         gap_at_eta, t_at = depolarizing_sdpi_scan(p, eta)
         report["contraction"]["scalar_scan_min_gap"] = gap_at_eta
@@ -505,7 +468,8 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        seed = _default_seed(args)
+        return args.func(args, seed, _load_task(args.spec, seed))
     except SpecFormatError as exc:
         print(f"spec error at {exc}", file=sys.stderr)
         return 1

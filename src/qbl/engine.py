@@ -986,8 +986,10 @@ def critical_scale(datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()) 
     datum's workspace, from the entropic side's random states, and its
     rho -> sigma limit (_curvature_limit); inf when both are 0. A state's
     ratio bounds the supremum from below, so the estimate bounds t* from
-    above. InvalidDatum unless sigma is positive definite with trace 1 and
-    each E_k(sigma) is sigma_k within HERM_RTOL max(1, max |sigma_k entry|).
+    above; where the ascent sets it, t* carries its GAIN_TOL stopping noise
+    (the super-additivity alpha* moves by up to 1.44e-4 from 8 x 300 to
+    32 x 500). InvalidDatum unless sigma is positive definite with trace 1
+    and each E_k(sigma) is sigma_k within HERM_RTOL max(1, max |sigma_k entry|).
     """
     sigma = datum.sigma
     if sigma.support_rank < sigma.dim or abs(np.trace(sigma.matrix).real - 1.0) > HERM_RTOL:

@@ -2,7 +2,9 @@
 
 Complex matrices are encoded entrywise as [re, im] pairs; real matrices
 (Gaussian covariance data) as plain numbers. Top-level problem specs carry
-a "type" of bl_datum, gaussian, or channel_task.
+a "type" of bl_datum, gaussian, or channel_task; decode_spec turns a parsed
+spec of any type into its task. A missing or malformed field raises
+SpecFormatError with its JSON path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .channels import Channel
 from .engine import BLDatum
 from .errors import SpecFormatError
 from .gaussian import GaussianState, Subspace
-from .operators import PSDOperator
+from .operators import DensityOperator, PSDOperator
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -127,7 +129,37 @@ def _finite_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def decode_gaussian_task(data: dict, path: str = "$") -> tuple[GaussianState, list[Subspace], list[float]]:
+def decode_spec(data: Any) -> dict:
+    """The task of a parsed problem spec, a dict whose "kind" is the spec's
+    type: a bl_datum's "datum"; a gaussian task (decode_gaussian_task); a
+    channel_task's "task" (contraction, the default, or min_output_entropy),
+    "channel" and, when the spec gives one, "sigma", a density matrix."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise SpecFormatError("$.type", "missing required field")
+    kind = data["type"]
+    if kind == "bl_datum":
+        return {"kind": "bl_datum", "datum": decode_datum(data)}
+    if kind == "gaussian":
+        return decode_gaussian_task(data)
+    if kind != "channel_task":
+        raise SpecFormatError("$.type", f"unknown problem type {kind!r}")
+    task = data.get("task", "contraction")
+    if task not in ("contraction", "min_output_entropy"):
+        raise SpecFormatError("$.task", "expected 'contraction' or 'min_output_entropy'")
+    out = {"kind": "channel_task", "task": task,
+           "channel": decode_channel(data.get("channel"), "$.channel")}
+    if "sigma" in data:
+        sigma = decode_matrix(data["sigma"], "$.sigma")
+        try:
+            DensityOperator(sigma)
+        except ValueError as exc:
+            raise SpecFormatError("$.sigma", str(exc)) from exc
+        out["sigma"] = sigma
+    return out
+
+
+def decode_gaussian_task(data: dict, path: str = "$") -> dict:
+    """A gaussian task: {"kind": "gaussian", "state", "subspaces", "q"}."""
     for key in ("cov", "subspaces", "q"):
         if key not in data:
             raise SpecFormatError(f"{path}.{key}", "missing required field")
@@ -141,4 +173,4 @@ def decode_gaussian_task(data: dict, path: str = "$") -> tuple[GaussianState, li
     q = _decode_weights(data["q"], f"{path}.q")
     if len(q) != len(subs):
         raise SpecFormatError(f"{path}.q", f"expected {len(subs)} weights, one per subspace")
-    return state, subs, [float(x) for x in q]
+    return {"kind": "gaussian", "state": state, "subspaces": subs, "q": [float(x) for x in q]}

@@ -458,6 +458,31 @@ class TestErrorLines:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", line + "\n")
 
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_spec(self, capsys, tmp_path, case):
+        if case == "directory":
+            spec = tmp_path
+        else:
+            spec = tmp_path / "utf16.json"
+            spec.write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main(["verify", str(spec), "--no-meta"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("spec error at $: cannot read the file: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "dpi-qubit", "--samples", "10"],
+        ["gaussian", "mercedes-star", "--t-grid", "0,1"],
+    ], ids=["json", "csv"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, argv, target):
+        out = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
+        code = main(argv + ["--out", str(out), "--no-meta"])
+        captured = capsys.readouterr()
+        reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+        assert (code, captured.out, captured.err) == (1, "", f"error: cannot write {out}: {reason}\n")
+
     def test_bad_seed_variable(self, capsys, monkeypatch):
         for text, line in [("abc", "error: QBL_SEED must be an integer, got 'abc'\n"),
                            ("-3", "error: QBL_SEED must be non-negative, got '-3'\n")]:
@@ -590,6 +615,17 @@ class TestVerifyForms:
 
 class TestVerifyChannelTask:
     """verify on a channel task prints the report of the command it stands for."""
+
+    def test_spec_is_decoded_once(self, capsys, tmp_path, monkeypatch):
+        from qbl import serialization
+
+        decode_channel, calls = serialization.decode_channel, []
+        monkeypatch.setattr(serialization, "decode_channel",
+                            lambda *args: calls.append(args) or decode_channel(*args))
+        spec = _channel_task(tmp_path, depolarizing(0.5))
+        code, _ = run(capsys, "verify", spec, "--budget", "restarts=2,iters=50", "--no-meta")
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("spec,command", [
         ("contraction-depol-0.5", "contraction"),

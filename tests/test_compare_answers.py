@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,20 @@ def test_differing_outputs_are_named(capsys):
     out = capsys.readouterr().out
     assert "byte-identical outputs: 1/2\n  differs: crosscheck-small: seed 0 task-1\n" in out
     assert "task-0" not in out
+
+
+def test_cli_group_is_built_and_reported(capsys, tmp_path, monkeypatch):
+    from qbl.presets import PRESET_NAMES
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # build_tasks prepends to it
+    tasks = compare_answers.build_tasks(compare_answers.ROOT / "src", [0], tmp_path)
+    cli = [t for t in tasks if t["workload"] == "cli"]
+    assert sorted(t["argv"][1] for t in cli if t["argv"][0] == "verify") == sorted(PRESET_NAMES)
+    assert {t["argv"][0] for t in cli} == {"verify", "constant", "contraction", "gaussian"}
+    assert all("--no-meta" in t["argv"] for t in cli)
+    base = [_run(0, 0.5, "holds_on_samples") for _ in cli]
+    change = base[:-1] + [_run(0, 0.5 - 1e-12, "holds_on_samples")]
+    assert compare_answers.compare(cli, base, change) == 0
+    out = capsys.readouterr().out
+    assert (f"\ncli: largest |difference|, decrease and increase per numeric field\n"
+            f"  c_entropic: 1e-12 (down -1e-12 at {cli[-1]['name']}, up +0)\n") in out

@@ -1182,6 +1182,41 @@ class TestSingularSigma:
                 call(datum)
 
 
+class TestIdentities:
+    """Exact identities of the optimal constant (ROADMAP item 9), from both
+    sides of the cross-check on acceptance-1 data 0-7."""
+
+    BUDGET = OptimizerBudget(restarts=8, max_iters=300, base_seed=3)
+
+    def _assert_shifted(self, datum, moved, shift):
+        ref = duality_crosscheck(datum, self.BUDGET)
+        rep = duality_crosscheck(moved, self.BUDGET)
+        assert abs(rep.c_entropic - ref.c_entropic - shift) <= 1e-9
+        assert abs(rep.c_analytic - ref.c_analytic - shift) <= 1e-9
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_rescaling_shifts_the_constant(self, index):
+        # sigma -> lam sigma, sigma_k -> lam_k sigma_k moves M by a multiple
+        # of I: C moves by log lam - sum_k q_k log lam_k (measured within 4.9e-15)
+        datum = _acceptance_datum(index)
+        lam, lams = 2.5, [0.3 + 0.4 * k for k in range(len(datum.q))]
+        moved = BLDatum(datum.q, datum.channels, op.PSDOperator(lam * datum.sigma.matrix),
+                        [op.PSDOperator(x * s.matrix) for x, s in zip(lams, datum.sigmas)],
+                        datum.c)
+        shift = np.log(lam) - sum(q * np.log(x) for q, x in zip(datum.q, lams))
+        self._assert_shifted(datum, moved, shift)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_kraus_mixing_leaves_the_constant(self, index):
+        # K'_a = sum_b U_ab K_b is the same channel (measured within 4.4e-11)
+        datum = _acceptance_datum(index)
+        rng = np.random.default_rng(index)
+        chans = [ch.Channel(np.tensordot(haar_unitary(len(c.kraus), rng), c.kraus, axes=1))
+                 for c in datum.channels]
+        moved = BLDatum(datum.q, chans, datum.sigma, datum.sigmas, datum.c)
+        self._assert_shifted(datum, moved, 0.0)
+
+
 class TestAcceleratedLoop:
     """The one fixed-point loop of both estimators: safeguarded Anderson
     acceleration of the plain step rho -> Gibbs(H(rho))."""

@@ -1,20 +1,24 @@
-"""Compare the answers of two qbl source trees on the benchmark's tasks.
+"""Compare the answers of two qbl source trees on the benchmark's tasks and
+the CLI presets.
 
     python3 tools/compare_answers.py BASE_SRC CHANGE_SRC [--seeds 0 1 2]
 
 Builds every task of the three benchmark workloads at each seed with
 ``perfbench/workloads.build`` (the module is imported, never edited), with
-qbl imported from BASE_SRC, so both trees read the same input files. Each
-tree then runs every task through ``qbl.cli.main`` in one child process of
-its own, with qbl imported from that tree and BLAS pinned to one thread.
+qbl imported from BASE_SRC, so both trees read the same input files, and
+the fixed ``cli`` group at each seed: every preset through each command
+that accepts it, at small budgets, with ``--no-meta``. Each tree then runs
+every task through ``qbl.cli.main`` in one child process of its own, with
+qbl imported from that tree and BLAS pinned to one thread.
 Prints the tasks whose exit codes differ, the count of byte-identical
 outputs and the tasks whose outputs are not, the tasks whose non-numeric
-fields differ, and per workload, for every numeric field that moved (a JSON
-path with list indices dropped, or a CSV column), its largest absolute
-difference and its largest decrease, with the task it came from, and
-largest increase (change - base), so that "no constant went down" reads off
-one line per field. Exits 1 when any exit code or non-numeric field
-differs, so a script can use it as a gate; numeric moves alone exit 0.
+fields differ, and per group (a workload or ``cli``), for every numeric
+field that moved (a JSON path with list indices dropped, or a CSV column),
+its largest absolute difference and its largest decrease, with the task it
+came from, and largest increase (change - base), so that "no constant went
+down" reads off one line per field. Exits 1 when any exit code or
+non-numeric field differs, so a script can use it as a gate; numeric moves
+alone exit 0.
 """
 
 from __future__ import annotations
@@ -33,10 +37,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("crosscheck-small", "crosscheck-d8", "verify-sampling")
+GROUPS = (*WORKLOADS, "cli")
+# The cli group reaches what the benchmark's tasks do not: qbl gaussian,
+# qbl contraction without --p-sweep, and verify on a channel task, a
+# conditional-Shearer or a gaussian preset.
+CLI_OPTIONS = {
+    "verify": ["--samples", "40", "--budget", "restarts=2,iters=100"],
+    "constant": ["--budget", "restarts=4,iters=200"],
+    "contraction": ["--budget", "restarts=3,iters=150"],
+    "gaussian": ["--t-grid", "0,1,100"],
+}
+CLI_PRESETS = {
+    "verify": ["dpi-qubit", "dpi-random-qubit", "shearer-3qubit-pairs", "superadd-classical",
+               "conditional-shearer-bell", "conditional-shearer-exact", "six-state",
+               "mu-pauli-xz", "minout-depol-0.5", "contraction-depol-0.5",
+               "contraction-identity", "mercedes-star", "gaussian-axes-product"],
+    "constant": ["dpi-qubit", "dpi-random-qubit", "shearer-3qubit-pairs", "superadd-classical",
+                 "six-state", "mu-pauli-xz", "minout-depol-0.5"],
+    "contraction": ["minout-depol-0.5", "contraction-depol-0.5", "contraction-identity"],
+    "gaussian": ["mercedes-star", "gaussian-axes-product"],
+}
 
 
 def build_tasks(base_src: Path, seeds: list[int], workdir: Path) -> list[dict]:
-    """Every task of every workload at every seed, as (workload, name, argv)."""
+    """Every task of every workload at every seed, then the cli group, as
+    (workload, name, argv)."""
     sys.path[:0] = [str(base_src), str(ROOT / "perfbench")]
     import workloads
 
@@ -46,7 +71,15 @@ def build_tasks(base_src: Path, seeds: list[int], workdir: Path) -> list[dict]:
             built = workloads.build(name, seed, workdir / f"{name}-{seed}")
             tasks += [{"workload": name, "name": f"seed {seed} {t.name}", "argv": t.argv}
                       for t in built.tasks]
-    return tasks
+    return tasks + cli_tasks(seeds)
+
+
+def cli_tasks(seeds: list[int]) -> list[dict]:
+    """The cli group: each command on each preset it accepts, at each seed."""
+    return [{"workload": "cli", "name": f"seed {seed} {command} {preset}",
+             "argv": [command, preset, "--seed", str(seed), "--no-meta", *options]}
+            for seed in seeds for command, options in CLI_OPTIONS.items()
+            for preset in CLI_PRESETS[command]]
 
 
 def run_tasks(src: str, tasks_path: str, out_path: str) -> None:
@@ -105,9 +138,9 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     """Print the differences of two runs of the tasks; 1 if an exit code or
     a non-numeric field differs, else 0."""
     exit_mismatch, differing, other = [], [], []
-    # per workload and field: the most negative change - base, the task it
+    # per group and field: the most negative change - base, the task it
     # came from, and the most positive change - base
-    moved: dict[str, dict[str, list]] = {name: {} for name in WORKLOADS}
+    moved: dict[str, dict[str, list]] = {name: {} for name in GROUPS}
     for task, a, b in zip(tasks, base, change):
         label = f"{task['workload']}: {task['name']}"
         if a["exit"] != b["exit"]:
@@ -144,7 +177,7 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     print(f"non-numeric differences: {len(other)}")
     for line in other:
         print(f"  {line}")
-    for name in WORKLOADS:
+    for name in GROUPS:
         fields = {k: v for k, v in moved[name].items() if v[0] or v[2]}
         print(f"{name}: largest |difference|, decrease and increase per numeric field"
               + ("" if fields else ": none"))
