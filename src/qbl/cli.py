@@ -119,7 +119,7 @@ def _emit_csv(args, header: list[str], rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows([f"{x:.12g}" for x in row] for row in rows)
-    if args.out and args.out != "-":
+    if args.out:
         _write_file(args.out, buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("spec", help="problem-spec JSON path or preset name")
     common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="RNG seed, at least 0 (default: $QBL_SEED or 0)")
-    common.add_argument("--out", default=None, help="write the report/CSV to this path")
+    common.add_argument("--out", default=None, type=lambda path: None if path == "-" else path,
+                        help="write the report/CSV to this path (-: stdout)")
     common.add_argument("--no-meta", action="store_true", help="omit timestamp/version metadata")
 
     p = sub.add_parser("verify", parents=[common], help="sample an inequality, exit 2 on violation")

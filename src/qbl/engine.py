@@ -46,10 +46,10 @@ iterations per row: a side records the most any of its restarts took.
 
 A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
 has a critical scale t*, the q scale up to which its constant is 0.
-critical_scale runs the same ascent on the same workspace over
-t*^-1 = sup_rho sum_k q_k D(E_k rho||sigma_k) / D(rho||sigma), and takes the
-ratio's rho -> sigma limit from the Kubo-Mori curvature forms. The
-contraction coefficient is 1/t* of dpi_datum.
+critical_scale finds it by Newton steps on C(t), the constant with q
+scaled by t, each step one entropic search of the scaled datum, started
+from the Kubo-Mori curvature limit of the ratio and warm-started from the
+last step's winner. The contraction coefficient is 1/t* of dpi_datum.
 
 The gap evaluators handle boundary supports exactly via the
 support-projected logarithm machinery. Membership sampling evaluates every
@@ -66,7 +66,7 @@ worst gap is the exact re-evaluation of the witness on the datum itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
@@ -129,13 +129,13 @@ class BLDatum:
     On first use a datum computes and keeps its support-leak verdict
     (_support_leak) and its search space (_compress and the _Workspace),
     which both estimators and membership sampling share. It also keeps
-    each side's search (_search), for the last budget that side was
-    searched at: a cross-check searches both sides' restarts as one stack,
-    and each estimator then certifies its own side's winner. That is safe
-    as their inputs do not change: the fields cannot be reassigned, q is a
-    read-only copy, and channels and operators hold read-only arrays. What
-    is kept never refers to the datum itself, so a dropped datum is freed
-    without the cyclic garbage collector.
+    each side's search (_search), for the last budget and extra start
+    states that side was searched at: a cross-check searches both sides'
+    restarts as one stack, and each estimator then certifies its own
+    side's winner. That is safe as their inputs do not change: the fields
+    cannot be reassigned, q is a read-only copy, and channels and operators
+    hold read-only arrays. What is kept never refers to the datum itself,
+    so a dropped datum is freed without the cyclic garbage collector.
     """
 
     def __init__(
@@ -152,7 +152,7 @@ class BLDatum:
         self.sigma = sigma if isinstance(sigma, PSDOperator) else PSDOperator(sigma)
         self.sigmas = tuple(s if isinstance(s, PSDOperator) else PSDOperator(s) for s in sigmas)
         self.c = float(c)
-        self._found: dict[str, tuple[OptimizerBudget, tuple]] = {}  # side: (budget, _search result)
+        self._found: dict[str, tuple] = {}  # side: ((budget, starts' bytes), _search result)
         n = len(self.channels)
         if not (len(self.q) == len(self.sigmas) == n):
             raise DimensionMismatch("q, channels, sigmas must have equal length")
@@ -721,25 +721,32 @@ def _start_states(side: str, inner: BLDatum, ws: _Workspace, seeds: list[int]):
     return gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))[:2]
 
 
-def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str) -> list[tuple]:
+def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str,
+            starts: np.ndarray | None = None) -> list[tuple]:
     """The search of both estimators on a datum that does not leak: the
-    accelerated fixed-point loop from each side's random starts, then the
-    exact-gradient ascent from every restart's final state. The sides not
-    yet kept on the datum for this budget go as one stack, in the order
-    given, through one loop and one ascent, side i on rows [i restarts,
-    (i + 1) restarts). Both act on each row alone, so each side finds what
-    a search of its rows alone does. Each ascent row starts at a loop end
-    state and accepts only rises, so a side's best row is its estimate.
-    Returns, per side, the best entropic value, its state on the
-    compressed datum, and the most loop passes and ascent iterations any
-    of its rows took."""
-    todo = [side for side in sides if datum._found.get(side, (None,))[0] != budget]
+    accelerated fixed-point loop from each side's random starts, followed
+    by the given extra start states (a stack of states on the compressed
+    datum), then the exact-gradient ascent from every restart's final
+    state. The sides not yet kept on the datum for this budget and these
+    starts go as one stack, in the order given, through one loop and one
+    ascent, each side on its own consecutive rows. Both act on each row
+    alone, so each side finds what a search of its rows alone does. Each
+    ascent row starts at a loop end state and accepts only rises, so a
+    side's best row is its estimate. Returns, per side, the best entropic
+    value, its state on the compressed datum, and the most loop passes and
+    ascent iterations any of its rows took."""
+    key = (budget, None if starts is None else starts.tobytes())
+    todo = [side for side in sides if datum._found.get(side, (None,))[0] != key]
     if todo:
         inner, _, ws = datum._search_space()
-        starts = [_start_states(side, inner, ws, budget.seeds()) for side in todo]
-        rhos, vals = (np.concatenate(a) for a in zip(*starts))
+        found = [_start_states(side, inner, ws, budget.seeds()) for side in todo]
+        if starts is not None:
+            extra = np.linalg.eigvalsh(starts)
+            found = [(np.concatenate([r, starts]), np.concatenate([v, extra])) for r, v in found]
+        rhos, vals = (np.concatenate(a) for a in zip(*found))
         fp_rhos, fp_vals, passes = _fixed_point(ws, rhos, vals, budget.max_iters)
-        rows = [slice(i * budget.restarts, (i + 1) * budget.restarts) for i in range(len(todo))]
+        n = len(rhos) // len(todo)
+        rows = [slice(i * n, (i + 1) * n) for i in range(len(todo))]
         if any(not np.isfinite(fp_vals[r]).any() for r in rows):
             raise Diverged("all fixed-point restarts left the support cone")
         fvals, xs, iters = _ascent(ws.entropic_value_grad, sqrt_psd(fp_rhos), budget.max_iters)
@@ -747,8 +754,8 @@ def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str) -> list[tuple]
             part = fvals[r]
             i = r.start + int(np.argmax(np.where(np.isfinite(part), part, -np.inf)))
             rho = hermitian_part(_gram_states(xs[i])[0])
-            datum._found[side] = (budget, (float(fvals[i]), rho,
-                                           int(passes[r].max()), int(iters[r].max())))
+            datum._found[side] = (key, (float(fvals[i]), rho,
+                                        int(passes[r].max()), int(iters[r].max())))
     return [datum._found[side][1] for side in sides]
 
 
@@ -931,30 +938,6 @@ def duality_crosscheck(
     )
 
 
-# below this D(rho||sigma) cancellation error (about 4e-16 / D) dominates
-# the ratio and exact-gradient ascent climbs the noise; the rho -> sigma
-# limit is covered exactly by _curvature_limit
-_RATIO_MIN_DIVERGENCE = 1e-6
-
-
-def _ratio_value_grad(ws: _Workspace, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k q_k D(E_k rho||sigma_k) / D(rho||sigma) on a stack of states and
-    its Hermitian gradient in rho, by the quotient rule on one entropic_step:
-    with its F and H and D_in = tr rho (log rho - log sigma), the numerator
-    is F + D_in, and the two gradients are H - log sigma and
-    log rho - log sigma. -inf (gradient 0) where D_in is too small to
-    resolve the ratio."""
-    vals, log_rho = eigh_log(rhos)
-    f, h = ws.entropic_step(rhos, vals)
-    g_in = log_rho - ws.log_sigma
-    d_in = trace_prod(rhos, g_in)
-    ok = d_in > _RATIO_MIN_DIVERGENCE
-    den = np.where(ok, d_in, 1.0)
-    r = (f + d_in) / den
-    g = (h - ws.log_sigma - r[:, None, None] * g_in) / den[:, None, None]
-    return np.where(ok, r, -np.inf), np.where(ok[:, None, None], g, 0.0)
-
-
 def _curvature_limit(datum: BLDatum) -> float:
     """The rho -> sigma limit of the ratio: the top generalized eigenvalue,
     over traceless directions x, of the Kubo-Mori forms (the curvatures of
@@ -979,17 +962,21 @@ def _curvature_limit(datum: BLDatum) -> float:
 
 
 def critical_scale(datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()) -> float:
-    """t* = inf_rho D(rho||sigma) / sum_k q_k D(E_k rho||sigma_k): with every
-    q_k scaled by t, the optimal constant is 0 exactly for t <= t*.
+    """t* = inf_rho D(rho||sigma) / S(rho), S(rho) = sum_k q_k D(E_k rho||sigma_k):
+    with every q_k scaled by t, C(t) = sup_rho [t S(rho) - D(rho||sigma)]
+    is 0 exactly for t <= t*.
 
-    1/t* is the larger of the ratio's ascent (_ratio_value_grad) on the
-    datum's workspace, from the entropic side's random states, and its
-    rho -> sigma limit (_curvature_limit); inf when both are 0. A state's
-    ratio bounds the supremum from below, so the estimate bounds t* from
-    above; where the ascent sets it, t* carries its GAIN_TOL stopping noise
-    (the super-additivity alpha* moves by up to 1.44e-4 from 8 x 300 to
-    32 x 500). InvalidDatum unless sigma is positive definite with trace 1
-    and each E_k(sigma) is sigma_k within HERM_RTOL max(1, max |sigma_k entry|).
+    Newton steps on the convex C(t) from t_0 = 1 / _curvature_limit >= t*
+    (Dinkelbach's method, Management Science 13, 1967). Step n runs the
+    entropic search (_search) of the datum with q scaled by t_n, from its
+    random starts and the winner of step n - 1, and returns t_n once
+    C(t_n) <= GAIN_TOL. Otherwise its winner rho_n has S = (C + D) / t_n
+    with D = D(rho_n||sigma), and t_{n+1} = D / S < t_n is the exact ratio
+    of a state, an upper bound on t*. The steps also stop when t falls by
+    less than GAIN_TOL t, and after budget.max_iters steps. inf when the
+    limit is 0: every E_k is then constant on traceless inputs, so S = 0.
+    InvalidDatum unless sigma is positive definite with trace 1 and each
+    E_k(sigma) is sigma_k within HERM_RTOL max(1, max |sigma_k entry|).
     """
     sigma = datum.sigma
     if sigma.support_rank < sigma.dim or abs(np.trace(sigma.matrix).real - 1.0) > HERM_RTOL:
@@ -998,11 +985,20 @@ def critical_scale(datum: BLDatum, budget: OptimizerBudget = OptimizerBudget()) 
         dev = np.max(np.abs(apply(ch, sigma.matrix) - sk.matrix))
         if dev > HERM_RTOL * max(1.0, np.max(np.abs(sk.matrix))):
             raise InvalidDatum(f"sigma_{k} differs from E_{k}(sigma) by {dev:.3e}")
-    xs = sqrt_psd(_initial_states(datum.dim, budget.seeds()))
-    fvals, _, _ = _ascent(partial(_ratio_value_grad, datum._search_space()[2]), xs,
-                          budget.max_iters)
-    top = max(_curvature_limit(datum), float(np.max(fvals[np.isfinite(fvals)], initial=0.0)))
-    return 1.0 / top if top > 0.0 else INF
+    limit = _curvature_limit(datum)
+    if limit <= 0.0:
+        return INF
+    t, starts = 1.0 / limit, None
+    for _ in range(budget.max_iters):
+        scaled = BLDatum(t * datum.q, datum.channels, sigma, datum.sigmas, 0.0)
+        c, rho = _search(scaled, budget, "entropic", starts=starts)[0][:2]
+        if c <= GAIN_TOL:
+            break
+        d = relative_entropy(DensityOperator(rho), sigma)
+        last, t, starts = t, t * d / (c + d), rho[None]
+        if last - t < GAIN_TOL * last:
+            break
+    return t
 
 
 @dataclass

@@ -411,6 +411,14 @@ class TestContraction:
             )
             assert 0.0 <= eta <= 1.0 + 1e-9
 
+    def test_a_state_beats_the_curvature_limit(self):
+        # channel 0 of test_never_exceeds_one's family: the supremum of the
+        # ratio is attained away from sigma, above its rho -> sigma limit
+        rng = np.random.default_rng(17)
+        e, sigma = random_channel(2, 2, rng=rng), random_pd(2, rng)
+        eta = app.contraction_coefficient(e, sigma, OptimizerBudget(4, 150, 0))
+        assert eta > _curvature_limit(app.dpi_datum(e, sigma)) + 1e-5
+
 
 class TestSdpi:
     def test_eta_one_reduces_to_dpi(self):
@@ -526,6 +534,19 @@ class TestSuperadditivity:
         t_star = critical_scale(datum, OptimizerBudget(8, 300, 3))
         assert t_star == pytest.approx(alpha_star, abs=2e-3)
         assert t_star >= app.superadditivity_constant(sigma, (2, 2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_optimal_exponent_does_not_depend_on_the_budget(self, seed):
+        # the data of test_critical_scale_is_the_optimal_exponent
+        rho = random_density(4, np.random.default_rng(seed))
+        prod = np.kron(ch.ptrace(rho, [2, 2], [0]), ch.ptrace(rho, [2, 2], [1]))
+        sigma = op.DensityOperator(0.5 * rho + 0.5 * prod)
+        sa, sb = (op.PSDOperator(ch.ptrace(sigma.matrix, [2, 2], [k])) for k in (0, 1))
+        marginals = [ch.partial_trace([2, 2], [0]), ch.partial_trace([2, 2], [1])]
+        datum = BLDatum([1.0, 1.0], marginals, sigma, [sa, sb], 0.0)
+        small = critical_scale(datum, OptimizerBudget(8, 300, 3))
+        large = critical_scale(datum, OptimizerBudget(32, 500, 3))
+        assert abs(small - large) <= 1e-6
 
 
 class TestApplicationDataDuality:

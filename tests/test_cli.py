@@ -503,6 +503,18 @@ class TestErrorLines:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "dpi-qubit", "--samples", "5"],
+    ["gaussian", "mercedes-star", "--t-grid", "0,1"],
+], ids=["json", "csv"])
+def test_out_dash_is_stdout(capsys, tmp_path, monkeypatch, argv):
+    # every output kind prints once, as without --out, and writes no file
+    monkeypatch.chdir(tmp_path)
+    want = run(capsys, *argv, "--no-meta")
+    assert run(capsys, *argv, "--out", "-", "--no-meta") == want
+    assert want[0] == 0 and list(tmp_path.iterdir()) == []
+
+
 def _channel_task(tmp_path, channel, **fields):
     spec = {"type": "channel_task", "task": "contraction", "channel": encode_channel(channel),
             "sigma": encode_matrix(np.eye(2) / 2)}

@@ -796,7 +796,7 @@ def _sequential_ascent(value_grad_rho, x0, max_iters, tol):
 
 
 def _gradient_problem(name):
-    """One of the three value-and-gradient problems of
+    """One of the two value-and-gradient problems of
     tests/test_gradients.py (states to values and Hermitian gradients in
     rho), with its starting stack of ascent parameters X."""
 
@@ -810,15 +810,10 @@ def _gradient_problem(name):
         sigmas = [op.PSDOperator(random_pd(2, rng)), op.PSDOperator(random_pd(3, rng))]
         ws = engine._Workspace(BLDatum([0.7, 1.3], [e1, e2], sig, sigmas, 0.0))
         return ws.entropic_value_grad, stack(rng, (4, 3, 3))
-    if name == "output-entropy":
-        rng = np.random.default_rng(32)
-        c = random_channel(3, 2, rng=rng)
-        ws = engine._Workspace(app.min_output_datum(c))
-        return ws.entropic_value_grad, stack(rng, (4, 3, 1))
-    rng = np.random.default_rng(33)
-    c = random_channel(2, 3, rng=rng)
-    ws = engine._Workspace(app.dpi_datum(c, op.DensityOperator(random_pd(2, rng))))
-    return partial(engine._ratio_value_grad, ws), stack(rng, (4, 2, 2))
+    rng = np.random.default_rng(32)
+    c = random_channel(3, 2, rng=rng)
+    ws = engine._Workspace(app.min_output_datum(c))
+    return ws.entropic_value_grad, stack(rng, (4, 3, 1))
 
 
 def _reference_gibbs(h):
@@ -906,7 +901,7 @@ def _close(a, b, tol=1e-12):
 
 
 class TestFusedSteps:
-    @pytest.mark.parametrize("problem", ["entropic", "output-entropy", "divergence-ratio"])
+    @pytest.mark.parametrize("problem", ["entropic", "output-entropy"])
     def test_ladder_accepts_the_sequential_step(self, problem):
         value_grad, x0 = _gradient_problem(problem)
         calls = {"ladder": 0, "sequential": 0}
@@ -1406,6 +1401,61 @@ class TestStackedSides:
             rows = slice(i * BUDGET.restarts, (i + 1) * BUDGET.restarts)
             for joint, lone in zip(stacked, search(*start), strict=True):
                 assert np.array_equal(joint[rows], lone)
+
+
+class TestSearchStarts:
+    """_search takes a stack of extra start states, searched after each
+    side's random rows; a datum keeps a started search apart from a plain
+    one."""
+
+    @pytest.mark.parametrize("side", ["entropic", "analytic"])
+    @pytest.mark.parametrize("i", range(4))
+    def test_a_winner_as_start_is_kept(self, i, side):
+        # the loop and the ascent accept no drop; the start's value is
+        # re-evaluated at the Hermitian part of the winner, within rounding
+        plain = engine._search(_acceptance_datum(i), BUDGET, side)[0]
+        started = engine._search(_acceptance_datum(i), BUDGET, side, starts=plain[1][None])[0]
+        assert started[0] >= plain[0] - 1e-12
+
+    def test_a_plain_search_is_not_served_a_started_one(self, monkeypatch):
+        small = OptimizerBudget(restarts=1, max_iters=2)
+        best = engine._search(_acceptance_datum(0), BUDGET, "entropic")[0][1][None]
+        loops = []
+        fixed_point = engine._fixed_point
+        monkeypatch.setattr(engine, "_fixed_point", lambda *a: loops.append(1) or fixed_point(*a))
+        datum = _acceptance_datum(0)
+        plain = engine._search(datum, small, "entropic")[0]
+        started = engine._search(datum, small, "entropic", starts=best)[0]
+        again = engine._search(datum, small, "entropic")[0]
+        assert len(loops) == 3
+        assert started[0] > plain[0] + 1e-6
+        assert again[0] == plain[0] and np.array_equal(again[1], plain[1])
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, i) for i in range(4)]
+                             + [partial(_random_datum, 42)])
+    def test_extra_rows_leave_the_random_rows_alone(self, make):
+        # a started search's random rows end, row for row, as the rows of a
+        # plain search do, and the plain search's winner is their best row
+        datum = make()
+        ws = engine._Workspace(datum)
+        rhos, vals = engine._start_states("entropic", datum, ws, BUDGET.seeds())
+        extra = engine._search(make(), OptimizerBudget(2, 20, 99), "entropic")[0][1][None]
+
+        def search(rhos, vals):
+            fp = engine._fixed_point(ws, rhos, vals, BUDGET.max_iters)
+            return fp + engine._ascent(ws.entropic_value_grad, op.sqrt_psd(fp[0]),
+                                       BUDGET.max_iters)
+
+        lone = search(rhos, vals)
+        joint = search(np.concatenate([rhos, extra]),
+                       np.concatenate([vals, np.linalg.eigvalsh(extra)]))
+        for a, b in zip(joint, lone, strict=True):
+            assert np.array_equal(a[:BUDGET.restarts], b)
+        value, rho, passes, iters = engine._search(datum, BUDGET, "entropic")[0]
+        best = int(np.argmax(lone[3]))
+        assert value == lone[3][best]
+        assert np.array_equal(rho, op.hermitian_part(engine._gram_states(lone[4][best])[0]))
+        assert (passes, iters) == (lone[2].max(), lone[5].max())
 
 
 def _rank_deficient_datum(seed=51):

@@ -14,7 +14,7 @@ import numpy as np
 
 from qbl import applications as app
 from qbl import operators as op
-from qbl.engine import BLDatum, _ratio_value_grad, _Workspace, _x_value_grad
+from qbl.engine import BLDatum, _Workspace, _x_value_grad
 from qbl.sampling import random_channel, random_pd
 
 
@@ -61,14 +61,3 @@ def test_output_entropy_gradient():
         partial(_x_value_grad, ws.entropic_value_grad), random_stack(rng, (4, 3, 1))
     )
 
-
-def test_divergence_ratio_gradient():
-    # D(E rho||E sigma) / D(rho||sigma): the critical-scale ratio of the
-    # data-processing datum, from the workspace's entropic step
-    rng = np.random.default_rng(33)
-    ch = random_channel(2, 3, rng=rng)
-    sig = op.DensityOperator(random_pd(2, rng))
-    ws = _Workspace(app.dpi_datum(ch, sig))
-    assert_gradient_matches(
-        partial(_x_value_grad, partial(_ratio_value_grad, ws)), random_stack(rng, (4, 2, 2))
-    )
