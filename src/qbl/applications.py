@@ -50,6 +50,7 @@ from .errors import (
 from .operators import (
     DensityOperator,
     PSDOperator,
+    density_stack,
     from_spectrum,
     hermitian_part,
     identity,
@@ -205,16 +206,10 @@ def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]):
 
 def _density_spectra(rho) -> tuple[np.ndarray, np.ndarray]:
     """One state (d, d) or a stack (n, d, d) as a stack of states, each
-    normalized to unit trace and certified as DensityOperator certifies one,
+    normalized and certified as DensityOperator certifies one (density_stack),
     with their spectra from one eigh."""
     mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    stack = mats.reshape(-1, *mats.shape[-2:]) if mats.ndim == 2 else mats
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    if not np.isfinite(tr).all():
-        raise ValueError("matrix has a non-finite entry")
-    if (tr <= 0).any():
-        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
-    states, vals, _ = psd_stack(stack / tr[:, None, None])
+    states, vals, _ = density_stack(mats.reshape(-1, *mats.shape[-2:]) if mats.ndim == 2 else mats)
     return states, vals
 
 

@@ -60,27 +60,35 @@ class Channel:
         allow_positive_only: bool = False,
         signs: Sequence[float] | None = None,
     ):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        try:
+            stacked = np.array(kraus, dtype=complex)
+        except ValueError as exc:
+            if "inhomogeneous" not in str(exc):
+                raise
+            raise DimensionMismatch("Kraus operators have mixed shapes") from exc
+        if not len(stacked):
             raise ValueError("need at least one Kraus operator")
-        dout, din = ops[0].shape
-        for k in ops:
-            if k.shape != (dout, din):
-                raise DimensionMismatch("Kraus operators have mixed shapes")
-        stacked = np.stack(ops)
+        if stacked.ndim != 3:
+            raise ValueError(f"expected Kraus matrices, got an array of shape {stacked.shape}")
+        n, dout, din = stacked.shape
         if not np.isfinite(stacked).all():
             raise ValueError("a Kraus operator has a non-finite entry")
-        self.signs = np.ones(len(ops)) if signs is None else np.asarray(signs, dtype=float)
-        if self.signs.shape != (len(ops),):
-            raise DimensionMismatch("signs must match the number of Kraus operators")
-        if not np.isfinite(self.signs).all():
-            raise ValueError("a sign is non-finite")
+        flat = stacked.reshape(n, dout * din)
+        if signs is None:
+            self.signs = np.ones(n)
+            weighted = flat
+        else:
+            self.signs = np.asarray(signs, dtype=float)
+            if self.signs.shape != (n,):
+                raise DimensionMismatch("signs must match the number of Kraus operators")
+            if not np.isfinite(self.signs).all():
+                raise ValueError("a sign is non-finite")
+            weighted = self.signs[:, None] * flat
         # transfer[(i,l),(j,k)] = sum_a s_a K_a[i,j] conj(K_a[l,k]): one matmul
         # over the Kraus index, then an axis permutation. Its trace over the
         # output pair (i = l) is conj(sum_a s_a K_a^dag K_a)[j,k], the
         # trace-preserving test
-        flat = stacked.reshape(len(ops), dout * din)
-        pairs = (self.signs[:, None] * flat).T @ flat.conj()  # [(i,j),(l,k)]
+        pairs = weighted.T @ flat.conj()  # [(i,j),(l,k)]
         pairs = pairs.reshape(dout, din, dout, din).transpose(0, 2, 1, 3)
         dev = np.max(np.abs(np.trace(pairs) - np.eye(din)))
         if dev > 1e-10:

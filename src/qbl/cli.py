@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -132,7 +133,10 @@ def _nats_and_bits(**values: float) -> dict:
 
 
 def _parse_budget(text: str, seed: int) -> OptimizerBudget:
+    """restarts=N,iters=M: each field at most once, an absent one at its
+    default (32 restarts, 500 iterations)."""
     fields = {"restarts": 32, "iters": 500}
+    seen = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -140,6 +144,9 @@ def _parse_budget(text: str, seed: int) -> OptimizerBudget:
         key, _, val = part.partition("=")
         if key not in fields:
             raise SpecFormatError("--budget", f"unknown budget field {key!r}")
+        if key in seen:
+            raise SpecFormatError("--budget", f"budget field {key!r} given twice")
+        seen.add(key)
         try:
             fields[key] = _positive_int(val)
         except argparse.ArgumentTypeError as exc:
@@ -424,7 +431,10 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it is static
+    configuration, and parse_args keeps no state between calls."""
     parser = _Parser(
         prog="qbl",
         description="Verify quantum Brascamp-Lieb inequalities in entropic and analytic form.",

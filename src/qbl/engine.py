@@ -44,6 +44,16 @@ half. Every step acts on each row alone, so each side finds what a search
 of its restarts alone finds, and both phases count their passes or
 iterations per row: a side records the most any of its restarts took.
 
+The work around the search goes per output dimension, not per channel.
+The analytic side's starts draw the omega_k of one output dimension with
+one random_density call and take their logs with one eigh_log. Its
+certificate applies each channel on its own, then certifies the E_k(rho)
+of one output dimension and takes their logs from one eigh (induced_logs);
+the witness exponentiates, and analytic_gap evaluates the right-hand
+sides of, the L_k of one output dimension and support rank as one stack.
+eigh and matmul act on each matrix of a stack alone, so each of these
+gives, bit for bit, what one channel at a time gives.
+
 A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
 has a critical scale t*, the q scale up to which its constant is 0.
 critical_scale finds it by Newton steps on C(t), the constant with q
@@ -80,14 +90,17 @@ from .operators import (
     PSDOperator,
     SupportLog,
     _log_mean,
+    density_stack,
     eigh_log,
-    exp_on_support,
+    exp_on_supports,
     gibbs,
     hermitian_part,
     log_sum_exp,
     log_trace_exp_sum,
+    log_trace_exp_sums,
     matrix_log,
     sqrt_psd,
+    support_logs,
     trace_prod,
     xlogx_sum,
 )
@@ -250,17 +263,18 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
     for k, (o, ch) in enumerate(zip(oms, datum.channels)):
         if o.dim != ch.dim_out:
             raise DimensionMismatch(f"omega_{k} dim {o.dim} != channel dim_out {ch.dim_out}")
-    log_sigma = matrix_log(datum.sigma)
-    lhs_terms = [log_sigma]
+    lws = [om if isinstance(om, SupportLog) else matrix_log(om) for om in oms]
+    log_lhs = log_trace_exp_sum(
+        [matrix_log(datum.sigma)] + [adjoint_on_log(ch, lw) for ch, lw in zip(datum.channels, lws)])
+    # log tr exp(L_k / q_k + log sigma_k) on supp sigma_k, one stack per
+    # output dimension and support rank; sigma_k = 0 makes the right-hand
+    # side 0
+    live = [k for k, sk in enumerate(datum.sigmas) if sk.support_rank]
+    rhs = dict(zip(live, log_trace_exp_sums(
+        [[lws[k].scaled(1.0 / datum.q[k]), matrix_log(datum.sigmas[k])] for k in live])))
     log_rhs = datum.c
-    for qk, ch, sk, om in zip(datum.q, datum.channels, datum.sigmas, oms):
-        lw = om if isinstance(om, SupportLog) else matrix_log(om)
-        lhs_terms.append(adjoint_on_log(ch, lw))
-        if sk.support_rank == 0:  # sigma_k = 0: the right-hand side is 0
-            log_rhs = -INF
-        else:
-            log_rhs += qk * log_trace_exp_sum([lw.scaled(1.0 / qk), matrix_log(sk)])
-    log_lhs = log_trace_exp_sum(lhs_terms)
+    for k, qk in enumerate(datum.q):
+        log_rhs = log_rhs + qk * rhs[k] if k in rhs else -INF
     if log_lhs == -INF and log_rhs == -INF:
         return 0.0
     if log_lhs == -INF:
@@ -273,6 +287,14 @@ def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
 # ---------------------------------------------------------------------------
 # Fast batched evaluators on raw arrays
 # ---------------------------------------------------------------------------
+
+def _dim_groups(channels: Sequence[Channel]) -> list[tuple[int, list[int]]]:
+    """The channel indices of each output dimension m, as (m, indices),
+    ascending in m and, within m, in index."""
+    dims = [ch.dim_out for ch in channels]
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    return [(m, list(ks)) for m, ks in groupby(order, key=dims.__getitem__)]
+
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, each row of a stack a (n, k) on its own: numpy sends a single
@@ -300,17 +322,17 @@ class _Workspace:
     def __init__(self, datum: BLDatum):
         self.q = datum.q
         self.dim = datum.dim
-        dims = [ch.dim_out for ch in datum.channels]
-        self.order = sorted(range(datum.n), key=dims.__getitem__)
+        self.groups = _dim_groups(datum.channels)
+        self.order = [k for _, ks in self.groups for k in ks]
         self.forward = np.concatenate([datum.channels[k].transfer.T for k in self.order], axis=1)
         self.adjoint = np.ascontiguousarray(self.forward.conj().T)
         # per column, the weight q_k of the channel it belongs to
-        self.weights = np.repeat(self.q[self.order], [dims[k] ** 2 for k in self.order])
+        self.weights = np.repeat(self.q[self.order],
+                                 [datum.channels[k].dim_out ** 2 for k in self.order])
         # per output dimension m: its columns and the weights of its channels
         self.blocks = []
         start = 0
-        for m, ks in groupby(self.order, key=dims.__getitem__):
-            ks = list(ks)
+        for m, ks in self.groups:
             self.blocks.append((m, slice(start, start + len(ks) * m * m), self.q[ks]))
             start += len(ks) * m * m
         self.log_sigma = matrix_log(datum.sigma).finite
@@ -709,16 +731,22 @@ def _lift(v: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
 def _start_states(side: str, inner: BLDatum, ws: _Workspace, seeds: list[int]):
     """A side's random starts and their spectra: random states on the
     entropic side, the Gibbs states of random omega tuples on the analytic
-    side."""
+    side. omega_k of restart seed s is drawn from default_rng(s 1000003 + k);
+    the omegas of one output dimension are drawn, and their logarithms
+    taken, as one stack."""
     if side == "entropic":
         rhos = _initial_states(inner.dim, seeds)
         return rhos, np.linalg.eigvalsh(rhos)
     kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
-    omegas = [
-        random_density(ch.dim_out, [np.random.default_rng(s * 1000003 + k) for s in seeds], kinds)
-        for k, ch in enumerate(inner.channels)
-    ]
-    return gibbs(ws.exponent([eigh_log(om)[1] for om in omegas]))[:2]
+    logs = [None] * inner.n
+    for m, ks in ws.groups:
+        # the omega_k of every channel k of output dimension m, channel after
+        # channel, from one draw and one eigh_log
+        rngs = [np.random.default_rng(s * 1000003 + k) for k in ks for s in seeds]
+        omegas = random_density(m, rngs, kinds * len(ks))
+        for k, log_om in zip(ks, eigh_log(omegas)[1].reshape(len(ks), len(seeds), m, m)):
+            logs[k] = log_om
+    return gibbs(ws.exponent(logs))[:2]
 
 
 def _search(datum: BLDatum, budget: OptimizerBudget, *sides: str,
@@ -796,12 +824,19 @@ def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
     E_k(rho) and flags its kernel, from the eps_supp cut of E_k(rho) alone:
     unless E_k(sigma) leaks out of supp sigma_k, supp E_k(rho) lies in supp
     sigma_k. Evaluating analytic_gap on the logs skips a second cut of
-    exp(L_k), which q_k > 1 can push below the support threshold."""
+    exp(L_k), which q_k > 1 can push below the support threshold. Each
+    channel is applied on its own; the E_k(rho) of one output dimension
+    are certified and their logs taken as one stack."""
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-    out = []
-    for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
-        lt = matrix_log(DensityOperator(apply(ch, rho)))
-        out.append(SupportLog(lt.finite - matrix_log(sk).finite, lt.weight).scaled(qk))
+    taus = [apply(ch, rho) for ch in datum.channels]
+    out: list[SupportLog] = [None] * datum.n
+    for _, ks in _dim_groups(datum.channels):
+        # the E_k(rho) of one output dimension, normalized and certified as
+        # DensityOperator does one, and their logs, from one eigh
+        _, vals, vecs = density_stack([taus[k] for k in ks])
+        for k, lt in zip(ks, support_logs(vals, vecs)):
+            lk = SupportLog(lt.finite - matrix_log(datum.sigmas[k]).finite, lt.weight)
+            out[k] = lk.scaled(datum.q[k])
     return out
 
 
@@ -812,13 +847,11 @@ def induced_analytic_witness(datum: BLDatum, rho) -> list[DensityOperator]:
     E_k(rho).
 
     Evaluating the analytic objective at this tuple is always >= the
-    entropic objective at rho.
+    entropic objective at rho. The L_k of one output dimension and support
+    rank are exponentiated as one stack.
     """
-    out = []
-    for lk in induced_logs(datum, rho):
-        om = exp_on_support([lk])
-        out.append(DensityOperator(om / np.trace(om).real))
-    return out
+    oms = exp_on_supports([[lk] for lk in induced_logs(datum, rho)])
+    return [DensityOperator(om / np.trace(om).real) for om in oms]
 
 
 def _leak_witness(datum: BLDatum, k: int) -> list[DensityOperator]:

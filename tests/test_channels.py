@@ -14,7 +14,7 @@ from qbl.errors import (
     NotOrthonormal,
     NotTracePreserving,
 )
-from qbl.sampling import hs_mixed, random_channel, random_hermitian
+from qbl.sampling import hs_mixed, random_basis, random_channel, random_hermitian
 from qbl.serialization import decode_channel, encode_channel
 
 
@@ -357,3 +357,72 @@ class TestSerialization:
         e = ch.depolarizing(0.2)
         enc = encode_channel(e)
         assert enc["allow_positive_only"] is False
+
+
+def _reference_transfer(kraus, signs):
+    """The transfer matrix built as sum_a s_a K_a (x) conj(K_a) with every
+    sign multiplied in, one Kraus operator converted at a time."""
+    stacked = np.stack([np.asarray(k, dtype=complex) for k in kraus])
+    n, dout, din = stacked.shape
+    flat = stacked.reshape(n, dout * din)
+    pairs = (np.asarray(signs, dtype=float)[:, None] * flat).T @ flat.conj()
+    return pairs.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout**2, din**2)
+
+
+class TestConstruction:
+    """Channel converts its Kraus family with one np.array call and skips
+    the sign multiply of an unsigned family: the transfer matrix is the
+    reference's bit for bit, and every rejection keeps its type."""
+
+    def test_every_preset_builds_the_reference_transfer(self, monkeypatch, capsys):
+        from qbl.cli import main
+        from qbl.presets import PRESET_NAMES
+
+        made = []
+        init = ch.Channel.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(ch.Channel, "__init__", recording)
+        for name in PRESET_NAMES:
+            main(["verify", name, "--samples", "3", "--budget", "restarts=1,iters=3",
+                  "--no-meta"])
+        capsys.readouterr()
+        assert len(made) > len(PRESET_NAMES)
+        for c in made:
+            assert np.array_equal(c.transfer, _reference_transfer(c.kraus, c.signs))
+
+    def test_every_kraus_family_builds_the_reference_transfer(self):
+        rng = np.random.default_rng(21)
+        families = [
+            ch.identity_channel(3), ch.depolarizing(0.3), ch.trace_channel(3),
+            ch.transpose_map(3), ch.partial_trace([2, 3], [1]),
+            ch.measurement_channel(random_basis(3, rng)), random_channel(3, 2, rng=rng),
+            ch.tensor(random_channel(2, 3, rng=rng), ch.depolarizing(0.2)),
+        ]
+        for c in families:
+            assert np.array_equal(c.transfer, _reference_transfer(c.kraus, c.signs))
+            again = ch.Channel(list(c.kraus), signs=list(c.signs),
+                               allow_positive_only=c.allow_positive_only)
+            assert np.array_equal(again.transfer, c.transfer)
+
+    @pytest.mark.parametrize("kraus, signs, positive_only, error", [
+        ([], None, False, ValueError),
+        ([np.eye(2), np.ones((2, 3))], None, False, DimensionMismatch),
+        ([np.eye(2), np.ones(2)], None, False, DimensionMismatch),
+        ([np.eye(2)[0]], None, False, ValueError),
+        ([[[np.nan, 0.0], [0.0, 1.0]]], None, False, ValueError),
+        ([np.eye(2)], [1.0, 1.0], False, DimensionMismatch),
+        ([np.eye(2)], [np.nan], False, ValueError),
+        ([2.0 * np.eye(2)], None, False, NotTracePreserving),
+        # E(X) = 2X - Z X Z is trace preserving and not positive
+        ([np.sqrt(2.0) * np.eye(2), ch.PAULI_Z], [1.0, -1.0], False, NotCompletelyPositive),
+        ([np.sqrt(2.0) * np.eye(2), ch.PAULI_Z], [1.0, -1.0], True, NotCompletelyPositive),
+    ], ids=["empty", "mixed-shapes", "mixed-ranks", "vectors", "non-finite", "sign-count",
+            "non-finite-sign", "not-trace-preserving", "choi", "spot-check"])
+    def test_rejections_keep_their_type(self, kraus, signs, positive_only, error):
+        with pytest.raises(ValueError) as exc:
+            ch.Channel(kraus, signs=signs, allow_positive_only=positive_only)
+        assert type(exc.value) is error

@@ -364,6 +364,7 @@ class TestNumericOptions:
         ["constant", "dpi-qubit", "--budget", "restarts=0"],
         ["constant", "dpi-qubit", "--budget", "iters=0"],
         ["constant", "dpi-qubit", "--budget", "iters=-1"],
+        ["constant", "dpi-qubit", "--budget", "restarts=8,restarts=1,iters=5"],
         ["contraction", "contraction-depol-0.5", "--p-sweep", "0.1,x"],
         ["contraction", "contraction-depol-0.5", "--p-sweep", "1.5"],
         ["gaussian", "mercedes-star", "--t-grid", "0:1:log"],
@@ -375,6 +376,35 @@ class TestNumericOptions:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert argv[-2] in captured.err
+
+
+    def test_repeated_budget_field(self, capsys):
+        code = main(["constant", "dpi-qubit", "--budget", "restarts=8,iters=5,restarts=1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "spec error at --budget: budget field 'restarts' given twice\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; consecutive calls share no
+    parsed state."""
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        from qbl import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        path = tmp_path / "report.json"
+        argv = ["verify", "dpi-qubit", "--samples", "5", "--form", "entropic"]
+        first = run(capsys, *argv, "--no-meta", "--out", str(path))
+        written = path.read_text()
+        path.unlink()
+        assert main(["verify", "dpi-qubit", "--samples", "0"]) == 1  # a usage error
+        assert capsys.readouterr().out == ""
+        code, out = run(capsys, *argv)  # no --out, no --no-meta
+        assert code == 0 and not path.exists()
+        assert "meta" in json.loads(out) and "meta" not in json.loads(first[1])
+        assert run(capsys, *argv, "--no-meta") == first
+        assert written == first[1]
 
 
 class TestSpecFields:

@@ -27,7 +27,7 @@ from qbl.engine import (
 )
 from qbl import engine
 from qbl.errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator, ZeroTrace
-from qbl.policy import SUPP_RTOL
+from qbl.policy import SUPP_RTOL, SUPPORT_LEAK_TOL
 from qbl.sampling import (
     haar_pure,
     haar_unitary,
@@ -1745,3 +1745,171 @@ class TestCriticalScale:
                         [op.PSDOperator(sigma_1)], 0.0)
         with pytest.raises(InvalidDatum):
             engine.critical_scale(datum, BUDGET)
+
+
+def _reference_joint_support(terms):
+    """sum_on_joint_support of one list of terms, computed on its own: the
+    per-channel reference of the stacked certification."""
+    finites, weights = zip(*(op._coerce_term(t) for t in terms))
+    total = np.sum(finites, axis=0)
+    live = [w for w in weights if w is not None]
+    if not live:
+        return np.linalg.eigh(total)
+    wvals, wvecs = np.linalg.eigh(op.hermitian_part(np.sum(live, axis=0)))
+    basis = wvecs[:, wvals < SUPPORT_LEAK_TOL * max(1.0, float(wvals[-1]))]
+    if basis.shape[1] == 0:
+        return np.empty(0), np.empty((total.shape[0], 0))
+    vals, vecs = np.linalg.eigh(op.hermitian_part(basis.conj().T @ total @ basis))
+    return vals, basis @ vecs
+
+
+def _reference_log_trace_exp(terms):
+    vals, _ = _reference_joint_support(terms)
+    return float(op.log_sum_exp(vals)) if vals.size else -np.inf
+
+
+def _per_channel_logs(datum, rho):
+    """induced_logs one channel at a time: one DensityOperator and one
+    matrix_log per E_k(rho)."""
+    rho = op.DensityOperator(rho)
+    out = []
+    for qk, c, sk in zip(datum.q, datum.channels, datum.sigmas):
+        lt = op.matrix_log(op.DensityOperator(ch.apply(c, rho)))
+        out.append(op.SupportLog(lt.finite - op.matrix_log(sk).finite, lt.weight).scaled(qk))
+    return out
+
+
+def _per_channel_witness(datum, rho):
+    out = []
+    for lk in _per_channel_logs(datum, rho):
+        vals, vecs = _reference_joint_support([lk])
+        om = op.hermitian_part(op.from_spectrum(np.exp(vals), vecs))
+        out.append(op.DensityOperator(om / np.trace(om).real))
+    return out
+
+
+def _per_channel_analytic_gap(datum, omegas):
+    """analytic_gap with one right-hand side per channel."""
+    oms = [o if isinstance(o, (op.PSDOperator, op.SupportLog)) else op.PSDOperator(o)
+           for o in omegas]
+    lhs_terms = [op.matrix_log(datum.sigma)]
+    log_rhs = datum.c
+    for qk, c, sk, om in zip(datum.q, datum.channels, datum.sigmas, oms):
+        lw = om if isinstance(om, op.SupportLog) else op.matrix_log(om)
+        lhs_terms.append(ch.adjoint_on_log(c, lw))
+        if sk.support_rank == 0:
+            log_rhs = -np.inf
+        else:
+            log_rhs += qk * _reference_log_trace_exp([lw.scaled(1.0 / qk), op.matrix_log(sk)])
+    log_lhs = _reference_log_trace_exp(lhs_terms)
+    if log_lhs == -np.inf:
+        return 0.0 if log_rhs == -np.inf else np.inf
+    return -np.inf if log_rhs == -np.inf else float(log_rhs - log_lhs)
+
+
+def _same_log(a, b):
+    if not np.array_equal(a.finite, b.finite) or a.has_kernel != b.has_kernel:
+        return False
+    return not a.has_kernel or np.array_equal(a.weight, b.weight)
+
+
+def _dust_datum():
+    # test_dust_below_the_support_cut_leaves_the_witness's datum and its
+    # near-pure state: E_1(rho) has rank 1, E_2(rho) full rank, both of
+    # output dimension 3
+    rng = np.random.default_rng(71)
+    sigma = op.PSDOperator(random_pd(3, rng))
+    chans = [ch.identity_channel(3), ch.measurement_channel(list(np.eye(3)))]
+    datum = BLDatum([0.7, 1.4], chans, sigma, [op.PSDOperator(c(sigma)) for c in chans], 0.0)
+    u = haar_unitary(3, rng)
+    return datum, (u * np.array([1.0, 2e-14, 5e-15])) @ u.conj().T
+
+
+class TestStackedCertification:
+    """induced_logs, induced_analytic_witness and analytic_gap take the
+    E_k(rho), omega_k and right-hand sides of one output dimension (and
+    support rank) as one stack: each equals the per-channel reference bit
+    for bit."""
+
+    @staticmethod
+    def _check(datum, rho):
+        logs = engine.induced_logs(datum, rho)
+        ref_logs = _per_channel_logs(datum, rho)
+        assert all(_same_log(a, b) for a, b in zip(logs, ref_logs, strict=True))
+        witness = induced_analytic_witness(datum, rho)
+        ref_witness = _per_channel_witness(datum, rho)
+        assert all(np.array_equal(a.matrix, b.matrix)
+                   for a, b in zip(witness, ref_witness, strict=True))
+        for oms in (logs, witness):
+            assert analytic_gap(datum, oms) == _per_channel_analytic_gap(datum, oms)
+        return logs
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_acceptance_winners(self, i):
+        datum = _acceptance_datum(i)
+        rho = engine._search(datum, BUDGET, "analytic")[0][1]
+        self._check(datum, rho)
+
+    def test_rank_deficient_outputs(self):
+        # one output dimension, E_k(rho) of ranks 1 and 3: two stacks
+        datum, dusty = _dust_datum()
+        logs = self._check(datum, dusty)
+        assert [lk.has_kernel for lk in logs] == [True, False]
+
+    @pytest.mark.parametrize("make", [_mixed_dims_datum, _unsorted_dims_datum,
+                                      _rank_deficient_datum])
+    def test_mixed_output_dimensions(self, make):
+        datum = make()
+        rng = np.random.default_rng(5)
+        for kind in ("hs", "pure", "boundary"):
+            self._check(datum, random_density(datum.dim, rng, kind))
+        self._check(datum, engine._search(datum, BUDGET, "analytic")[0][1])
+
+    @pytest.mark.parametrize("make", [_zero_sigma_k_datum, _leaking_datum]
+                             + [partial(_singular_sigma_k_datum, seed) for seed in range(6)])
+    def test_singular_sigma_k(self, make):
+        # sigma_k = 0 gives -inf; a singular sigma_k flags a kernel in the
+        # right-hand side, and a rank-deficient omega_k a second one
+        datum = make()
+        rng = np.random.default_rng(8)
+        for kind in ("hs", "pure", "boundary"):
+            oms = [random_density(c.dim_out, rng, kind) for c in datum.channels]
+            assert analytic_gap(datum, oms) == _per_channel_analytic_gap(datum, oms)
+        rho = random_density(datum.dim, rng)
+        if min(sk.support_rank for sk in datum.sigmas) == 0:
+            with pytest.raises(ZeroOperator):
+                engine.induced_logs(datum, rho)
+            with pytest.raises(ZeroOperator):
+                _per_channel_logs(datum, rho)
+        else:
+            logs = engine.induced_logs(datum, rho)
+            assert analytic_gap(datum, logs) == _per_channel_analytic_gap(datum, logs)
+
+    def test_zero_sigma_k_is_minus_inf(self):
+        datum = _zero_sigma_k_datum()
+        assert analytic_gap(datum, [np.eye(2) / 2]) == -np.inf
+
+
+class TestAnalyticStarts:
+    """The analytic starts draw the omega_k of one output dimension with one
+    random_density call and take their logs with one eigh_log: the starts
+    equal the per-channel build bit for bit."""
+
+    @staticmethod
+    def _per_channel(datum, ws, seeds):
+        kinds = [("hs", "boundary")[i % 2] for i in range(len(seeds))]
+        omegas = [random_density(c.dim_out, [np.random.default_rng(s * 1000003 + k)
+                                             for s in seeds], kinds)
+                  for k, c in enumerate(datum.channels)]
+        return op.gibbs(ws.exponent([op.eigh_log(om)[1] for om in omegas]))[:2]
+
+    @pytest.mark.parametrize("make", [partial(_acceptance_datum, i) for i in range(20)]
+                             + [_mixed_dims_datum, _unsorted_dims_datum, _equal_dims_datum,
+                                _rank_deficient_datum])
+    def test_matches_the_per_channel_draw(self, make):
+        datum = make()
+        ws = engine._Workspace(datum)
+        for seeds in (BUDGET.seeds(), [5]):
+            got = engine._start_states("analytic", datum, ws, seeds)
+            for a, b in zip(got, self._per_channel(datum, ws, seeds), strict=True):
+                assert np.array_equal(a, b)

@@ -56,10 +56,39 @@ class TestStacks:
         for m, h, got in zip(mats, herm, op.support_logs(vals, vecs)):
             want = op.matrix_log(op.PSDOperator(m))
             np.testing.assert_array_equal(h, op.PSDOperator(m).matrix)
-            np.testing.assert_allclose(got.finite, want.finite, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.finite, want.finite)
             assert got.has_kernel == want.has_kernel
             if want.has_kernel:
-                np.testing.assert_allclose(got.weight, want.weight, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(got.weight, want.weight)
+
+    def test_density_stack_certifies_as_density_operator(self):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=3)
+        mats = [3.0 * random_pd(3, rng), np.outer(v, v)]  # full rank, rank one
+        states, vals, _ = op.density_stack(mats)
+        for m, s, v in zip(mats, states, vals):
+            want = op.DensityOperator(m)
+            np.testing.assert_array_equal(s, want.matrix)
+            np.testing.assert_array_equal(v, want.eigenvalues)
+        with pytest.raises(ValueError, match="cannot normalize"):
+            op.density_stack([np.eye(2), -np.eye(2)])
+
+    def test_stacked_joint_supports_match_one_list_at_a_time(self):
+        # lists of two dimensions, with no flag, one flag or two, of
+        # different support ranks: each as sum_on_joint_support gives it
+        rng = np.random.default_rng(11)
+        lists = []
+        for d in (2, 3, 2, 3, 3):
+            for rank in (d, d - 1, 1):
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                lw = op.matrix_log(op.PSDOperator(g @ g.conj().T))
+                lists.append([lw.scaled(0.7), op.matrix_log(op.PSDOperator(random_pd(d, rng)))])
+                lists.append([lw, lw.scaled(2.0)])
+        logs = op.log_trace_exp_sums(lists)
+        exps = op.exp_on_supports(lists)
+        for terms, got_log, got_exp in zip(lists, logs, exps, strict=True):
+            assert got_log == op.log_trace_exp_sum(terms)
+            np.testing.assert_array_equal(got_exp, op.exp_on_support(terms))
 
     @pytest.mark.parametrize("bad", [
         np.diag([1.0, -0.1]),

@@ -45,17 +45,29 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in benchmark(checkout)["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a checkout: the JSON object of its last line,
-    with "error" set when the run exits non-zero or prints no such line."""
-    argv = benchmark(checkout)["command"] + [
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+def parse_run(stdout: str) -> dict:
+    """The JSON object of a run's last line, {} if there is none, with the
+    line before it (the environment, rounds and failures) under "info"
+    when that line is a JSON object."""
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = {}
+        return {}
+    try:
+        result["info"] = json.loads(lines[-2])
+    except (IndexError, json.JSONDecodeError):
+        pass
+    return result
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a checkout: parse_run of its output, with
+    "error" set when the run exits non-zero or prints no result line."""
+    argv = benchmark(checkout)["command"] + [
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    result = parse_run(proc.stdout)
     if proc.returncode != 0 or "metrics" not in result:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         result["error"] = f"exit {proc.returncode}: {tail[0]}"
