@@ -27,7 +27,7 @@ from qbl.engine import (
 )
 from qbl import engine
 from qbl.errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator, ZeroTrace
-from qbl.policy import SUPP_RTOL, SUPPORT_LEAK_TOL
+from qbl.policy import SUPP_RTOL
 from qbl.sampling import (
     haar_pure,
     haar_unitary,
@@ -1747,27 +1747,6 @@ class TestCriticalScale:
             engine.critical_scale(datum, BUDGET)
 
 
-def _reference_joint_support(terms):
-    """sum_on_joint_support of one list of terms, computed on its own: the
-    per-channel reference of the stacked certification."""
-    finites, weights = zip(*(op._coerce_term(t) for t in terms))
-    total = np.sum(finites, axis=0)
-    live = [w for w in weights if w is not None]
-    if not live:
-        return np.linalg.eigh(total)
-    wvals, wvecs = np.linalg.eigh(op.hermitian_part(np.sum(live, axis=0)))
-    basis = wvecs[:, wvals < SUPPORT_LEAK_TOL * max(1.0, float(wvals[-1]))]
-    if basis.shape[1] == 0:
-        return np.empty(0), np.empty((total.shape[0], 0))
-    vals, vecs = np.linalg.eigh(op.hermitian_part(basis.conj().T @ total @ basis))
-    return vals, basis @ vecs
-
-
-def _reference_log_trace_exp(terms):
-    vals, _ = _reference_joint_support(terms)
-    return float(op.log_sum_exp(vals)) if vals.size else -np.inf
-
-
 def _per_channel_logs(datum, rho):
     """induced_logs one channel at a time: one DensityOperator and one
     matrix_log per E_k(rho)."""
@@ -1782,8 +1761,7 @@ def _per_channel_logs(datum, rho):
 def _per_channel_witness(datum, rho):
     out = []
     for lk in _per_channel_logs(datum, rho):
-        vals, vecs = _reference_joint_support([lk])
-        om = op.hermitian_part(op.from_spectrum(np.exp(vals), vecs))
+        om = op.exp_on_support([lk])
         out.append(op.DensityOperator(om / np.trace(om).real))
     return out
 
@@ -1800,8 +1778,8 @@ def _per_channel_analytic_gap(datum, omegas):
         if sk.support_rank == 0:
             log_rhs = -np.inf
         else:
-            log_rhs += qk * _reference_log_trace_exp([lw.scaled(1.0 / qk), op.matrix_log(sk)])
-    log_lhs = _reference_log_trace_exp(lhs_terms)
+            log_rhs += qk * op.log_trace_exp_sum([lw.scaled(1.0 / qk), op.matrix_log(sk)])
+    log_lhs = op.log_trace_exp_sum(lhs_terms)
     if log_lhs == -np.inf:
         return 0.0 if log_rhs == -np.inf else np.inf
     return -np.inf if log_rhs == -np.inf else float(log_rhs - log_lhs)
@@ -1828,8 +1806,8 @@ def _dust_datum():
 class TestStackedCertification:
     """induced_logs, induced_analytic_witness and analytic_gap take the
     E_k(rho), omega_k and right-hand sides of one output dimension (and
-    support rank) as one stack: each equals the per-channel reference bit
-    for bit."""
+    support rank) as one stack: each equals, bit for bit, the per-channel
+    reference, which evaluates one list of terms at a time."""
 
     @staticmethod
     def _check(datum, rho):
