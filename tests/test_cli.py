@@ -377,7 +377,6 @@ class TestNumericOptions:
         assert len(captured.err.strip().splitlines()) == 1
         assert argv[-2] in captured.err
 
-
     def test_repeated_budget_field(self, capsys):
         code = main(["constant", "dpi-qubit", "--budget", "restarts=8,iters=5,restarts=1"])
         assert code == 1

@@ -66,10 +66,10 @@ class TestStacks:
         v = rng.normal(size=3)
         mats = [3.0 * random_pd(3, rng), np.outer(v, v)]  # full rank, rank one
         states, vals, _ = op.density_stack(mats)
-        for m, s, v in zip(mats, states, vals):
+        for m, state, spectrum in zip(mats, states, vals):
             want = op.DensityOperator(m)
-            np.testing.assert_array_equal(s, want.matrix)
-            np.testing.assert_array_equal(v, want.eigenvalues)
+            np.testing.assert_array_equal(state, want.matrix)
+            np.testing.assert_array_equal(spectrum, want.eigenvalues)
         with pytest.raises(ValueError, match="cannot normalize"):
             op.density_stack([np.eye(2), -np.eye(2)])
 
