@@ -47,12 +47,11 @@ iterations per row: a side records the most any of its restarts took.
 The work around the search goes per output dimension, not per channel.
 The analytic side's starts draw the omega_k of one output dimension with
 one random_density call and take their logs with one eigh_log. Its
-certificate applies each channel on its own, then certifies the E_k(rho)
-of one output dimension and takes their logs from one eigh (induced_logs);
-the witness exponentiates, and analytic_gap evaluates the right-hand
-sides of, the L_k of one output dimension and support rank as one stack.
-eigh and matmul act on each matrix of a stack alone, so each of these
-gives, bit for bit, what one channel at a time gives.
+certificate takes the induced logs L_k once (induced_logs: each channel
+applied on its own, the E_k(rho) of one output dimension certified and
+their logs taken from one eigh); analytic_gap evaluates them, and the
+witness exponentiates and certifies the omega_k of one output dimension
+as one stack. Each gives, bit for bit, what one channel at a time gives.
 
 A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
 has a critical scale t*, the q scale up to which its constant is 0.
@@ -818,6 +817,16 @@ def optimal_constant_entropic(
     return best_val, witness, result
 
 
+def _by_output_dim(datum: BLDatum, stacked, items: list) -> list:
+    """stacked, a function of a list of items, applied to the items of each
+    output dimension as one list; its results back in channel order."""
+    out = [None] * datum.n
+    for _, ks in _dim_groups(datum.channels):
+        for k, res in zip(ks, stacked([items[k] for k in ks])):
+            out[k] = res
+    return out
+
+
 def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
     """The logarithms L_k = q_k (log E_k(rho) - log sigma_k) of the omega
     tuple the duality proof pairs with a state rho. Each is finite on supp
@@ -829,29 +838,37 @@ def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
     are certified and their logs taken as one stack."""
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     taus = [apply(ch, rho) for ch in datum.channels]
-    out: list[SupportLog] = [None] * datum.n
-    for _, ks in _dim_groups(datum.channels):
-        # the E_k(rho) of one output dimension, normalized and certified as
-        # DensityOperator does one, and their logs, from one eigh
-        _, vals, vecs = density_stack([taus[k] for k in ks])
-        for k, lt in zip(ks, support_logs(vals, vecs)):
-            lk = SupportLog(lt.finite - matrix_log(datum.sigmas[k]).finite, lt.weight)
-            out[k] = lk.scaled(datum.q[k])
-    return out
+    lts = _by_output_dim(datum, lambda mats: support_logs(*density_stack(mats)[1:]), taus)
+    return [SupportLog(lt.finite - matrix_log(sk).finite, lt.weight).scaled(qk)
+            for lt, sk, qk in zip(lts, datum.sigmas, datum.q)]
 
 
-def induced_analytic_witness(datum: BLDatum, rho) -> list[DensityOperator]:
+def _floored_logs(datum: BLDatum, rho: DensityOperator) -> list[SupportLog]:
+    """induced_logs with no support cut: each log E_k(rho) keeps every
+    eigenvalue above eigh_log's floor, 1e-15 lambda_max, so the L_k flag no
+    kernel."""
+    taus = [apply(ch, rho) for ch in datum.channels]
+    lts = _by_output_dim(datum, lambda mats: eigh_log(density_stack(mats)[0])[1], taus)
+    return [SupportLog(hermitian_part(lt) - matrix_log(sk).finite).scaled(qk)
+            for lt, sk, qk in zip(lts, datum.sigmas, datum.q)]
+
+
+def induced_analytic_witness(datum: BLDatum, logs) -> list[DensityOperator]:
     """The omega tuple the duality proof pairs with a state rho:
-    omega_k proportional to exp(L_k) for the induced_logs L_k, that is
-    [exp(log E_k(rho) - log sigma_k)]^(q_k), supported on the support of
-    E_k(rho).
+    omega_k proportional to exp(L_k) for the induced_logs L_k of rho, that
+    is [exp(log E_k(rho) - log sigma_k)]^(q_k), supported on the support of
+    E_k(rho). Takes the logs, or the state rho and takes its logs.
 
     Evaluating the analytic objective at this tuple is always >= the
     entropic objective at rho. The L_k of one output dimension and support
-    rank are exponentiated as one stack.
+    rank are exponentiated as one stack, and the omega_k of one output
+    dimension certified as one density_stack, each operator built from its
+    certified row.
     """
-    oms = exp_on_supports([[lk] for lk in induced_logs(datum, rho)])
-    return [DensityOperator(om / np.trace(om).real) for om in oms]
+    if not (isinstance(logs, list) and all(isinstance(lk, SupportLog) for lk in logs)):
+        logs = induced_logs(datum, logs)
+    oms = [om / np.trace(om).real for om in exp_on_supports([[lk] for lk in logs])]
+    return _by_output_dim(datum, lambda mats: DensityOperator.from_stack(*density_stack(mats)), oms)
 
 
 def _leak_witness(datum: BLDatum, k: int) -> list[DensityOperator]:
@@ -884,9 +901,12 @@ def optimal_constant_analytic(
     each E_k(rho)), so it may be rank-deficient. The reported constant is
     the exact re-evaluation (analytic_gap at C = 0) of the logs L_k, a
     certified lower bound: the analytic value of the induced tuple is at
-    least the entropic value at rho, and falling 1e-8 below it raises
-    Diverged. A datum whose E_k(sigma) leaks out of supp sigma_k has
-    constant +inf.
+    least the entropic value at rho. When the cut tuple's value falls 1e-8
+    below it (the cut dropped a rank of E_k(rho) that carries value, as at
+    a near-pure winner), the tuple of the floored logs (_floored_logs) is
+    re-evaluated instead, and its larger value is reported with its
+    tuple; Diverged is raised only if both fall short. A datum whose
+    E_k(sigma) leaks out of supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
     leak = datum._leak
@@ -897,15 +917,25 @@ def optimal_constant_analytic(
         )
     _, v, _ = datum._search_space()
     internal, rho, *counts = _search(datum, budget, "analytic")[0]
+    zero_c = datum.with_constant(0.0)
+
+    def drifted(value: float) -> bool:
+        return not np.isfinite(value) or value < internal - 1e-8
+
     try:
         rho = DensityOperator(_lift(v, rho))
         logs = induced_logs(datum, rho)
-        witness = induced_analytic_witness(datum, rho)
+        best_val = -analytic_gap(zero_c, logs)
+        if drifted(best_val):
+            floored = _floored_logs(datum, rho)
+            uncut = -analytic_gap(zero_c, floored)
+            if drifted(uncut):
+                raise Diverged(f"witness re-evaluation drifted: {best_val} (uncut {uncut}) "
+                               f"vs internal {internal}")
+            best_val, logs = uncut, floored
+        witness = induced_analytic_witness(datum, logs)
     except ValueError as exc:
         raise Diverged(f"cannot build the induced analytic witness: {exc}") from exc
-    best_val = -analytic_gap(datum.with_constant(0.0), logs)
-    if not np.isfinite(best_val) or best_val < internal - 1e-8:
-        raise Diverged(f"witness re-evaluation drifted: {best_val} vs internal {internal}")
     result = OptimizationResult(
         float(best_val), [w.matrix for w in witness], "fixed_point+ascent", seeds, *counts
     )

@@ -8,11 +8,13 @@ pushed to -infinity inside trace-exponentials. This makes tr exp(sum of
 logs) exact on the joint support instead of relying on eigenvalue
 regularization. The batched spectral functions the estimators use
 (eigh_log, gibbs, sqrt_psd) act on raw stacks without support handling.
-The stack functions with support handling give each matrix, bit for bit,
-what the one-matrix function gives: psd_stack, density_stack and
-support_logs certify and take logs as PSDOperator, DensityOperator and
-matrix_log do, and log_trace_exp_sums and exp_on_supports evaluate many
-lists of terms, those of equal dimension and support rank as one stack.
+Each support-aware function has one implementation, on stacks, and one
+operator or one list of terms is a stack of one: PSDOperator and
+DensityOperator keep the certified row of psd_stack and density_stack,
+matrix_log is support_logs of an operator's own spectrum, and one list's
+sum_on_joint_support runs the joint-support core of log_trace_exp_sums
+and exp_on_supports, which group lists of equal dimension and support
+rank into one stack.
 """
 
 from __future__ import annotations
@@ -102,33 +104,43 @@ def sqrt_psd(rhos: np.ndarray) -> np.ndarray:
 def _checked_hermitian_part(mats: np.ndarray) -> np.ndarray:
     """The Hermitian part of a matrix or of each matrix of a stack; ValueError
     if an entry is non-finite or max |A - A^dag| exceeds
-    HERM_RTOL * max(1, max |entry|)."""
-    flat = (*mats.shape[:-2], -1)
-    scale = np.abs(mats).reshape(flat).max(axis=-1, initial=0.0)
-    if not np.isfinite(scale).all():
+    HERM_RTOL * max(1, max |entry|). A stack whose skew is at most
+    HERM_RTOL everywhere passes without the per-matrix scales."""
+    if not np.isfinite(mats).all():
         raise ValueError("matrix has a non-finite entry")
     adj = np.swapaxes(mats.conj(), -1, -2)
-    skew = np.abs(mats - adj).reshape(flat).max(axis=-1, initial=0.0)
-    if (skew > HERM_RTOL * np.maximum(1.0, scale)).any():
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {np.max(skew):.3e}")
+    skew = np.abs(mats - adj)
+    if not np.max(skew, initial=0.0) <= HERM_RTOL:
+        flat = (*mats.shape[:-2], -1)
+        scale = np.abs(mats).reshape(flat).max(axis=-1, initial=0.0)
+        if (skew.reshape(flat).max(axis=-1, initial=0.0) > HERM_RTOL * np.maximum(1.0, scale)).any():
+            raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {np.max(skew):.3e}")
     return 0.5 * (mats + adj)
 
 
-class HermitianOperator:
-    """A d x d complex Hermitian matrix with a cached eigendecomposition.
+def _square_matrix(entries) -> np.ndarray:
+    mat = np.array(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+    return mat
 
-    Instances are immutable: the stored array is read-only and all
+
+class HermitianOperator:
+    """A d x d complex Hermitian matrix with its eigendecomposition.
+
+    Instances are immutable: the stored arrays are read-only and all
     operations return new objects.
     """
 
     def __init__(self, entries):
-        mat = np.array(entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-        mat = _checked_hermitian_part(mat)
-        mat.setflags(write=False)
-        self._mat = mat
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        mat = _checked_hermitian_part(_square_matrix(entries))
+        self._adopt(mat, *np.linalg.eigh(mat))
+
+    def _adopt(self, mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+        for a in (mat, vals, vecs):
+            a.setflags(write=False)
+        self._mat, self._vals, self._vecs = mat, vals, vecs
+        return self
 
     @property
     def dim(self) -> int:
@@ -138,23 +150,15 @@ class HermitianOperator:
     def matrix(self) -> np.ndarray:
         return self._mat
 
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self._mat)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            self._eig = (vals, vecs)
-        return self._eig
-
     @property
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues, ascending."""
-        return self._eigh()[0]
+        return self._vals
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Unitary matrix of eigenvectors, columns matching eigenvalues."""
-        return self._eigh()[1]
+        return self._vecs
 
     def trace(self) -> float:
         return float(np.trace(self._mat).real)
@@ -164,45 +168,41 @@ class HermitianOperator:
 
 
 class PSDOperator(HermitianOperator):
-    """Hermitian operator certified positive semi-definite (within eps_supp)."""
+    """Hermitian operator certified positive semi-definite (within eps_supp):
+    the one row of psd_stack of its matrix."""
+
+    _log: SupportLog | None = None  # matrix_log, kept on first use
 
     def __init__(self, entries):
-        super().__init__(entries)
-        vals = self.eigenvalues
-        lam_max = float(vals[-1]) if vals.size else 0.0
-        eps = eps_supp(max(lam_max, 0.0))
-        if vals.size and float(vals[0]) < -eps:
-            raise ValueError(
-                f"matrix is not PSD: min eigenvalue {float(vals[0]):.3e} < -{eps:.3e}"
-            )
-        self._eps_supp = eps
-        self._log: SupportLog | None = None  # matrix_log, on first use
+        mats, vals, vecs = _certified(_square_matrix(entries)[None])
+        self._adopt(mats[0], vals[0], vecs[0])
+
+    @classmethod
+    def from_stack(cls, mats: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> list:
+        """One operator per row of a stack that psd_stack (for a
+        DensityOperator, density_stack) has certified: no second eigh."""
+        return [cls.__new__(cls)._adopt(*row) for row in zip(mats, vals, vecs)]
 
     @property
     def eps_supp(self) -> float:
-        return self._eps_supp
+        return eps_supp(float(self._vals[-1]) if self.dim else 0.0)
 
     @property
     def support_rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self._eps_supp))
+        return int(np.count_nonzero(self._vals > self.eps_supp))
 
     def support_basis(self) -> np.ndarray:
         """d x r matrix of orthonormal columns spanning the support."""
-        mask = self.eigenvalues > self._eps_supp
-        return self.eigenvectors[:, mask]
+        return self._vecs[:, self._vals > self.eps_supp]
 
 
 class DensityOperator(PSDOperator):
-    """PSD operator renormalized to unit trace."""
+    """PSD operator renormalized to unit trace: the one row of density_stack
+    of its matrix."""
 
     def __init__(self, entries):
-        mat = _as_matrix(entries)
-        tr = float(np.trace(mat).real)
-        if not np.isfinite(tr):
-            raise ValueError("matrix has a non-finite entry")
-        if tr <= 0:
-            raise ValueError(f"cannot normalize: trace = {tr:.3e}")
-        super().__init__(mat / tr)
+        mats, vals, vecs = density_stack(_as_matrix(entries)[None])
+        self._adopt(mats[0], vals[0], vecs[0])
 
 
 def identity(d: int) -> PSDOperator:
@@ -265,34 +265,46 @@ def _summed(terms: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
     return np.sum(finites, axis=0), (np.sum(live, axis=0) if live else None)
 
 
+def _flag_supports(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (..., d, d) of summed kernel flags and the rank r of each
+    joint support, whose basis is the first r eigenvectors (below the cut)."""
+    wvals, wvecs = np.linalg.eigh(hermitian_part(weights))
+    cut = SUPPORT_LEAK_TOL * np.maximum(1.0, wvals[..., -1:])
+    return wvecs, np.count_nonzero(wvals < cut, axis=-1)
+
+
+def _eigh_on_support(totals: np.ndarray, basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of summed finite parts (..., d, d) compressed to the
+    columns of basis (..., d, r; None for the whole space), the vectors
+    embedded back."""
+    if basis is None:
+        return np.linalg.eigh(totals)
+    basis = np.ascontiguousarray(basis)
+    vals, vecs = np.linalg.eigh(hermitian_part(basis.conj().swapaxes(-1, -2) @ totals @ basis))
+    return vals, basis @ vecs
+
+
 def sum_on_joint_support(terms: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Sum extended-Hermitian terms and restrict to the joint support.
 
     Returns (eigenvalues, vectors) of the compressed sum, with vectors
     embedded back into the ambient space (d x r, orthonormal columns).
-    An empty joint support yields empty arrays.
+    An empty joint support yields empty arrays. The core of
+    _joint_support_groups on one list, with nothing to group.
     """
     total, weight = _summed(terms)
     if weight is None:
-        return np.linalg.eigh(total)
-    # the joint support: the eigenvectors of the summed flags below the cut
-    wvals, wvecs = np.linalg.eigh(hermitian_part(weight))
-    basis = wvecs[:, wvals < SUPPORT_LEAK_TOL * max(1.0, wvals[-1])]
-    vals, vecs = np.linalg.eigh(hermitian_part(basis.conj().T @ total @ basis))
-    return vals, basis @ vecs
+        return _eigh_on_support(total, None)
+    wvecs, rank = _flag_supports(weight)
+    return _eigh_on_support(total, wvecs[:, :rank])
 
 
 def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
     """sum_on_joint_support of each list of terms: one (rows, eigenvalues
     (g, r), vectors (g, d, r)) per group of lists of equal dimension d and
-    support rank r, as sampling.draw groups states by dimension and rank.
-    The sums without a kernel flag of one dimension take one eigh; those
-    with one take one eigh of their summed flags and one per support rank
-    of their compressed sums. eigh and matmul act on each matrix of a
-    stack alone, so each list gets what sum_on_joint_support gives it.
-    sum_on_joint_support stays the path of one list: this one costs 15 to
-    60 us more per call on one list, and qbl verify's checkers evaluate
-    about 2000 single lists per round of the verify-sampling workload."""
+    support rank r. The sums without a kernel flag of one dimension take
+    one eigh; those with one take one eigh of their summed flags and one
+    per support rank of their compressed sums."""
     sums = [_summed(terms) for terms in term_lists]
     keys: dict[tuple[int, bool], list[int]] = {}
     for i, (total, weight) in enumerate(sums):
@@ -301,18 +313,13 @@ def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
     for (_, flagged), rows in keys.items():
         totals = np.stack([sums[i][0] for i in rows])
         if not flagged:
-            groups.append((rows, *np.linalg.eigh(totals)))
+            groups.append((rows, *_eigh_on_support(totals, None)))
             continue
-        wvals, wvecs = np.linalg.eigh(hermitian_part(np.stack([sums[i][1] for i in rows])))
-        # below the cut is a prefix of each ascending spectrum
-        ranks = np.count_nonzero(
-            wvals < SUPPORT_LEAK_TOL * np.maximum(1.0, wvals[:, -1:]), axis=1).tolist()
-        for r in sorted(set(ranks)):
-            sel = [j for j, rank in enumerate(ranks) if rank == r]
-            basis = np.ascontiguousarray(wvecs[sel, :, :r])
-            compressed = hermitian_part(basis.conj().swapaxes(1, 2) @ totals[sel] @ basis)
-            vals, vecs = np.linalg.eigh(compressed)
-            groups.append(([rows[j] for j in sel], vals, basis @ vecs))
+        wvecs, ranks = _flag_supports(np.stack([sums[i][1] for i in rows]))
+        for r in sorted(set(ranks.tolist())):
+            sel = np.flatnonzero(ranks == r)
+            groups.append(([rows[j] for j in sel],
+                           *_eigh_on_support(totals[sel], wvecs[sel, :, :r])))
     return groups
 
 
@@ -324,10 +331,7 @@ def trace_exp_sum(terms: Sequence) -> float:
 
 def log_trace_exp_sum(terms: Sequence) -> float:
     """log tr exp(sum of terms); -inf when the joint support is empty."""
-    vals, _ = sum_on_joint_support(terms)
-    if vals.size == 0:
-        return float("-inf")
-    return float(log_sum_exp(vals))
+    return float(log_sum_exp(sum_on_joint_support(terms)[0]))
 
 
 def exp_on_support(terms: Sequence) -> np.ndarray:
@@ -355,33 +359,54 @@ def exp_on_supports(term_lists: Sequence[Sequence]) -> list[np.ndarray]:
     return out
 
 
-def psd_stack(mats: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack of square matrices, each certified Hermitian and PSD as
-    PSDOperator certifies one, from one eigh for the stack: their Hermitian
-    parts (n, d, d), spectra (n, d) and eigenvectors (n, d, d)."""
-    try:
-        stack = np.stack([_as_matrix(m) for m in mats])
-    except ValueError:  # no matrix, or matrices of different shapes
-        stack = np.empty(0)
+def _certified(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian parts (n, d, d), spectra (n, d) and eigenvectors
+    (n, d, d) of a stack of matrices, from one eigh, each matrix certified
+    Hermitian and PSD within its eps_supp."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch("expected square matrices of one shape")
     herm = _checked_hermitian_part(stack)
     vals, vecs = np.linalg.eigh(herm)
-    eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1])
-    bad = vals[:, 0] < -eps
+    eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1:])  # (n, 0) for d = 0
+    bad = vals[:, :1] < -eps
     if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[i, 0]:.3e} < -{eps[i]:.3e}")
+        i = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[i, 0]:.3e} < -{eps[i, 0]:.3e}")
     return herm, vals, vecs
 
 
+def psd_stack(mats: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of square matrices, each certified Hermitian and PSD, from one
+    eigh for the stack: their Hermitian parts (n, d, d), spectra (n, d) and
+    eigenvectors (n, d, d). PSDOperator.from_stack makes them operators."""
+    try:
+        stack = np.stack([_as_matrix(m) for m in mats])
+    except ValueError:  # no matrix, or matrices of different shapes
+        stack = np.empty(0)
+    return _certified(stack)
+
+
+def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack (n, d, d) of matrices, each normalized to unit trace and
+    certified: psd_stack of the normalized matrices."""
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3:
+        raise DimensionMismatch("expected square matrices of one shape")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    if not np.isfinite(tr).all():
+        raise ValueError("matrix has a non-finite entry")
+    if (tr <= 0).any():
+        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
+    return _certified(stack / tr[:, None, None])
+
+
 def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
-    """matrix_log of each operator of a PSD stack, from its spectrum (n, d)
-    and eigenvectors (n, d, d), each equal to matrix_log of that operator:
-    when no operator has a kernel (eigenvalues at or below eps_supp), the
-    finite parts come from one batched product; otherwise each operator's
-    finite part and kernel flag come from its own support and kernel
-    columns."""
+    """The support-projected logarithm of each operator of a PSD stack, from
+    its spectrum (n, d) and eigenvectors (n, d, d). Eigenvalues at or below
+    eps_supp are not regularized; the kernel projector travels with the
+    log as a -infinity flag. When no operator has a kernel, the finite
+    parts come from one batched product; otherwise each operator's finite
+    part and kernel flag come from its own support and kernel columns."""
     keep = vals > SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
     if keep.all():
         return [SupportLog(f) for f in hermitian_part(from_spectrum(np.log(vals), vecs))]
@@ -395,45 +420,18 @@ def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
     return out
 
 
-def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack (n, d, d) of matrices, each normalized to unit trace and
-    certified as DensityOperator certifies one: psd_stack of the
-    normalized matrices."""
-    stack = np.asarray(mats, dtype=complex)
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    if not np.isfinite(tr).all():
-        raise ValueError("matrix has a non-finite entry")
-    if (tr <= 0).any():
-        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
-    return psd_stack(stack / tr[:, None, None])
-
-
 def matrix_log(a: PSDOperator) -> SupportLog:
-    """Support-projected natural logarithm of a PSD operator.
-
-    Eigenvalues below eps_supp are not regularized; the corresponding
-    kernel projector travels with the result as a -infinity flag.
-
-    The logarithm of a PSDOperator is computed once and kept on it, as its
-    eigendecomposition is: the operator is immutable and the kept arrays
-    are read-only, so every caller (the workspace, induced_logs,
-    analytic_gap, the checkers) can share them.
-    """
+    """Support-projected natural logarithm of a PSD operator: support_logs
+    of its own spectrum. It is computed once and kept on the operator, as
+    read-only arrays, so every caller can share it."""
     if not isinstance(a, PSDOperator):
         a = PSDOperator(a)
     if a._log is None:
-        if a.support_rank == 0:
-            raise ZeroOperator("cannot take the logarithm of the zero operator")
-        vals, vecs = a.eigenvalues, a.eigenvectors
-        mask = vals > a.eps_supp
-        finite = hermitian_part(from_spectrum(np.log(vals[mask]), vecs[:, mask]))
-        weight = None
-        if not np.all(mask):
-            vk = vecs[:, ~mask]
-            weight = vk @ vk.conj().T
-            weight.setflags(write=False)
-        finite.setflags(write=False)
-        a._log = SupportLog(finite, weight)
+        log = support_logs(a.eigenvalues[None], a.eigenvectors[None])[0]
+        for arr in (log.finite, log.weight):
+            if arr is not None:
+                arr.setflags(write=False)
+        a._log = log
     return a._log
 
 
@@ -562,6 +560,9 @@ def find_antinorm_counterexample(p: float, seed: int = 0) -> dict:
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         return g @ g.conj().T + 1e-3 * np.eye(2)
 
+    def encoded(m) -> list:
+        return [[[z.real, z.imag] for z in row] for row in m]
+
     for _ in range(100):
         sigma = rand_pd()
         sig = PSDOperator(sigma)
@@ -578,18 +579,7 @@ def find_antinorm_counterexample(p: float, seed: int = 0) -> dict:
             if gap < -1e-6 * scale and sup is None:
                 sup = (w1, w2, gap)
             if sub is not None and sup is not None:
-                return {
-                    "p": p,
-                    "sigma": [[[z.real, z.imag] for z in row] for row in sigma],
-                    "sub_violation": {
-                        "w1": [[[z.real, z.imag] for z in row] for row in sub[0]],
-                        "w2": [[[z.real, z.imag] for z in row] for row in sub[1]],
-                        "gap": sub[2],
-                    },
-                    "super_violation": {
-                        "w1": [[[z.real, z.imag] for z in row] for row in sup[0]],
-                        "w2": [[[z.real, z.imag] for z in row] for row in sup[1]],
-                        "gap": sup[2],
-                    },
-                }
+                return {"p": p, "sigma": encoded(sigma), **{
+                    name: {"w1": encoded(w1), "w2": encoded(w2), "gap": gap}
+                    for name, (w1, w2, gap) in (("sub_violation", sub), ("super_violation", sup))}}
     raise RuntimeError(f"no counterexample found for p={p} within 20000 tries")
