@@ -49,7 +49,7 @@ def test_runs_are_appended_and_failures_skipped(tmp_path, monkeypatch, capsys):
     runs = {"crosscheck-d8": bench_pairs.parse_run(STDOUT), "verify-sampling": {**RESULT,
             "correct": False}}
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_record, "run_once", lambda checkout, w, seed, s: runs[w])
+    monkeypatch.setattr(bench_record, "run_once", lambda checkout, w, seed, s, trace: runs[w])
     argv = [str(tmp_path), "--workload", "crosscheck-d8", "--workload", "verify-sampling",
             "--seed", "7", "--seconds", "20", "--commit", "abc1234"]
     assert bench_record.main(argv) == 1  # the verify-sampling run failed
@@ -58,3 +58,35 @@ def test_runs_are_appended_and_failures_skipped(tmp_path, monkeypatch, capsys):
     assert [r["wall_s"] for r in records] == [0.179, 0.179]
     assert not (tmp_path / "BENCH_verify-sampling.json").exists()
     assert "verify-sampling: correct: false; not recorded" in capsys.readouterr().err
+
+
+# the last two lines of a traced run (--trace 1), its metrics cut to three
+TRACED_INFO = {**INFO, "rounds": {"traced": 48, "untraced": 48}, "missing_functions": []}
+TRACED = {"correct": True, "attempted": 1344, "failed": 0,
+          "metrics": {"engine.analytic_gap.calls": {"value": 14.0, "unit": "count"},
+                      "channels.Channel.per_sample": {"value": 0.0, "unit": "ratio"},
+                      "trace.overhead_s": {"value": 0.021, "unit": "s"}}}
+
+
+def test_a_traced_run_parses(tmp_path, monkeypatch):
+    stdout = json.dumps(TRACED_INFO, sort_keys=True) + "\n" + json.dumps(TRACED) + "\n"
+    result = bench_pairs.parse_run(stdout)
+    assert bench_pairs.failure(result) is None
+    entry = bench_record.record(result, "abc1234", 7, 20.0, trace=True)
+    assert entry == {
+        "commit": "abc1234",
+        "machine": "2 cores, Python 3.11.7, numpy 2.4.6 (scipy-openblas 0.3.31), BLAS threads 1",
+        "seed": 7, "seconds": 20.0, "rounds": {"traced": 48, "untraced": 48}, "trace": True,
+        "engine.analytic_gap.calls": 14.0, "channels.Channel.per_sample": 0.0,
+        "trace.overhead_s": 0.021,
+    }
+    calls = []
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_once",
+                        lambda checkout, w, seed, s, trace: calls.append(trace) or result)
+    argv = [str(tmp_path), "--workload", "crosscheck-d8", "--seed", "7", "--seconds", "20",
+            "--commit", "abc1234", "--trace"]
+    assert bench_record.main(argv) == 0
+    assert calls == [1]
+    records = json.loads((tmp_path / "BENCH_crosscheck-d8.json").read_text(encoding="utf-8"))
+    assert records == [entry]

@@ -1,7 +1,10 @@
 """BL engine: gaps, optimal constants, duality, membership, tensorization."""
 
+import json
+import os
 from dataclasses import replace
 from functools import partial
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -26,8 +29,10 @@ from qbl.engine import (
     tensorization_check,
 )
 from qbl import engine
+from qbl.cli import main
 from qbl.errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator, ZeroTrace
 from qbl.policy import SUPP_RTOL
+from qbl.serialization import decode_datum, encode_datum
 from qbl.sampling import (
     haar_pure,
     haar_unitary,
@@ -984,6 +989,43 @@ class TestFusedSteps:
         assert _close(fvals, _reference_entropic_objective(ref, rhos))
 
 
+FOCK_DATUM = os.path.join(os.path.dirname(__file__), "data", "mercedes_fock_n4_q07.json")
+
+
+def _fock_line_channel(theta, n_max):
+    """The marginal on the line at angle theta of two modes holding at most
+    n_max photons: K_n[m, (k, l)] = <m, n|_b |k, l>_a, with the b-modes
+    rotated by theta from the a-modes (a_1 = c b_1 - s b_2,
+    a_2 = s b_1 + c b_2), expanded by the binomial theorem; n is the photon
+    number of the traced mode b_2, and the input basis runs over
+    k + l <= n_max, k-major."""
+    c, s = np.cos(theta), np.sin(theta)
+    basis = [(k, l) for k in range(n_max + 1) for l in range(n_max + 1 - k)]
+    kraus = np.zeros((n_max + 1, n_max + 1, len(basis)))
+    for col, (k, l) in enumerate(basis):
+        for m in range(k + l + 1):
+            n = k + l - m
+            amp = 0.0
+            for i in range(max(0, m - l), min(k, m) + 1):
+                amp += comb(k, i) * comb(l, m - i) * c**i * (-s)**(k - i) * s**(m - i) * c**(l - m + i)
+            kraus[n, m, col] = amp * sqrt(factorial(m) * factorial(n) / (factorial(k) * factorial(l)))
+    return ch.Channel(list(kraus))
+
+
+def _mercedes_fock_datum(n_max=4, q=0.7):
+    """The recipe of tests/data/mercedes_fock_n4_q07.json (written with
+    encode_datum): the Mercedes star's three lines at angles 0, 2 pi/3 and
+    4 pi/3 on at most n_max photons, q_k = q, sigma = I, sigma_k = I."""
+    chans = [_fock_line_channel(t, n_max) for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+    return BLDatum([q] * 3, chans, op.PSDOperator(np.eye(chans[0].dim_in)),
+                   [op.PSDOperator(np.eye(n_max + 1))] * 3, 0.0)
+
+
+def _fock_datum():
+    with open(FOCK_DATUM, encoding="utf-8") as fh:
+        return decode_datum(json.load(fh))
+
+
 def _acceptance_datum(i):
     """Datum i of the acceptance-1 generator."""
     rng = np.random.default_rng(1000 + i)
@@ -1059,6 +1101,45 @@ class TestConvergence:
         assert abs(c_ent - -0.2583978867) <= 1e-9
         assert abs(c_ana - -0.2583978867) <= 1e-9
         assert abs(c_ana - c_ent) <= 1e-9
+
+    def test_fock_datum_matches_its_recipe(self):
+        stored = _fock_datum()
+        built = _mercedes_fock_datum()
+        assert np.array_equal(stored.q, built.q) and stored.c == built.c
+        for a, b in zip(stored.channels, built.channels, strict=True):
+            np.testing.assert_allclose(a.kraus, b.kraus, rtol=0, atol=1e-15)
+        for a, b in zip([stored.sigma, *stored.sigmas], [built.sigma, *built.sigmas]):
+            assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_cut_rank_of_a_near_pure_winner(self, seed, capsys):
+        # the Mercedes star on at most 4 photons, q_k = 0.7: at these seeds
+        # the analytic winner is the vacuum up to 1e-9, and an E_k(rho) has
+        # an eigenvalue of 8.2e-11, under its eps_supp cut. The cut tuple
+        # re-evaluates 9.8e-6 below the search's value, and qbl constant
+        # exited 1; the tuple of the floored logs gives -2.0109e-7, 1.3e-10
+        # above it
+        code = main(["constant", FOCK_DATUM, "--budget", "restarts=8,iters=300",
+                     "--seed", str(seed), "--no-meta"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)["constant"]
+        assert rep["agree"] and abs(rep["analytic_nats"]) < 1e-6
+
+    def test_cut_rank_reports_the_floored_tuple(self):
+        datum = _fock_datum()
+        budget = OptimizerBudget(restarts=8, max_iters=300, base_seed=1)
+        c, witness, _ = optimal_constant_analytic(datum, budget)
+        _, v, _ = datum._search_space()
+        internal, rho = engine._search(datum, budget, "analytic")[0][:2]
+        rho = op.DensityOperator(engine._lift(v, rho))
+        zero_c = datum.with_constant(0.0)
+        assert -analytic_gap(zero_c, engine.induced_logs(datum, rho)) < internal - 1e-6
+        floored = engine._floored_logs(datum, rho)
+        assert not any(lk.has_kernel for lk in floored)
+        assert c == -analytic_gap(zero_c, floored) and c >= internal
+        for a, b in zip(witness, induced_analytic_witness(datum, floored), strict=True):
+            assert np.array_equal(a.matrix, b.matrix)
+        assert abs(-analytic_gap(datum, witness) - c) < 1e-9
 
     def test_acceptance_data_agree(self):
         # the 20 data of acceptance criterion 1 at its budget: with the
@@ -1210,6 +1291,26 @@ class TestIdentities:
                  for c in datum.channels]
         moved = BLDatum(datum.q, chans, datum.sigma, datum.sigmas, datum.c)
         self._assert_shifted(datum, moved, 0.0)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_unitary_covariance(self, index):
+        # E_k -> V_k E_k(U^dag . U) V_k^dag, sigma -> U sigma U^dag and
+        # sigma_k -> V_k sigma_k V_k^dag leave the constant alone: three
+        # Haar rotations at the CLI default budget (measured within 3.0e-11)
+        datum = _acceptance_datum(index)
+        ref = duality_crosscheck(datum, OptimizerBudget())
+        rng = np.random.default_rng(index)
+        for _ in range(3):
+            u = haar_unitary(datum.dim, rng)
+            vs = [haar_unitary(c.dim_out, rng) for c in datum.channels]
+            chans = [ch.Channel([v @ k @ u.conj().T for k in c.kraus])
+                     for c, v in zip(datum.channels, vs)]
+            moved = BLDatum(datum.q, chans, op.PSDOperator(u @ datum.sigma.matrix @ u.conj().T),
+                            [op.PSDOperator(v @ s.matrix @ v.conj().T)
+                             for v, s in zip(vs, datum.sigmas)], datum.c)
+            rep = duality_crosscheck(moved, OptimizerBudget())
+            assert abs(rep.c_entropic - ref.c_entropic) <= 1e-9
+            assert abs(rep.c_analytic - ref.c_analytic) <= 1e-9
 
 
 class TestAcceleratedLoop:
@@ -1866,6 +1967,48 @@ class TestStackedCertification:
     def test_zero_sigma_k_is_minus_inf(self):
         datum = _zero_sigma_k_datum()
         assert analytic_gap(datum, [np.eye(2) / 2]) == -np.inf
+
+
+class TestCertificateRows:
+    """The certificate's operators come from stacked rows: the E_k(rho) of
+    one output dimension from one density_stack, the witness omega_k from
+    one more; each equals the operator built alone, and the witness of the
+    logs equals the per-channel reference."""
+
+    @staticmethod
+    def _check(datum, rho):
+        taus = [ch.apply(c, op.DensityOperator(rho)) for c in datum.channels]
+        for _, ks in engine._dim_groups(datum.channels):
+            rows = op.DensityOperator.from_stack(*op.density_stack([taus[k] for k in ks]))
+            for k, row in zip(ks, rows, strict=True):
+                _same_operator(row, op.DensityOperator(taus[k]))
+        logs = engine.induced_logs(datum, rho)
+        witness = induced_analytic_witness(datum, logs)
+        for got, want in zip(witness, _per_channel_witness(datum, rho), strict=True):
+            _same_operator(got, want)
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_acceptance_winners(self, i):
+        datum = _acceptance_datum(i)
+        self._check(datum, engine._search(datum, BUDGET, "analytic")[0][1])
+
+    def test_rank_deficient_data(self):
+        datum, dusty = _dust_datum()
+        self._check(datum, dusty)
+        rng = np.random.default_rng(5)
+        for make in (_mixed_dims_datum, _unsorted_dims_datum, _rank_deficient_datum):
+            datum = make()
+            for kind in ("hs", "pure", "boundary"):
+                self._check(datum, random_density(datum.dim, rng, kind))
+            self._check(datum, engine._search(datum, BUDGET, "analytic")[0][1])
+
+
+def _same_operator(a, b):
+    assert type(a) is type(b)
+    for x, y in ((a.matrix, b.matrix), (a.eigenvalues, b.eigenvalues),
+                 (a.eigenvectors, b.eigenvectors)):
+        assert np.array_equal(x, y)
+    assert a.eps_supp == b.eps_supp and a.support_rank == b.support_rank
 
 
 class TestAnalyticStarts:

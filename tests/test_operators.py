@@ -113,6 +113,85 @@ class TestStacks:
             op.support_logs(vals, vecs)
 
 
+def _same_operator(a, b):
+    assert type(a) is type(b)
+    for x, y in ((a.matrix, b.matrix), (a.eigenvalues, b.eigenvalues),
+                 (a.eigenvectors, b.eigenvectors)):
+        assert np.array_equal(x, y)
+    assert a.eps_supp == b.eps_supp and a.support_rank == b.support_rank
+
+
+def _mixed_rank_mats(rng, d=3):
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return [3.0 * random_pd(d, rng), (u * [0.0, 0.3, 0.7]) @ u.conj().T,
+            np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1e-11, 2.0]), np.diag([2.0, 1e-10, 5e-11])]
+
+
+class TestStackOfOne:
+    """One operator is the row of a stack of one: an operator built from a
+    certified stack's row equals the one built alone, and one list's
+    sum_on_joint_support equals its row of the grouped call."""
+
+    def test_rows_equal_operators_built_alone(self):
+        mats = _mixed_rank_mats(np.random.default_rng(13))
+        for single in op.PSDOperator.from_stack(*op.psd_stack(mats)):
+            assert type(single) is op.PSDOperator
+        for cls, stack in ((op.PSDOperator, op.psd_stack), (op.DensityOperator, op.density_stack)):
+            for m, row in zip(mats, cls.from_stack(*stack(mats)), strict=True):
+                _same_operator(row, cls(m))
+                got, want = op.matrix_log(row), op.matrix_log(cls(m))
+                assert np.array_equal(got.finite, want.finite)
+                assert got.has_kernel == want.has_kernel
+
+    def test_one_list_is_its_row_of_the_grouped_call(self):
+        rng = np.random.default_rng(17)
+        lists = []
+        for d in (2, 3, 3):
+            for rank in (d, d - 1, 1):
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                lw = op.matrix_log(op.PSDOperator(g @ g.conj().T))
+                lists.append([lw.scaled(0.7), random_hermitian(d, rng)])  # flagged unless rank d
+                lists.append([random_hermitian(d, rng), random_hermitian(d, rng)])  # unflagged
+        seen = set()
+        for rows, vals, vecs in op._joint_support_groups(lists):
+            for i, v, u in zip(rows, vals, vecs):
+                got_vals, got_vecs = op.sum_on_joint_support(lists[i])
+                assert np.array_equal(got_vals, v) and np.array_equal(got_vecs, u)
+                ((_, alone_vals, alone_vecs),) = op._joint_support_groups([lists[i]])
+                assert np.array_equal(got_vals, alone_vals[0])
+                assert np.array_equal(got_vecs, alone_vecs[0])
+                seen.add(i)
+        assert seen == set(range(len(lists)))
+
+    @pytest.mark.parametrize("bad, kind, match", [
+        (np.diag([1.0, -0.1]), ValueError, "not PSD"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), ValueError, "not Hermitian"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
+        (np.ones((2, 3)), DimensionMismatch, "square"),
+    ])
+    def test_rejections_keep_their_types(self, bad, kind, match):
+        for build in (op.PSDOperator, op.DensityOperator, lambda m: op.psd_stack([np.eye(2), m]),
+                      lambda m: op.density_stack(np.stack([np.ones_like(m), m]))):
+            with pytest.raises(kind, match=match) as got:
+                build(bad)
+            assert type(got.value) is kind
+
+    def test_density_rejections_keep_their_types(self):
+        for bad in (np.zeros((2, 2)), -np.eye(2), np.ones(3)):
+            with pytest.raises(ValueError) as alone:
+                op.DensityOperator(bad)
+            with pytest.raises(ValueError) as stacked:
+                op.density_stack(bad[None])
+            assert type(alone.value) is type(stacked.value)
+            assert str(alone.value) == str(stacked.value)
+        with pytest.raises(DimensionMismatch):
+            op.DensityOperator(np.ones(3))
+        for log in (op.matrix_log, lambda m: op.support_logs(*op.psd_stack([m])[1:])):
+            with pytest.raises(ZeroOperator):
+                log(np.zeros((2, 2)))
+
+
 class TestLogSumExp:
     """operators.log_sum_exp against scipy.special.logsumexp as reference."""
 

@@ -61,11 +61,13 @@ def parse_run(stdout: str) -> dict:
     return result
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a checkout: parse_run of its output, with
-    "error" set when the run exits non-zero or prints no result line."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in a checkout, untraced unless trace is 1: parse_run
+    of its output, with "error" set when the run exits non-zero or prints
+    no result line."""
     argv = benchmark(checkout)["command"] + [
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     result = parse_run(proc.stdout)
     if proc.returncode != 0 or "metrics" not in result:

@@ -1,7 +1,7 @@
 """Run the benchmark on one checkout and append its end-to-end numbers to
 the repository's ``BENCH_<workload>.json`` files.
 
-    python3 tools/bench_record.py [CHECKOUT] --workload crosscheck-d8 --seed 7 --seconds 20
+    python3 tools/bench_record.py [CHECKOUT] --workload crosscheck-d8 --seed 7 --seconds 20 [--trace]
 
 For each ``--workload`` (every workload of ``BENCHMARK.json`` when none is
 given), the checkout (default: this repository) runs the command its
@@ -15,7 +15,11 @@ HEAD`` of the checkout, with ``-dirty`` when its ``src`` or ``perfbench``
 differ from it; ``--commit`` names it instead (a ``git archive`` copy has
 no history). A file holds one JSON list of records, oldest first;
 records written by hand from earlier measurements carry a ``note`` and
-null for what those did not keep. A run that fails (a crash, ``correct:
+null for what those did not keep. With ``--trace`` the run is ``--trace
+1`` instead, and its record is marked ``"trace": true`` and holds the
+value of every per-layer metric the run reports in place of the three
+end-to-end metrics; its ``rounds`` counts the untraced and the traced
+rounds. A run that fails (a crash, ``correct:
 false`` or failed tasks) is reported and not recorded, and the tool then
 exits 1.
 """
@@ -52,12 +56,15 @@ def machine_line(env: dict) -> str:
             f"({env.get('blas')}), BLAS threads {'/'.join(threads)}")
 
 
-def record(result: dict, commit: str, seed: int, seconds: float) -> dict:
-    """The record of one run that did not fail (parse_run's result)."""
+def record(result: dict, commit: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """The record of one run that did not fail (parse_run's result); a traced
+    run's record holds every metric it reports."""
     info = result.get("info", {})
+    names = list(result["metrics"]) if trace else METRICS
     return {"commit": commit, "machine": machine_line(info.get("env", {})),
             "seed": seed, "seconds": seconds, "rounds": info.get("rounds"),
-            **{name: result["metrics"][name]["value"] for name in METRICS}}
+            **({"trace": True} if trace else {}),
+            **{name: result["metrics"][name]["value"] for name in names}}
 
 
 def append(path: Path, entry: dict) -> None:
@@ -74,21 +81,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--commit", default=None, help="the commit the checkout holds")
+    parser.add_argument("--trace", action="store_true", help="record a traced run's per-layer metrics")
     args = parser.parse_args(argv)
 
     workloads = args.workload or [w["name"] for w in benchmark(args.checkout)["workloads"]]
     commit = args.commit or commit_of(args.checkout)
     failed = False
     for workload in workloads:
-        result = run_once(args.checkout, workload, args.seed, args.seconds)
+        result = run_once(args.checkout, workload, args.seed, args.seconds, int(args.trace))
         why = failure(result)
         if why:
             print(f"{workload}: {why}; not recorded", file=sys.stderr)
             failed = True
             continue
-        entry = record(result, commit, args.seed, args.seconds)
+        entry = record(result, commit, args.seed, args.seconds, args.trace)
         append(ROOT / f"BENCH_{workload}.json", entry)
-        print(f"{workload}: " + ", ".join(f"{m} {entry[m]:.4f}" for m in METRICS))
+        shown = ["trace.overhead_s"] if args.trace else METRICS
+        print(f"{workload}: " + ", ".join(f"{m} {entry[m]:.4f}" for m in shown))
     return 1 if failed else 0
 
 
