@@ -845,7 +845,7 @@ def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
 
 def _floored_logs(datum: BLDatum, rho: DensityOperator) -> list[SupportLog]:
     """induced_logs with no support cut: each log E_k(rho) keeps every
-    eigenvalue above eigh_log's floor, 1e-15 lambda_max, so the L_k flag no
+    eigenvalue above eigh_log's floor, 1e-15 lambda_max, so no L_k flags a
     kernel."""
     taus = [apply(ch, rho) for ch in datum.channels]
     lts = _by_output_dim(datum, lambda mats: eigh_log(density_stack(mats)[0])[1], taus)
@@ -855,15 +855,14 @@ def _floored_logs(datum: BLDatum, rho: DensityOperator) -> list[SupportLog]:
 
 def induced_analytic_witness(datum: BLDatum, logs) -> list[DensityOperator]:
     """The omega tuple the duality proof pairs with a state rho:
-    omega_k proportional to exp(L_k) for the induced_logs L_k of rho, that
-    is [exp(log E_k(rho) - log sigma_k)]^(q_k), supported on the support of
-    E_k(rho). Takes the logs, or the state rho and takes its logs.
+    omega_k proportional to exp(L_k) for the induced_logs L_k (given, or
+    taken here from rho), that is [exp(log E_k(rho) - log sigma_k)]^(q_k),
+    supported on the support of E_k(rho).
 
     Evaluating the analytic objective at this tuple is always >= the
     entropic objective at rho. The L_k of one output dimension and support
-    rank are exponentiated as one stack, and the omega_k of one output
-    dimension certified as one density_stack, each operator built from its
-    certified row.
+    rank are exponentiated, and the omega_k of one output dimension
+    certified, as one stack.
     """
     if not (isinstance(logs, list) and all(isinstance(lk, SupportLog) for lk in logs)):
         logs = induced_logs(datum, logs)

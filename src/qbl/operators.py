@@ -104,17 +104,15 @@ def sqrt_psd(rhos: np.ndarray) -> np.ndarray:
 def _checked_hermitian_part(mats: np.ndarray) -> np.ndarray:
     """The Hermitian part of a matrix or of each matrix of a stack; ValueError
     if an entry is non-finite or max |A - A^dag| exceeds
-    HERM_RTOL * max(1, max |entry|). A stack whose skew is at most
-    HERM_RTOL everywhere passes without the per-matrix scales."""
-    if not np.isfinite(mats).all():
+    HERM_RTOL * max(1, max |entry|)."""
+    flat = (*mats.shape[:-2], -1)
+    scale = np.abs(mats).reshape(flat).max(axis=-1, initial=0.0)
+    if not np.isfinite(scale).all():
         raise ValueError("matrix has a non-finite entry")
     adj = np.swapaxes(mats.conj(), -1, -2)
-    skew = np.abs(mats - adj)
-    if not np.max(skew, initial=0.0) <= HERM_RTOL:
-        flat = (*mats.shape[:-2], -1)
-        scale = np.abs(mats).reshape(flat).max(axis=-1, initial=0.0)
-        if (skew.reshape(flat).max(axis=-1, initial=0.0) > HERM_RTOL * np.maximum(1.0, scale)).any():
-            raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {np.max(skew):.3e}")
+    skew = np.abs(mats - adj).reshape(flat).max(axis=-1, initial=0.0)
+    if (skew > HERM_RTOL * np.maximum(1.0, scale)).any():
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {np.max(skew):.3e}")
     return 0.5 * (mats + adj)
 
 
@@ -266,19 +264,16 @@ def _summed(terms: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _flag_supports(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors (..., d, d) of summed kernel flags and the rank r of each
-    joint support, whose basis is the first r eigenvectors (below the cut)."""
+    """Eigenvectors of summed kernel flags (..., d, d) and the mask of those
+    below the cut, which span the joint support: a prefix of each
+    ascending spectrum."""
     wvals, wvecs = np.linalg.eigh(hermitian_part(weights))
-    cut = SUPPORT_LEAK_TOL * np.maximum(1.0, wvals[..., -1:])
-    return wvecs, np.count_nonzero(wvals < cut, axis=-1)
+    return wvecs, wvals < SUPPORT_LEAK_TOL * np.maximum(1.0, wvals[..., -1:])
 
 
-def _eigh_on_support(totals: np.ndarray, basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of summed finite parts (..., d, d) compressed to the
-    columns of basis (..., d, r; None for the whole space), the vectors
-    embedded back."""
-    if basis is None:
-        return np.linalg.eigh(totals)
+def _eigh_compressed(totals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of sums (..., d, d) compressed to the columns of basis
+    (..., d, r), with the vectors embedded back."""
     basis = np.ascontiguousarray(basis)
     vals, vecs = np.linalg.eigh(hermitian_part(basis.conj().swapaxes(-1, -2) @ totals @ basis))
     return vals, basis @ vecs
@@ -294,9 +289,9 @@ def sum_on_joint_support(terms: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """
     total, weight = _summed(terms)
     if weight is None:
-        return _eigh_on_support(total, None)
-    wvecs, rank = _flag_supports(weight)
-    return _eigh_on_support(total, wvecs[:, :rank])
+        return np.linalg.eigh(total)
+    wvecs, below = _flag_supports(weight)
+    return _eigh_compressed(total, wvecs[:, below])
 
 
 def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
@@ -313,13 +308,13 @@ def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
     for (_, flagged), rows in keys.items():
         totals = np.stack([sums[i][0] for i in rows])
         if not flagged:
-            groups.append((rows, *_eigh_on_support(totals, None)))
+            groups.append((rows, *np.linalg.eigh(totals)))
             continue
-        wvecs, ranks = _flag_supports(np.stack([sums[i][1] for i in rows]))
+        wvecs, below = _flag_supports(np.stack([sums[i][1] for i in rows]))
+        ranks = np.count_nonzero(below, axis=1)
         for r in sorted(set(ranks.tolist())):
             sel = np.flatnonzero(ranks == r)
-            groups.append(([rows[j] for j in sel],
-                           *_eigh_on_support(totals[sel], wvecs[sel, :, :r])))
+            groups.append(([rows[j] for j in sel], *_eigh_compressed(totals[sel], wvecs[sel, :, :r])))
     return groups
 
 
@@ -386,20 +381,6 @@ def psd_stack(mats: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _certified(stack)
 
 
-def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack (n, d, d) of matrices, each normalized to unit trace and
-    certified: psd_stack of the normalized matrices."""
-    stack = np.asarray(mats, dtype=complex)
-    if stack.ndim != 3:
-        raise DimensionMismatch("expected square matrices of one shape")
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    if not np.isfinite(tr).all():
-        raise ValueError("matrix has a non-finite entry")
-    if (tr <= 0).any():
-        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
-    return _certified(stack / tr[:, None, None])
-
-
 def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
     """The support-projected logarithm of each operator of a PSD stack, from
     its spectrum (n, d) and eigenvectors (n, d, d). Eigenvalues at or below
@@ -418,6 +399,20 @@ def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
         finite = hermitian_part(from_spectrum(np.log(v[k]), u[:, k]))
         out.append(SupportLog(finite, kernel @ kernel.conj().T if kernel.size else None))
     return out
+
+
+def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack (n, d, d) of matrices, each normalized to unit trace and
+    certified: psd_stack of the normalized matrices."""
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3:
+        raise DimensionMismatch("expected square matrices of one shape")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    if not np.isfinite(tr).all():
+        raise ValueError("matrix has a non-finite entry")
+    if (tr <= 0).any():
+        raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
+    return _certified(stack / tr[:, None, None])
 
 
 def matrix_log(a: PSDOperator) -> SupportLog:
@@ -560,9 +555,6 @@ def find_antinorm_counterexample(p: float, seed: int = 0) -> dict:
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         return g @ g.conj().T + 1e-3 * np.eye(2)
 
-    def encoded(m) -> list:
-        return [[[z.real, z.imag] for z in row] for row in m]
-
     for _ in range(100):
         sigma = rand_pd()
         sig = PSDOperator(sigma)
@@ -579,7 +571,18 @@ def find_antinorm_counterexample(p: float, seed: int = 0) -> dict:
             if gap < -1e-6 * scale and sup is None:
                 sup = (w1, w2, gap)
             if sub is not None and sup is not None:
-                return {"p": p, "sigma": encoded(sigma), **{
-                    name: {"w1": encoded(w1), "w2": encoded(w2), "gap": gap}
-                    for name, (w1, w2, gap) in (("sub_violation", sub), ("super_violation", sup))}}
+                return {
+                    "p": p,
+                    "sigma": [[[z.real, z.imag] for z in row] for row in sigma],
+                    "sub_violation": {
+                        "w1": [[[z.real, z.imag] for z in row] for row in sub[0]],
+                        "w2": [[[z.real, z.imag] for z in row] for row in sub[1]],
+                        "gap": sub[2],
+                    },
+                    "super_violation": {
+                        "w1": [[[z.real, z.imag] for z in row] for row in sup[0]],
+                        "w2": [[[z.real, z.imag] for z in row] for row in sup[1]],
+                        "gap": sup[2],
+                    },
+                }
     raise RuntimeError(f"no counterexample found for p={p} within 20000 tries")
