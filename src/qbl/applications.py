@@ -275,7 +275,7 @@ def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     mats, vals, vecs = psd_stack(omegas)
     if unit_trace:
         traces = np.trace(mats, axis1=1, axis2=2).real
-        if np.max(np.abs(traces - 1.0)) > 1e-9:
+        if abs(traces - 1.0).max() > 1e-9:
             raise ValueError(f"the bound needs unit-trace omegas, got traces {traces.tolist()}")
     head = [] if log_sigma is None else [log_sigma]
     logs = support_logs(vals, vecs)

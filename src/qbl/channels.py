@@ -11,7 +11,9 @@ Each channel also keeps a read-only transfer matrix derived from its Kraus
 stack, S = sum_a s_a K_a (x) conj(K_a), of d_out^2 x d_in^2 complex
 entries (256 KB at d_in * d_out = 128). On row-major vectorizations it has
 two uses: E(rho) is vec(rho) @ S^T and E^dag(Y) is vec(Y) @ conj(S), each a
-single matmul over any stack of matrices.
+single matmul over any stack of matrices. Its trace over the output pair
+is the trace-preservation test, so a channel is checked with no second
+product of its Kraus operators.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ class Channel:
         # trace-preserving test
         pairs = weighted.T @ flat.conj()  # [(i,j),(l,k)]
         pairs = pairs.reshape(dout, din, dout, din).transpose(0, 2, 1, 3)
-        dev = np.max(np.abs(np.trace(pairs) - np.eye(din)))
+        off = pairs.trace()
+        off.flat[:: din + 1] -= 1.0  # minus the identity
+        dev = abs(off).max()
         if dev > 1e-10:
             raise NotTracePreserving(f"sum s K^dag K deviates from identity by {dev:.3e}")
         stacked.setflags(write=False)
@@ -104,7 +108,7 @@ class Channel:
         self.allow_positive_only = allow_positive_only
         if allow_positive_only:
             self._spot_check_positivity()
-        elif (self.signs < 0).any():
+        elif signs is not None and (self.signs < 0).any():
             cmin = float(np.linalg.eigvalsh(self.choi_matrix())[0])
             if cmin < -PSD_SLACK:
                 raise NotCompletelyPositive(f"Choi matrix eigenvalue {cmin:.3e}")
@@ -227,15 +231,23 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
 def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
     """The vectors of a complete orthonormal basis as the rows of a d x d
     array; NotOrthonormal if the Gram matrix deviates from the identity by
-    more than 1e-10, or the family is not a basis."""
+    more than 1e-10, or the family is not a basis. A family of flat vectors of
+    one length becomes the array in one call; column vectors and families of
+    mixed lengths are read one vector at a time."""
     try:
-        rows = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
-    except ValueError:  # vectors of mixed lengths
-        rows = np.empty((0, 0))
+        rows = np.array(basis, dtype=complex)
+    except (TypeError, ValueError):  # mixed shapes, or not an array of numbers
+        rows = None
+    if rows is None or rows.ndim != 2:
+        try:
+            rows = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
+        except ValueError:  # vectors of mixed lengths
+            rows = np.empty((0, 0))
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.size == 0:
         raise NotOrthonormal("basis is not a complete orthonormal family")
-    gram = rows.conj() @ rows.T
-    if np.max(np.abs(gram - np.eye(len(rows)))) > 1e-10:
+    off = rows.conj() @ rows.T
+    off.flat[:: len(rows) + 1] -= 1.0  # the Gram matrix minus the identity
+    if abs(off).max() > 1e-10:
         raise NotOrthonormal("basis is not a complete orthonormal family")
     return rows
 

@@ -8,11 +8,16 @@ calls of the one-at-a-time samplers, in their order, with runs of normal
 draws merged into one call, and then builds each (ensemble, d, rank) group
 of states as one stack. A block of states, such as the 64 samples that
 qbl verify draws at a time, is therefore bit-identical to the same states
-drawn one at a time.
+drawn one at a time. Only the items that make a generator call of their
+own are booked one at a time; the offsets of all others into the merged
+normal draws are one running sum, and the stacked samplers (random_pd,
+bloch_sample, random_density of several ensembles) write each group into
+their stack instead of stacking the states again.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -53,51 +58,90 @@ def draw(rng, plan: Sequence[tuple[str, int]]) -> list[np.ndarray]:
     G G^dag / tr, plus 1e-6 I ("boundary") or 1e-3 I ("pd") and
     renormalized, the projector onto G / |G| ("pure"), or bloch_state of
     u^(1/3) v / |v| ("bloch"); every (ensemble, d, rank) group is built as
-    one stack, with one np.linalg.norm per vector.
+    one stack, with the norm of each vector taken alone.
     """
     plan = list(plan)
-    bad = [(e, d) for e, d in plan if e not in ENSEMBLES or (e == "bloch" and d != 2)]
-    if bad:
-        raise ValueError(f"unknown ensemble or dimension {bad[0]!r}")
-    rngs = [rng] * len(plan) if isinstance(rng, np.random.Generator) else list(rng)
-    chunks: list[np.ndarray] = []  # the normal draws, in the order they were made
-    done = pending = 0  # normals drawn so far; normals owed by the current generator
-    groups: dict[tuple[str, int, int], list] = {}  # key -> (item, offset, radius)
-    gen = None
-
-    def flush():
-        nonlocal done, pending
-        if pending:
-            chunks.append(gen.normal(size=pending))
-            done, pending = done + pending, 0
-
-    for i, ((ens, d), g) in enumerate(zip(plan, rngs, strict=True)):
-        if g is not gen:
-            flush()
-            gen = g
-        cols = d if ens in ("hs", "pd") else 1
-        if ens == "boundary" and d > 1:
-            flush()
-            cols = int(g.integers(1, d))
-        offset, radius = done + pending, None
-        if ens == "bloch":
-            pending += 3
-            flush()
-            radius = g.uniform() ** (1.0 / 3.0)
-        else:
-            pending += 2 * d * cols
-        groups.setdefault((ens, d, cols), []).append((i, offset, radius))
-    flush()
-    z = np.concatenate(chunks) if chunks else np.empty(0)
-
     out: list[np.ndarray] = [None] * len(plan)
-    for (ens, d, cols), items in groups.items():
-        idx, offsets, radii = zip(*items)
-        width = 3 if ens == "bloch" else 2 * d * cols
-        rows = z[np.array(offsets)[:, None] + np.arange(width)]
-        for i, state in zip(idx, _build(ens, d, cols, rows, radii)):
+    for idx, states in _drawn_groups(rng, plan):
+        for i, state in zip(idx.tolist(), states):
             out[i] = state
     return out
+
+
+def _draw_stack(rng, plan: Sequence[tuple[str, int]], d: int) -> np.ndarray:
+    """draw of a plan whose items all have dimension d, as one (n, d, d)
+    stack: each group's states are written into it, not stacked again."""
+    out = np.empty((len(plan), d, d), dtype=complex)
+    for idx, states in _drawn_groups(rng, plan):
+        out[idx] = states
+    return out
+
+
+def _drawn_groups(rng, plan: list[tuple[str, int]]):
+    """The states of draw, one (item indices, stack) per (ensemble, d, rank)
+    group of plan. Items are booked by kind, one kind per distinct
+    (ensemble, d), which fixes the rank except for a "boundary" kind at
+    d > 1: its items move to the group of the rank they draw. Only the
+    items that make a generator call of their own (that rank, a "bloch"
+    radius) and the items where the generator changes are visited one at a
+    time; the normal draws of the items between two of them are one call,
+    and the offsets of all items into the normal draws, which follow plan
+    order, are one running sum."""
+    groups: dict[tuple, int] = {}  # (ensemble, d) or (ensemble, d, rank) -> code
+    codes = [groups.setdefault((e, d), len(groups)) for e, d in plan]
+    kinds = list(groups)
+    bad = [(e, d) for e, d in kinds if e not in ENSEMBLES or (e == "bloch" and d != 2)]
+    if bad:
+        raise ValueError(f"unknown ensemble or dimension {bad[0]!r}")
+    n = len(codes)
+    # per kind: the rank of its Gaussian matrices, its normal draws per item
+    # and whether its items make a generator call of their own
+    rank = [d if e in ("hs", "pd") else 1 for e, d in kinds]
+    width = [3 if e == "bloch" else 2 * d * r for (e, d), r in zip(kinds, rank)]
+    calls = [e == "bloch" or (e == "boundary" and d > 1) for e, d in kinds]
+    widths = [width[k] for k in codes]
+    events = [i for i, k in enumerate(codes) if calls[k]]
+    if isinstance(rng, np.random.Generator):
+        rngs, changes = [rng] * n, set()
+    else:
+        rngs = [g for _, g in zip(plan, rng, strict=True)]
+        changes = {i for i in range(1, n) if rngs[i] is not rngs[i - 1]}
+        events = sorted(changes.union(events))
+    radii = np.zeros(n)
+    chunks: list[np.ndarray] = []  # the normal draws, in the order they were made
+    start = 0  # the first item whose normal draws are not made yet
+
+    def normals(stop: int, g) -> None:
+        """One call for the normal draws of the items start, ..., stop - 1."""
+        nonlocal start
+        size, start = sum(widths[start:stop]), stop
+        if size:
+            chunks.append(g.normal(size=size))
+
+    for i in events:
+        if i in changes:
+            normals(i, rngs[i - 1])
+        (ens, d), g = plan[i], rngs[i]
+        if ens == "bloch":
+            normals(i + 1, g)
+            radii[i] = g.uniform() ** (1.0 / 3.0)
+        elif ens == "boundary" and d > 1:
+            normals(i, g)
+            r = int(g.integers(1, d))
+            codes[i] = groups.setdefault((ens, d, r), len(groups))
+            widths[i] = 2 * d * r
+    if n:
+        normals(n, rngs[-1])
+    z = np.concatenate(chunks) if chunks else np.empty(0)
+    ends = np.fromiter(accumulate(widths), dtype=int, count=n)
+
+    group_of = np.fromiter(codes, dtype=int, count=n)
+    for key, k in groups.items():
+        idx = np.flatnonzero(group_of == k)
+        if idx.size:
+            ens, d, c = key if len(key) == 3 else (*key, rank[k])
+            w = 3 if ens == "bloch" else 2 * d * c
+            yield idx, _build(ens, d, c, z[(ends[idx] - w)[:, None] + np.arange(w)], radii[idx])
 
 
 def _build(ens: str, d: int, cols: int, rows: np.ndarray, radii) -> np.ndarray:
@@ -118,16 +162,18 @@ def _build(ens: str, d: int, cols: int, rows: np.ndarray, radii) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    # one np.linalg.norm per vector: a batched norm differs in the last bit
-    return v / np.array([np.linalg.norm(x) for x in v])[:, None]
+    # each vector's norm as np.linalg.norm takes it, the dot of its real
+    # parts plus that of its imaginary parts, without norm's per-call
+    # overhead: a batched norm differs in the last bit
+    if np.iscomplexobj(v):
+        sq = [x.real.dot(x.real) + x.imag.dot(x.imag) for x in v]
+    else:
+        sq = [x.dot(x) for x in v]
+    return v / np.sqrt(sq)[:, None]
 
 
 def _unit_trace(rhos: np.ndarray) -> np.ndarray:
     return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-
-
-def _stack(states: list[np.ndarray], d: int) -> np.ndarray:
-    return np.stack(states) if states else np.empty((0, d, d), dtype=complex)
 
 
 def haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +198,7 @@ def random_density(d: int, rng, ensemble: str | Sequence[str] = "hs") -> np.ndar
     rng[i]."""
     if isinstance(ensemble, str):
         return draw(rng, [(ensemble, d)])[0]
-    return _stack(draw(rng, [(e, d) for e in ensemble]), d)
+    return _draw_stack(rng, [(e, d) for e in ensemble], d)
 
 
 def random_pd(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -160,7 +206,7 @@ def random_pd(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndar
     renormalized; with a count n, an (n, d, d) stack of n such draws."""
     if n is None:
         return draw(rng, [("pd", d)])[0]
-    return _stack(draw(rng, [("pd", d)] * n), d)
+    return _draw_stack(rng, [("pd", d)] * n, d)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -202,4 +248,4 @@ def bloch_sample(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     count n, an (n, 2, 2) stack of n such draws."""
     if n is None:
         return draw(rng, [("bloch", 2)])[0]
-    return _stack(draw(rng, [("bloch", 2)] * n), 2)
+    return _draw_stack(rng, [("bloch", 2)] * n, 2)

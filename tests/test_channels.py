@@ -281,10 +281,25 @@ class TestMeasurement:
         [np.array([2.0, 0.0]), np.array([0.0, 1.0])],  # not normalized
         [np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])],  # mixed lengths
         [np.eye(3)[0], np.eye(3)[1], np.eye(3)[0]],  # repeated vector
+        [np.eye(2), np.eye(2)[0]],  # ragged
+        [np.array([[1.0], [0.0]]), np.array([[1.0], [1e-3]])],  # (d, 1) columns, not orthonormal
+        [np.ones((2, 1)), np.ones((3, 1))],  # (d, 1) columns of mixed lengths
+        np.ones((2, 3)) / np.sqrt(3.0),  # two vectors of length 3
+        np.array([1.0, 0.0]),  # a vector, not a family
     ])
     def test_not_a_basis_rejected(self, basis):
-        with pytest.raises(NotOrthonormal):
-            ch.measurement_channel(basis)
+        for build in (ch.measurement_channel, ch.basis_rows):
+            with pytest.raises(NotOrthonormal) as got:
+                build(basis)
+            assert str(got.value) == "basis is not a complete orthonormal family"
+
+    def test_every_form_of_a_basis_gives_its_rows(self):
+        # flat vectors become the rows in one call; (d, 1) columns one at a time
+        u = random_basis(3, np.random.default_rng(8))
+        want = np.array([v.reshape(-1) for v in u])
+        for basis in (u, [list(v) for v in u], np.stack(u), [v[:, None] for v in u],
+                      tuple(v.real.astype(float) + 1j * v.imag for v in u), (v for v in u)):
+            assert np.array_equal(ch.basis_rows(basis), want)
 
 
 class TestDepolarizing:
@@ -426,3 +441,18 @@ class TestConstruction:
         with pytest.raises(ValueError) as exc:
             ch.Channel(kraus, signs=signs, allow_positive_only=positive_only)
         assert type(exc.value) is error
+
+    def test_trace_and_choi_rejections_keep_their_messages(self):
+        # unsigned: sum K^dag K = diag(1, 0.25), off by 0.75 (taken here from
+        # the Kraus operators, not the transfer matrix)
+        kraus = [np.diag([1.0, 0.5])]
+        dev = np.max(np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(2)))
+        with pytest.raises(NotTracePreserving) as got:
+            ch.Channel(kraus)
+        assert str(got.value) == f"sum s K^dag K deviates from identity by {dev:.3e}"
+        # signed and trace preserving, not CP: E(X) = 2X - Z X Z has the Choi
+        # matrix 2|I>><<I| - |Z>><<Z| with |I>> and |Z>> orthogonal, of norm
+        # squared 2, so its least eigenvalue is -2, on |Z>>
+        with pytest.raises(NotCompletelyPositive) as got:
+            ch.Channel([np.sqrt(2.0) * np.eye(2), ch.PAULI_Z], signs=[1.0, -1.0])
+        assert str(got.value) == f"Choi matrix eigenvalue {-2.0:.3e}"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qbl.errors import (
     SingularC,
     ZeroOperator,
 )
+from qbl.policy import SUPP_RTOL
 from qbl.sampling import random_hermitian, random_pd
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -111,6 +113,95 @@ class TestStacks:
         _, vals, vecs = op.psd_stack([np.eye(2), np.zeros((2, 2))])
         with pytest.raises(ZeroOperator):
             op.support_logs(vals, vecs)
+
+
+def _hermitian_stack(rng, d=2, n=3):
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return g @ g.conj().swapaxes(1, 2)
+
+
+class TestWholeStackChecks:
+    """The Hermiticity test accepts a finite stack whose largest skew is
+    within HERM_RTOL at once; every other stack gets the per-matrix bound
+    HERM_RTOL * max(1, max |entry|) and today's rejections."""
+
+    def test_row_within_its_scaled_bound_only_is_accepted(self):
+        # entries 100 and skew 5e-7: over HERM_RTOL = 1e-8, within 1e-8 * 100
+        loose = np.array([[100.0, 5e-7], [0.0, 100.0]])
+        mats = np.concatenate([np.eye(2)[None], loose[None], np.diag([2.0, 1.0])[None]])
+        for given in (mats, list(mats)):
+            herm, _, _ = op.psd_stack(given)
+            for a, h in zip(mats, herm, strict=True):
+                assert np.array_equal(h, 0.5 * (a + a.conj().T))
+        assert np.array_equal(op.PSDOperator(loose).matrix, herm[1])
+
+    def test_hermitian_stack_is_its_own_hermitian_part(self):
+        mats = _hermitian_stack(np.random.default_rng(29))
+        herm, _, _ = op.psd_stack(mats)
+        assert np.array_equal(herm, 0.5 * (mats + mats.conj().swapaxes(1, 2)))
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(np.inf, 0.0)])
+    def test_non_finite_row_raises_without_a_warning(self, row, entry, bad):
+        mats = _hermitian_stack(np.random.default_rng(31)).astype(complex)
+        mats[(row, *entry)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                op.psd_stack(mats)
+            with pytest.raises(ValueError, match="non-finite"):
+                op.PSDOperator(mats[row])
+
+    @pytest.mark.parametrize("bad, skew", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), 0.1),
+        (np.array([[100.0, 2e-6], [0.0, 100.0]]), 2e-6),  # over 1e-8 * 100
+    ])
+    def test_non_hermitian_row_keeps_its_message(self, bad, skew):
+        want = f"matrix is not Hermitian: max |A - A^dag| = {skew:.3e}"
+        for build in (op.PSDOperator, lambda m: op.psd_stack([np.eye(2), m, np.eye(2)]),
+                      lambda m: op.psd_stack(np.stack([np.eye(2), m]))):
+            with pytest.raises(ValueError) as got:
+                build(bad)
+            assert type(got.value) is ValueError and str(got.value) == want
+
+
+class TestIndependentReference:
+    """psd_stack and support_logs row by row against numpy on one matrix at
+    a time, bit for bit: eigh of the Hermitian part, and the logarithm on
+    the support, V_s diag(log w_s) V_s^dag, with the kernel projector as
+    the flag."""
+
+    @staticmethod
+    def _stack(rng, d, deficient):
+        """Seven PSD d x d matrices: of full rank, or of ranks 1..d-1."""
+        mats = []
+        for i in range(7):
+            rank = 1 + i % (d - 1) if deficient else d
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            mats.append(g @ g.conj().T)
+        return mats
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_rows_match_one_matrix_at_a_time(self, d, deficient):
+        mats = self._stack(np.random.default_rng(37 + d), d, deficient)
+        for given in (mats, np.stack(mats)):
+            herm, vals, vecs = op.psd_stack(given)
+            logs = op.support_logs(vals, vecs)
+            for a, h, w, v, log in zip(mats, herm, vals, vecs, logs, strict=True):
+                h_ref = 0.5 * (a + a.conj().T)
+                w_ref, v_ref = np.linalg.eigh(h_ref)
+                assert np.array_equal(h, h_ref)
+                assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+                keep = w_ref > SUPP_RTOL * max(1.0, w_ref[-1])
+                on, off = v_ref[:, keep], v_ref[:, ~keep]
+                finite = (on * np.log(w_ref[keep])) @ on.conj().T
+                assert np.array_equal(log.finite, 0.5 * (finite + finite.conj().T))
+                assert log.has_kernel == deficient
+                if deficient:
+                    assert np.array_equal(log.weight, off @ off.conj().T)
 
 
 def _same_operator(a, b):

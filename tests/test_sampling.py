@@ -121,6 +121,31 @@ def test_one_generator_per_item():
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_generators_shared_by_runs_of_items():
+    # a sequence of generators that changes only between some items: each
+    # run of one generator is booked as one stretch of its stream
+    plan = [("pd", 2), ("boundary", 3), ("hs", 3), ("bloch", 2), ("pure", 2), ("pd", 2),
+            ("boundary", 1), ("bloch", 2), ("hs", 2)] * 3
+    order = [0, 0, 1, 1, 1, 0, 2, 2, 0] * 3
+    want_rngs = [np.random.default_rng(40 + k) for k in range(3)]
+    want = [_reference(want_rngs[k], ens, d) for k, (ens, d) in zip(order, plan)]
+    got_rngs = [np.random.default_rng(40 + k) for k in range(3)]
+    got = draw([got_rngs[k] for k in order], plan)
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert np.array_equal(a, b), f"item {i} {plan[i]}"
+    for g, ref in zip(got_rngs, want_rngs):
+        assert g.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_one_generator_per_item_needs_as_many_generators(count):
+    rngs = [np.random.default_rng(i) for i in range(count)]
+    before = [g.bit_generator.state for g in rngs]
+    with pytest.raises(ValueError, match="zip()"):
+        draw(rngs, [("pd", 2)] * 3)
+    assert [g.bit_generator.state for g in rngs] == before
+
+
 def test_single_draws_are_views_of_the_kernel():
     for name, ens in [("hs_mixed", "hs"), ("haar_pure", "pure"), ("boundary_biased", "boundary")]:
         _assert_same_stream([(ens, 3)], 8, lambda rng: [getattr(sampling, name)(3, rng)])
