@@ -297,8 +297,8 @@ class TestMeasurement:
         # flat vectors become the rows in one call; (d, 1) columns one at a time
         u = random_basis(3, np.random.default_rng(8))
         want = np.array([v.reshape(-1) for v in u])
-        for basis in (u, [list(v) for v in u], np.stack(u), [v[:, None] for v in u],
-                      tuple(v.real.astype(float) + 1j * v.imag for v in u), (v for v in u)):
+        for basis in (u, tuple(u), [list(v) for v in u], np.stack(u), [v[:, None] for v in u],
+                      (v for v in u)):
             assert np.array_equal(ch.basis_rows(basis), want)
 
 

@@ -145,7 +145,7 @@ class TestWholeStackChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
                                      complex(np.inf, 0.0)])
     def test_non_finite_row_raises_without_a_warning(self, row, entry, bad):
-        mats = _hermitian_stack(np.random.default_rng(31)).astype(complex)
+        mats = _hermitian_stack(np.random.default_rng(31))
         mats[(row, *entry)] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
