@@ -204,23 +204,6 @@ def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]):
     return np.array(out) if mat.ndim == 3 else [float(h) for h in out]
 
 
-def _density_spectra(rho) -> tuple[np.ndarray, np.ndarray]:
-    """One state (d, d) or a stack (n, d, d) as a stack of states, each
-    normalized and certified as DensityOperator certifies one (density_stack),
-    with their spectra from one eigh."""
-    mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    states, vals, _ = density_stack(mats.reshape(-1, *mats.shape[-2:]) if mats.ndim == 2 else mats)
-    return states, vals
-
-
-def entropy_bits(rho):
-    """H(A) = -tr rho log2 rho in bits: a float for one state, an array for
-    a stack of states, each normalized and certified as DensityOperator
-    certifies one."""
-    h = -xlogx_sum(_density_spectra(rho)[1]) / LN2
-    return float(h[0]) if np.ndim(getattr(rho, "matrix", rho)) == 2 else h
-
-
 def uncertainty_datum(bases: Sequence[Sequence[np.ndarray]]) -> BLDatum:
     """BL datum whose optimal constant is minus the uncertainty bound:
     channels are the basis measurements, q = 1, reference operators are
@@ -338,7 +321,8 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
     bases = six_state_bases()
     report = SixStateReport()
     if rho is not None:
-        states, vals = _density_spectra(rho)
+        mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+        states, vals, _ = density_stack(mats[None] if mats.ndim == 2 else mats)
         if states.shape[-1] != 2:
             raise DimensionMismatch("six-state relation is a qubit statement")
         hx, hy, hz = measurement_entropies_bits(states, bases)

@@ -230,10 +230,11 @@ def partial_trace(dims: Sequence[int], keep: Sequence[int]) -> Channel:
 
 def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
     """The vectors of a complete orthonormal basis as the rows of a d x d
-    array; NotOrthonormal if the Gram matrix deviates from the identity by
-    more than 1e-10, or the family is not a basis. A family of flat vectors of
-    one length becomes the array in one call; column vectors and families of
-    mixed lengths are read one vector at a time."""
+    array; NotOrthonormal if an entry is not finite, the Gram matrix
+    deviates from the identity by more than 1e-10, or the family is not a
+    basis. A family of flat vectors of one length becomes the array in one
+    call; column vectors and families of mixed lengths are read one vector
+    at a time."""
     try:
         rows = np.array(basis, dtype=complex)
     except (TypeError, ValueError):  # mixed shapes, or not an array of numbers
@@ -245,6 +246,8 @@ def basis_rows(basis: Sequence[np.ndarray]) -> np.ndarray:
             rows = np.empty((0, 0))
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.size == 0:
         raise NotOrthonormal("basis is not a complete orthonormal family")
+    if not np.isfinite(rows).all():  # nan passes the Gram test below
+        raise NotOrthonormal("basis has a non-finite entry")
     off = rows.conj() @ rows.T
     off.flat[:: len(rows) + 1] -= 1.0  # the Gram matrix minus the identity
     if abs(off).max() > 1e-10:

@@ -35,7 +35,6 @@ from .applications import (
     conditional_shearer_probe,
     contraction_coefficient,
     depolarizing_sdpi_scan,
-    entropy_bits,
     maassen_uffink_constant,
     measurement_entropies_bits,
     min_output_entropy,
@@ -54,6 +53,7 @@ from .engine import (
     bl_membership,
     duality_crosscheck,
 )
+from .entropy import von_neumann
 from .errors import QblError, SpecFormatError
 from .gaussian import deficit_trajectory, geometric_datum_check
 from .presets import PRESET_NAMES, build_preset
@@ -228,7 +228,7 @@ def cmd_verify(args, seed: int, task: dict) -> int:
         if "entropic" in forms:
             rhos = np.stack([rho for rho, _, _ in draws])
             hx, hz = measurement_entropies_bits(rhos, [bx, bz])
-            worst["entropic"] = float(np.min(hx + hz - entropy_bits(rhos) + np.log2(c)))
+            worst["entropic"] = float(np.min(hx + hz - von_neumann(rhos) / LN2 + np.log2(c)))
         if "analytic" in forms:
             worst["analytic"] = np.inf
             for _, w1, w2 in draws:

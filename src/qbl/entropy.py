@@ -16,6 +16,7 @@ from .operators import (
     HermitianOperator,
     PSDOperator,
     SupportLog,
+    density_stack,
     from_spectrum,
     log_trace_exp_sum,
     matrix_log,
@@ -39,10 +40,13 @@ def _as_density(x) -> DensityOperator:
     return DensityOperator(x)
 
 
-def von_neumann(rho) -> float:
-    """H(rho) = -tr rho log rho, with 0 log 0 = 0."""
-    rho = _as_density(rho)
-    return -float(xlogx_sum(rho.eigenvalues))
+def von_neumann(rho):
+    """H(rho) = -tr rho log rho, with 0 log 0 = 0: a float for one state, an
+    array for a stack (n, d, d) of states, each normalized and certified as
+    DensityOperator certifies one (density_stack)."""
+    if np.ndim(rho) == 3:
+        return -xlogx_sum(density_stack(rho)[1])
+    return -float(xlogx_sum(_as_density(rho).eigenvalues))
 
 
 def supports_contained(omega: PSDOperator, tau: PSDOperator) -> bool:

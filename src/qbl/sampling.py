@@ -8,16 +8,14 @@ calls of the one-at-a-time samplers, in their order, with runs of normal
 draws merged into one call, and then builds each (ensemble, d, rank) group
 of states as one stack. A block of states, such as the 64 samples that
 qbl verify draws at a time, is therefore bit-identical to the same states
-drawn one at a time. Only the items that make a generator call of their
-own are booked one at a time; the offsets of all others into the merged
-normal draws are one running sum, and the stacked samplers (random_pd,
-bloch_sample, random_density of several ensembles) write each group into
-their stack instead of stacking the states again.
+drawn one at a time. The kernel books the items in one pass over the
+plan, and the stacked samplers (random_pd, bloch_sample, random_density of
+several ensembles) write each group into their stack instead of stacking
+the states again.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +61,7 @@ def draw(rng, plan: Sequence[tuple[str, int]]) -> list[np.ndarray]:
     plan = list(plan)
     out: list[np.ndarray] = [None] * len(plan)
     for idx, states in _drawn_groups(rng, plan):
-        for i, state in zip(idx.tolist(), states):
+        for i, state in zip(idx, states):
             out[i] = state
     return out
 
@@ -79,69 +77,50 @@ def _draw_stack(rng, plan: Sequence[tuple[str, int]], d: int) -> np.ndarray:
 
 def _drawn_groups(rng, plan: list[tuple[str, int]]):
     """The states of draw, one (item indices, stack) per (ensemble, d, rank)
-    group of plan. Items are booked by kind, one kind per distinct
-    (ensemble, d), which fixes the rank except for a "boundary" kind at
-    d > 1: its items move to the group of the rank they draw. Only the
-    items that make a generator call of their own (that rank, a "bloch"
-    radius) and the items where the generator changes are visited one at a
-    time; the normal draws of the items between two of them are one call,
-    and the offsets of all items into the normal draws, which follow plan
-    order, are one running sum."""
-    groups: dict[tuple, int] = {}  # (ensemble, d) or (ensemble, d, rank) -> code
-    codes = [groups.setdefault((e, d), len(groups)) for e, d in plan]
-    kinds = list(groups)
-    bad = [(e, d) for e, d in kinds if e not in ENSEMBLES or (e == "bloch" and d != 2)]
+    group of plan, from one pass over its items. Each item's normal draws
+    are owed by its generator, which draws all it owes in one call just
+    before a call of an item's own (a boundary rank at d > 1, a Bloch radius
+    after its 3 normals) or a change of generator."""
+    bad = [(e, d) for e, d in plan if e not in ENSEMBLES or (e == "bloch" and d != 2)]
     if bad:
         raise ValueError(f"unknown ensemble or dimension {bad[0]!r}")
-    n = len(codes)
-    # per kind: the rank of its Gaussian matrices, its normal draws per item
-    # and whether its items make a generator call of their own
-    rank = [d if e in ("hs", "pd") else 1 for e, d in kinds]
-    width = [3 if e == "bloch" else 2 * d * r for (e, d), r in zip(kinds, rank)]
-    calls = [e == "bloch" or (e == "boundary" and d > 1) for e, d in kinds]
-    widths = [width[k] for k in codes]
-    events = [i for i, k in enumerate(codes) if calls[k]]
     if isinstance(rng, np.random.Generator):
-        rngs, changes = [rng] * n, set()
+        rngs = [rng] * len(plan)
     else:
         rngs = [g for _, g in zip(plan, rng, strict=True)]
-        changes = {i for i in range(1, n) if rngs[i] is not rngs[i - 1]}
-        events = sorted(changes.union(events))
-    radii = np.zeros(n)
     chunks: list[np.ndarray] = []  # the normal draws, in the order they were made
-    start = 0  # the first item whose normal draws are not made yet
+    done = owed = 0  # normals drawn so far; normals owed by the current generator
+    groups: dict[tuple[str, int, int], list] = {}  # key -> (item, offset, radius)
+    gen = None
 
-    def normals(stop: int, g) -> None:
-        """One call for the normal draws of the items start, ..., stop - 1."""
-        nonlocal start
-        size, start = sum(widths[start:stop]), stop
-        if size:
-            chunks.append(g.normal(size=size))
+    def flush():
+        nonlocal done, owed
+        if owed:
+            chunks.append(gen.normal(size=owed))
+            done, owed = done + owed, 0
 
-    for i in events:
-        if i in changes:
-            normals(i, rngs[i - 1])
-        (ens, d), g = plan[i], rngs[i]
+    for i, ((ens, d), g) in enumerate(zip(plan, rngs)):
+        if g is not gen:
+            flush()
+            gen = g
+        cols = d if ens in ("hs", "pd") else 1
+        if ens == "boundary" and d > 1:
+            flush()
+            cols = int(g.integers(1, d))
+        offset, radius = done + owed, 0.0
         if ens == "bloch":
-            normals(i + 1, g)
-            radii[i] = g.uniform() ** (1.0 / 3.0)
-        elif ens == "boundary" and d > 1:
-            normals(i, g)
-            r = int(g.integers(1, d))
-            codes[i] = groups.setdefault((ens, d, r), len(groups))
-            widths[i] = 2 * d * r
-    if n:
-        normals(n, rngs[-1])
+            owed += 3
+            flush()
+            radius = g.uniform() ** (1.0 / 3.0)
+        else:
+            owed += 2 * d * cols
+        groups.setdefault((ens, d, cols), []).append((i, offset, radius))
+    flush()
     z = np.concatenate(chunks) if chunks else np.empty(0)
-    ends = np.fromiter(accumulate(widths), dtype=int, count=n)
-
-    group_of = np.fromiter(codes, dtype=int, count=n)
-    for key, k in groups.items():
-        idx = np.flatnonzero(group_of == k)
-        if idx.size:
-            ens, d, c = key if len(key) == 3 else (*key, rank[k])
-            w = 3 if ens == "bloch" else 2 * d * c
-            yield idx, _build(ens, d, c, z[(ends[idx] - w)[:, None] + np.arange(w)], radii[idx])
+    for (ens, d, cols), items in groups.items():
+        idx, offsets, radii = zip(*items)
+        width = 3 if ens == "bloch" else 2 * d * cols
+        yield list(idx), _build(ens, d, cols, z[np.array(offsets)[:, None] + np.arange(width)], radii)
 
 
 def _build(ens: str, d: int, cols: int, rows: np.ndarray, radii) -> np.ndarray:

@@ -148,7 +148,7 @@ def test_05_maassen_uffink():
         c = app.maassen_uffink_constant(b1, b2)
         rhos = bloch_sample(rng_i, 1000)
         h1, h2 = app.measurement_entropies_bits(rhos, [b1, b2])
-        gaps = h1 + h2 + np.log2(c) - app.entropy_bits(rhos)
+        gaps = h1 + h2 + np.log2(c) - ent.von_neumann(rhos) / LN2
         worst_rand = min(worst_rand, float(np.min(gaps)))
     ok &= worst_rand >= -1e-9
     record(

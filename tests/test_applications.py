@@ -602,14 +602,13 @@ class TestStackedCheckers:
                         + [haar_pure(2, rng), np.diag([1.0, 0.0]), np.eye(2) / 2])
         bases = app.six_state_bases()
         stacked = app.measurement_entropies_bits(rhos, bases)
-        ha = app.entropy_bits(rhos)
+        ha = ent.von_neumann(rhos) / LN2
         rep = app.six_state_check(rho=rhos)
         assert stacked.shape == (3, len(rhos)) and ha.shape == (len(rhos),)
         for i, rho in enumerate(rhos):
             single = app.measurement_entropies_bits(rho, bases)
             assert np.max(np.abs(stacked[:, i] - single)) <= 1e-12
             assert abs(ha[i] - ent.von_neumann(rho) / LN2) <= 1e-12
-            assert abs(app.entropy_bits(rho) - ha[i]) <= 1e-12
             one = app.six_state_check(rho=rho)
             for key in ("entropy_sum_bits", "h_a_bits", "entropic_gap_bits",
                         "weaker_bound_gap_bits"):

@@ -1,11 +1,14 @@
 """Channels: Kraus algebra, named channels, adjoints, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbl import channels as ch
+from qbl.applications import maassen_uffink_constant
 from qbl.errors import (
     BadPartition,
     DimensionMismatch,
@@ -300,6 +303,21 @@ class TestMeasurement:
         for basis in (u, tuple(u), [list(v) for v in u], np.stack(u), [v[:, None] for v in u],
                       (v for v in u)):
             assert np.array_equal(ch.basis_rows(basis), want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    def test_non_finite_basis_rejected(self, value, entry):
+        # nan passes the Gram test (nan > 1e-10 is false) and inf warns in
+        # the Gram product, so finiteness is tested first
+        basis = np.eye(2)
+        basis[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (ch.basis_rows, ch.measurement_channel,
+                          lambda b: maassen_uffink_constant(b, ch.pauli_basis("z")),
+                          lambda b: maassen_uffink_constant(ch.pauli_basis("x"), b)):
+                with pytest.raises(NotOrthonormal, match="non-finite"):
+                    build(list(basis))
 
 
 class TestDepolarizing:

@@ -26,6 +26,19 @@ class TestVonNeumann:
             0.5623351446188083, abs=1e-12
         )
 
+    def test_stack_is_each_state_alone(self):
+        # a stack goes through density_stack, one state through
+        # DensityOperator: the same certified row, so the same bits
+        rng = np.random.default_rng(3)
+        mats = np.stack([2.0 * hs_mixed(3, rng), haar_pure(3, rng), np.eye(3), np.diag([1.0, 0, 0])])
+        got = ent.von_neumann(mats)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        for h, m in zip(got, mats):
+            assert h == ent.von_neumann(m) == ent.von_neumann(op.DensityOperator(m))
+        assert got[2] == pytest.approx(np.log(3), rel=1e-12)
+        with pytest.raises(ValueError, match="cannot normalize"):
+            ent.von_neumann(np.stack([np.eye(2), -np.eye(2)]))
+
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):

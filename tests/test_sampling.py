@@ -174,3 +174,58 @@ def test_unknown_ensemble_raises_before_drawing(plan):
 def test_blocks(n, sizes):
     assert SAMPLE_BLOCK == 64
     assert blocks(n) == sizes
+
+
+class _Recording(np.random.Generator):
+    """default_rng(seed)'s stream, recording the kernel's calls: normal
+    with its size, integers with the rank it drew, uniform."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def normal(self, *args, size=None, **kwargs):
+        self.calls.append(("normal", size))
+        return super().normal(*args, size=size, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.calls.append(("integers", int(out)))
+        return out
+
+    def uniform(self, *args, **kwargs):
+        self.calls.append(("uniform",))
+        return super().uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("plan, seed, calls", [
+    ([("pd", 2)] * 192, 0, [("normal", 1536)]),
+    ([("bloch", 2), ("pd", 2), ("pd", 2)] * 3, 0,
+     [("normal", 3), ("uniform",), ("normal", 19), ("uniform",), ("normal", 19), ("uniform",),
+      ("normal", 16)]),
+    # ranks 1 and 2: 8 r normals for the boundary matrix, 8 for the hs one
+    ([("boundary", 4), ("hs", 2)] * 2, 35,
+     [("integers", 1), ("normal", 16), ("integers", 2), ("normal", 24)]),
+])
+def test_normal_draws_are_merged_between_calls_of_their_own(plan, seed, calls):
+    # the stream alone does not show how many calls made it: one normal
+    # call per item would draw the same numbers
+    rng, want_rng = _Recording(seed), np.random.default_rng(seed)
+    want = [_reference(want_rng, ens, d) for ens, d in plan]
+    assert all(np.array_equal(a, b) for a, b in zip(draw(rng, plan), want, strict=True))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert rng.calls == calls
+
+
+def test_each_generator_sees_only_its_own_calls():
+    plan = [("bloch", 2), ("pd", 2), ("boundary", 3), ("hs", 2), ("pure", 2), ("pd", 3)]
+    rngs = [_Recording(i) for i in range(4)]
+    order = [0, 1, 2, 3, 1, 1]
+    draw([rngs[k] for k in order], plan)
+    ranks = [c[1] for c in rngs[2].calls if c[0] == "integers"]
+    assert [g.calls for g in rngs] == [
+        [("normal", 3), ("uniform",)],
+        [("normal", 8), ("normal", 4 + 18)],
+        [("integers", ranks[0]), ("normal", 6 * ranks[0])],
+        [("normal", 8)],
+    ]
