@@ -20,7 +20,7 @@ from . import entropy
 from .channels import (
     Channel,
     _pinching,
-    adjoint_on_log,
+    adjoint_on_flag,
     apply,
     apply_adjoint,
     basis_rows,
@@ -57,8 +57,8 @@ from .operators import (
     lieb_triple_integral,
     matrix_log,
     psd_stack,
-    support_logs,
-    trace_exp_sum,
+    support_log_stack,
+    trace_exp_rows,
     weighted_antinorm,
     xlogx_sum,
 )
@@ -243,29 +243,47 @@ class MuAnalyticReport:
 
 def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     """The operator-Jensen links of an analytic checker's proof chain for the
-    channels E_k: (lhs, pulled, (vals, vecs), jensen_mid) with
-    lhs = tr exp(log sigma + sum_k E_k^dag log w_k), the pulled-back
-    operators E_k^dag(w_k) as one stack, their spectra and eigenvectors, and
+    channels E_k, on a block of n omega tuples: an ndarray (n, K, d, d), or
+    one tuple of K omegas, which is a block of one. Returns per-row arrays
+    (lhs (n,), pulled (n, K, d_in, d_in), (vals, vecs), jensen_mid (n,))
+    with lhs = tr exp(log sigma + sum_k E_k^dag log w_k), the pulled-back
+    operators E_k^dag(w_k), their spectra and eigenvectors, and
     jensen_mid = tr exp(log sigma + sum_k log E_k^dag(w_k)); without
     log_sigma the log sigma term is 0 (sigma = I).
-    The omegas are validated as one stack, with one eigh for them and one
-    for the pulled-back operators; a rank-deficient omega keeps its kernel
-    flag (support-projected logs). With unit_trace, ValueError unless every
-    omega has trace 1 within 1e-9: the uncertainty bounds c and 1/4 hold
-    for unit-trace omegas only."""
-    if len(omegas) != len(chans):
-        raise DimensionMismatch(f"expected {len(chans)} omegas, got {len(omegas)}")
+    All n K omegas are validated as one stack, with one eigh for them, one
+    stacked E_k^dag per channel for their logs and themselves, and one
+    eigh for the pulled-back operators; the sums of rows without a kernel
+    flag take one eigh each for lhs and jensen_mid, and a rank-deficient
+    omega keeps its kernel flag (support-projected logs). With unit_trace,
+    ValueError unless every omega has trace 1 within 1e-9, naming the
+    traces of the first row that fails: the uncertainty bounds c and 1/4
+    hold for unit-trace omegas only."""
+    if isinstance(omegas, np.ndarray) and omegas.ndim == 4:
+        n, k = omegas.shape[:2]
+        omegas = omegas.reshape(n * k, *omegas.shape[2:])
+    else:
+        n, k = 1, len(omegas)
+    if k != len(chans):
+        raise DimensionMismatch(f"expected {len(chans)} omegas, got {k}")
     mats, vals, vecs = psd_stack(omegas)
     if unit_trace:
-        traces = np.trace(mats, axis1=1, axis2=2).real
-        if abs(traces - 1.0).max() > 1e-9:
-            raise ValueError(f"the bound needs unit-trace omegas, got traces {traces.tolist()}")
-    head = [] if log_sigma is None else [log_sigma]
-    logs = support_logs(vals, vecs)
-    lhs = trace_exp_sum(head + [adjoint_on_log(ch, lw) for ch, lw in zip(chans, logs)])
-    pulled = hermitian_part(np.stack([apply_adjoint(ch, w) for ch, w in zip(chans, mats)]))
+        traces = np.trace(mats, axis1=1, axis2=2).real.reshape(n, k)
+        off = (abs(traces - 1.0) > 1e-9).any(axis=1)
+        if off.any():
+            got = traces[np.argmax(off)].tolist()
+            raise ValueError(f"the bound needs unit-trace omegas, got traces {got}")
+    logs, flags = support_log_stack(vals, vecs)
+    both = np.stack([logs, mats], axis=1).reshape(n, k, 2, *mats.shape[1:])
+    images = hermitian_part(np.stack([apply_adjoint(ch, both[:, j]) for j, ch in enumerate(chans)],
+                                     axis=1))
+    pushed, pulled = images[:, :, 0], images[:, :, 1]
+    flags = {i: adjoint_on_flag(chans[i % k], w) for i, w in flags.items()}
+    lhs = trace_exp_rows(pushed, flags, log_sigma)
     spectra = np.linalg.eigh(pulled)
-    jensen_mid = trace_exp_sum(head + support_logs(*spectra))
+    d_in = pulled.shape[-1]
+    plogs, pflags = support_log_stack(spectra[0].reshape(n * k, d_in),
+                                      spectra[1].reshape(n * k, d_in, d_in))
+    jensen_mid = trace_exp_rows(plogs.reshape(pulled.shape), pflags, log_sigma)
     return lhs, pulled, spectra, jensen_mid
 
 
@@ -276,7 +294,7 @@ def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
     vx, vz = basis_rows(basis_x), basis_rows(basis_z)
     c = _max_overlap(vx, vz)
     chans = [_pinching(vx), _pinching(vz)]
-    lhs, (px, pz), _, jensen_mid = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
+    (lhs,), ((px, pz),), _, (jensen_mid,) = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
     gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
         gt_bound <= c + PSD_SLACK
@@ -293,15 +311,18 @@ def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
 
 @dataclass
 class SixStateReport:
-    entropy_sum_bits: float | None = None
-    h_a_bits: float | None = None
-    entropic_gap_bits: float | None = None  # H(X)+H(Y)+H(Z) - 2 - H(A)
-    weaker_bound_gap_bits: float | None = None  # vs 3/2 + (3/2) H(A)
-    analytic_lhs: float | None = None
-    analytic_gap: float | None = None  # 1/4 - lhs
-    jensen_mid: float | None = None
-    triple_integral: float | None = None
-    chain_holds: bool | None = None
+    # entropic fields: floats for one state, arrays (n,) for a stack of n
+    entropy_sum_bits: float | np.ndarray | None = None
+    h_a_bits: float | np.ndarray | None = None
+    entropic_gap_bits: float | np.ndarray | None = None  # H(X)+H(Y)+H(Z) - 2 - H(A)
+    weaker_bound_gap_bits: float | np.ndarray | None = None  # vs 3/2 + (3/2) H(A)
+    # analytic fields: floats (chain_holds a bool) for one omega triple,
+    # arrays (n,) for a block of n triples
+    analytic_lhs: float | np.ndarray | None = None
+    analytic_gap: float | np.ndarray | None = None  # 1/4 - lhs
+    jensen_mid: float | np.ndarray | None = None
+    triple_integral: float | np.ndarray | None = None
+    chain_holds: bool | np.ndarray | None = None
 
 
 def six_state_bases() -> list[list[np.ndarray]]:
@@ -315,8 +336,13 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
     also reports the weaker two-measurement consequence 3/2 + (3/2) H(A).
     rho is one state, or a stack of states whose entropic fields are then
     arrays, one entry per state. The analytic side checks
-    tr exp(sum M^dag log omega) <= 1/4 at three omegas and walks the
-    triple-matrix-integral proof chain.
+    tr exp(sum M^dag log omega) <= 1/4 at omega triples and walks the
+    triple-matrix-integral proof chain. omegas is one triple (three
+    omegas), whose analytic fields are floats, or an ndarray block
+    (m, 3, 2, 2) of m triples, whose fields are arrays, one entry per
+    triple; one triple is checked as a block of one, through the same
+    _jensen_chain and one stacked lieb_triple_integral, with the three
+    measurement channels built once per call.
     """
     bases = six_state_bases()
     report = SixStateReport()
@@ -335,16 +361,15 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
     if omegas is not None:
         chans = [measurement_channel(b) for b in bases]
         lhs, pinched, (pvals, pvecs), jensen_mid = _jensen_chain(chans, omegas, unit_trace=True)
-        triple = lieb_triple_integral(*pinched, spectrum=(pvals[2], pvecs[2]))
-        report.analytic_lhs = float(lhs)
-        report.analytic_gap = float(0.25 - lhs)
-        report.jensen_mid = float(jensen_mid)
-        report.triple_integral = float(triple)
-        report.chain_holds = bool(
-            lhs <= jensen_mid + PSD_SLACK
-            and jensen_mid <= triple + PSD_SLACK
-            and triple <= 0.25 + PSD_SLACK
-        )
+        triple = lieb_triple_integral(*np.moveaxis(pinched, 1, 0),
+                                      spectrum=(pvals[:, 2], pvecs[:, 2]))
+        chain = ((lhs <= jensen_mid + PSD_SLACK) & (jensen_mid <= triple + PSD_SLACK)
+                 & (triple <= 0.25 + PSD_SLACK))
+        fields = (lhs, 0.25 - lhs, jensen_mid, triple, chain)
+        if not (isinstance(omegas, np.ndarray) and omegas.ndim == 4):
+            fields = tuple(f[0].item() for f in fields)
+        (report.analytic_lhs, report.analytic_gap, report.jensen_mid, report.triple_integral,
+         report.chain_holds) = fields
     return report
 
 
@@ -420,7 +445,7 @@ def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     on dpi_datum(ch, sigma), together with the weaker operator-Jensen /
     Golden-Thompson chain."""
     datum = dpi_datum(ch, sigma)
-    lhs, (pulled,), _, jensen_mid = _jensen_chain([ch], [omega], matrix_log(datum.sigma))
+    (lhs,), ((pulled,),), _, (jensen_mid,) = _jensen_chain([ch], [omega], matrix_log(datum.sigma))
     rhs_dual = weighted_antinorm(omega, datum.sigmas[0], 1.0)
     rhs_weak = float(np.trace(datum.sigma.matrix @ pulled).real)
     return DpiAnalyticReport(

@@ -176,12 +176,14 @@ def adjoint_on_log(ch: Channel, slog: SupportLog) -> SupportLog:
     the directions excluded from downstream trace-exponentials.
     """
     finite = hermitian_part(apply_adjoint(ch, slog.finite))
-    if slog.weight is None:
-        return SupportLog(finite, None)
-    w = hermitian_part(apply_adjoint(ch, slog.weight))
-    if float(np.max(np.abs(w))) < 1e-14:
-        return SupportLog(finite, None)
-    return SupportLog(finite, w)
+    return SupportLog(finite, None if slog.weight is None else adjoint_on_flag(ch, slog.weight))
+
+
+def adjoint_on_flag(ch: Channel, weight: np.ndarray) -> np.ndarray | None:
+    """The kernel flag E^dag(weight) of a pushed logarithm, or None when it
+    vanishes (every entry below 1e-14)."""
+    w = hermitian_part(apply_adjoint(ch, weight))
+    return None if float(np.max(np.abs(w))) < 1e-14 else w
 
 
 def identity_channel(d: int) -> Channel:

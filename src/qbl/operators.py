@@ -11,10 +11,13 @@ regularization. The batched spectral functions the estimators use
 Each support-aware function has one implementation, on stacks, and one
 operator or one list of terms is a stack of one: PSDOperator and
 DensityOperator keep the certified row of psd_stack and density_stack,
-matrix_log is support_logs of an operator's own spectrum, and one list's
-sum_on_joint_support runs the joint-support core of log_trace_exp_sums
-and exp_on_supports, which group lists of equal dimension and support
-rank into one stack. Certification tests a whole stack first: a finite
+matrix_log is support_logs (support_log_stack as a list) of an operator's
+own spectrum, and one list's sum_on_joint_support runs the joint-support
+core of log_trace_exp_sums, exp_on_supports and trace_exp_rows, which
+group lists of equal dimension and support rank into one stack;
+trace_exp_rows takes the rows of a stack of terms that have no kernel
+flag through one eigh. lieb_triple_integral takes three operators or
+three stacks. Certification tests a whole stack first: a finite
 stack whose largest skew is within HERM_RTOL, and whose least eigenvalue
 is within every row's eps_supp, passes without per-matrix bounds; any
 other stack gets them, with the rejection each row would raise alone.
@@ -362,6 +365,36 @@ def exp_on_supports(term_lists: Sequence[Sequence]) -> list[np.ndarray]:
     return out
 
 
+def trace_exp_rows(terms: np.ndarray, flags: dict, head: SupportLog | None = None) -> np.ndarray:
+    """trace_exp_sum of each row of a stack of terms: their finite parts
+    (n, K, d, d), the kernel flags {r * K + k: weight} of the terms that
+    have one (a None weight counts as none), and an optional head, one
+    SupportLog that leads every row's sum. The rows without a kernel flag
+    are summed in the order of their terms and take one eigh; the others
+    go through _joint_support_groups."""
+    n, k = terms.shape[:2]
+    out = np.empty(n)
+    flagged = sorted(range(n) if head is not None and head.has_kernel
+                     else {i // k for i, w in flags.items() if w is not None})
+    plain = slice(None)
+    if flagged:
+        plain = np.ones(n, dtype=bool)
+        plain[flagged] = False
+    if len(flagged) < n:
+        rows = terms[plain]
+        total = rows[:, 0] if head is None else head.finite + rows[:, 0]
+        for j in range(1, k):
+            total = total + rows[:, j]
+        out[plain] = np.sum(np.exp(np.linalg.eigh(total)[0]), axis=-1)
+    if flagged:
+        lists = [([] if head is None else [head])
+                 + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)]
+                 for r in flagged]
+        for rows, vals, _ in _joint_support_groups(lists):
+            out[[flagged[i] for i in rows]] = np.sum(np.exp(vals), axis=-1)
+    return out
+
+
 def _certified(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Hermitian parts (n, d, d), spectra (n, d) and eigenvectors
     (n, d, d) of a stack of matrices, from one eigh, each matrix certified
@@ -394,24 +427,34 @@ def psd_stack(mats: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _certified(stack)
 
 
-def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
-    """The support-projected logarithm of each operator of a PSD stack, from
-    its spectrum (n, d) and eigenvectors (n, d, d). Eigenvalues at or below
-    eps_supp are not regularized; the kernel projector travels with the
-    log as a -infinity flag. When no operator has a kernel, the finite
-    parts come from one batched product; otherwise each operator's finite
-    part and kernel flag come from its own support and kernel columns."""
+def support_log_stack(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The support-projected logarithms of a PSD stack, from its spectrum
+    (n, d) and eigenvectors (n, d, d), as one stack (n, d, d) of finite
+    parts and the kernel flags {i: weight} of the operators that have a
+    kernel. Eigenvalues at or below eps_supp are not regularized; the kernel
+    projector travels with the log as a -infinity flag. When no operator has
+    a kernel, the finite parts come from one batched product; otherwise each
+    operator's finite part and kernel flag come from its own support and
+    kernel columns."""
     keep = vals > SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
     if keep.all():
-        return [SupportLog(f) for f in hermitian_part(from_spectrum(np.log(vals), vecs))]
+        return hermitian_part(from_spectrum(np.log(vals), vecs)), {}
     if not keep.any(axis=1).all():
         raise ZeroOperator("cannot take the logarithm of the zero operator")
-    out = []
-    for v, u, k in zip(vals, vecs, keep):
-        kernel = u[:, ~k]
-        finite = hermitian_part(from_spectrum(np.log(v[k]), u[:, k]))
-        out.append(SupportLog(finite, kernel @ kernel.conj().T if kernel.size else None))
-    return out
+    finite = np.empty_like(vecs)
+    flags = {}
+    for i, (v, u, k) in enumerate(zip(vals, vecs, keep)):
+        finite[i] = hermitian_part(from_spectrum(np.log(v[k]), u[:, k]))
+        if not k.all():
+            kernel = u[:, ~k]
+            flags[i] = kernel @ kernel.conj().T
+    return finite, flags
+
+
+def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
+    """support_log_stack as one SupportLog per operator of the stack."""
+    finite, flags = support_log_stack(vals, vecs)
+    return [SupportLog(f, flags.get(i)) for i, f in enumerate(finite)]
 
 
 def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,47 +528,52 @@ def weighted_antinorm(w: PSDOperator, sigma: PSDOperator, p: float) -> float:
 
 
 def _log_mean(vals: np.ndarray) -> np.ndarray:
-    """Divided difference of log on a positive spectrum g: the matrix
-    L_ij = (log g_i - log g_j) / (g_i - g_j), with L_ij = 1/max(g_i, g_j)
-    where the two are within 1e-12 relative (the limit L(x, x) = 1/x)."""
-    gi, gj = vals[:, None], vals[None, :]
+    """Divided difference of log on a positive spectrum g (d,), or on each
+    spectrum of a stack (n, d): the matrix L_ij = (log g_i - log g_j) /
+    (g_i - g_j), with L_ij = 1/max(g_i, g_j) where the two are within 1e-12
+    relative (the limit L(x, x) = 1/x)."""
+    gi, gj = vals[..., :, None], vals[..., None, :]
     top = np.maximum(gi, gj)
     near = np.abs(gi - gj) <= 1e-12 * top
     logs = np.log(vals)
-    split = (logs[:, None] - logs[None, :]) / np.where(near, 1.0, gi - gj)
+    split = (logs[..., :, None] - logs[..., None, :]) / np.where(near, 1.0, gi - gj)
     return np.where(near, 1.0 / top, split)
 
 
-def lieb_triple_integral(
-    a: PSDOperator,
-    b: PSDOperator,
-    c: PSDOperator,
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def lieb_triple_integral(a, b, c, spectrum: tuple[np.ndarray, np.ndarray] | None = None):
     """Integral_0^inf tr a (c^-1 + t)^-1 b (c^-1 + t)^-1 dt.
 
     In the eigenbasis of c (eigenvalues g, a~ and b~ the rotated a and b)
     each t-integral is g_i g_j L(g_i, g_j), with L the log-mean kernel, so
     the integral is the finite sum sum_ij a~_ij b~_ji g_i g_j L(g_i, g_j).
     Upper-bounds tr exp(log a + log b + log c); that bound is verified in
-    tests, not assumed here. A caller that has already eigendecomposed c
-    passes its spectrum (eigenvalues ascending, eigenvectors), which is
-    then used in place of a PSDOperator of c; either way c must be
-    positive definite, every eigenvalue above its eps_supp.
+    tests, not assumed here. a, b and c are three operators of one
+    dimension, with a float result, or three stacks (n, d, d), with one
+    entry per row in an array (n,); one operator is a stack of one. A
+    caller that has already eigendecomposed c passes its spectrum
+    (eigenvalues ascending, eigenvectors; for a stack, one row each), which
+    is then used in place of a certification of c; either way every row of
+    c must be positive definite, every eigenvalue above its eps_supp, or
+    SingularC.
     """
     am, bm, cm = (_as_matrix(x) for x in (a, b, c))
-    if not (am.shape == bm.shape == cm.shape):
+    if not (am.shape == bm.shape == cm.shape) or cm.ndim not in (2, 3):
         raise DimensionMismatch("triple integral needs three same-dimension operators")
+    d = cm.shape[-1]
     if spectrum is None:
-        cop = c if isinstance(c, PSDOperator) else PSDOperator(cm)
-        spectrum = cop.eigenvalues, cop.eigenvectors
-    gvals, gvecs = spectrum
-    if not (gvals > eps_supp(max(float(gvals[-1]), 0.0))).all():
+        if isinstance(c, PSDOperator):
+            spectrum = c.eigenvalues, c.eigenvectors
+        else:
+            spectrum = psd_stack(cm.reshape(-1, d, d))[1:]
+    gvals, gvecs = np.reshape(spectrum[0], (-1, d)), np.reshape(spectrum[1], (-1, d, d))
+    if not (gvals > SUPP_RTOL * np.maximum(1.0, gvals[:, -1:])).all():
         raise SingularC("third argument must be strictly positive definite")
-    at = gvecs.conj().T @ am @ gvecs
-    bt = gvecs.conj().T @ bm @ gvecs
-    weight = np.outer(gvals, gvals) * _log_mean(gvals)
-    return float(np.sum(at * bt.T * weight).real)
+    rot = gvecs.conj().swapaxes(-1, -2)
+    at = rot @ am.reshape(-1, d, d) @ gvecs
+    bt = rot @ bm.reshape(-1, d, d) @ gvecs
+    weight = gvals[:, :, None] * gvals[:, None, :] * _log_mean(gvals)
+    out = np.sum(at * bt.swapaxes(-1, -2) * weight, axis=(-2, -1)).real
+    return out if cm.ndim == 3 else float(out[0])
 
 
 def operator_jensen_check(

@@ -633,8 +633,9 @@ class TestStackedCheckers:
 
     def test_triple_integral_takes_the_stacked_spectrum(self, monkeypatch):
         # six_state_check hands lieb_triple_integral the eigendecomposition
-        # of the third pinched operator from the chain's one stacked eigh,
-        # and gets the value a PSDOperator of that operator gives
+        # of the third pinched operators from the chain's one stacked eigh,
+        # one triple as a stack of one, and gets the value PSDOperators of
+        # those operators give
         seen = []
 
         def recorded(*args, **kwargs):
@@ -647,10 +648,66 @@ class TestStackedCheckers:
         rep = app.six_state_check(omegas=oms)
         (pinched, kwargs), = seen
         vals, vecs = kwargs["spectrum"]
+        assert [p.shape for p in pinched] == [(1, 2, 2)] * 3
         assert np.array_equal(vals, np.linalg.eigh(pinched[2])[0])
-        assert np.max(np.abs((vecs * vals[None, :]) @ vecs.conj().T - pinched[2])) <= 1e-14
-        ops = [op.PSDOperator(p) for p in pinched]
+        assert np.max(np.abs(op.from_spectrum(vals, vecs) - pinched[2])) <= 1e-14
+        ops = [op.PSDOperator(p[0]) for p in pinched]
         assert rep.triple_integral == op.lieb_triple_integral(*ops)
+
+    ANALYTIC = ("analytic_lhs", "jensen_mid", "triple_integral", "analytic_gap", "chain_holds")
+
+    @pytest.mark.parametrize("kind", ["pd", "rank-deficient"])
+    def test_block_rows_equal_each_triple_alone(self, kind):
+        # every row of a block is the triple checked alone, bit for bit;
+        # the rank-deficient block mixes full-rank rows with rows whose
+        # kernel flags spread over the whole space (haar_pure, diag(0, 1))
+        # or stay on a line (an eigenstate of its own slot's basis). No
+        # singular omega sits in the Z slot, whose pinched operator is the
+        # triple integral's definite third argument
+        rng = np.random.default_rng(43)
+        oms = random_pd(2, rng, 3 * 40).reshape(40, 3, 2, 2)
+        if kind == "rank-deficient":
+            plus = [np.outer(b[0], b[0].conj()) for b in app.six_state_bases()]
+            for i in range(0, 40, 6):
+                oms[i, i // 6 % 3] = haar_pure(2, rng)
+                oms[i + 1, i // 6 % 2] = np.diag([0.0, 1.0])
+                oms[i + 2, i // 6 % 2] = plus[i // 6 % 2]
+        rep = app.six_state_check(omegas=oms)
+        assert all(np.shape(getattr(rep, key)) == (40,) for key in self.ANALYTIC)
+        if kind == "rank-deficient":
+            assert (rep.analytic_lhs[1::6] == 0.0).all() and (rep.analytic_lhs[2::6] > 0.0).all()
+        for i, oms_i in enumerate(oms):
+            one = app.six_state_check(omegas=oms_i)
+            assert isinstance(one.analytic_lhs, float) and isinstance(one.chain_holds, bool)
+            for key in self.ANALYTIC:
+                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)), (i, key)
+            got = (rep.analytic_lhs[i], rep.jensen_mid[i], rep.triple_integral[i])
+            assert np.max(np.abs(np.subtract(got, _reference_six_state(oms_i)))) <= 1e-12
+        assert rep.chain_holds.all()
+
+    @pytest.mark.parametrize("row", [0, 7, 15])
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -0.1]),  # not PSD
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+        np.diag([0.7, 0.6]),  # trace 1.3
+    ])
+    def test_invalid_omega_in_a_block_rejected_as_alone(self, bad, row):
+        rng = np.random.default_rng(44)
+        oms = random_pd(2, rng, 48).reshape(16, 3, 2, 2)
+        oms[row, 1] = bad
+        with pytest.raises(ValueError) as alone:
+            app.six_state_check(omegas=oms[row])
+        with pytest.raises(ValueError) as block:
+            app.six_state_check(omegas=oms)
+        assert type(block.value) is type(alone.value)
+        assert str(block.value) == str(alone.value)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_block_needs_three_omegas_per_row(self, count):
+        oms = np.broadcast_to(np.eye(2) / 2, (5, count, 2, 2)).copy()
+        with pytest.raises(DimensionMismatch, match="expected 3 omegas"):
+            app.six_state_check(omegas=oms)
 
     def test_singular_omega_keeps_its_kernel(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")

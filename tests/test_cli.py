@@ -123,6 +123,34 @@ class TestVerify:
         assert rep["six_state"]["worst_analytic_gap"] >= -1e-9
 
 
+    def test_six_state_blocks_of_64_and_1(self, capsys, monkeypatch):
+        # 65 samples make a block of 64 and a block of 1, each checked by
+        # one call; the worst analytic gap is the least of the per-triple
+        # checks on the same draws (the states are drawn first)
+        from qbl import cli
+        from qbl.applications import six_state_check
+        from qbl.sampling import bloch_sample, blocks, random_pd
+
+        shapes = []
+
+        def recorded(rho=None, omegas=None):
+            if omegas is not None:
+                shapes.append(omegas.shape)
+            return six_state_check(rho=rho, omegas=omegas)
+
+        monkeypatch.setattr(cli, "six_state_check", recorded)
+        code, out = run(capsys, "verify", "six-state", "--samples", "65", "--seed", "3",
+                        "--no-meta")
+        assert code == 0
+        assert shapes == [(64, 3, 2, 2), (1, 3, 2, 2)]
+        rng = np.random.default_rng(3)
+        for m in blocks(65):
+            bloch_sample(rng, m)
+        triples = np.concatenate([random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2) for m in blocks(65)])
+        worst = min(six_state_check(omegas=oms).analytic_gap for oms in triples)
+        assert json.loads(out)["six_state"]["worst_analytic_gap"] == worst
+
+
 class TestConstant:
     def test_mu_pauli(self, capsys):
         code, out = run(

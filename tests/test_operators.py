@@ -586,6 +586,35 @@ class TestLiebTriple:
         op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
 
 
+    def test_stack_rows_match_each_row_alone(self):
+        # each row of a stack's value is that row's triple alone, as
+        # matrices and as PSDOperators, bit for bit, with or without the
+        # stacked spectrum of c; the stacks are certified first, so that a
+        # PSDOperator keeps each matrix as it is
+        rng = np.random.default_rng(64)
+        for dim in (2, 3):
+            a, b, c = (op.psd_stack(random_pd(dim, rng, 12))[0] for _ in range(3))
+            stacked = op.lieb_triple_integral(a, b, c)
+            assert stacked.shape == (12,)
+            given = op.lieb_triple_integral(a, b, c, spectrum=op.psd_stack(c)[1:])
+            assert np.array_equal(given, stacked)
+            for i in range(12):
+                assert stacked[i] == op.lieb_triple_integral(a[i], b[i], c[i])
+                ops = [op.PSDOperator(x[i]) for x in (a, b, c)]
+                assert stacked[i] == op.lieb_triple_integral(*ops)
+
+    @pytest.mark.parametrize("row", [0, 5, 11])
+    def test_stack_with_one_singular_c_rejected(self, row):
+        rng = np.random.default_rng(65)
+        a, b, c = (random_pd(2, rng, 12) for _ in range(3))
+        for singular in (np.diag([1.0, 0.0]), np.diag([1.0, 5e-11])):
+            c[row] = singular
+            with pytest.raises(SingularC):
+                op.lieb_triple_integral(a, b, c)
+            with pytest.raises(SingularC):
+                op.lieb_triple_integral(a, b, c, spectrum=op.psd_stack(c)[1:])
+
+
 class TestOperatorJensen:
     def test_identity_map(self):
         rng = np.random.default_rng(8)
