@@ -390,8 +390,8 @@ def trace_exp_rows(terms: np.ndarray, flags: dict, head: SupportLog | None = Non
         lists = [([] if head is None else [head])
                  + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)]
                  for r in flagged]
-        for rows, vals, _ in _joint_support_groups(lists):
-            out[[flagged[i] for i in rows]] = np.sum(np.exp(vals), axis=-1)
+        for group, vals, _ in _joint_support_groups(lists):
+            out[[flagged[i] for i in group]] = np.sum(np.exp(vals), axis=-1)
     return out
 
 
