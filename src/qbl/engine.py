@@ -47,11 +47,14 @@ iterations per row: a side records the most any of its restarts took.
 The work around the search goes per output dimension, not per channel.
 The analytic side's starts draw the omega_k of one output dimension with
 one random_density call and take their logs with one eigh_log. Its
-certificate takes the induced logs L_k once (induced_logs: each channel
-applied on its own, the E_k(rho) of one output dimension certified and
-their logs taken from one eigh); analytic_gap evaluates them, and the
-witness exponentiates and certifies the omega_k of one output dimension
-as one stack. Each gives, bit for bit, what one channel at a time gives.
+certificate is one path: it takes the induced logs L_k once
+(induced_logs: each channel applied on its own, the E_k(rho) of one
+output dimension certified and their logs taken from that one eigh, every
+eigenvalue lifted to eigh_log's floor of 1e-15 lambda_max), so each L_k
+is one Hermitian matrix and each omega_k has full rank; analytic_gap
+evaluates them, and the witness exponentiates and certifies the omega_k
+of one output dimension as one stack. Each gives, bit for bit, what one
+channel at a time gives.
 
 A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
 has a critical scale t*, the q scale up to which its constant is 0.
@@ -92,6 +95,7 @@ from .operators import (
     density_stack,
     eigh_log,
     exp_on_supports,
+    floored_log,
     gibbs,
     hermitian_part,
     log_sum_exp,
@@ -99,7 +103,6 @@ from .operators import (
     log_trace_exp_sums,
     matrix_log,
     sqrt_psd,
-    support_logs,
     trace_prod,
     xlogx_sum,
 )
@@ -829,26 +832,15 @@ def _by_output_dim(datum: BLDatum, stacked, items: list) -> list:
 
 def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
     """The logarithms L_k = q_k (log E_k(rho) - log sigma_k) of the omega
-    tuple the duality proof pairs with a state rho. Each is finite on supp
-    E_k(rho) and flags its kernel, from the eps_supp cut of E_k(rho) alone:
-    unless E_k(sigma) leaks out of supp sigma_k, supp E_k(rho) lies in supp
-    sigma_k. Evaluating analytic_gap on the logs skips a second cut of
-    exp(L_k), which q_k > 1 can push below the support threshold. Each
-    channel is applied on its own; the E_k(rho) of one output dimension
-    are certified and their logs taken as one stack."""
+    tuple the duality proof pairs with a state rho, each one Hermitian
+    matrix with no kernel flag. log E_k(rho) is floored_log of its spectrum:
+    every eigenvalue is lifted to eigh_log's floor, 1e-15 lambda_max, so a
+    rank of E_k(rho) just under the support cut still carries its value.
+    Each channel is applied on its own; the E_k(rho) of one output
+    dimension are certified, and their logs taken, from one eigh."""
     rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
     taus = [apply(ch, rho) for ch in datum.channels]
-    lts = _by_output_dim(datum, lambda mats: support_logs(*density_stack(mats)[1:]), taus)
-    return [SupportLog(lt.finite - matrix_log(sk).finite, lt.weight).scaled(qk)
-            for lt, sk, qk in zip(lts, datum.sigmas, datum.q)]
-
-
-def _floored_logs(datum: BLDatum, rho: DensityOperator) -> list[SupportLog]:
-    """induced_logs with no support cut: each log E_k(rho) keeps every
-    eigenvalue above eigh_log's floor, 1e-15 lambda_max, so no L_k flags a
-    kernel."""
-    taus = [apply(ch, rho) for ch in datum.channels]
-    lts = _by_output_dim(datum, lambda mats: eigh_log(density_stack(mats)[0])[1], taus)
+    lts = _by_output_dim(datum, lambda mats: floored_log(*density_stack(mats)[1:]), taus)
     return [SupportLog(hermitian_part(lt) - matrix_log(sk).finite).scaled(qk)
             for lt, sk, qk in zip(lts, datum.sigmas, datum.q)]
 
@@ -857,12 +849,12 @@ def induced_analytic_witness(datum: BLDatum, logs) -> list[DensityOperator]:
     """The omega tuple the duality proof pairs with a state rho:
     omega_k proportional to exp(L_k) for the induced_logs L_k (given, or
     taken here from rho), that is [exp(log E_k(rho) - log sigma_k)]^(q_k),
-    supported on the support of E_k(rho).
+    each of full rank.
 
     Evaluating the analytic objective at this tuple is always >= the
-    entropic objective at rho. The L_k of one output dimension and support
-    rank are exponentiated, and the omega_k of one output dimension
-    certified, as one stack.
+    entropic objective at rho. The L_k of one output dimension are
+    exponentiated, and the omega_k of one output dimension certified, as
+    one stack.
     """
     if not (isinstance(logs, list) and all(isinstance(lk, SupportLog) for lk in logs)):
         logs = induced_logs(datum, logs)
@@ -896,16 +888,12 @@ def optimal_constant_analytic(
     cross-check, this side's half of its stacked search is read from the
     datum. The witness is the tuple the duality proof pairs with the best
     final state rho, omega_k ~ exp(L_k) with L_k = q_k (log E_k(rho) -
-    log sigma_k), supported exactly on supp E_k(rho) (the eps_supp cut of
-    each E_k(rho)), so it may be rank-deficient. The reported constant is
-    the exact re-evaluation (analytic_gap at C = 0) of the logs L_k, a
+    log sigma_k) (induced_logs: every eigenvalue of E_k(rho) floored at
+    1e-15 lambda_max, so each omega_k has full rank). The reported constant
+    is the exact re-evaluation (analytic_gap at C = 0) of the logs L_k, a
     certified lower bound: the analytic value of the induced tuple is at
-    least the entropic value at rho. When the cut tuple's value falls 1e-8
-    below it (the cut dropped a rank of E_k(rho) that carries value, as at
-    a near-pure winner), the tuple of the floored logs (_floored_logs) is
-    re-evaluated instead, and its larger value is reported with its
-    tuple; Diverged is raised only if both fall short. A datum whose
-    E_k(sigma) leaks out of supp sigma_k has constant +inf.
+    least the entropic value at rho. A datum whose E_k(sigma) leaks out of
+    supp sigma_k has constant +inf.
     """
     seeds = budget.seeds()
     leak = datum._leak
@@ -915,23 +903,10 @@ def optimal_constant_analytic(
             INF, [w.matrix for w in witness], "support_leak", seeds
         )
     _, v, _ = datum._search_space()
-    internal, rho, *counts = _search(datum, budget, "analytic")[0]
-    zero_c = datum.with_constant(0.0)
-
-    def drifted(value: float) -> bool:
-        return not np.isfinite(value) or value < internal - 1e-8
-
+    _, rho, *counts = _search(datum, budget, "analytic")[0]
     try:
-        rho = DensityOperator(_lift(v, rho))
-        logs = induced_logs(datum, rho)
-        best_val = -analytic_gap(zero_c, logs)
-        if drifted(best_val):
-            floored = _floored_logs(datum, rho)
-            uncut = -analytic_gap(zero_c, floored)
-            if drifted(uncut):
-                raise Diverged(f"witness re-evaluation drifted: {best_val} (uncut {uncut}) "
-                               f"vs internal {internal}")
-            best_val, logs = uncut, floored
+        logs = induced_logs(datum, _lift(v, rho))
+        best_val = -analytic_gap(datum.with_constant(0.0), logs)
         witness = induced_analytic_witness(datum, logs)
     except ValueError as exc:
         raise Diverged(f"cannot build the induced analytic witness: {exc}") from exc

@@ -21,10 +21,6 @@ class InvalidExponent(QblError, ValueError):
     """Schatten/anti-norm exponent out of range."""
 
 
-class SingularC(QblError, ValueError):
-    """Triple-matrix integral needs a strictly positive definite third argument."""
-
-
 class NotUnital(QblError, ValueError):
     """Map fails the unitality check."""
 

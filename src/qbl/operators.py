@@ -7,7 +7,8 @@ the kernel is carried as an explicit PSD weight whose directions are
 pushed to -infinity inside trace-exponentials. This makes tr exp(sum of
 logs) exact on the joint support instead of relying on eigenvalue
 regularization. The batched spectral functions the estimators use
-(eigh_log, gibbs, sqrt_psd) act on raw stacks without support handling.
+(eigh_log and its floored_log, gibbs, sqrt_psd) act on raw stacks
+without support handling.
 Each support-aware function has one implementation, on stacks, and one
 operator or one list of terms is a stack of one: PSDOperator and
 DensityOperator keep the certified row of psd_stack and density_stack,
@@ -17,7 +18,7 @@ core of log_trace_exp_sums, exp_on_supports and trace_exp_rows, which
 group lists of equal dimension and support rank into one stack;
 trace_exp_rows takes the rows of a stack of terms that have no kernel
 flag through one eigh. lieb_triple_integral takes three operators or
-three stacks. Certification tests a whole stack first: a finite
+three stacks, and any PSD third argument, on its support. Certification tests a whole stack first: a finite
 stack whose largest skew is within HERM_RTOL, and whose least eigenvalue
 is within every row's eps_supp, passes without per-matrix bounds; any
 other stack gets them, with the rejection each row would raise alone.
@@ -30,13 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidExponent,
-    NotUnital,
-    SingularC,
-    ZeroOperator,
-)
+from .errors import DimensionMismatch, InvalidExponent, NotUnital, ZeroOperator
 from .policy import HERM_RTOL, PSD_SLACK, SUPP_RTOL, SUPPORT_LEAK_TOL, eps_supp
 
 
@@ -78,16 +73,21 @@ def log_sum_exp(vals: np.ndarray) -> np.ndarray:
     return out + top[..., 0]
 
 
-def eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra and logarithms of PSD stacks; eigenvalues are lifted to the
-    floor 1e-15 lambda_max (at least 1e-300) inside the log so kernels stay
-    finite. eigh returns a kernel eigenvalue as rounding noise of about
-    1e-16 lambda_max, so the floor sits just above it: below it the log of
-    a kernel eigenvalue would be the log of that noise, which differs
-    between two roundings of the same matrix."""
-    vals, vecs = np.linalg.eigh(mats)
+def floored_log(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Logarithms of PSD stacks from their spectra (..., d) and eigenvectors
+    (..., d, d), each eigenvalue lifted to the floor 1e-15 lambda_max (at
+    least 1e-300) so kernels stay finite. eigh returns a kernel eigenvalue
+    as rounding noise of about 1e-16 lambda_max, so the floor sits just
+    above it: below it the log of a kernel eigenvalue would be the log of
+    that noise, which differs between two roundings of the same matrix."""
     floor = np.maximum(vals[..., -1:] * 1e-15, 1e-300)
-    return vals, from_spectrum(np.log(np.maximum(vals, floor)), vecs)
+    return from_spectrum(np.log(np.maximum(vals, floor)), vecs)
+
+
+def eigh_log(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and floored_log of PSD stacks, from one eigh."""
+    vals, vecs = np.linalg.eigh(mats)
+    return vals, floored_log(vals, vecs)
 
 
 def gibbs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -546,15 +546,16 @@ def lieb_triple_integral(a, b, c, spectrum: tuple[np.ndarray, np.ndarray] | None
     In the eigenbasis of c (eigenvalues g, a~ and b~ the rotated a and b)
     each t-integral is g_i g_j L(g_i, g_j), with L the log-mean kernel, so
     the integral is the finite sum sum_ij a~_ij b~_ji g_i g_j L(g_i, g_j).
+    The kernel goes to 0 as g_i or g_j does, so for a singular c the
+    integral is the same sum on supp c: a pair with an eigenvalue at or
+    below its eps_supp (the support cut of support_log_stack) weighs 0.
     Upper-bounds tr exp(log a + log b + log c); that bound is verified in
     tests, not assumed here. a, b and c are three operators of one
     dimension, with a float result, or three stacks (n, d, d), with one
     entry per row in an array (n,); one operator is a stack of one. A
     caller that has already eigendecomposed c passes its spectrum
     (eigenvalues ascending, eigenvectors; for a stack, one row each), which
-    is then used in place of a certification of c; either way every row of
-    c must be positive definite, every eigenvalue above its eps_supp, or
-    SingularC.
+    is then used in place of a certification of c as PSD.
     """
     am, bm, cm = (_as_matrix(x) for x in (a, b, c))
     if not (am.shape == bm.shape == cm.shape) or cm.ndim not in (2, 3):
@@ -566,12 +567,13 @@ def lieb_triple_integral(a, b, c, spectrum: tuple[np.ndarray, np.ndarray] | None
         else:
             spectrum = psd_stack(cm.reshape(-1, d, d))[1:]
     gvals, gvecs = np.reshape(spectrum[0], (-1, d)), np.reshape(spectrum[1], (-1, d, d))
-    if not (gvals > SUPP_RTOL * np.maximum(1.0, gvals[:, -1:])).all():
-        raise SingularC("third argument must be strictly positive definite")
+    keep = gvals > SUPP_RTOL * np.maximum(1.0, gvals[:, -1:])
     rot = gvecs.conj().swapaxes(-1, -2)
     at = rot @ am.reshape(-1, d, d) @ gvecs
     bt = rot @ bm.reshape(-1, d, d) @ gvecs
-    weight = gvals[:, :, None] * gvals[:, None, :] * _log_mean(gvals)
+    g = np.where(keep, gvals, 1.0)
+    weight = np.where(keep[:, :, None] & keep[:, None, :],
+                      g[:, :, None] * g[:, None, :] * _log_mean(g), 0.0)
     out = np.sum(at * bt.swapaxes(-1, -2) * weight, axis=(-2, -1)).real
     return out if cm.ndim == 3 else float(out[0])
 

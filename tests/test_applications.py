@@ -661,9 +661,8 @@ class TestStackedCheckers:
         # every row of a block is the triple checked alone, bit for bit;
         # the rank-deficient block mixes full-rank rows with rows whose
         # kernel flags spread over the whole space (haar_pure, diag(0, 1))
-        # or stay on a line (an eigenstate of its own slot's basis). No
-        # singular omega sits in the Z slot, whose pinched operator is the
-        # triple integral's definite third argument
+        # or stay on a line (an eigenstate of its own slot's basis); a
+        # singular omega in the Z slot is test_singular_z_slot_omega's
         rng = np.random.default_rng(43)
         oms = random_pd(2, rng, 3 * 40).reshape(40, 3, 2, 2)
         if kind == "rank-deficient":
@@ -679,6 +678,29 @@ class TestStackedCheckers:
         for i, oms_i in enumerate(oms):
             one = app.six_state_check(omegas=oms_i)
             assert isinstance(one.analytic_lhs, float) and isinstance(one.chain_holds, bool)
+            for key in self.ANALYTIC:
+                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)), (i, key)
+            got = (rep.analytic_lhs[i], rep.jensen_mid[i], rep.triple_integral[i])
+            assert np.max(np.abs(np.subtract(got, _reference_six_state(oms_i)))) <= 1e-12
+        assert rep.chain_holds.all()
+
+    def test_singular_z_slot_omega(self):
+        # a diagonal rank-deficient omega in the Z slot keeps its kernel
+        # through the Z pinching, so the triple integral's third argument
+        # is singular; the integral is then taken on its support, and
+        # (I/2, I/2, diag(0, 1)) gives 1/4 with the chain intact. In a
+        # block the triple sits in rotating slots, every row bit for bit
+        # the triple checked alone
+        half, low = np.eye(2) / 2, np.diag([0.0, 1.0])
+        rep = app.six_state_check(omegas=[half, half, low])
+        assert rep.triple_integral == pytest.approx(0.25, abs=1e-15) and rep.chain_holds is True
+        rng = np.random.default_rng(45)
+        oms = random_pd(2, rng, 3 * 33).reshape(33, 3, 2, 2)
+        for i in range(0, 33, 3):
+            oms[i] = np.roll([half, half, low], i // 3 % 3, axis=0)
+        rep = app.six_state_check(omegas=oms)
+        for i, oms_i in enumerate(oms):
+            one = app.six_state_check(omegas=oms_i)
             for key in self.ANALYTIC:
                 assert np.array_equal(getattr(rep, key)[i], getattr(one, key)), (i, key)
             got = (rep.analytic_lhs[i], rep.jensen_mid[i], rep.triple_integral[i])

@@ -218,14 +218,6 @@ class TestOptimalConstants:
     def test_analytic_respects_iteration_budget(self, monkeypatch):
         self._phases_within_budget(optimal_constant_analytic, monkeypatch)
 
-    def test_analytic_drift_is_reported(self, monkeypatch):
-        # the exact value of the induced tuple is at least the search's
-        # value at its state: one 2e-8 below it is a defect
-        gap = engine.analytic_gap
-        monkeypatch.setattr(engine, "analytic_gap", lambda datum, oms: gap(datum, oms) + 2e-8)
-        with pytest.raises(Diverged, match="drifted"):
-            optimal_constant_analytic(dpi_datum(3), OptimizerBudget(restarts=4, max_iters=50))
-
     def test_analytic_witness_failure_is_reported(self, monkeypatch):
         # the induced witness is the only analytic witness: a failure to
         # build it raises Diverged naming the cause
@@ -236,25 +228,20 @@ class TestOptimalConstants:
         with pytest.raises(Diverged, match="empty support"):
             optimal_constant_analytic(dpi_datum(3), OptimizerBudget(restarts=2, max_iters=5))
 
-    def test_dust_below_the_support_cut_leaves_the_witness(self):
-        # eigenvalues below 1e-12 lambda_max add at most d 1e-12 to each
-        # E_k(rho) (E_k is positive and trace-preserving), which stays
-        # below the eps_supp cut of 1e-10: the induced tuple of a near-pure
-        # state is that of the state with its dust zeroed
-        rng = np.random.default_rng(71)
-        sigma = op.PSDOperator(random_pd(3, rng))
-        chans = [ch.identity_channel(3), ch.measurement_channel(list(np.eye(3)))]
-        datum = BLDatum([0.7, 1.4], chans, sigma, [op.PSDOperator(c(sigma)) for c in chans], 0.0)
-        u = haar_unitary(3, rng)
-        dusty = (u * np.array([1.0, 2e-14, 5e-15])) @ u.conj().T
-        clean = (u * np.array([1.0, 0.0, 0.0])) @ u.conj().T
-        assert np.linalg.eigvalsh(dusty)[0] > 0
-        for om_d, om_c in zip(induced_analytic_witness(datum, dusty),
-                              induced_analytic_witness(datum, clean)):
-            assert om_d.support_rank == om_c.support_rank
-            assert np.max(np.abs(om_d.matrix - om_c.matrix)) < 1e-12
-        ranks = [om.support_rank for om in induced_analytic_witness(datum, dusty)]
-        assert ranks == [1, 3]
+    def test_near_pure_state_gets_a_full_rank_witness(self):
+        # a near-pure state, with eigenvalues of 2e-14 and 5e-15 (under the
+        # eps_supp cut of 1e-10) or with them zeroed: each L_k is one
+        # Hermitian matrix with no kernel flag, each omega_k is positive
+        # definite, and the tuple's analytic value is at least the
+        # entropic value at the state, as the duality proof pairs them
+        datum, dusty = _dust_datum()
+        top = np.linalg.eigh(dusty)[1][:, -1:]
+        zero_c = datum.with_constant(0.0)
+        for rho in (dusty, top @ top.conj().T):
+            logs = engine.induced_logs(datum, rho)
+            assert not any(lk.has_kernel for lk in logs)
+            assert all(om.eigenvalues[0] > 0 for om in induced_analytic_witness(datum, logs))
+            assert -analytic_gap(zero_c, logs) >= -entropic_gap(zero_c, rho)
 
     def test_restart_seeds_recorded(self):
         d = dpi_datum(10)
@@ -1026,6 +1013,29 @@ def _fock_datum():
         return decode_datum(json.load(fh))
 
 
+def _probe_datum(i):
+    """Datum i of the seeded robustness-probe family: d_in 1-4, 1-3 random
+    channels of output dimension 1-4, q_k from {0.3, 0.5, 1, 1.5, 2.5},
+    sigma of random rank, and each sigma_k of output dimension above 1
+    rank-deficient with probability 0.4."""
+    rng = np.random.default_rng([4242, i])
+
+    def psd(d, rank):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        return op.PSDOperator(g @ g.conj().T)
+
+    d_in = int(rng.integers(1, 5))
+    chans = [random_channel(d_in, int(rng.integers(1, 5)), rng)
+             for _ in range(int(rng.integers(1, 4)))]
+    q = rng.choice([0.3, 0.5, 1.0, 1.5, 2.5], size=len(chans))
+    sigma = psd(d_in, int(rng.integers(1, d_in + 1)))
+    sigmas = []
+    for c in chans:
+        deficient = rng.random() < 0.4 and c.dim_out > 1
+        sigmas.append(psd(c.dim_out, int(rng.integers(1, c.dim_out)) if deficient else c.dim_out))
+    return BLDatum(q, chans, sigma, sigmas, 0.0)
+
+
 def _acceptance_datum(i):
     """Datum i of the acceptance-1 generator."""
     rng = np.random.default_rng(1000 + i)
@@ -1111,14 +1121,14 @@ class TestConvergence:
         for a, b in zip([stored.sigma, *stored.sigmas], [built.sigma, *built.sigmas]):
             assert np.array_equal(a.matrix, b.matrix)
 
-    @pytest.mark.parametrize("seed", [1, 3, 5])
+    @pytest.mark.parametrize("seed", range(8))
     def test_cut_rank_of_a_near_pure_winner(self, seed, capsys):
-        # the Mercedes star on at most 4 photons, q_k = 0.7: at these seeds
-        # the analytic winner is the vacuum up to 1e-9, and an E_k(rho) has
-        # an eigenvalue of 8.2e-11, under its eps_supp cut. The cut tuple
-        # re-evaluates 9.8e-6 below the search's value, and qbl constant
-        # exited 1; the tuple of the floored logs gives -2.0109e-7, 1.3e-10
-        # above it
+        # the Mercedes star on at most 4 photons, q_k = 0.7: at seeds 1, 3
+        # and 5 the analytic winner is the vacuum up to 1e-9, and an
+        # E_k(rho) has an eigenvalue of 8.2e-11, under its eps_supp cut.
+        # The tuple cut there re-evaluated 9.8e-6 below the search's value,
+        # and qbl constant exited 1; the floored logs give -2.0109e-7,
+        # 1.3e-10 above it
         code = main(["constant", FOCK_DATUM, "--budget", "restarts=8,iters=300",
                      "--seed", str(seed), "--no-meta"])
         assert code == 0
@@ -1126,20 +1136,46 @@ class TestConvergence:
         assert rep["agree"] and abs(rep["analytic_nats"]) < 1e-6
 
     def test_cut_rank_reports_the_floored_tuple(self):
+        # the one certificate: the reported constant is the exact value of
+        # the floored logs at the winner, which keep the rank under the cut
         datum = _fock_datum()
         budget = OptimizerBudget(restarts=8, max_iters=300, base_seed=1)
         c, witness, _ = optimal_constant_analytic(datum, budget)
         _, v, _ = datum._search_space()
         internal, rho = engine._search(datum, budget, "analytic")[0][:2]
-        rho = op.DensityOperator(engine._lift(v, rho))
-        zero_c = datum.with_constant(0.0)
-        assert -analytic_gap(zero_c, engine.induced_logs(datum, rho)) < internal - 1e-6
-        floored = engine._floored_logs(datum, rho)
-        assert not any(lk.has_kernel for lk in floored)
-        assert c == -analytic_gap(zero_c, floored) and c >= internal
-        for a, b in zip(witness, induced_analytic_witness(datum, floored), strict=True):
+        logs = engine.induced_logs(datum, engine._lift(v, rho))
+        assert not any(lk.has_kernel for lk in logs)
+        assert c == -analytic_gap(datum.with_constant(0.0), logs) and c >= internal
+        for a, b in zip(witness, induced_analytic_witness(datum, logs), strict=True):
             assert np.array_equal(a.matrix, b.matrix)
         assert abs(-analytic_gap(datum, witness) - c) < 1e-9
+
+    def test_one_certificate_on_the_seeded_family(self):
+        # the robustness-probe family at 4 x 200, and two data with a pure
+        # winner and q_k < 1 at 8 x 300: every reported analytic constant
+        # of a datum that does not leak is the exact value of its floored
+        # induced logs at the winner, no L_k flags a kernel, and the
+        # constant is not below the search's value beyond rounding
+        probe = OptimizerBudget(restarts=4, max_iters=200)
+        runs = [(_probe_datum(i), probe) for i in range(300)]
+        eye = op.PSDOperator(np.eye(2))
+        for second in (ch.identity_channel(2), ch.measurement_channel(list(np.eye(2)))):
+            datum = BLDatum([0.3, 0.9], [ch.identity_channel(2), second], eye, [eye, eye], 0.0)
+            runs += [(datum, OptimizerBudget(restarts=8, max_iters=300, base_seed=s))
+                     for s in range(3)]
+        certified = 0
+        for datum, budget in runs:
+            if datum._leak is not None:
+                continue
+            c = optimal_constant_analytic(datum, budget)[0]
+            _, v, _ = datum._search_space()
+            internal, rho = engine._search(datum, budget, "analytic")[0][:2]
+            logs = engine.induced_logs(datum, engine._lift(v, rho))
+            assert not any(lk.has_kernel for lk in logs)
+            assert c == -analytic_gap(datum.with_constant(0.0), logs)
+            assert c >= internal - 1e-12 * max(1.0, abs(c))
+            certified += 1
+        assert certified == 157
 
     def test_acceptance_data_agree(self):
         # the 20 data of acceptance criterion 1 at its budget: with the
@@ -1850,12 +1886,12 @@ class TestCriticalScale:
 
 def _per_channel_logs(datum, rho):
     """induced_logs one channel at a time: one DensityOperator and one
-    matrix_log per E_k(rho)."""
+    eigh_log per E_k(rho)."""
     rho = op.DensityOperator(rho)
     out = []
     for qk, c, sk in zip(datum.q, datum.channels, datum.sigmas):
-        lt = op.matrix_log(op.DensityOperator(ch.apply(c, rho)))
-        out.append(op.SupportLog(lt.finite - op.matrix_log(sk).finite, lt.weight).scaled(qk))
+        lt = op.eigh_log(op.DensityOperator(ch.apply(c, rho)).matrix[None])[1][0]
+        out.append(op.SupportLog(op.hermitian_part(lt) - op.matrix_log(sk).finite).scaled(qk))
     return out
 
 
@@ -1893,9 +1929,8 @@ def _same_log(a, b):
 
 
 def _dust_datum():
-    # test_dust_below_the_support_cut_leaves_the_witness's datum and its
-    # near-pure state: E_1(rho) has rank 1, E_2(rho) full rank, both of
-    # output dimension 3
+    # a near-pure state, its dust under the support cut: E_1(rho) has rank
+    # 1 up to the dust, E_2(rho) full rank, both of output dimension 3
     rng = np.random.default_rng(71)
     sigma = op.PSDOperator(random_pd(3, rng))
     chans = [ch.identity_channel(3), ch.measurement_channel(list(np.eye(3)))]
@@ -1930,10 +1965,11 @@ class TestStackedCertification:
         self._check(datum, rho)
 
     def test_rank_deficient_outputs(self):
-        # one output dimension, E_k(rho) of ranks 1 and 3: two stacks
+        # one output dimension, E_k(rho) of ranks 1 and 3: the floored logs
+        # flag no kernel, so both are one stack
         datum, dusty = _dust_datum()
         logs = self._check(datum, dusty)
-        assert [lk.has_kernel for lk in logs] == [True, False]
+        assert [lk.has_kernel for lk in logs] == [False, False]
 
     @pytest.mark.parametrize("make", [_mixed_dims_datum, _unsorted_dims_datum,
                                       _rank_deficient_datum])

@@ -21,7 +21,6 @@ from qbl.errors import (
     InvalidExponent,
     NotCompletelyPositive,
     NotUnital,
-    SingularC,
     ZeroOperator,
 )
 from qbl.policy import SUPP_RTOL
@@ -502,14 +501,18 @@ def lieb_triple_closed_form(a, b, c):
 
 def lieb_triple_quadrature(a, b, c):
     """Reference: adaptive quadrature of the resolvent integrand on s in
-    [0, 1] after t = s/(1-s); the s -> 1 endpoint limit is tr(a b)."""
+    [0, 1] after t = s/(1-s); the s -> 1 endpoint limit is tr(a P b P), P
+    the projector on supp c (tr(a b) for a positive definite c). The
+    eigenvalues of c at or below its support cut are taken as 0."""
     gvals, gvecs = np.linalg.eigh(c)
+    keep = gvals > SUPP_RTOL * max(1.0, gvals[-1])
+    gvals = np.where(keep, gvals, 0.0)
     at = gvecs.conj().T @ a @ gvecs
     bt = gvecs.conj().T @ b @ gvecs
 
     def integrand(s):
         if s >= 1.0:
-            return float(np.trace(at @ bt).real)
+            return float(np.trace(at[np.ix_(keep, keep)] @ bt[np.ix_(keep, keep)]).real)
         r = gvals / (1.0 + s / (1.0 - s) * gvals)  # eigenvalues of (c^-1 + t)^-1
         return float(np.einsum("ij,j,ji,i->", at, r, bt, r).real) / (1.0 - s) ** 2
 
@@ -563,28 +566,33 @@ class TestLiebTriple:
             val = op.lieb_triple_integral(op.PSDOperator(a), op.PSDOperator(b), op.PSDOperator(c))
             assert val == pytest.approx(lieb_triple_quadrature(a, b, c), rel=1e-12)
 
-    def test_singular_c_rejected(self):
-        with pytest.raises(SingularC):
-            op.lieb_triple_integral(
-                op.identity(2), op.identity(2), op.PSDOperator(np.diag([1.0, 0.0]))
-            )
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_singular_c_matches_quadrature(self, rank):
+        # the kernel g_i g_j L(g_i, g_j) vanishes with either eigenvalue, so
+        # a singular c gives the integral on its support
+        rng = np.random.default_rng(66)
+        for _ in range(30):
+            u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+            g = np.concatenate([np.zeros(3 - rank), rng.uniform(0.1, 2.0, rank)])
+            a, b, c = random_pd(3, rng), random_pd(3, rng), (u * g) @ u.conj().T
+            val = op.lieb_triple_integral(a, b, c)
+            assert val == pytest.approx(lieb_triple_quadrature(a, b, c), rel=1e-12)
 
     def test_given_spectrum_of_c(self):
         # a caller's eigendecomposition of c gives the value a PSDOperator
-        # of c gives, and a singular c is rejected either way
+        # of c gives, a singular c included; an eigenvalue at or below the
+        # support cut weighs 0, one just above it counts
         rng = np.random.default_rng(63)
         for dim in (2, 3, 4):
             a, b, c = (random_pd(dim, rng) for _ in range(3))
             ops = [op.PSDOperator(x) for x in (a, b, c)]
             given = op.lieb_triple_integral(*ops, spectrum=np.linalg.eigh(ops[2].matrix))
             assert given == op.lieb_triple_integral(*ops)
-        for c in (np.diag([1.0, 0.0]), np.diag([1.0, 5e-11])):
-            with pytest.raises(SingularC):
-                op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
-        # an eigenvalue just above the support cut is positive definite
-        c = np.diag([1.0, 2e-10])
-        op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
-
+        for g, want in (([1.0, 0.0], 1.0), ([1.0, 5e-11], 1.0), ([1.0, 2e-10], 1.0 + 2e-10)):
+            c = np.diag(g)
+            given = op.lieb_triple_integral(np.eye(2), np.eye(2), c, spectrum=np.linalg.eigh(c))
+            assert given == op.lieb_triple_integral(np.eye(2), np.eye(2), op.PSDOperator(c))
+            assert given == pytest.approx(want, rel=1e-15)
 
     def test_stack_rows_match_each_row_alone(self):
         # each row of a stack's value is that row's triple alone, as
@@ -602,17 +610,16 @@ class TestLiebTriple:
                 assert stacked[i] == op.lieb_triple_integral(a[i], b[i], c[i])
                 ops = [op.PSDOperator(x[i]) for x in (a, b, c)]
                 assert stacked[i] == op.lieb_triple_integral(*ops)
-
-    @pytest.mark.parametrize("row", [0, 5, 11])
-    def test_stack_with_one_singular_c_rejected(self, row):
-        rng = np.random.default_rng(65)
+        # singular rows of c (a kernel, an eigenvalue under the support
+        # cut) in the first, a middle and the last row
         a, b, c = (random_pd(2, rng, 12) for _ in range(3))
-        for singular in (np.diag([1.0, 0.0]), np.diag([1.0, 5e-11])):
-            c[row] = singular
-            with pytest.raises(SingularC):
-                op.lieb_triple_integral(a, b, c)
-            with pytest.raises(SingularC):
-                op.lieb_triple_integral(a, b, c, spectrum=op.psd_stack(c)[1:])
+        c[0], c[5], c[11] = np.diag([1.0, 0.0]), np.diag([1.0, 5e-11]), np.diag([0.0, 1.0])
+        a, b, c = (op.psd_stack(x)[0] for x in (a, b, c))
+        stacked = op.lieb_triple_integral(a, b, c)
+        assert np.array_equal(op.lieb_triple_integral(a, b, c, spectrum=op.psd_stack(c)[1:]),
+                              stacked)
+        for i in range(12):
+            assert stacked[i] == op.lieb_triple_integral(a[i], b[i], c[i])
 
 
 class TestOperatorJensen:
