@@ -18,10 +18,11 @@ core of log_trace_exp_sums, exp_on_supports and trace_exp_rows, which
 group lists of equal dimension and support rank into one stack;
 trace_exp_rows takes the rows of a stack of terms that have no kernel
 flag through one eigh. lieb_triple_integral takes three operators or
-three stacks, and any PSD third argument, on its support. Certification tests a whole stack first: a finite
-stack whose largest skew is within HERM_RTOL, and whose least eigenvalue
-is within every row's eps_supp, passes without per-matrix bounds; any
-other stack gets them, with the rejection each row would raise alone.
+three stacks, and any PSD third argument, on its support. Certification
+tests a whole stack first: a finite stack whose largest skew is within
+HERM_RTOL, and whose least eigenvalue is within every row's eps_supp,
+passes without per-matrix bounds; any other stack gets them, with the
+rejection each row would raise alone.
 """
 
 from __future__ import annotations
@@ -571,7 +572,7 @@ def lieb_triple_integral(a, b, c, spectrum: tuple[np.ndarray, np.ndarray] | None
     rot = gvecs.conj().swapaxes(-1, -2)
     at = rot @ am.reshape(-1, d, d) @ gvecs
     bt = rot @ bm.reshape(-1, d, d) @ gvecs
-    g = np.where(keep, gvals, 1.0)
+    g = np.where(keep, gvals, 1.0)  # a cut eigenvalue's log stays finite; its pairs weigh 0
     weight = np.where(keep[:, :, None] & keep[:, None, :],
                       g[:, :, None] * g[:, None, :] * _log_mean(g), 0.0)
     out = np.sum(at * bt.swapaxes(-1, -2) * weight, axis=(-2, -1)).real
