@@ -30,7 +30,7 @@ from .errors import (
     NotOrthonormal,
     NotTracePreserving,
 )
-from .operators import SupportLog, hermitian_part
+from .operators import hermitian_part
 from .policy import PSD_SLACK
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,19 +169,11 @@ def apply_adjoint(ch: Channel, y) -> np.ndarray:
     return _vec_matmul(y, ch.transfer.conj(), ch.dim_out, ch.dim_in)
 
 
-def adjoint_on_log(ch: Channel, slog: SupportLog) -> SupportLog:
-    """Push a support-projected logarithm through the adjoint map.
-
-    E^dag is positive, so the -infinity weight stays PSD; its support marks
-    the directions excluded from downstream trace-exponentials.
-    """
-    finite = hermitian_part(apply_adjoint(ch, slog.finite))
-    return SupportLog(finite, None if slog.weight is None else adjoint_on_flag(ch, slog.weight))
-
-
 def adjoint_on_flag(ch: Channel, weight: np.ndarray) -> np.ndarray | None:
-    """The kernel flag E^dag(weight) of a pushed logarithm, or None when it
-    vanishes (every entry below 1e-14)."""
+    """The kernel flag E^dag(weight) of a support-projected logarithm pushed
+    through the adjoint map, or None when it vanishes (every entry below
+    1e-14). E^dag is positive, so the flag stays PSD; its support marks the
+    directions excluded from downstream trace-exponentials."""
     w = hermitian_part(apply_adjoint(ch, weight))
     return None if float(np.max(np.abs(w))) < 1e-14 else w
 

@@ -64,15 +64,15 @@ from the Kubo-Mori curvature limit of the ratio and warm-started from the
 last step's winner. The contraction coefficient is 1/t* of dpi_datum.
 
 The gap evaluators handle boundary supports exactly via the
-support-projected logarithm machinery. Membership sampling evaluates every
-valid datum in blocks through the batched workspace objectives of its
-compressed datum, entropic samples drawn on supp sigma: the analytic
-right-hand side is taken on supp sigma_k (-inf for sigma_k = 0), and an
-entropic sample whose E_k(rho) leaks out of supp sigma_k gets -inf from one
-eigh per singular sigma_k. Only a sample near a support decision (an
-analytic omega_k eigenvalue at or below its eps_supp, an entropic eigenvalue
-or leak near its threshold) goes to the exact evaluator, and the reported
-worst gap is the exact re-evaluation of the witness on the datum itself.
+support-projected logarithm machinery, and each takes one sample or a
+stack of samples (one sample is a stack of one). Membership sampling
+evaluates every valid datum one block of samples at a time, each block one
+call of the exact evaluator of its form on the compressed datum, entropic
+samples drawn on supp sigma: the analytic right-hand side is taken on supp
+sigma_k (-inf for sigma_k = 0), and an entropic sample whose E_k(rho) leaks
+out of supp sigma_k gets -inf. No sample is evaluated by a second path, and
+the reported worst gap is the exact re-evaluation of the witness on the
+datum itself.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, adjoint_on_log, apply
+from .channels import Channel, adjoint_on_flag, apply, apply_adjoint
 from .entropy import INF, relative_entropy, supports_contained
 from .errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator
 from .operators import (
@@ -98,15 +98,15 @@ from .operators import (
     floored_log,
     gibbs,
     hermitian_part,
-    log_sum_exp,
-    log_trace_exp_sum,
-    log_trace_exp_sums,
+    log_trace_exp_rows,
     matrix_log,
+    psd_stack,
     sqrt_psd,
+    support_log_stack,
     trace_prod,
     xlogx_sum,
 )
-from .policy import HERM_RTOL, SUPP_RTOL, SUPPORT_LEAK_TOL
+from .policy import HERM_RTOL, SUPP_RTOL
 from .sampling import SAMPLE_BLOCK, draw, random_density
 
 # the search stops iterating a restart once an iteration gains less than
@@ -230,60 +230,80 @@ def tensor_datum(d1: BLDatum, d2: BLDatum) -> BLDatum:
 # Gap evaluators (exact support semantics)
 # ---------------------------------------------------------------------------
 
-def entropic_gap(datum: BLDatum, rho) -> float:
-    """D(rho||sigma) + C - sum_k q_k D(E_k(rho)||sigma_k).
+def entropic_gap(datum: BLDatum, rho):
+    """D(rho||sigma) + C - sum_k q_k D(E_k(rho)||sigma_k): a float for one
+    state, an array for a stack (n, d, d) of states, one gap per row.
 
-    Non-negative iff the entropic inequality holds at rho. If
-    D(rho||sigma) is +inf the inequality is vacuous and the gap is +inf.
+    Non-negative iff the entropic inequality holds at rho. Where
+    D(rho||sigma) is +inf the inequality is vacuous and the gap is +inf;
+    elsewhere, where some E_k(rho) leaks out of supp sigma_k, it is -inf.
+    relative_entropy certifies the states, each normalized to unit trace,
+    and each channel is applied to the whole stack.
     """
-    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-    if rho.dim != datum.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != datum dim {datum.dim}")
+    mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    if mats.shape[-1] != datum.dim:
+        raise DimensionMismatch(f"state dim {mats.shape[-1]} != datum dim {datum.dim}")
     d_ref = relative_entropy(rho, datum.sigma)
-    if d_ref == INF:
-        return INF
     total = d_ref + datum.c
-    for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
-        dk = relative_entropy(DensityOperator(apply(ch, rho)), sk)
-        if dk == INF:
-            return -INF
-        total -= qk * dk
-    return float(total)
+    with np.errstate(invalid="ignore"):  # inf - inf where the gap is +inf
+        for qk, ch, sk in zip(datum.q, datum.channels, datum.sigmas):
+            total = total - qk * relative_entropy(apply(ch, mats), sk)
+    gaps = np.where(d_ref == INF, INF, total)
+    return gaps if mats.ndim == 3 else float(gaps)
 
 
-def analytic_gap(datum: BLDatum, omegas: Sequence) -> float:
-    """log(RHS) - log(LHS) of the trace-exponential inequality at omegas.
+def _omega_logs(om) -> tuple[np.ndarray, dict]:
+    """The support-projected logs of one omega (a PSD operator or matrix,
+    or a SupportLog, used as it is) or of a stack (n, d, d) of them: a
+    stack of finite parts and the kernel flags {row: weight}."""
+    if isinstance(om, PSDOperator):
+        om = matrix_log(om)
+    if isinstance(om, SupportLog):
+        return om.finite[None], {} if om.weight is None else {0: om.weight}
+    mats = np.asarray(om, dtype=complex)
+    return support_log_stack(*psd_stack(mats[None] if mats.ndim == 2 else mats)[1:])
+
+
+def analytic_gap(datum: BLDatum, omegas: Sequence):
+    """log(RHS) - log(LHS) of the trace-exponential inequality at omegas:
+    a float for one tuple, an array for K stacks (n, d_k, d_k) of omega_k,
+    one gap per row.
 
     Computed in the log domain for stability; non-negative iff the
-    analytic inequality holds at the given tuple. Each omega_k may also be
-    given by its support-projected logarithm (a SupportLog), which is then
-    used as it is.
+    analytic inequality holds at the given tuple. Each omega_k of one
+    tuple may also be given by its support-projected logarithm (a
+    SupportLog), which is then used as it is. The logs are pulled back
+    with one apply_adjoint per channel, their kernel flags with
+    adjoint_on_flag, and each side's trace-exponentials are one
+    log_trace_exp_rows call per stack: the left-hand side headed by
+    log sigma, each right-hand side term taken on supp sigma_k (-inf for
+    sigma_k = 0).
     """
     if len(omegas) != datum.n:
         raise DimensionMismatch(f"expected {datum.n} omegas, got {len(omegas)}")
-    oms = [o if isinstance(o, (PSDOperator, SupportLog)) else PSDOperator(o) for o in omegas]
-    for k, (o, ch) in enumerate(zip(oms, datum.channels)):
-        if o.dim != ch.dim_out:
-            raise DimensionMismatch(f"omega_{k} dim {o.dim} != channel dim_out {ch.dim_out}")
-    lws = [om if isinstance(om, SupportLog) else matrix_log(om) for om in oms]
-    log_lhs = log_trace_exp_sum(
-        [matrix_log(datum.sigma)] + [adjoint_on_log(ch, lw) for ch, lw in zip(datum.channels, lws)])
-    # log tr exp(L_k / q_k + log sigma_k) on supp sigma_k, one stack per
-    # output dimension and support rank; sigma_k = 0 makes the right-hand
-    # side 0
-    live = [k for k, sk in enumerate(datum.sigmas) if sk.support_rank]
-    rhs = dict(zip(live, log_trace_exp_sums(
-        [[lws[k].scaled(1.0 / datum.q[k]), matrix_log(datum.sigmas[k])] for k in live])))
-    log_rhs = datum.c
-    for k, qk in enumerate(datum.q):
-        log_rhs = log_rhs + qk * rhs[k] if k in rhs else -INF
-    if log_lhs == -INF and log_rhs == -INF:
-        return 0.0
-    if log_lhs == -INF:
-        return INF
-    if log_rhs == -INF:
-        return -INF
-    return float(log_rhs - log_lhs)
+    stacked = all(np.ndim(o) == 3 for o in omegas)
+    logs = [_omega_logs(o) for o in omegas]
+    n = len(logs[0][0])
+    for k, ((finite, _), ch) in enumerate(zip(logs, datum.channels)):
+        if finite.shape != (n, ch.dim_out, ch.dim_out):
+            raise DimensionMismatch(f"omega_{k} stack {finite.shape} != ({n}, {ch.dim_out}, {ch.dim_out})")
+    pushed = np.stack([hermitian_part(apply_adjoint(ch, finite))
+                       for ch, (finite, _) in zip(datum.channels, logs)], axis=1)
+    flags = {r * datum.n + k: adjoint_on_flag(ch, w)
+             for k, (ch, (_, fl)) in enumerate(zip(datum.channels, logs)) for r, w in fl.items()}
+    log_lhs = log_trace_exp_rows(pushed, flags, matrix_log(datum.sigma))
+    log_rhs = np.full(n, datum.c)
+    for qk, sk, (finite, fl) in zip(datum.q, datum.sigmas, logs):
+        if not sk.support_rank:
+            log_rhs[:] = -INF
+            continue
+        # log tr exp(L_k / q_k + log sigma_k) on supp sigma_k
+        scale = 1.0 / qk
+        log_rhs = log_rhs + qk * log_trace_exp_rows(
+            (scale * finite)[:, None], {r: scale * w for r, w in fl.items()}, matrix_log(sk))
+    with np.errstate(invalid="ignore"):  # -inf - -inf: both sides vanish
+        gaps = np.where((log_lhs == -INF) & (log_rhs == -INF), 0.0, log_rhs - log_lhs)
+    return gaps if stacked else float(gaps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +330,7 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Precomputed arrays for a support-compatible datum with PD sigma
-    (_compress); sigma_k = 0 has an empty support basis, finite log 0 and a
-    right-hand side of -inf.
+    (_compress); sigma_k = 0 has finite log 0.
 
     The datum's channels act as one stacked linear map on row-major
     vectorizations, ordered by output dimension so that the outputs of
@@ -338,15 +357,9 @@ class _Workspace:
             self.blocks.append((m, slice(start, start + len(ks) * m * m), self.q[ks]))
             start += len(ks) * m * m
         self.log_sigma = matrix_log(datum.sigma).finite
-        log_sigmas = []  # finite parts, support-projected
-        self.rhs_bases = []  # support bases V_k (d_k x r_k)
-        self.rhs_logs = []  # compressed log sigma_k (r_k x r_k)
-        for sk in datum.sigmas:
-            v = sk.support_basis()
-            ls = matrix_log(sk).finite if v.size else np.zeros((sk.dim, sk.dim))
-            log_sigmas.append(ls)
-            self.rhs_bases.append(v)
-            self.rhs_logs.append(v.conj().T @ ls @ v)
+        # finite parts, support-projected
+        log_sigmas = [matrix_log(sk).finite if sk.support_rank else np.zeros((sk.dim, sk.dim))
+                      for sk in datum.sigmas]
         # M = log sigma - sum_k q_k E_k^dag(log sigma_k): the part of the
         # entropic objective linear in rho is tr(rho M)
         self.linear = self.log_sigma - self._pull_back(self._stacked(log_sigmas) * self.weights)
@@ -406,22 +419,6 @@ class _Workspace:
         """log sigma + sum_k E_k^dag(log w_k), batched over the leading axes
         the log_omegas[k] share."""
         return self.log_sigma + self._pull_back(self._stacked(log_omegas))
-
-    def analytic_objective(self, log_omegas: list[np.ndarray]) -> np.ndarray:
-        """log tr exp(log sigma + sum E_k^dag log w_k) - sum_k q_k log||.||,
-        batched over the leading axes of each log_omegas[k]."""
-        lhs = log_sum_exp(np.linalg.eigvalsh(hermitian_part(self.exponent(log_omegas))))
-        return self.minus_rhs(lhs, log_omegas)
-
-    def minus_rhs(self, lhs: np.ndarray, log_omegas: list[np.ndarray]) -> np.ndarray:
-        """lhs - sum_k q_k log tr exp(log w_k / q_k + log sigma_k), each
-        trace-exponential taken on supp(sigma_k)."""
-        obj = lhs
-        for k, (qk, v) in enumerate(zip(self.q, self.rhs_bases)):
-            compressed = np.einsum("ji,...jk,kl->...il", v.conj(), log_omegas[k], v) / qk
-            mats = hermitian_part(compressed + self.rhs_logs[k])
-            obj = obj - qk * log_sum_exp(np.linalg.eigvalsh(mats))
-        return obj
 
 
 def _gram_states(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1067,74 +1064,13 @@ def reevaluate_report(datum: BLDatum, report: VerificationReport) -> float:
     return analytic_gap(datum, report.witness)
 
 
-# a batched entropic row with a support decision within this factor of its
-# threshold (an E_k(rho) eigenvalue near eps_supp, a leak near
-# SUPPORT_LEAK_TOL) goes to entropic_gap. The two paths' E_k(rho) differ by
-# rounding, about 1e-16; with no eigenvalue within the band, the support cut
-# lies in a spectral gap of about eps_supp * _CUT_BAND, so the support
-# projector, and with it the leak, moves by about 1e-9: outside the band
-# both paths decide alike
-_CUT_BAND = 1e3
-
-
-def _entropic_gaps(datum: BLDatum, ws: _Workspace, rhos: np.ndarray) -> np.ndarray:
-    """entropic_gap on a stack of states (one sample per row) through the
-    workspace objective. For each singular sigma_k one eigh of the E_k(rho)
-    stack decides the supports: a row whose E_k(rho) leaks out of supp
-    sigma_k gets -inf, and a row with a support decision within _CUT_BAND
-    of its threshold is evaluated by entropic_gap itself."""
-    gaps = datum.c - ws.entropic_objective(rhos)
-    exact = np.zeros(len(rhos), dtype=bool)
-    for ch, sk in zip(datum.channels, datum.sigmas):
-        if sk.support_rank == sk.dim:
-            continue
-        vals, vecs = np.linalg.eigh(apply(ch, rhos))
-        eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
-        kernel = sk.eigenvectors[:, sk.eigenvalues <= sk.eps_supp]
-        # the leak ||P_ker V_supp||: the support basis of each E_k(rho), its
-        # other columns zeroed, projected on ker sigma_k; its largest
-        # singular value from the Gram matrix A A^dag
-        a = kernel.conj().T @ (vecs * (vals > eps)[:, None, :])
-        top = np.linalg.eigvalsh(a @ a.conj().swapaxes(1, 2))[:, -1]
-        leak = np.sqrt(np.maximum(top, 0.0))
-        gaps[leak > SUPPORT_LEAK_TOL] = -INF
-        exact |= np.any((vals > eps / _CUT_BAND) & (vals <= eps * _CUT_BAND), axis=1)
-        exact |= (leak > SUPPORT_LEAK_TOL / _CUT_BAND) & (leak <= SUPPORT_LEAK_TOL * _CUT_BAND)
-    for i in np.flatnonzero(exact):
-        gaps[i] = entropic_gap(datum, rhos[i])
-    return gaps
-
-
-def _analytic_gaps(datum: BLDatum, ws: _Workspace, omegas: list[np.ndarray]) -> np.ndarray:
-    """analytic_gap on stacks of omega_k (one sample per row) through the
-    workspace objective; a row in which some omega_k has an eigenvalue at
-    or below its own eps_supp is evaluated by analytic_gap itself."""
-    logs = []
-    exact = np.zeros(len(omegas[0]), dtype=bool)
-    for om in omegas:
-        vals, log_om = eigh_log(hermitian_part(om))
-        exact |= vals[:, 0] <= SUPP_RTOL * np.maximum(1.0, vals[:, -1])
-        logs.append(log_om)
-    gaps = datum.c - ws.analytic_objective(logs)
-    for i in np.flatnonzero(exact):
-        gaps[i] = analytic_gap(datum, [om[i] for om in omegas])
-    return gaps
-
-
-def _sample_gaps(datum: BLDatum, ws: _Workspace, form: str,
-                 samples: list[list[np.ndarray]]) -> np.ndarray:
-    """The gap of the given form at each sample, batched through ws."""
-    if form == "entropic":
-        return _entropic_gaps(datum, ws, np.stack([s[0] for s in samples]))
-    return _analytic_gaps(datum, ws, [np.stack(col) for col in zip(*samples)])
-
-
 def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> VerificationReport:
     """Sample one form of the inequality and report the worst gap seen.
 
     The witness is the sample of the first strict minimum over the
-    samples' gaps; a nan gap is never selected. The samples are evaluated
-    in blocks through the batched workspace objectives of the compressed
+    samples' gaps; a nan gap is never selected. Each block of samples is
+    one call of the exact evaluator of its form (entropic_gap on a stack
+    of states, analytic_gap on K stacks of omega_k) on the compressed
     datum (_compress), singular sigma and sigma_k included: entropic
     samples are drawn on supp sigma and the witness is lifted back. The
     reported worst gap is the exact re-evaluation of the witness on the
@@ -1143,7 +1079,7 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     if config.form not in ("entropic", "analytic"):
         raise ValueError(f"unknown form {config.form!r}")
     rng = np.random.default_rng(config.seed)
-    inner, v, ws = datum._search_space()
+    inner, v, _ = datum._search_space()
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles
@@ -1151,18 +1087,19 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
         block = range(start, min(start + SAMPLE_BLOCK, config.samples))
         kinds = [ensembles[i % len(ensembles)] for i in block]
         if config.form == "entropic":
-            samples = [[rho] for rho in random_density(inner.dim, rng, kinds)]
+            samples = [random_density(inner.dim, rng, kinds)]
+            gaps = entropic_gap(inner, samples[0])
         else:  # full-support omegas only: "pure" draws "hs"
             n = len(datum.channels)
             flat = draw(rng, [("hs" if kind == "pure" else kind, ch.dim_out)
                               for kind in kinds for ch in datum.channels])
-            samples = [flat[j:j + n] for j in range(0, len(flat), n)]
-        gaps = _sample_gaps(inner, ws, config.form, samples)
+            samples = [np.stack(flat[k::n]) for k in range(n)]
+            gaps = analytic_gap(inner, samples)
         below = np.where(gaps < worst, gaps, INF)  # nan compares false
         i = int(np.argmin(below))
         if below[i] < worst:
             worst = float(below[i])
-            witness = samples[i]
+            witness = [stack[i] for stack in samples]
     if v is not None and config.form == "entropic" and witness:
         witness = [_lift(v, witness[0])]
     report = VerificationReport(config.form, worst, witness, config.samples)

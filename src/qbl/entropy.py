@@ -16,14 +16,18 @@ from .operators import (
     HermitianOperator,
     PSDOperator,
     SupportLog,
+    _certified,
+    _normalized,
     density_stack,
     from_spectrum,
     log_trace_exp_sum,
     matrix_log,
+    psd_stack,
     sum_on_joint_support,
+    trace_prod,
     xlogx_sum,
 )
-from .policy import SUPPORT_LEAK_TOL
+from .policy import SUPPORT_LEAK_TOL, eps_supp
 
 INF = float("inf")
 
@@ -49,30 +53,50 @@ def von_neumann(rho):
     return -float(xlogx_sum(_as_density(rho).eigenvalues))
 
 
-def supports_contained(omega: PSDOperator, tau: PSDOperator) -> bool:
-    """Whether supp(omega) <= supp(tau), via projector leakage norm."""
-    if omega.dim != tau.dim:
+def supports_contained(omega, tau: PSDOperator):
+    """Whether supp(omega) <= supp(tau): a bool for one PSD operator, an
+    array for a stack (n, d, d) of PSD matrices, each certified as
+    psd_stack does. The leak of omega out of supp tau is the largest
+    singular value of K^dag V, K the kernel basis of tau and V the support
+    basis of omega, from one eigvalsh of the Gram matrices; it may reach
+    SUPPORT_LEAK_TOL. Nothing leaks out of a tau of full support, and omega
+    is then not decomposed."""
+    one = isinstance(omega, PSDOperator) or np.ndim(omega) == 2
+    dim = omega.dim if isinstance(omega, PSDOperator) else np.shape(omega)[-1]
+    if dim != tau.dim:
         raise DimensionMismatch("support comparison needs equal dimensions")
-    v_out = tau.eigenvectors[:, tau.eigenvalues <= tau.eps_supp]
-    if v_out.shape[1] == 0:
-        return True
-    leak = v_out.conj().T @ omega.support_basis()
-    if leak.size == 0:
-        return True
-    return float(np.linalg.norm(leak, 2)) <= SUPPORT_LEAK_TOL
+    kernel = tau.eigenvectors[:, tau.eigenvalues <= tau.eps_supp]
+    if not kernel.shape[1]:
+        return True if one else np.ones(len(omega), dtype=bool)
+    if isinstance(omega, PSDOperator):
+        vals, vecs = omega.eigenvalues[None], omega.eigenvectors[None]
+    else:
+        _, vals, vecs = psd_stack(np.asarray(omega, dtype=complex).reshape(-1, dim, dim))
+    # the support basis of each omega, its other columns zeroed
+    a = kernel.conj().T @ (vecs * (vals > eps_supp(vals[:, -1:]))[:, None, :])
+    top = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))[:, -1]
+    inside = np.sqrt(np.maximum(top, 0.0)) <= SUPPORT_LEAK_TOL
+    return bool(inside[0]) if one else inside
 
 
-def relative_entropy(omega, tau) -> float:
+def relative_entropy(omega, tau):
     """D(omega || tau) = tr omega (log omega - log tau); +inf without
-    support containment."""
-    omega = _as_density(omega)
+    support containment. A float for one state, an array for a stack
+    (n, d, d) of states, each normalized and certified as DensityOperator
+    certifies one, from its eigenvalues alone: supports_contained takes
+    the eigenvectors, and only where tau has a kernel."""
     tau = _as_psd(tau)
-    if not supports_contained(omega, tau):
-        return INF
-    ltau = matrix_log(tau).finite
-    return float(xlogx_sum(omega.eigenvalues)) - float(
-        np.trace(omega.matrix @ ltau).real
-    )
+    given = np.asarray(getattr(omega, "matrix", omega), dtype=complex)
+    if isinstance(omega, DensityOperator):
+        mats, vals = given[None], omega.eigenvalues[None]
+    else:
+        mats, vals, _ = _certified(_normalized(given[None] if given.ndim == 2 else given),
+                                   vectors=False)
+    inside = supports_contained(omega if isinstance(omega, DensityOperator) else mats, tau)
+    out = np.full(len(mats), INF)
+    if np.any(inside):  # tau = 0 contains nothing and has no log
+        out = np.where(inside, xlogx_sum(vals) - trace_prod(mats, matrix_log(tau).finite), INF)
+    return out if given.ndim == 3 else float(out[0])
 
 
 def conditional_entropy(rho_ab, dims: tuple[int, int]) -> float:

@@ -14,15 +14,16 @@ operator or one list of terms is a stack of one: PSDOperator and
 DensityOperator keep the certified row of psd_stack and density_stack,
 matrix_log is support_logs (support_log_stack as a list) of an operator's
 own spectrum, and one list's sum_on_joint_support runs the joint-support
-core of log_trace_exp_sums, exp_on_supports and trace_exp_rows, which
-group lists of equal dimension and support rank into one stack;
-trace_exp_rows takes the rows of a stack of terms that have no kernel
-flag through one eigh. lieb_triple_integral takes three operators or
-three stacks, and any PSD third argument, on its support. Certification
-tests a whole stack first: a finite stack whose largest skew is within
-HERM_RTOL, and whose least eigenvalue is within every row's eps_supp,
-passes without per-matrix bounds; any other stack gets them, with the
-rejection each row would raise alone.
+core of exp_on_supports and of the row functions trace_exp_rows and
+log_trace_exp_rows, which group lists of equal dimension and support rank
+into one stack; the row functions take the rows of a stack of terms that
+have no kernel flag of their own through one stacked sum_on_joint_support.
+lieb_triple_integral takes three operators or three stacks, and any PSD
+third argument, on its support. Certification tests a whole stack first:
+a finite stack whose largest skew is within HERM_RTOL, and whose least
+eigenvalue is within every row's eps_supp, passes without per-matrix
+bounds; any other stack gets them, with the rejection each row would
+raise alone.
 """
 
 from __future__ import annotations
@@ -262,17 +263,19 @@ def _coerce_term(term) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _summed(terms: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sum of the terms' finite parts and the sum of their kernel
-    weights (None when no term flags a kernel)."""
+    """The sum of the terms' finite parts, in the order of the terms, and
+    the sum of their kernel weights (None when no term flags a kernel). A
+    term given as an array may be a stack (n, d, d), which makes the sum a
+    stack."""
     if not terms:
         raise ValueError("need at least one term")
     finites, weights = zip(*(_coerce_term(t) for t in terms))
-    d = finites[0].shape[0]
+    d = finites[0].shape[-1]
     for f in finites:
-        if f.shape[0] != d:
+        if f.shape[-1] != d:
             raise DimensionMismatch("terms have mixed dimensions")
     live = [w for w in weights if w is not None]
-    return np.sum(finites, axis=0), (np.sum(live, axis=0) if live else None)
+    return sum(finites[1:], finites[0]), (sum(live[1:], live[0]) if live else None)
 
 
 def _flag_supports(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +300,10 @@ def sum_on_joint_support(terms: Sequence) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, vectors) of the compressed sum, with vectors
     embedded back into the ambient space (d x r, orthonormal columns).
     An empty joint support yields empty arrays. The core of
-    _joint_support_groups on one list, with nothing to group.
+    _joint_support_groups on one list, with nothing to group. A term's
+    finite part may be a stack (n, d, d) whose rows share the kernel flags
+    of the list: the stack's sums then take one eigh, compressed onto the
+    flags' joint support, and the result is stacked.
     """
     total, weight = _summed(terms)
     if weight is None:
@@ -347,15 +353,6 @@ def exp_on_support(terms: Sequence) -> np.ndarray:
     return hermitian_part(from_spectrum(np.exp(vals), vecs))
 
 
-def log_trace_exp_sums(term_lists: Sequence[Sequence]) -> np.ndarray:
-    """log_trace_exp_sum of each list of terms, the lists of equal
-    dimension and support rank evaluated as one stack."""
-    out = np.empty(len(term_lists))
-    for rows, vals, _ in _joint_support_groups(term_lists):
-        out[rows] = log_sum_exp(vals)
-    return out
-
-
 def exp_on_supports(term_lists: Sequence[Sequence]) -> list[np.ndarray]:
     """exp_on_support of each list of terms, the lists of equal dimension
     and support rank exponentiated as one stack."""
@@ -366,47 +363,58 @@ def exp_on_supports(term_lists: Sequence[Sequence]) -> list[np.ndarray]:
     return out
 
 
-def trace_exp_rows(terms: np.ndarray, flags: dict, head: SupportLog | None = None) -> np.ndarray:
-    """trace_exp_sum of each row of a stack of terms: their finite parts
-    (n, K, d, d), the kernel flags {r * K + k: weight} of the terms that
-    have one (a None weight counts as none), and an optional head, one
-    SupportLog that leads every row's sum. The rows without a kernel flag
-    are summed in the order of their terms and take one eigh; the others
-    go through _joint_support_groups."""
+def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | None) -> np.ndarray:
+    """reduce of the spectrum on the joint support of each row's sum of a
+    stack of terms: their finite parts (n, K, d, d), the kernel flags
+    {r * K + k: weight} of the terms that have one (a None weight counts as
+    none), and an optional head, one SupportLog that leads every row's sum.
+    The rows without a kernel flag of their own are summed in the order
+    of their terms, after the head, and go through one stacked
+    sum_on_joint_support with the head's kernel flag, which compresses
+    them onto the head's support in that one call; the others go through
+    _joint_support_groups."""
     n, k = terms.shape[:2]
     out = np.empty(n)
-    flagged = sorted(range(n) if head is not None and head.has_kernel
-                     else {i // k for i, w in flags.items() if w is not None})
-    plain = slice(None)
-    if flagged:
-        plain = np.ones(n, dtype=bool)
-        plain[flagged] = False
-    if len(flagged) < n:
+    own = sorted({i // k for i, w in flags.items() if w is not None})
+    lead = [] if head is None else [head]
+    if len(own) < n:
+        plain = np.setdiff1d(np.arange(n), own) if own else slice(None)
         rows = terms[plain]
         total = rows[:, 0] if head is None else head.finite + rows[:, 0]
         for j in range(1, k):
             total = total + rows[:, j]
-        out[plain] = np.sum(np.exp(np.linalg.eigh(total)[0]), axis=-1)
-    if flagged:
-        lists = [([] if head is None else [head])
-                 + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)]
-                 for r in flagged]
+        weight = None if head is None else head.weight
+        out[plain] = reduce(sum_on_joint_support([SupportLog(total, weight)])[0])
+    if own:
+        lists = [lead + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)] for r in own]
         for group, vals, _ in _joint_support_groups(lists):
-            out[[flagged[i] for i in group]] = np.sum(np.exp(vals), axis=-1)
+            out[[own[i] for i in group]] = reduce(vals)
     return out
 
 
-def _certified(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def trace_exp_rows(terms: np.ndarray, flags: dict, head: SupportLog | None = None) -> np.ndarray:
+    """trace_exp_sum of each row of a stack of terms (_rows_reduced)."""
+    return _rows_reduced(lambda vals: np.sum(np.exp(vals), axis=-1), terms, flags, head)
+
+
+def log_trace_exp_rows(terms: np.ndarray, flags: dict, head: SupportLog | None = None) -> np.ndarray:
+    """log_trace_exp_sum of each row of a stack of terms (_rows_reduced),
+    -inf on an empty joint support."""
+    return _rows_reduced(log_sum_exp, terms, flags, head)
+
+
+def _certified(stack: np.ndarray, vectors: bool = True) -> tuple:
     """The Hermitian parts (n, d, d), spectra (n, d) and eigenvectors
     (n, d, d) of a stack of matrices, from one eigh, each matrix certified
-    Hermitian and PSD within its eps_supp."""
+    Hermitian and PSD within its eps_supp. Without vectors the spectra come
+    from eigvalsh and the eigenvectors are None."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch("expected square matrices of one shape")
     herm = _checked_hermitian_part(stack)
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     if vals[:, :1].min(initial=0.0) >= -SUPP_RTOL:  # every eps_supp is at least SUPP_RTOL
         return herm, vals, vecs
-    eps = SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
+    eps = eps_supp(vals[:, -1:])
     bad = vals[:, :1] < -eps
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
@@ -437,7 +445,7 @@ def support_log_stack(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, d
     a kernel, the finite parts come from one batched product; otherwise each
     operator's finite part and kernel flag come from its own support and
     kernel columns."""
-    keep = vals > SUPP_RTOL * np.maximum(1.0, vals[:, -1:])
+    keep = vals > eps_supp(vals[:, -1:])
     if keep.all():
         return hermitian_part(from_spectrum(np.log(vals), vecs)), {}
     if not keep.any(axis=1).all():
@@ -458,9 +466,8 @@ def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
     return [SupportLog(f, flags.get(i)) for i, f in enumerate(finite)]
 
 
-def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stack (n, d, d) of matrices, each normalized to unit trace and
-    certified: psd_stack of the normalized matrices."""
+def _normalized(mats) -> np.ndarray:
+    """A stack (n, d, d) of matrices, each divided by its trace."""
     stack = np.asarray(mats, dtype=complex)
     if stack.ndim != 3:
         raise DimensionMismatch("expected square matrices of one shape")
@@ -469,7 +476,13 @@ def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("matrix has a non-finite entry")
     if (tr <= 0).any():
         raise ValueError(f"cannot normalize: trace = {tr.min():.3e}")
-    return _certified(stack / tr[:, None, None])
+    return stack / tr[:, None, None]
+
+
+def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack (n, d, d) of matrices, each normalized to unit trace and
+    certified: psd_stack of the normalized matrices."""
+    return _certified(_normalized(mats))
 
 
 def matrix_log(a: PSDOperator) -> SupportLog:
@@ -568,7 +581,7 @@ def lieb_triple_integral(a, b, c, spectrum: tuple[np.ndarray, np.ndarray] | None
         else:
             spectrum = psd_stack(cm.reshape(-1, d, d))[1:]
     gvals, gvecs = np.reshape(spectrum[0], (-1, d)), np.reshape(spectrum[1], (-1, d, d))
-    keep = gvals > SUPP_RTOL * np.maximum(1.0, gvals[:, -1:])
+    keep = gvals > eps_supp(gvals[:, -1:])
     rot = gvecs.conj().swapaxes(-1, -2)
     at = rot @ am.reshape(-1, d, d) @ gvecs
     bt = rot @ bm.reshape(-1, d, d) @ gvecs

@@ -10,6 +10,8 @@ support decision made in one module is the same decision in every other.
 
 from __future__ import annotations
 
+import numpy as np
+
 # Hermiticity check: max |A - A^dag| may reach HERM_RTOL * max(1, max|entry|)
 HERM_RTOL = 1e-8
 # eigenvalue support threshold factor: see eps_supp
@@ -20,6 +22,8 @@ PSD_SLACK = 1e-9
 SUPPORT_LEAK_TOL = 1e-8
 
 
-def eps_supp(lambda_max: float) -> float:
-    """Support threshold for a PSD spectrum with largest eigenvalue lambda_max."""
-    return SUPP_RTOL * max(1.0, lambda_max)
+def eps_supp(lambda_max):
+    """Support threshold for a PSD spectrum with largest eigenvalue
+    lambda_max; elementwise on an array of them (the last column of a stack
+    of ascending spectra, kept as a column, cuts each row)."""
+    return SUPP_RTOL * np.maximum(1.0, lambda_max)

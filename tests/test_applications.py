@@ -569,13 +569,20 @@ class TestApplicationDataDuality:
         assert rep.c_entropic == pytest.approx(0.0, abs=1e-5)
 
 
+def _pushed_log(c, lw):
+    """E^dag of a support-projected log: its finite part through
+    apply_adjoint, its kernel flag through adjoint_on_flag."""
+    flag = None if lw.weight is None else ch.adjoint_on_flag(c, lw.weight)
+    return op.SupportLog(op.hermitian_part(ch.apply_adjoint(c, lw.finite)), flag)
+
+
 def _reference_chain(bases, omegas):
     """The measurement checkers' first proof-chain links, one operator at a
     time through PSDOperator and matrix_log SupportLogs: lhs, the pinched
     operators and jensen_mid."""
     chans = [ch.measurement_channel(b) for b in bases]
     ws = [op.PSDOperator(w) for w in omegas]
-    lhs = op.trace_exp_sum([ch.adjoint_on_log(c, op.matrix_log(w)) for c, w in zip(chans, ws)])
+    lhs = op.trace_exp_sum([_pushed_log(c, op.matrix_log(w)) for c, w in zip(chans, ws)])
     pinched = [op.PSDOperator(ch.apply_adjoint(c, w.matrix)) for c, w in zip(chans, ws)]
     jensen_mid = op.trace_exp_sum([op.matrix_log(p) for p in pinched])
     return lhs, pinched, jensen_mid

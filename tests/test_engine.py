@@ -549,6 +549,22 @@ def _singular_sigma_datum(seed):
     return BLDatum(q, chans, sig, sigmas, 0.1)
 
 
+def _stacked_gaps(datum, form, samples):
+    """The gaps of samples (one list per sample, as _scalar_membership
+    returns them) from one call of the form's evaluator on their stack."""
+    if form == "entropic":
+        return entropic_gap(datum, np.stack([s[0] for s in samples]))
+    return analytic_gap(datum, [np.stack(col) for col in zip(*samples)])
+
+
+def _same_gaps(got, want):
+    """Equal infinities, finite values within 1e-12 max(1, |gap|)."""
+    got, want = np.asarray(got), np.asarray(want)
+    fin = np.isfinite(want)
+    return bool(np.array_equal(np.isfinite(got), fin) and np.all(got[~fin] == want[~fin])
+                and np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin]))))
+
+
 class TestBatchedMembership:
     DATA = {"mixed-dims": _mixed_dims_datum, "shearer-pairs": _shearer_pairs_datum}
     SINGULAR = {"rank-deficient": _leaking_datum, "zero-sigma-k": _zero_sigma_k_datum,
@@ -565,8 +581,7 @@ class TestBatchedMembership:
         config = SamplerConfig(samples=150, seed=7, form=form)
         assert config.samples % engine.SAMPLE_BLOCK != 0
         worst, witness, verdict, samples, gaps = _scalar_membership(datum, config)
-        batched = engine._sample_gaps(datum, engine._Workspace(datum), form, samples)
-        assert np.all(np.abs(batched - gaps) <= 1e-12 * np.maximum(1.0, np.abs(gaps)))
+        assert _same_gaps(_stacked_gaps(datum, form, samples), gaps)
         rep = bl_membership(datum, config)
         assert rep.worst_gap == pytest.approx(worst, rel=1e-12, abs=1e-12)
         assert len(rep.witness) == len(witness)
@@ -587,28 +602,31 @@ class TestBatchedMembership:
             assert rep.verdict == verdict
 
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
-    def test_full_support_makes_one_scalar_call_on_the_witness(self, form, monkeypatch):
+    def test_one_evaluator_call_per_block_and_one_on_the_witness(self, form, monkeypatch):
         calls = []
 
         def other(*args):
-            raise AssertionError("the other form's scalar evaluator was called")
+            raise AssertionError("the other form's evaluator was called")
 
         def recording(real):
-            def scalar(datum, arg):
+            def evaluator(datum, arg):
                 calls.append(arg)
                 return real(datum, arg)
-            return scalar
+            return evaluator
 
         name = f"{form}_gap"
         unused = "analytic_gap" if form == "entropic" else "entropic_gap"
         monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
         monkeypatch.setattr(engine, unused, other)
         datum = _shearer_pairs_datum()
+        samples = engine.SAMPLE_BLOCK + 5
         for seed in (1, 2):
             calls.clear()
-            rep = bl_membership(datum, SamplerConfig(samples=20, seed=seed, form=form))
-            assert len(calls) == 1
-            assert calls[0] is (rep.witness[0] if form == "entropic" else rep.witness)
+            rep = bl_membership(datum, SamplerConfig(samples=samples, seed=seed, form=form))
+            assert len(calls) == 3
+            blocks = [len(c) if form == "entropic" else len(c[0]) for c in calls[:2]]
+            assert blocks == [engine.SAMPLE_BLOCK, 5]
+            assert calls[2] is (rep.witness[0] if form == "entropic" else rep.witness)
 
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
     @pytest.mark.parametrize("name", sorted(SINGULAR))
@@ -625,32 +643,31 @@ class TestBatchedMembership:
     def test_singular_data_cover_both_leak_outcomes(self):
         # the random singular data include samples whose E_k(rho) stays in
         # supp sigma_k (finite gaps) and samples whose E_k(rho) leaks (-inf);
-        # the batched gaps of both forms, on the compressed datum, are the
-        # exact gaps of the samples lifted onto the datum's space
+        # every stacked row of both forms, on the datum and on the
+        # compressed datum, is the exact gap of its sample alone, lifted
+        # onto the datum's space
         finite = leaking = 0
         for name in sorted(self.SINGULAR):
             datum = self.SINGULAR[name]()
-            inner, _ = engine._compress(datum)
+            inner, v = engine._compress(datum)
             for form in ("entropic", "analytic"):
                 config = SamplerConfig(samples=70, seed=5, form=form)
                 _, _, _, samples, gaps = _scalar_membership(datum, config)
-                batched = engine._sample_gaps(inner, engine._Workspace(inner), form, samples)
-                fin = np.isfinite(gaps)
-                assert np.array_equal(fin, np.isfinite(batched))
-                assert np.all(batched[~fin] == gaps[~fin])
-                assert np.all(np.abs(batched[fin] - gaps[fin])
-                              <= 1e-12 * np.maximum(1.0, np.abs(gaps[fin])))
+                assert _same_gaps(_stacked_gaps(inner, form, samples), gaps)
+                lifted = samples
                 if form == "entropic":
-                    finite += fin.sum()
-                    leaking += (~fin).sum()
+                    lifted = [[engine._lift(v, s[0])] for s in samples]
+                    finite += np.isfinite(gaps).sum()
+                    leaking += (~np.isfinite(gaps)).sum()
+                assert _same_gaps(_stacked_gaps(datum, form, lifted), gaps)
         assert finite > 0 and leaking > 0
 
-    def test_entropic_rows_near_a_support_decision_are_evaluated_exactly(self, monkeypatch):
+    def test_entropic_rows_near_a_support_decision_match_single_rows(self):
         # sigma_2 has a kernel; E_2 = id, so E_2(rho) = rho. Row 0 stays in
         # supp sigma_2 and row 1 leaks (-inf); row 2 has an eigenvalue just
         # below the support cut whose eigenvector lies in the kernel, rows 3
-        # and 4 leak by 3e-9 and 3e-8, either side of SUPPORT_LEAK_TOL: the
-        # last three go to entropic_gap
+        # and 4 leak by 3e-9 and 3e-8, either side of SUPPORT_LEAK_TOL; each
+        # row of the stack, two random states included, is the row alone
         rng = np.random.default_rng(3)
         u = haar_unitary(3, rng)
         e1 = random_channel(3, 2, rng=rng)
@@ -674,26 +691,15 @@ class TestBatchedMembership:
             state(np.array([0.5, 0.5, 1e-10]), u[:, [1, 2, 0]]),
             state(np.array([0.6, 0.4]), tilted(3e-9)),
             state(np.array([0.6, 0.4]), tilted(3e-8)),
+            hs_mixed(3, rng),
+            state(np.array([0.2, 0.8]), inside),
         ])
-        calls = []
-        real = engine.entropic_gap
+        gaps = entropic_gap(datum, rows)
+        assert np.isfinite(gaps[[0, 2, 3, 6]]).all() and gaps[1] == gaps[4] == -np.inf
+        assert _same_gaps(gaps, [entropic_gap(datum, rho) for rho in rows])
 
-        def scalar(datum, rho):
-            calls.append(rho)
-            return real(datum, rho)
-
-        monkeypatch.setattr(engine, "entropic_gap", scalar)
-        gaps = engine._entropic_gaps(datum, engine._Workspace(datum), rows)
-        assert len(calls) == 3
-        assert all(np.array_equal(c, r) for c, r in zip(calls, rows[2:]))
-        assert np.isfinite(gaps[[0, 2, 3]]).all() and gaps[1] == gaps[4] == -np.inf
-        for i in range(len(rows)):
-            want = real(datum, rows[i])
-            assert gaps[i] == want or abs(gaps[i] - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_rank_deficient_row_is_evaluated_exactly(self):
+    def test_rank_deficient_rows_match_single_rows(self):
         datum = _mixed_dims_datum()
-        ws = engine._Workspace(datum)
         rng = np.random.default_rng(12)
         rows = [[hs_mixed(c.dim_out, rng) for c in datum.channels] for _ in range(5)]
         rows[2][1] = haar_pure(4, rng)  # omega_2 of row 2 has a 3-dim kernel
@@ -701,15 +707,13 @@ class TestBatchedMembership:
         u = haar_unitary(2, rng)
         rows[4][0] = (u * np.array([1.0 - 1e-12, 1e-12])) @ u.conj().T
         stacks = [np.stack(col) for col in zip(*rows)]
-        gaps = engine._analytic_gaps(datum, ws, stacks)
-        floored = datum.c - ws.analytic_objective([op.eigh_log(s)[1] for s in stacks])
+        gaps = analytic_gap(datum, stacks)
+        assert _same_gaps(gaps, [analytic_gap(datum, row) for row in rows])
         for i in (2, 4):
-            assert gaps[i] == analytic_gap(datum, rows[i])
-            # the workspace objective is far from the exact value there
-            assert abs(floored[i] - gaps[i]) > 1e-3
-        for i in (0, 1, 3):
-            want = analytic_gap(datum, rows[i])
-            assert abs(gaps[i] - want) <= 1e-12 * max(1.0, abs(want))
+            # the kernel flag counts: floored logs are far from the exact value
+            floored = analytic_gap(datum, [op.SupportLog(op.eigh_log(s[i][None])[1][0])
+                                           for s in stacks])
+            assert abs(floored - gaps[i]) > 1e-3
 
     def test_first_strict_minimum_and_no_nan(self, monkeypatch):
         # planted gaps over two blocks: nan first, the minimum -2 tied
@@ -719,23 +723,20 @@ class TestBatchedMembership:
         planted = np.full(n, 1.0)
         planted[[0, 5]] = np.nan
         planted[[2, 4, engine.SAMPLE_BLOCK + 1]] = -2.0
-        starts = []
+        starts, reevaluated = [], []
 
-        def fake_gaps(datum, ws, form, samples):
-            start = sum(len(b) for b in starts)
-            starts.append(samples)
-            return planted[start:start + len(samples)].copy()
-
-        reevaluated = []
-
-        def exact_gap(datum, rho):
+        def fake_gap(datum, rho):
+            if np.ndim(rho) == 3:  # a block: its planted gaps
+                start = sum(len(b) for b in starts)
+                starts.append(rho)
+                return planted[start:start + len(rho)].copy()
             reevaluated.append(rho)
             return -3.0
 
-        monkeypatch.setattr(engine, "_sample_gaps", fake_gaps)
-        monkeypatch.setattr(engine, "entropic_gap", exact_gap)
+        monkeypatch.setattr(engine, "entropic_gap", fake_gap)
         rep = bl_membership(datum, SamplerConfig(samples=n, seed=2, form="entropic"))
-        assert rep.witness is starts[0][2]
+        assert [len(b) for b in starts] == [engine.SAMPLE_BLOCK, 10]
+        assert np.array_equal(rep.witness[0], starts[0][2])
         # the reported worst gap is the exact re-evaluation of the witness
         assert len(reevaluated) == 1 and reevaluated[0] is rep.witness[0]
         assert rep.worst_gap == -3.0
@@ -1686,7 +1687,10 @@ class TestLinearTerm:
                          for kind in ("hs", "pure", "boundary") * 2])
         _, h = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
         ent_vals = ws.entropic_objective(rhos)
-        ana_vals = ws.analytic_objective(_induced_logs(_PerChannel(datum), rhos))
+        logs = _induced_logs(_PerChannel(datum), rhos)
+        ana_vals = np.array([-analytic_gap(datum.with_constant(0.0),
+                                           [op.SupportLog(lg[i]) for lg in logs])
+                             for i in range(len(rhos))])
         assert np.max(np.abs(ana_vals - op.gibbs(h)[2])) < 1e-12
         assert np.all(ana_vals >= ent_vals - 1e-12)
 
@@ -1911,7 +1915,8 @@ def _per_channel_analytic_gap(datum, omegas):
     log_rhs = datum.c
     for qk, c, sk, om in zip(datum.q, datum.channels, datum.sigmas, oms):
         lw = om if isinstance(om, op.SupportLog) else op.matrix_log(om)
-        lhs_terms.append(ch.adjoint_on_log(c, lw))
+        flag = None if lw.weight is None else ch.adjoint_on_flag(c, lw.weight)
+        lhs_terms.append(op.SupportLog(op.hermitian_part(ch.apply_adjoint(c, lw.finite)), flag))
         if sk.support_rank == 0:
             log_rhs = -np.inf
         else:

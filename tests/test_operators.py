@@ -85,11 +85,28 @@ class TestStacks:
                 lw = op.matrix_log(op.PSDOperator(g @ g.conj().T))
                 lists.append([lw.scaled(0.7), op.matrix_log(op.PSDOperator(random_pd(d, rng)))])
                 lists.append([lw, lw.scaled(2.0)])
-        logs = op.log_trace_exp_sums(lists)
-        exps = op.exp_on_supports(lists)
-        for terms, got_log, got_exp in zip(lists, logs, exps, strict=True):
-            assert got_log == op.log_trace_exp_sum(terms)
+        for terms, got_exp in zip(lists, op.exp_on_supports(lists), strict=True):
             np.testing.assert_array_equal(got_exp, op.exp_on_support(terms))
+
+    @pytest.mark.parametrize("head_rank", [3, 2, 1])
+    def test_stacked_terms_share_the_head_flag(self, head_rank):
+        # terms given as stacks (n, d, d) of finite parts, led by one
+        # SupportLog of rank head_rank: each row is its own list, and
+        # log_trace_exp_rows gives each row's log_trace_exp_sum
+        rng = np.random.default_rng(13)
+        g = rng.normal(size=(3, head_rank)) + 1j * rng.normal(size=(3, head_rank))
+        head = op.matrix_log(op.PSDOperator(g @ g.conj().T))
+        rows = np.stack([[op.hermitian_part(rng.normal(size=(3, 3))) for _ in range(2)]
+                         for _ in range(5)])
+        vals, vecs = op.sum_on_joint_support([head, rows[:, 0], rows[:, 1]])
+        logs = op.log_trace_exp_rows(rows, {}, head)
+        for row, v, w, log in zip(rows, vals, vecs, logs, strict=True):
+            want_v, want_w = op.sum_on_joint_support([head, row[0], row[1]])
+            assert v.shape == (head_rank,)
+            np.testing.assert_allclose(v, want_v, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(op.from_spectrum(v, w), op.from_spectrum(want_v, want_w),
+                                       rtol=0, atol=1e-13)
+            assert log == pytest.approx(op.log_trace_exp_sum([head, *row]), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [
         np.diag([1.0, -0.1]),
