@@ -16,8 +16,8 @@ matrix_log is support_logs (support_log_stack as a list) of an operator's
 own spectrum, and one list's sum_on_joint_support runs the joint-support
 core of exp_on_supports and of the row functions trace_exp_rows and
 log_trace_exp_rows, which group lists of equal dimension and support rank
-into one stack; the row functions take the rows of a stack of terms that
-have no kernel flag of their own through one stacked sum_on_joint_support.
+into one stack; a row function takes the rows without a kernel flag of
+their own through one eigh, a stacked sum_on_joint_support under a head.
 lieb_triple_integral takes three operators or three stacks, and any PSD
 third argument, on its support. Certification tests a whole stack first:
 a finite stack whose largest skew is within HERM_RTOL, and whose least
@@ -369,10 +369,10 @@ def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | Non
     {r * K + k: weight} of the terms that have one (a None weight counts as
     none), and an optional head, one SupportLog that leads every row's sum.
     The rows without a kernel flag of their own are summed in the order
-    of their terms, after the head, and go through one stacked
-    sum_on_joint_support with the head's kernel flag, which compresses
-    them onto the head's support in that one call; the others go through
-    _joint_support_groups."""
+    of their terms, after the head, and take one eigh: without a head
+    directly, with one through a stacked sum_on_joint_support with the
+    head's kernel flag, which compresses them onto the head's support in
+    that one call. The others go through _joint_support_groups."""
     n, k = terms.shape[:2]
     out = np.empty(n)
     own = sorted({i // k for i, w in flags.items() if w is not None})
@@ -383,8 +383,8 @@ def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | Non
         total = rows[:, 0] if head is None else head.finite + rows[:, 0]
         for j in range(1, k):
             total = total + rows[:, j]
-        weight = None if head is None else head.weight
-        out[plain] = reduce(sum_on_joint_support([SupportLog(total, weight)])[0])
+        out[plain] = reduce(np.linalg.eigh(total)[0] if head is None
+                            else sum_on_joint_support([SupportLog(total, head.weight)])[0])
     if own:
         lists = [lead + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)] for r in own]
         for group, vals, _ in _joint_support_groups(lists):
