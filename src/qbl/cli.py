@@ -199,13 +199,13 @@ def cmd_verify(args, seed: int, task: dict) -> int:
     elif kind == "six_state":
         # every sample is drawn, in the same order, whichever forms run
         rng = np.random.default_rng(seed)
-        rhos = np.concatenate([bloch_sample(rng, m) for m in blocks(args.samples)])
+        rhos = np.concatenate([bloch_sample(rng, m) for m in blocks(args.samples, 2)])
         worst = {}  # the worst gap of each form run
         if "entropic" in forms:
             worst["entropic"] = float(np.min(six_state_check(rho=rhos).entropic_gap_bits))
         if "analytic" in forms:
             worst["analytic"] = np.inf
-            for m in blocks(args.samples):
+            for m in blocks(args.samples, 2):
                 rep = six_state_check(omegas=random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2))
                 worst["analytic"] = min(worst["analytic"], float(np.min(rep.analytic_gap)))
                 violated |= not np.all(rep.chain_holds)
@@ -220,7 +220,7 @@ def cmd_verify(args, seed: int, task: dict) -> int:
         bx, bz = task["basis_x"], task["basis_z"]
         c = maassen_uffink_constant(bx, bz)
         draws = []  # per sample, in this order: rho, omega_1, omega_2
-        for m in blocks(args.samples):
+        for m in blocks(args.samples, 2):
             flat = draw(rng, [("bloch", 2), ("pd", 2), ("pd", 2)] * m)
             draws += zip(flat[::3], flat[1::3], flat[2::3])
         worst = {}

@@ -107,7 +107,7 @@ from .operators import (
     xlogx_sum,
 )
 from .policy import HERM_RTOL, SUPP_RTOL
-from .sampling import SAMPLE_BLOCK, draw, random_density
+from .sampling import blocks, draw, random_density
 
 # the search stops iterating a restart once an iteration gains less than
 # this
@@ -1068,13 +1068,15 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     """Sample one form of the inequality and report the worst gap seen.
 
     The witness is the sample of the first strict minimum over the
-    samples' gaps; a nan gap is never selected. Each block of samples is
-    one call of the exact evaluator of its form (entropic_gap on a stack
-    of states, analytic_gap on K stacks of omega_k) on the compressed
-    datum (_compress), singular sigma and sigma_k included: entropic
-    samples are drawn on supp sigma and the witness is lifted back. The
-    reported worst gap is the exact re-evaluation of the witness on the
-    datum (reevaluate_report), and the verdict follows from it.
+    samples' gaps; a nan gap is never selected. The samples come in blocks
+    sized by the largest matrix dimension of the compressed datum, input or
+    output (sampling.blocks), and each block is one call of the exact
+    evaluator of its form (entropic_gap on a stack of states, analytic_gap
+    on K stacks of omega_k) on the compressed datum (_compress), singular
+    sigma and sigma_k included: entropic samples are drawn on supp sigma
+    and the witness is lifted back. The reported worst gap is the exact
+    re-evaluation of the witness on the datum (reevaluate_report), and the
+    verdict follows from it.
     """
     if config.form not in ("entropic", "analytic"):
         raise ValueError(f"unknown form {config.form!r}")
@@ -1083,9 +1085,10 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     worst = INF
     witness: list[np.ndarray] = []
     ensembles = config.ensembles
-    for start in range(0, config.samples, SAMPLE_BLOCK):
-        block = range(start, min(start + SAMPLE_BLOCK, config.samples))
-        kinds = [ensembles[i % len(ensembles)] for i in block]
+    start = 0
+    for m in blocks(config.samples, max([inner.dim] + [ch.dim_out for ch in inner.channels])):
+        kinds = [ensembles[i % len(ensembles)] for i in range(start, start + m)]
+        start += m
         if config.form == "entropic":
             samples = [random_density(inner.dim, rng, kinds)]
             gaps = entropic_gap(inner, samples[0])

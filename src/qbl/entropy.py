@@ -53,14 +53,16 @@ def von_neumann(rho):
     return -float(xlogx_sum(_as_density(rho).eigenvalues))
 
 
-def supports_contained(omega, tau: PSDOperator):
+def supports_contained(omega, tau: PSDOperator, spectrum: tuple | None = None):
     """Whether supp(omega) <= supp(tau): a bool for one PSD operator, an
     array for a stack (n, d, d) of PSD matrices, each certified as
     psd_stack does. The leak of omega out of supp tau is the largest
     singular value of K^dag V, K the kernel basis of tau and V the support
     basis of omega, from one eigvalsh of the Gram matrices; it may reach
     SUPPORT_LEAK_TOL. Nothing leaks out of a tau of full support, and omega
-    is then not decomposed."""
+    is then not decomposed. A caller that has already certified a stack
+    passes its spectrum (eigenvalues (n, d) ascending, eigenvectors
+    (n, d, d)), which is then used in place of a second certification."""
     one = isinstance(omega, PSDOperator) or np.ndim(omega) == 2
     dim = omega.dim if isinstance(omega, PSDOperator) else np.shape(omega)[-1]
     if dim != tau.dim:
@@ -70,6 +72,8 @@ def supports_contained(omega, tau: PSDOperator):
         return True if one else np.ones(len(omega), dtype=bool)
     if isinstance(omega, PSDOperator):
         vals, vecs = omega.eigenvalues[None], omega.eigenvectors[None]
+    elif spectrum is not None:
+        vals, vecs = spectrum
     else:
         _, vals, vecs = psd_stack(np.asarray(omega, dtype=complex).reshape(-1, dim, dim))
     # the support basis of each omega, its other columns zeroed
@@ -83,16 +87,17 @@ def relative_entropy(omega, tau):
     """D(omega || tau) = tr omega (log omega - log tau); +inf without
     support containment. A float for one state, an array for a stack
     (n, d, d) of states, each normalized and certified as DensityOperator
-    certifies one, from its eigenvalues alone: supports_contained takes
-    the eigenvectors, and only where tau has a kernel."""
+    certifies one, by one eigh: the eigenvectors are taken only where tau
+    has a kernel, and then the leak test (supports_contained) reads them."""
     tau = _as_psd(tau)
     given = np.asarray(getattr(omega, "matrix", omega), dtype=complex)
     if isinstance(omega, DensityOperator):
         mats, vals = given[None], omega.eigenvalues[None]
+        inside = supports_contained(omega, tau)
     else:
-        mats, vals, _ = _certified(_normalized(given[None] if given.ndim == 2 else given),
-                                   vectors=False)
-    inside = supports_contained(omega if isinstance(omega, DensityOperator) else mats, tau)
+        mats, vals, vecs = _certified(_normalized(given[None] if given.ndim == 2 else given),
+                                      vectors=tau.support_rank < tau.dim)
+        inside = supports_contained(mats, tau, spectrum=(vals, vecs))
     out = np.full(len(mats), INF)
     if np.any(inside):  # tau = 0 contains nothing and has no log
         out = np.where(inside, xlogx_sum(vals) - trace_prod(mats, matrix_log(tau).finite), INF)

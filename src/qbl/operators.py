@@ -17,7 +17,9 @@ own spectrum, and one list's sum_on_joint_support runs the joint-support
 core of exp_on_supports and of the row functions trace_exp_rows and
 log_trace_exp_rows, which group lists of equal dimension and support rank
 into one stack; a row function takes the rows without a kernel flag of
-their own through one eigh, a stacked sum_on_joint_support under a head.
+their own through one eigvalsh, a stacked sum_on_joint_support under a
+head. The trace-exponentials (trace_exp_sum, log_trace_exp_sum and the
+row functions) read only spectra, and take no eigenvectors.
 lieb_triple_integral takes three operators or three stacks, and any PSD
 third argument, on its support. Certification tests a whole stack first:
 a finite stack whose largest skew is within HERM_RTOL, and whose least
@@ -286,38 +288,48 @@ def _flag_supports(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wvecs, wvals < SUPPORT_LEAK_TOL * np.maximum(1.0, wvals[..., -1:])
 
 
-def _eigh_compressed(totals: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum(mats: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors of Hermitian stacks, from one eigh;
+    without vectors the eigenvalues come from eigvalsh and the eigenvectors
+    are None."""
+    return np.linalg.eigh(mats) if vectors else (np.linalg.eigvalsh(mats), None)
+
+
+def _eigh_compressed(totals: np.ndarray, basis: np.ndarray, vectors: bool = True) -> tuple:
     """Eigenpairs of sums (..., d, d) compressed to the columns of basis
-    (..., d, r), with the vectors embedded back."""
+    (..., d, r), with the vectors embedded back (_spectrum: None without
+    vectors)."""
     basis = np.ascontiguousarray(basis)
-    vals, vecs = np.linalg.eigh(hermitian_part(basis.conj().swapaxes(-1, -2) @ totals @ basis))
-    return vals, basis @ vecs
+    vals, vecs = _spectrum(hermitian_part(basis.conj().swapaxes(-1, -2) @ totals @ basis), vectors)
+    return vals, None if vecs is None else basis @ vecs
 
 
-def sum_on_joint_support(terms: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def sum_on_joint_support(terms: Sequence, vectors: bool = True) -> tuple:
     """Sum extended-Hermitian terms and restrict to the joint support.
 
     Returns (eigenvalues, vectors) of the compressed sum, with vectors
     embedded back into the ambient space (d x r, orthonormal columns).
-    An empty joint support yields empty arrays. The core of
-    _joint_support_groups on one list, with nothing to group. A term's
-    finite part may be a stack (n, d, d) whose rows share the kernel flags
-    of the list: the stack's sums then take one eigh, compressed onto the
-    flags' joint support, and the result is stacked.
+    An empty joint support yields empty arrays. Without vectors the
+    eigenvalues come from eigvalsh and the vectors are None: the
+    trace-exponentials, which read only the spectrum, take that path. The
+    core of _joint_support_groups on one list, with nothing to group. A
+    term's finite part may be a stack (n, d, d) whose rows share the kernel
+    flags of the list: the stack's sums then take one eigh (or eigvalsh),
+    compressed onto the flags' joint support, and the result is stacked.
     """
     total, weight = _summed(terms)
     if weight is None:
-        return np.linalg.eigh(total)
+        return _spectrum(total, vectors)
     wvecs, below = _flag_supports(weight)
-    return _eigh_compressed(total, wvecs[:, below])
+    return _eigh_compressed(total, wvecs[:, below], vectors)
 
 
-def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
+def _joint_support_groups(term_lists: Sequence[Sequence], vectors: bool = True) -> list[tuple]:
     """sum_on_joint_support of each list of terms: one (rows, eigenvalues
-    (g, r), vectors (g, d, r)) per group of lists of equal dimension d and
-    support rank r. The sums without a kernel flag of one dimension take
-    one eigh; those with one take one eigh of their summed flags and one
-    per support rank of their compressed sums."""
+    (g, r), vectors (g, d, r), None without vectors) per group of lists of
+    equal dimension d and support rank r. The sums without a kernel flag of
+    one dimension take one eigh; those with one take one eigh of their
+    summed flags and one per support rank of their compressed sums."""
     sums = [_summed(terms) for terms in term_lists]
     keys: dict[tuple[int, bool], list[int]] = {}
     for i, (total, weight) in enumerate(sums):
@@ -326,25 +338,26 @@ def _joint_support_groups(term_lists: Sequence[Sequence]) -> list[tuple]:
     for (_, flagged), rows in keys.items():
         totals = np.stack([sums[i][0] for i in rows])
         if not flagged:
-            groups.append((rows, *np.linalg.eigh(totals)))
+            groups.append((rows, *_spectrum(totals, vectors)))
             continue
         wvecs, below = _flag_supports(np.stack([sums[i][1] for i in rows]))
         ranks = np.count_nonzero(below, axis=1)
         for r in sorted(set(ranks.tolist())):
             sel = np.flatnonzero(ranks == r)
-            groups.append(([rows[j] for j in sel], *_eigh_compressed(totals[sel], wvecs[sel, :, :r])))
+            groups.append(([rows[j] for j in sel],
+                           *_eigh_compressed(totals[sel], wvecs[sel, :, :r], vectors)))
     return groups
 
 
 def trace_exp_sum(terms: Sequence) -> float:
     """tr exp(sum of terms), taken on the joint support of all kernel flags."""
-    vals, _ = sum_on_joint_support(terms)
+    vals, _ = sum_on_joint_support(terms, vectors=False)
     return float(np.sum(np.exp(vals)))
 
 
 def log_trace_exp_sum(terms: Sequence) -> float:
     """log tr exp(sum of terms); -inf when the joint support is empty."""
-    return float(log_sum_exp(sum_on_joint_support(terms)[0]))
+    return float(log_sum_exp(sum_on_joint_support(terms, vectors=False)[0]))
 
 
 def exp_on_support(terms: Sequence) -> np.ndarray:
@@ -369,10 +382,11 @@ def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | Non
     {r * K + k: weight} of the terms that have one (a None weight counts as
     none), and an optional head, one SupportLog that leads every row's sum.
     The rows without a kernel flag of their own are summed in the order
-    of their terms, after the head, and take one eigh: without a head
+    of their terms, after the head, and take one eigvalsh: without a head
     directly, with one through a stacked sum_on_joint_support with the
     head's kernel flag, which compresses them onto the head's support in
-    that one call. The others go through _joint_support_groups."""
+    that one call. The others go through _joint_support_groups. Only
+    spectra are taken, no eigenvectors, as in trace_exp_sum."""
     n, k = terms.shape[:2]
     out = np.empty(n)
     own = sorted({i // k for i, w in flags.items() if w is not None})
@@ -383,11 +397,11 @@ def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | Non
         total = rows[:, 0] if head is None else head.finite + rows[:, 0]
         for j in range(1, k):
             total = total + rows[:, j]
-        out[plain] = reduce(np.linalg.eigh(total)[0] if head is None
-                            else sum_on_joint_support([SupportLog(total, head.weight)])[0])
+        out[plain] = reduce(np.linalg.eigvalsh(total) if head is None else
+                            sum_on_joint_support([SupportLog(total, head.weight)], vectors=False)[0])
     if own:
         lists = [lead + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)] for r in own]
-        for group, vals, _ in _joint_support_groups(lists):
+        for group, vals, _ in _joint_support_groups(lists, vectors=False):
             out[[own[i] for i in group]] = reduce(vals)
     return out
 
@@ -411,7 +425,7 @@ def _certified(stack: np.ndarray, vectors: bool = True) -> tuple:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch("expected square matrices of one shape")
     herm = _checked_hermitian_part(stack)
-    vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    vals, vecs = _spectrum(herm, vectors)
     if vals[:, :1].min(initial=0.0) >= -SUPP_RTOL:  # every eps_supp is at least SUPP_RTOL
         return herm, vals, vecs
     eps = eps_supp(vals[:, -1:])

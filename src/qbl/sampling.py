@@ -6,12 +6,12 @@ is reproducible from a single seed.
 The state samplers are views of one kernel, draw: it makes the generator
 calls of the one-at-a-time samplers, in their order, with runs of normal
 draws merged into one call, and then builds each (ensemble, d, rank) group
-of states as one stack. A block of states, such as the 64 samples that
-qbl verify draws at a time, is therefore bit-identical to the same states
-drawn one at a time. The kernel books the items in one pass over the
-plan, and the stacked samplers (random_pd, bloch_sample, random_density of
-several ensembles) write each group into their stack instead of stacking
-the states again.
+of states as one stack. A block of states, such as a block of samples that
+qbl verify draws at a time (blocks), is therefore bit-identical to the
+same states drawn one at a time, whatever the blocking. The kernel books
+the items in one pass over the plan, and the stacked samplers (random_pd,
+bloch_sample, random_density of several ensembles) write each group into
+their stack instead of stacking the states again.
 """
 
 from __future__ import annotations
@@ -27,16 +27,29 @@ from .channels import Channel
 # floor ("pd", full rank) and qubits uniform in the Bloch ball ("bloch")
 ENSEMBLES = ("hs", "pure", "boundary", "pd", "bloch")
 
-# samples drawn (and, by bl_membership, evaluated) together: bounds the
-# stacks held at once (all 500 d = 8 samples of a verify call held together
-# cost about 3 MB of peak memory)
-SAMPLE_BLOCK = 64
+# samples drawn (and evaluated) together: a block of samples whose largest
+# matrix is d x d takes BLOCK_ENTRIES // d^2 of them, and never fewer than
+# MIN_BLOCK_ROWS (d >= 8 takes 64, d = 4 256, d <= 2 all 500 of a verify
+# call). The budget bounds the stacks held at once: all 500 d = 8 samples
+# in one block would add about 6 MB of peak memory. Below it, small
+# matrices come in blocks large enough that numpy's fixed cost per call
+# does not dominate.
+BLOCK_ENTRIES = 4096
+MIN_BLOCK_ROWS = 64
 
 
-def blocks(n: int) -> list[int]:
-    """The sizes of the blocks of at most SAMPLE_BLOCK samples that n
-    samples are drawn in, in order."""
-    return [min(SAMPLE_BLOCK, n - s) for s in range(0, n, SAMPLE_BLOCK)]
+def block_rows(d: int) -> int:
+    """The samples of one block whose largest matrix dimension is d:
+    max(MIN_BLOCK_ROWS, BLOCK_ENTRIES // d^2)."""
+    return max(MIN_BLOCK_ROWS, BLOCK_ENTRIES // (d * d))
+
+
+def blocks(n: int, d: int) -> list[int]:
+    """The sizes of the blocks of block_rows(d) samples that n samples of
+    largest matrix dimension d are drawn in, in order, the last block
+    taking the rest."""
+    size = block_rows(d)
+    return [min(size, n - s) for s in range(0, n, size)]
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -124,10 +124,11 @@ class TestVerify:
 
 
     def test_six_state_blocks_of_64_and_1(self, capsys, monkeypatch):
-        # 65 samples make a block of 64 and a block of 1, each checked by
-        # one call; the worst analytic gap is the least of the per-triple
-        # checks on the same draws (the states are drawn first)
-        from qbl import cli
+        # with a budget of 64 samples a block, 65 samples make a block of 64
+        # and a block of 1, each checked by one call; the worst analytic gap
+        # is the least of the per-triple checks on the same draws (the
+        # states are drawn first)
+        from qbl import cli, sampling
         from qbl.applications import six_state_check
         from qbl.sampling import bloch_sample, blocks, random_pd
 
@@ -139,16 +140,40 @@ class TestVerify:
             return six_state_check(rho=rho, omegas=omegas)
 
         monkeypatch.setattr(cli, "six_state_check", recorded)
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 0)
         code, out = run(capsys, "verify", "six-state", "--samples", "65", "--seed", "3",
                         "--no-meta")
         assert code == 0
         assert shapes == [(64, 3, 2, 2), (1, 3, 2, 2)]
         rng = np.random.default_rng(3)
-        for m in blocks(65):
+        for m in blocks(65, 2):
             bloch_sample(rng, m)
-        triples = np.concatenate([random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2) for m in blocks(65)])
+        triples = np.concatenate([random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2)
+                                  for m in blocks(65, 2)])
         worst = min(six_state_check(omegas=oms).analytic_gap for oms in triples)
         assert json.loads(out)["six_state"]["worst_analytic_gap"] == worst
+
+    @pytest.mark.parametrize("preset", ["six-state", "mu-pauli-xz"])
+    def test_qubit_checkers_take_all_samples_in_one_block(self, capsys, monkeypatch, preset):
+        # d = 2 samples come in one block of up to 1024; the report equals,
+        # byte for byte, the one made with one sample a block
+        from qbl import cli, sampling
+
+        sizes = []
+
+        def recorded(n, d):
+            sizes.append(sampling.blocks(n, d))
+            return sizes[-1]
+
+        monkeypatch.setattr(cli, "blocks", recorded)
+        argv = ["verify", preset, "--samples", "300", "--seed", "4", "--no-meta"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and sizes and all(s == [300] for s in sizes)
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(sampling, "MIN_BLOCK_ROWS", 1)
+        sizes.clear()
+        assert run(capsys, *argv) == (code, out)
+        assert all(s == [1] * 300 for s in sizes)
 
 
 class TestConstant:

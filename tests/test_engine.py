@@ -28,12 +28,14 @@ from qbl.engine import (
     tensor_datum,
     tensorization_check,
 )
-from qbl import engine
+from qbl import engine, sampling
 from qbl.cli import main
 from qbl.errors import DimensionMismatch, Diverged, InvalidDatum, ZeroOperator, ZeroTrace
 from qbl.policy import SUPP_RTOL
 from qbl.serialization import decode_datum, encode_datum
 from qbl.sampling import (
+    block_rows,
+    blocks,
     haar_pure,
     haar_unitary,
     hs_mixed,
@@ -549,6 +551,10 @@ def _singular_sigma_datum(seed):
     return BLDatum(q, chans, sig, sigmas, 0.1)
 
 
+def _largest_dim(datum):
+    return max([datum.dim] + [c.dim_out for c in datum.channels])
+
+
 def _stacked_gaps(datum, form, samples):
     """The gaps of samples (one list per sample, as _scalar_membership
     returns them) from one call of the form's evaluator on their stack."""
@@ -577,9 +583,10 @@ class TestBatchedMembership:
     @pytest.mark.parametrize("name", sorted(DATA))
     def test_matches_scalar_reference(self, name, form):
         datum = self.DATA[name]()
-        # 150 samples: two full blocks and a partial one
-        config = SamplerConfig(samples=150, seed=7, form=form)
-        assert config.samples % engine.SAMPLE_BLOCK != 0
+        # two full blocks and a partial one: 150 samples at d = 8, 534 at d = 4
+        rows = block_rows(_largest_dim(datum))
+        config = SamplerConfig(samples=2 * rows + 22, seed=7, form=form)
+        assert len(blocks(config.samples, _largest_dim(datum))) == 3
         worst, witness, verdict, samples, gaps = _scalar_membership(datum, config)
         assert _same_gaps(_stacked_gaps(datum, form, samples), gaps)
         rep = bl_membership(datum, config)
@@ -590,9 +597,10 @@ class TestBatchedMembership:
         assert rep.verdict == verdict
         assert rep.samples == config.samples
 
-    @pytest.mark.parametrize("samples", [1, 5, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("samples", [1, 5, 64, 65, block_rows(4), block_rows(4) + 1])
     def test_sample_counts_around_the_block_size(self, samples):
         datum = _mixed_dims_datum()
+        assert _largest_dim(datum) == 4
         for form in ("entropic", "analytic"):
             config = SamplerConfig(samples=samples, seed=3, form=form)
             worst, witness, verdict, _, _ = _scalar_membership(datum, config)
@@ -618,15 +626,40 @@ class TestBatchedMembership:
         unused = "analytic_gap" if form == "entropic" else "entropic_gap"
         monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
         monkeypatch.setattr(engine, unused, other)
-        datum = _shearer_pairs_datum()
-        samples = engine.SAMPLE_BLOCK + 5
+        datum = _shearer_pairs_datum()  # d = 8: blocks of 64
         for seed in (1, 2):
             calls.clear()
-            rep = bl_membership(datum, SamplerConfig(samples=samples, seed=seed, form=form))
+            rep = bl_membership(datum, SamplerConfig(samples=69, seed=seed, form=form))
             assert len(calls) == 3
-            blocks = [len(c) if form == "entropic" else len(c[0]) for c in calls[:2]]
-            assert blocks == [engine.SAMPLE_BLOCK, 5]
+            sizes = [len(c) if form == "entropic" else len(c[0]) for c in calls[:2]]
+            assert sizes == [64, 5]
             assert calls[2] is (rep.witness[0] if form == "entropic" else rep.witness)
+
+    @pytest.mark.parametrize("name", ["mixed-dims", "shearer-pairs", "singular-sigma-1",
+                                      "random-3"])
+    def test_blocks_follow_the_largest_dimension(self, name, monkeypatch):
+        # blocks are sized by the largest matrix dimension of the compressed
+        # datum, and every report equals, bit for bit, the one made with one
+        # sample a block
+        datum = {**self.DATA, **self.SINGULAR}[name]()
+        inner, _ = engine._compress(datum)
+        sizes = []
+
+        def recorded(n, d):
+            sizes.append(d)
+            return blocks(n, d)
+
+        monkeypatch.setattr(engine, "blocks", recorded)
+        reports = [bl_membership(datum, SamplerConfig(samples=150, seed=9, form=form))
+                   for form in ("entropic", "analytic")]
+        assert sizes == [_largest_dim(inner)] * 2
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(sampling, "MIN_BLOCK_ROWS", 1)
+        for rep in reports:
+            alone = bl_membership(datum, SamplerConfig(samples=150, seed=9, form=rep.form))
+            assert alone.worst_gap == rep.worst_gap and alone.verdict == rep.verdict
+            assert all(np.array_equal(a, b) for a, b in zip(alone.witness, rep.witness,
+                                                            strict=True))
 
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
     @pytest.mark.parametrize("name", sorted(SINGULAR))
@@ -719,10 +752,11 @@ class TestBatchedMembership:
         # planted gaps over two blocks: nan first, the minimum -2 tied
         # within the first block and again in the second
         datum = _mixed_dims_datum()
-        n = engine.SAMPLE_BLOCK + 10
+        rows = block_rows(_largest_dim(datum))
+        n = rows + 10
         planted = np.full(n, 1.0)
         planted[[0, 5]] = np.nan
-        planted[[2, 4, engine.SAMPLE_BLOCK + 1]] = -2.0
+        planted[[2, 4, rows + 1]] = -2.0
         starts, reevaluated = [], []
 
         def fake_gap(datum, rho):
@@ -735,7 +769,7 @@ class TestBatchedMembership:
 
         monkeypatch.setattr(engine, "entropic_gap", fake_gap)
         rep = bl_membership(datum, SamplerConfig(samples=n, seed=2, form="entropic"))
-        assert [len(b) for b in starts] == [engine.SAMPLE_BLOCK, 10]
+        assert [len(b) for b in starts] == [rows, 10]
         assert np.array_equal(rep.witness[0], starts[0][2])
         # the reported worst gap is the exact re-evaluation of the witness
         assert len(reevaluated) == 1 and reevaluated[0] is rep.witness[0]

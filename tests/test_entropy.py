@@ -229,3 +229,44 @@ class TestSupportLeakTolerance:
         tau = np.diag([1.0, 0.0])
         assert np.isfinite(ent.relative_entropy(self._leaking(5e-9).matrix, tau))
         assert ent.relative_entropy(self._leaking(2e-8).matrix, tau) == INF
+
+
+class TestOneCertification:
+    """relative_entropy certifies a stack by one eigh; where tau has a
+    kernel the leak test reads that eigh's eigenvectors."""
+
+    @staticmethod
+    def _stack(rng):
+        # states inside supp tau, leaking out of it, of full and lower rank
+        v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        inside = [(v[:, 1:] * w) @ v[:, 1:].conj().T for w in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6])]
+        return v, np.stack(inside + [hs_mixed(4, rng), haar_pure(4, rng), np.eye(4) / 4])
+
+    def test_leak_test_reads_the_certifying_eigh(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        v, rhos = self._stack(rng)
+        tau = op.PSDOperator((v * [0.0, 1.0, 2.0, 3.0]) @ v.conj().T)
+        want = [ent.relative_entropy(rho, tau) for rho in rhos]
+        herm, vals, vecs = op.density_stack(rhos)
+        assert ent.supports_contained(herm, tau, spectrum=(vals, vecs)).tolist() == \
+            ent.supports_contained(herm, tau).tolist() == [True, True, False, False, False]
+
+        def second(*args):
+            raise AssertionError("the stack was certified twice")
+
+        monkeypatch.setattr(ent, "psd_stack", second)
+        got = ent.relative_entropy(rhos, tau)
+        assert got.tolist() == want
+        assert np.isfinite(got[:2]).all() and (got[2:] == INF).all()
+
+    def test_full_support_takes_no_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        _, rhos = self._stack(rng)
+        tau = op.PSDOperator(random_pd(4, rng))
+        want = [ent.relative_entropy(rho, tau) for rho in rhos]
+
+        def eigh(*args):
+            raise AssertionError("eigenvectors were taken")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert ent.relative_entropy(rhos, tau).tolist() == want

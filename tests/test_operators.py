@@ -423,6 +423,43 @@ class TestTraceExpSum:
             op.trace_exp_sum([op.zero(2), op.zero(3)])
 
 
+def _psd_log(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return op.matrix_log(op.PSDOperator(g @ g.conj().T))
+
+
+class TestSpectraWithoutVectors:
+    """The trace-exponentials read only spectra, taken by eigvalsh: each
+    stacked row equals its list taken alone, bit for bit, and the spectra
+    agree with eigh's."""
+
+    @pytest.mark.parametrize("head_rank", [None, 3, 2])
+    def test_rows_match_one_list_at_a_time(self, head_rank):
+        rng = np.random.default_rng(23)
+        lead = [] if head_rank is None else [_psd_log(rng, 3, head_rank)]
+        rows = np.stack([[random_hermitian(3, rng) for _ in range(2)] for _ in range(6)])
+        # rows 1 and 4 flag a kernel on their first term, row 4 on its second too
+        flags = {2: _psd_log(rng, 3, 2).weight, 8: _psd_log(rng, 3, 2).weight,
+                 9: _psd_log(rng, 3, 1).weight}
+        lists = [lead + [op.SupportLog(rows[r, j], flags.get(2 * r + j)) for j in range(2)]
+                 for r in range(len(rows))]
+        head = lead[0] if lead else None
+        for rows_fn, one in ((op.trace_exp_rows, op.trace_exp_sum),
+                             (op.log_trace_exp_rows, op.log_trace_exp_sum)):
+            got = rows_fn(rows, flags, head)
+            assert got.tolist() == [one(terms) for terms in lists]
+        for terms in lists:
+            vals, none = op.sum_on_joint_support(terms, vectors=False)
+            want, vecs = op.sum_on_joint_support(terms)
+            assert none is None and vecs.shape == (3, len(want))
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+        groups = op._joint_support_groups(lists, vectors=False)
+        assert all(vecs is None for _, _, vecs in groups)
+        for (rows_i, vals, _), (_, want, _) in zip(groups, op._joint_support_groups(lists),
+                                                   strict=True):
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
 class TestSchatten:
     def test_identity_p1(self):
         assert op.schatten(op.identity(4), 1) == pytest.approx(4.0)

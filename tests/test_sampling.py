@@ -13,7 +13,7 @@ import pytest
 from qbl import sampling
 from qbl.sampling import (
     ENSEMBLES,
-    SAMPLE_BLOCK,
+    block_rows,
     blocks,
     bloch_sample,
     draw,
@@ -93,9 +93,10 @@ def test_maassen_uffink_triples():
 
 
 def test_membership_analytic_plan_with_interleaved_dimensions():
-    # bl_membership's analytic form on channels with outputs 2 and 4: per
-    # sample one omega_k per channel, "pure" drawn as "hs"
-    kinds = [("hs", "hs", "boundary")[i % 3] for i in range(SAMPLE_BLOCK + 1)]
+    # bl_membership's analytic form on channels with outputs 2 and 4, one
+    # block and one more sample: per sample one omega_k per channel, "pure"
+    # drawn as "hs"
+    kinds = [("hs", "hs", "boundary")[i % 3] for i in range(block_rows(4) + 1)]
     plan = [(kind, dk) for kind in kinds for dk in (2, 4)]
     _assert_same_stream(plan, 6, lambda rng: draw(rng, plan))
 
@@ -172,8 +173,28 @@ def test_unknown_ensemble_raises_before_drawing(plan):
     "n, sizes", [(0, []), (1, [1]), (64, [64]), (65, [64, 1]), (150, [64, 64, 22])]
 )
 def test_blocks(n, sizes):
-    assert SAMPLE_BLOCK == 64
-    assert blocks(n) == sizes
+    # d >= 8 keeps blocks of 64 samples, remainder last
+    assert (sampling.BLOCK_ENTRIES, sampling.MIN_BLOCK_ROWS) == (4096, 64)
+    assert blocks(n, 8) == blocks(n, 16) == sizes
+
+
+@pytest.mark.parametrize("n, d, sizes", [
+    # smaller matrices take BLOCK_ENTRIES // d^2 samples a block
+    (500, 8, [64] * 7 + [52]), (500, 4, [256, 244]), (500, 3, [455, 45]), (500, 2, [500]),
+    (500, 1, [500]), (5000, 2, [1024] * 4 + [904]),
+])
+def test_blocks_by_dimension(n, d, sizes):
+    assert blocks(n, d) == sizes
+    assert all(m == block_rows(d) for m in sizes[:-1])
+
+
+def test_blocks_follow_the_budget(monkeypatch):
+    monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(sampling, "MIN_BLOCK_ROWS", 1)
+    assert blocks(3, 2) == [1, 1, 1]
+    monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 0)
+    monkeypatch.setattr(sampling, "MIN_BLOCK_ROWS", 64)
+    assert blocks(65, 2) == [64, 1]
 
 
 class _Recording(np.random.Generator):
