@@ -199,8 +199,7 @@ def measurement_entropies_bits(rho, bases: Sequence[Sequence[np.ndarray]]):
         probs = np.einsum("xi,...ix->...x", rows.conj(), mat @ rows.T).real
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=-1, keepdims=True)
-        pos = probs > 0
-        out.append(-np.sum(np.where(pos, probs * np.log2(np.where(pos, probs, 1.0)), 0.0), axis=-1))
+        out.append(-xlogx_sum(probs) / LN2)
     return np.array(out) if mat.ndim == 3 else [float(h) for h in out]
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .applications import (
+    LN2,
     conditional_shearer_check,
     conditional_shearer_probe,
     contraction_coefficient,
@@ -59,8 +60,6 @@ from .gaussian import deficit_trajectory, geometric_datum_check
 from .presets import PRESET_NAMES, build_preset
 from .sampling import blocks, bloch_sample, draw, random_pd
 from .serialization import decode_spec, encode_matrix
-
-LN2 = float(np.log(2.0))
 
 
 def _load_task(spec: str, seed: int) -> dict:

@@ -52,8 +52,8 @@ certificate is one path: it takes the induced logs L_k once
 output dimension certified and their logs taken from that one eigh, every
 eigenvalue lifted to eigh_log's floor of 1e-15 lambda_max), so each L_k
 is one Hermitian matrix and each omega_k has full rank; analytic_gap
-evaluates them, and the witness exponentiates and certifies the omega_k
-of one output dimension as one stack. Each gives, bit for bit, what one
+evaluates them, and the witness takes the omega_k of one output dimension
+as the gibbs states of their L_k and certifies them, as one stack. Each gives, bit for bit, what one
 channel at a time gives.
 
 A datum with a consistent reference (tr sigma = 1, E_k(sigma) = sigma_k)
@@ -94,7 +94,6 @@ from .operators import (
     _log_mean,
     density_stack,
     eigh_log,
-    exp_on_supports,
     floored_log,
     gibbs,
     hermitian_part,
@@ -844,9 +843,11 @@ def induced_logs(datum: BLDatum, rho) -> list[SupportLog]:
 
 def induced_analytic_witness(datum: BLDatum, logs) -> list[DensityOperator]:
     """The omega tuple the duality proof pairs with a state rho:
-    omega_k proportional to exp(L_k) for the induced_logs L_k (given, or
-    taken here from rho), that is [exp(log E_k(rho) - log sigma_k)]^(q_k),
-    each of full rank.
+    omega_k = exp(L_k) / tr exp(L_k), the gibbs state of the induced_logs
+    L_k (given, or taken here from rho), that is [exp(log E_k(rho) - log
+    sigma_k)]^(q_k) normalized, each of full rank. gibbs shifts L_k by its
+    top eigenvalue, so a large L_k does not overflow. The L_k carry no
+    kernel flag; one that does raises ValueError.
 
     Evaluating the analytic objective at this tuple is always >= the
     entropic objective at rho. The L_k of one output dimension are
@@ -855,8 +856,10 @@ def induced_analytic_witness(datum: BLDatum, logs) -> list[DensityOperator]:
     """
     if not (isinstance(logs, list) and all(isinstance(lk, SupportLog) for lk in logs)):
         logs = induced_logs(datum, logs)
-    oms = [om / np.trace(om).real for om in exp_on_supports([[lk] for lk in logs])]
-    return _by_output_dim(datum, lambda mats: DensityOperator.from_stack(*density_stack(mats)), oms)
+    if any(lk.has_kernel for lk in logs):
+        raise ValueError("an induced log flags a kernel")
+    return _by_output_dim(datum, lambda lks: DensityOperator.from_stack(
+        *density_stack(gibbs(np.stack([lk.finite for lk in lks]))[0])), logs)
 
 
 def _leak_witness(datum: BLDatum, k: int) -> list[DensityOperator]:

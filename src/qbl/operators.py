@@ -12,14 +12,15 @@ without support handling.
 Each support-aware function has one implementation, on stacks, and one
 operator or one list of terms is a stack of one: PSDOperator and
 DensityOperator keep the certified row of psd_stack and density_stack,
-matrix_log is support_logs (support_log_stack as a list) of an operator's
-own spectrum, and one list's sum_on_joint_support runs the joint-support
-core of exp_on_supports and of the row functions trace_exp_rows and
-log_trace_exp_rows, which group lists of equal dimension and support rank
-into one stack; a row function takes the rows without a kernel flag of
-their own through one eigvalsh, a stacked sum_on_joint_support under a
-head. The trace-exponentials (trace_exp_sum, log_trace_exp_sum and the
-row functions) read only spectra, and take no eigenvectors.
+matrix_log is the row of support_log_stack of an operator's own spectrum,
+and a list of terms is one row of the row functions trace_exp_rows and
+log_trace_exp_rows. sum_on_joint_support is the joint-support core of one
+list (or of one stack sharing the list's kernel flags); the row functions
+take their rows without a kernel flag of their own through one eigvalsh
+(a stacked sum_on_joint_support under a head), and the others through one
+eigh of their summed flags and one compressed eigvalsh per support rank.
+The trace-exponentials (trace_exp_sum, log_trace_exp_sum and the row
+functions) read only spectra, and take no eigenvectors.
 lieb_triple_integral takes three operators or three stacks, and any PSD
 third argument, on its support. Certification tests a whole stack first:
 a finite stack whose largest skew is within HERM_RTOL, and whose least
@@ -311,8 +312,7 @@ def sum_on_joint_support(terms: Sequence, vectors: bool = True) -> tuple:
     embedded back into the ambient space (d x r, orthonormal columns).
     An empty joint support yields empty arrays. Without vectors the
     eigenvalues come from eigvalsh and the vectors are None: the
-    trace-exponentials, which read only the spectrum, take that path. The
-    core of _joint_support_groups on one list, with nothing to group. A
+    trace-exponentials, which read only the spectrum, take that path. A
     term's finite part may be a stack (n, d, d) whose rows share the kernel
     flags of the list: the stack's sums then take one eigh (or eigvalsh),
     compressed onto the flags' joint support, and the result is stacked.
@@ -322,31 +322,6 @@ def sum_on_joint_support(terms: Sequence, vectors: bool = True) -> tuple:
         return _spectrum(total, vectors)
     wvecs, below = _flag_supports(weight)
     return _eigh_compressed(total, wvecs[:, below], vectors)
-
-
-def _joint_support_groups(term_lists: Sequence[Sequence], vectors: bool = True) -> list[tuple]:
-    """sum_on_joint_support of each list of terms: one (rows, eigenvalues
-    (g, r), vectors (g, d, r), None without vectors) per group of lists of
-    equal dimension d and support rank r. The sums without a kernel flag of
-    one dimension take one eigh; those with one take one eigh of their
-    summed flags and one per support rank of their compressed sums."""
-    sums = [_summed(terms) for terms in term_lists]
-    keys: dict[tuple[int, bool], list[int]] = {}
-    for i, (total, weight) in enumerate(sums):
-        keys.setdefault((total.shape[0], weight is not None), []).append(i)
-    groups = []
-    for (_, flagged), rows in keys.items():
-        totals = np.stack([sums[i][0] for i in rows])
-        if not flagged:
-            groups.append((rows, *_spectrum(totals, vectors)))
-            continue
-        wvecs, below = _flag_supports(np.stack([sums[i][1] for i in rows]))
-        ranks = np.count_nonzero(below, axis=1)
-        for r in sorted(set(ranks.tolist())):
-            sel = np.flatnonzero(ranks == r)
-            groups.append(([rows[j] for j in sel],
-                           *_eigh_compressed(totals[sel], wvecs[sel, :, :r], vectors)))
-    return groups
 
 
 def trace_exp_sum(terms: Sequence) -> float:
@@ -360,49 +335,41 @@ def log_trace_exp_sum(terms: Sequence) -> float:
     return float(log_sum_exp(sum_on_joint_support(terms, vectors=False)[0]))
 
 
-def exp_on_support(terms: Sequence) -> np.ndarray:
-    """exp(sum of terms) as a d x d matrix, zero on the flagged kernel."""
-    vals, vecs = sum_on_joint_support(terms)
-    return hermitian_part(from_spectrum(np.exp(vals), vecs))
-
-
-def exp_on_supports(term_lists: Sequence[Sequence]) -> list[np.ndarray]:
-    """exp_on_support of each list of terms, the lists of equal dimension
-    and support rank exponentiated as one stack."""
-    out: list[np.ndarray] = [None] * len(term_lists)
-    for rows, vals, vecs in _joint_support_groups(term_lists):
-        for i, mat in zip(rows, hermitian_part(from_spectrum(np.exp(vals), vecs))):
-            out[i] = mat
-    return out
-
-
 def _rows_reduced(reduce, terms: np.ndarray, flags: dict, head: SupportLog | None) -> np.ndarray:
     """reduce of the spectrum on the joint support of each row's sum of a
     stack of terms: their finite parts (n, K, d, d), the kernel flags
     {r * K + k: weight} of the terms that have one (a None weight counts as
     none), and an optional head, one SupportLog that leads every row's sum.
-    The rows without a kernel flag of their own are summed in the order
-    of their terms, after the head, and take one eigvalsh: without a head
-    directly, with one through a stacked sum_on_joint_support with the
-    head's kernel flag, which compresses them onto the head's support in
-    that one call. The others go through _joint_support_groups. Only
-    spectra are taken, no eigenvectors, as in trace_exp_sum."""
+    Each row is summed once, the head first and then its terms in order,
+    and so are the kernel flags of each row that has one of its own. The
+    rows without one take one eigvalsh: without a head directly, with one
+    through a stacked sum_on_joint_support with the head's kernel flag,
+    which compresses them onto the head's support in that one call. The
+    others take one _flag_supports of their stacked flag sums and one
+    compressed eigvalsh per support rank. Each row is then, bit for bit,
+    its list of terms taken alone by trace_exp_sum; only spectra are taken,
+    no eigenvectors."""
     n, k = terms.shape[:2]
+    total = terms[:, 0] if head is None else head.finite + terms[:, 0]
+    for j in range(1, k):
+        total = total + terms[:, j]
+    own: dict[int, np.ndarray] = {}
+    for i in sorted(flags):  # each row's flags in the order of its terms
+        if flags[i] is not None:
+            prev = own.get(i // k, None if head is None else head.weight)
+            own[i // k] = flags[i] if prev is None else prev + flags[i]
     out = np.empty(n)
-    own = sorted({i // k for i, w in flags.items() if w is not None})
-    lead = [] if head is None else [head]
     if len(own) < n:
-        plain = np.setdiff1d(np.arange(n), own) if own else slice(None)
-        rows = terms[plain]
-        total = rows[:, 0] if head is None else head.finite + rows[:, 0]
-        for j in range(1, k):
-            total = total + rows[:, j]
-        out[plain] = reduce(np.linalg.eigvalsh(total) if head is None else
-                            sum_on_joint_support([SupportLog(total, head.weight)], vectors=False)[0])
+        plain = np.setdiff1d(np.arange(n), list(own)) if own else slice(None)
+        out[plain] = reduce(np.linalg.eigvalsh(total[plain]) if head is None else
+                            sum_on_joint_support([SupportLog(total[plain], head.weight)], vectors=False)[0])
     if own:
-        lists = [lead + [SupportLog(terms[r, j], flags.get(r * k + j)) for j in range(k)] for r in own]
-        for group, vals, _ in _joint_support_groups(lists, vectors=False):
-            out[[own[i] for i in group]] = reduce(vals)
+        rows = np.array(list(own))
+        wvecs, below = _flag_supports(np.stack(list(own.values())))
+        ranks = np.count_nonzero(below, axis=1)
+        for r in np.unique(ranks):
+            sel = ranks == r
+            out[rows[sel]] = reduce(_eigh_compressed(total[rows[sel]], wvecs[sel, :, :r], vectors=False)[0])
     return out
 
 
@@ -474,12 +441,6 @@ def support_log_stack(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, d
     return finite, flags
 
 
-def support_logs(vals: np.ndarray, vecs: np.ndarray) -> list[SupportLog]:
-    """support_log_stack as one SupportLog per operator of the stack."""
-    finite, flags = support_log_stack(vals, vecs)
-    return [SupportLog(f, flags.get(i)) for i, f in enumerate(finite)]
-
-
 def _normalized(mats) -> np.ndarray:
     """A stack (n, d, d) of matrices, each divided by its trace."""
     stack = np.asarray(mats, dtype=complex)
@@ -500,13 +461,14 @@ def density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def matrix_log(a: PSDOperator) -> SupportLog:
-    """Support-projected natural logarithm of a PSD operator: support_logs
-    of its own spectrum. It is computed once and kept on the operator, as
+    """Support-projected natural logarithm of a PSD operator: the one row of
+    support_log_stack of its own spectrum. It is computed once and kept on the operator, as
     read-only arrays, so every caller can share it."""
     if not isinstance(a, PSDOperator):
         a = PSDOperator(a)
     if a._log is None:
-        log = support_logs(a.eigenvalues[None], a.eigenvectors[None])[0]
+        finite, flags = support_log_stack(a.eigenvalues[None], a.eigenvectors[None])
+        log = SupportLog(finite[0], flags.get(0))
         for arr in (log.finite, log.weight):
             if arr is not None:
                 arr.setflags(write=False)
@@ -519,7 +481,8 @@ def matrix_exp(h: HermitianOperator) -> PSDOperator:
     flagged kernel of a SupportLog."""
     if not isinstance(h, (SupportLog, HermitianOperator)):
         h = HermitianOperator(h)
-    return PSDOperator(exp_on_support([h]))
+    vals, vecs = sum_on_joint_support([h])
+    return PSDOperator(hermitian_part(from_spectrum(np.exp(vals), vecs)))
 
 
 def schatten(a: PSDOperator, p: float) -> float:

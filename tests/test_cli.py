@@ -231,6 +231,22 @@ class TestConstant:
         assert rep["constant"]["analytic_nats"] == "inf"
         assert rep["constant"]["agree"]
 
+    def test_large_induced_logs_do_not_overflow(self, capsys, tmp_path):
+        # the identity channel at q = 60 with sigma = sigma_1 = diag(1 - 1e-6,
+        # 1e-6): the constant is 59 ln 10^6 = 815.1 nats, and the witness's
+        # log L_1 has an eigenvalue near 829, past where exp overflows
+        sigma = PSDOperator(np.diag([1 - 1e-6, 1e-6]))
+        datum = BLDatum([60.0], [identity_channel(2)], sigma, [sigma], 0.0)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(encode_datum(datum)))
+        code, out = run(capsys, "constant", str(path), "--budget", "restarts=8,iters=300",
+                        "--no-meta")
+        assert code == 0
+        rep = json.loads(out)["constant"]
+        assert rep["agree"] is True
+        for side in ("entropic_nats", "analytic_nats"):
+            assert rep[side] == pytest.approx(59 * np.log(1e6), rel=0, abs=1e-6)
+
     @pytest.mark.parametrize("form", ["entropic", "analytic"])
     def test_zero_sigma_k_is_violated(self, capsys, tmp_path, form):
         # sigma_1 = 0: the right-hand side of either form is 0 while sigma

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,9 +14,9 @@ compare_answers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_answers)
 
 
-def _run(code, constant, verdict):
+def _run(code, constant, verdict, warnings=()):
     report = {"c_entropic": constant, "agree": True, "verdict": verdict}
-    return {"exit": code, "stdout": json.dumps(report)}
+    return {"exit": code, "stdout": json.dumps(report), "warnings": list(warnings)}
 
 
 TASKS = [{"workload": "crosscheck-small", "name": f"seed 0 task-{i}"} for i in range(2)]
@@ -43,6 +44,49 @@ def test_planted_verdict_change_is_named(capsys):
     out = capsys.readouterr().out
     assert "non-numeric differences: 1" in out
     assert "seed 0 task-1: verdict 'holds_on_samples' -> 'violated'" in out
+
+
+OVERFLOW = "RuntimeWarning: overflow encountered in exp"
+
+
+def test_new_warning_fails_and_is_named(capsys):
+    change = [BASE[0], _run(0, 1.25, "holds_on_samples", [OVERFLOW] * 4)]
+    assert compare_answers.compare(TASKS, BASE, change) == 1
+    out = capsys.readouterr().out
+    assert "byte-identical outputs: 2/2" in out
+    assert ("warnings: base 0, change 4\n  warns only in change: crosscheck-small: "
+            f"seed 0 task-1: 4, first {OVERFLOW}\n") in out
+
+
+def test_warnings_the_base_shares_are_counted_only(capsys):
+    base = [BASE[0], _run(0, 1.25, "holds_on_samples", [OVERFLOW])]
+    change = [BASE[0], _run(0, 1.25, "holds_on_samples", [OVERFLOW] * 2)]
+    assert compare_answers.compare(TASKS, base, change) == 0
+    out = capsys.readouterr().out
+    assert "warnings: base 1, change 2\n" in out and "warns only in change" not in out
+    # a warning the change mends is counted, and is no failure
+    assert compare_answers.compare(TASKS, base, BASE) == 0
+    assert "warnings: base 1, change 0\n" in capsys.readouterr().out
+
+
+def test_run_tasks_records_every_warning(tmp_path):
+    # the one task warns on each call, so a once-per-process filter would
+    # record it once
+    src = tmp_path / "src"
+    (src / "qbl").mkdir(parents=True)
+    (src / "qbl" / "__init__.py").write_text("")
+    (src / "qbl" / "cli.py").write_text(
+        "import warnings\n\n\ndef main(argv):\n"
+        "    for _ in range(3):\n        warnings.warn('planted', RuntimeWarning)\n"
+        "    print(argv[0])\n    return 0\n")
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([{"argv": ["a"]}, {"argv": ["b"]}]))
+    out = tmp_path / "out.json"
+    subprocess.run([sys.executable, str(_PATH), "--run", str(src), str(tasks), str(out)],
+                   check=True, cwd=tmp_path)
+    results = json.loads(out.read_text())
+    assert [r["stdout"] for r in results] == ["a\n", "b\n"]
+    assert [r["warnings"] for r in results] == [["RuntimeWarning: planted"] * 3] * 2
 
 
 def test_largest_decrease_names_its_task(capsys):

@@ -245,6 +245,15 @@ class TestOptimalConstants:
             assert all(om.eigenvalues[0] > 0 for om in induced_analytic_witness(datum, logs))
             assert -analytic_gap(zero_c, logs) >= -entropic_gap(zero_c, rho)
 
+    def test_flagged_log_is_refused_by_the_witness(self):
+        # the induced logs carry no kernel flag: the Gibbs state of a log
+        # that flags one would put weight on its kernel, so it is refused
+        datum, dusty = _dust_datum()
+        logs = engine.induced_logs(datum, dusty)
+        logs[1] = op.SupportLog(logs[1].finite, np.diag([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="flags a kernel"):
+            induced_analytic_witness(datum, logs)
+
     def test_restart_seeds_recorded(self):
         d = dpi_datum(10)
         _, _, res = optimal_constant_entropic(d, OptimizerBudget(restarts=4, base_seed=11))
@@ -1459,19 +1468,21 @@ class TestAcceleratedLoop:
         assert max(abs(np.trace(h)) for h in proposals) <= 2 * top
 
     def test_relaxed_steps_cut_the_gibbs_calls(self, monkeypatch):
-        # the 20 acceptance-1 data at their budget, both sides: 4196 Gibbs
+        # the 20 acceptance-1 data at their budget, both sides: 4221 Gibbs
         # calls without relaxation (one per loop pass, plus the analytic
-        # side's start states), 1654 with it; the results count the passes
+        # side's start states and its witness, one per output dimension),
+        # 1679 with it; the results count the passes
         calls = []
         gibbs = engine.gibbs
         monkeypatch.setattr(engine, "gibbs", lambda h: calls.append(len(h)) or gibbs(h))
-        passes = 0
+        passes = witnesses = 0
         for i in range(20):
             budget = OptimizerBudget(restarts=32, max_iters=500, base_seed=i)
             datum = _acceptance_datum(i)
             for estimate in (optimal_constant_entropic, optimal_constant_analytic):
                 passes += estimate(datum, budget)[2].loop_passes
-        assert passes + 20 == len(calls) < 2500
+            witnesses += len(engine._dim_groups(datum.channels))
+        assert passes + 20 + witnesses == len(calls) < 2500
 
     def test_anderson_beats_the_plain_step(self, monkeypatch):
         # with every proposal forced to the plain step the loop is the
@@ -1934,11 +1945,10 @@ def _per_channel_logs(datum, rho):
 
 
 def _per_channel_witness(datum, rho):
-    out = []
-    for lk in _per_channel_logs(datum, rho):
-        om = op.exp_on_support([lk])
-        out.append(op.DensityOperator(om / np.trace(om).real))
-    return out
+    """induced_analytic_witness one channel at a time: the Gibbs state of
+    each L_k alone."""
+    return [op.DensityOperator(op.gibbs(lk.finite[None])[0][0])
+            for lk in _per_channel_logs(datum, rho)]
 
 
 def _per_channel_analytic_gap(datum, omegas):

@@ -44,17 +44,68 @@ class TestValidation:
             cls(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
-class TestStacks:
-    """psd_stack and support_logs: PSDOperator's checks and matrix_log on a
-    stack, one eigh for all of it."""
+def _log_rows(vals, vecs):
+    """The rows of support_log_stack, one SupportLog each."""
+    finite, flags = op.support_log_stack(vals, vecs)
+    return [op.SupportLog(f, flags.get(i)) for i, f in enumerate(finite)]
 
-    def test_support_logs_match_matrix_log(self):
+
+def _kernel_flag(rng, d, rank):
+    """A kernel flag of support rank 0..d: the projector onto a random
+    (d - rank)-dimensional subspace (the zero matrix at rank d)."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    kernel = np.linalg.qr(g)[0][:, rank:]
+    return kernel @ kernel.conj().T
+
+
+def _flagged_rows(rng, d, head):
+    """A stack of rows (n, 2, d, d) of two Hermitian terms, their kernel
+    flags and the lists of terms they stand for, led by the head: rows
+    without a flag, rows whose first term flags a support of each rank 0..d,
+    rows whose first and second terms both flag one (of joint support rank
+    max(0, r + s - d) for flags of ranks r and s), a row whose two terms
+    flag one kernel, so that a flagged head leaves it a joint support of
+    rank d - 2 from three flags, and a row with a None flag."""
+    first = [_kernel_flag(rng, d, r) for r in range(d + 1)]
+    same = _kernel_flag(rng, d, d - 1)
+    both = [(_kernel_flag(rng, d, r), _kernel_flag(rng, d, s))
+            for r in range(1, d + 1) for s in range(r, d + 1)] + [(same, same)]
+    n = 2 + len(first) + len(both)
+    rows = np.stack([[random_hermitian(d, rng) for _ in range(2)] for _ in range(n)])
+    flags = {2: None}
+    for i, flag in enumerate(first):
+        flags[2 * (2 + i)] = flag
+    for i, pair in enumerate(both):
+        row = 2 + len(first) + i
+        flags[2 * row], flags[2 * row + 1] = pair
+    lead = [] if head is None else [head]
+    lists = [lead + [op.SupportLog(rows[r, j], flags.get(2 * r + j)) for j in range(2)]
+             for r in range(n)]
+    return rows, flags, lists
+
+
+_HEADS = ["none", "full", "flagged"]
+
+
+def _head(rng, d, kind):
+    """No head, a head of full rank, or a head that flags a kernel."""
+    if kind == "none":
+        return None
+    return op.SupportLog(random_hermitian(d, rng), None if kind == "full" else
+                         _kernel_flag(rng, d, d - 1))
+
+
+class TestStacks:
+    """psd_stack and support_log_stack: PSDOperator's checks and matrix_log
+    on a stack, one eigh for all of it."""
+
+    def test_support_log_stack_rows_match_matrix_log(self):
         rng = np.random.default_rng(7)
         u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
         mats = [random_pd(3, rng), (u * [0.0, 0.3, 0.7]) @ u.conj().T, np.diag([1.0, 0.0, 0.0]),
                 np.diag([1.0, 1e-11, 2.0])]
         herm, vals, vecs = op.psd_stack(mats)
-        for m, h, got in zip(mats, herm, op.support_logs(vals, vecs)):
+        for m, h, got in zip(mats, herm, _log_rows(vals, vecs)):
             want = op.matrix_log(op.PSDOperator(m))
             np.testing.assert_array_equal(h, op.PSDOperator(m).matrix)
             np.testing.assert_array_equal(got.finite, want.finite)
@@ -74,19 +125,18 @@ class TestStacks:
         with pytest.raises(ValueError, match="cannot normalize"):
             op.density_stack([np.eye(2), -np.eye(2)])
 
-    def test_stacked_joint_supports_match_one_list_at_a_time(self):
-        # lists of two dimensions, with no flag, one flag or two, of
-        # different support ranks: each as sum_on_joint_support gives it
-        rng = np.random.default_rng(11)
-        lists = []
-        for d in (2, 3, 2, 3, 3):
-            for rank in (d, d - 1, 1):
-                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-                lw = op.matrix_log(op.PSDOperator(g @ g.conj().T))
-                lists.append([lw.scaled(0.7), op.matrix_log(op.PSDOperator(random_pd(d, rng)))])
-                lists.append([lw, lw.scaled(2.0)])
-        for terms, got_exp in zip(lists, op.exp_on_supports(lists), strict=True):
-            np.testing.assert_array_equal(got_exp, op.exp_on_support(terms))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("head_kind", _HEADS)
+    def test_stacked_rows_match_one_list_at_a_time(self, d, head_kind):
+        # rows with no flag, one flag or two, of every support rank 0..d,
+        # under no head, a full-rank head or a flagged one: each row, bit
+        # for bit, as its list of terms taken alone gives it
+        rng = np.random.default_rng(11 + d)
+        head = _head(rng, d, head_kind)
+        rows, flags, lists = _flagged_rows(rng, d, head)
+        for rows_fn, one in ((op.trace_exp_rows, op.trace_exp_sum),
+                             (op.log_trace_exp_rows, op.log_trace_exp_sum)):
+            assert rows_fn(rows, flags, head).tolist() == [one(terms) for terms in lists]
 
     @pytest.mark.parametrize("head_rank", [3, 2, 1])
     def test_stacked_terms_share_the_head_flag(self, head_rank):
@@ -125,10 +175,10 @@ class TestStacks:
         with pytest.raises(DimensionMismatch):
             op.psd_stack(mats)
 
-    def test_support_logs_of_zero_raise(self):
+    def test_support_log_stack_of_zero_raises(self):
         _, vals, vecs = op.psd_stack([np.eye(2), np.zeros((2, 2))])
         with pytest.raises(ZeroOperator):
-            op.support_logs(vals, vecs)
+            op.support_log_stack(vals, vecs)
 
 
 def _hermitian_stack(rng, d=2, n=3):
@@ -184,10 +234,10 @@ class TestWholeStackChecks:
 
 
 class TestIndependentReference:
-    """psd_stack and support_logs row by row against numpy on one matrix at
-    a time, bit for bit: eigh of the Hermitian part, and the logarithm on
-    the support, V_s diag(log w_s) V_s^dag, with the kernel projector as
-    the flag."""
+    """psd_stack and support_log_stack row by row against numpy on one
+    matrix at a time, bit for bit: eigh of the Hermitian part, and the
+    logarithm on the support, V_s diag(log w_s) V_s^dag, with the kernel
+    projector as the flag."""
 
     @staticmethod
     def _stack(rng, d, deficient):
@@ -205,7 +255,7 @@ class TestIndependentReference:
         mats = self._stack(np.random.default_rng(37 + d), d, deficient)
         for given in (mats, np.stack(mats)):
             herm, vals, vecs = op.psd_stack(given)
-            logs = op.support_logs(vals, vecs)
+            logs = _log_rows(vals, vecs)
             for a, h, w, v, log in zip(mats, herm, vals, vecs, logs, strict=True):
                 h_ref = 0.5 * (a + a.conj().T)
                 w_ref, v_ref = np.linalg.eigh(h_ref)
@@ -236,8 +286,8 @@ def _mixed_rank_mats(rng, d=3):
 
 class TestStackOfOne:
     """One operator is the row of a stack of one: an operator built from a
-    certified stack's row equals the one built alone, and one list's
-    sum_on_joint_support equals its row of the grouped call."""
+    certified stack's row equals the one built alone, and one list of terms
+    taken alone equals its row of a stacked trace-exponential call."""
 
     def test_rows_equal_operators_built_alone(self):
         mats = _mixed_rank_mats(np.random.default_rng(13))
@@ -250,25 +300,18 @@ class TestStackOfOne:
                 assert np.array_equal(got.finite, want.finite)
                 assert got.has_kernel == want.has_kernel
 
-    def test_one_list_is_its_row_of_the_grouped_call(self):
+    @pytest.mark.parametrize("head_kind", _HEADS)
+    def test_one_list_is_its_row_of_the_stacked_call(self, head_kind):
         rng = np.random.default_rng(17)
-        lists = []
-        for d in (2, 3, 3):
-            for rank in (d, d - 1, 1):
-                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-                lw = op.matrix_log(op.PSDOperator(g @ g.conj().T))
-                lists.append([lw.scaled(0.7), random_hermitian(d, rng)])  # flagged unless rank d
-                lists.append([random_hermitian(d, rng), random_hermitian(d, rng)])  # unflagged
-        seen = set()
-        for rows, vals, vecs in op._joint_support_groups(lists):
-            for i, v, u in zip(rows, vals, vecs):
-                got_vals, got_vecs = op.sum_on_joint_support(lists[i])
-                assert np.array_equal(got_vals, v) and np.array_equal(got_vecs, u)
-                ((_, alone_vals, alone_vecs),) = op._joint_support_groups([lists[i]])
-                assert np.array_equal(got_vals, alone_vals[0])
-                assert np.array_equal(got_vecs, alone_vecs[0])
-                seen.add(i)
-        assert seen == set(range(len(lists)))
+        head = _head(rng, 3, head_kind)
+        rows, flags, lists = _flagged_rows(rng, 3, head)
+        for rows_fn, one in ((op.trace_exp_rows, op.trace_exp_sum),
+                             (op.log_trace_exp_rows, op.log_trace_exp_sum)):
+            stacked = rows_fn(rows, flags, head)
+            for r, terms in enumerate(lists):
+                alone = rows_fn(rows[r:r + 1], {j: flags[2 * r + j] for j in range(2)
+                                                if 2 * r + j in flags}, head)
+                assert alone.tolist() == [stacked[r]] == [one(terms)]
 
     @pytest.mark.parametrize("bad, kind, match", [
         (np.diag([1.0, -0.1]), ValueError, "not PSD"),
@@ -294,7 +337,7 @@ class TestStackOfOne:
             assert str(alone.value) == str(stacked.value)
         with pytest.raises(DimensionMismatch):
             op.DensityOperator(np.ones(3))
-        for log in (op.matrix_log, lambda m: op.support_logs(*op.psd_stack([m])[1:])):
+        for log in (op.matrix_log, lambda m: op.support_log_stack(*op.psd_stack([m])[1:])):
             with pytest.raises(ZeroOperator):
                 log(np.zeros((2, 2)))
 
@@ -363,6 +406,8 @@ class TestMatrixLogExp:
         res = op.matrix_log(op.PSDOperator(np.diag([1.0, 0.0])))
         assert res.has_kernel
         np.testing.assert_allclose(res.weight, np.diag([0.0, 1.0]), atol=1e-12)
+        # matrix_exp of a flagged log is zero on the kernel: exp(log A) = A
+        np.testing.assert_allclose(op.matrix_exp(res).matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     @pytest.mark.parametrize("diag", [[0.3, 0.7], [1.0, 0.0]], ids=["definite", "kernel"])
     def test_log_kept_on_the_operator(self, diag):
@@ -449,15 +494,27 @@ class TestSpectraWithoutVectors:
             got = rows_fn(rows, flags, head)
             assert got.tolist() == [one(terms) for terms in lists]
         for terms in lists:
-            vals, none = op.sum_on_joint_support(terms, vectors=False)
-            want, vecs = op.sum_on_joint_support(terms)
-            assert none is None and vecs.shape == (3, len(want))
-            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
-        groups = op._joint_support_groups(lists, vectors=False)
-        assert all(vecs is None for _, _, vecs in groups)
-        for (rows_i, vals, _), (_, want, _) in zip(groups, op._joint_support_groups(lists),
-                                                   strict=True):
-            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+            self._spectra_agree(terms)
+
+    @staticmethod
+    def _spectra_agree(terms):
+        vals, none = op.sum_on_joint_support(terms, vectors=False)
+        want, vecs = op.sum_on_joint_support(terms)
+        assert none is None and vecs.shape == (3, len(want))
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+
+    @pytest.mark.parametrize("head_kind", _HEADS)
+    def test_every_support_rank(self, head_kind):
+        # own flags of support ranks 0..3, one term flagged or two:
+        # eigvalsh's spectra agree with eigh's, and an empty joint support
+        # gives 0 and -inf
+        rng = np.random.default_rng(29)
+        head = _head(rng, 3, head_kind)
+        rows, flags, lists = _flagged_rows(rng, 3, head)
+        assert op.trace_exp_rows(rows, flags, head)[2] == 0.0  # row 2 flags support rank 0
+        assert op.log_trace_exp_rows(rows, flags, head)[2] == -np.inf
+        for terms in lists:
+            self._spectra_agree(terms)
 
 
 class TestSchatten:

@@ -9,16 +9,19 @@ qbl imported from BASE_SRC, so both trees read the same input files, and
 the fixed ``cli`` group at each seed: every preset through each command
 that accepts it, at small budgets, with ``--no-meta``. Each tree then runs
 every task through ``qbl.cli.main`` in one child process of its own, with
-qbl imported from that tree and BLAS pinned to one thread.
-Prints the tasks whose exit codes differ, the count of byte-identical
+qbl imported from that tree and BLAS pinned to one thread, recording the
+warnings each task raises (every one, not once per process).
+Prints the tasks whose exit codes differ, each tree's warning count and
+the tasks that warn only in the change, the count of byte-identical
 outputs and the tasks whose outputs are not, the tasks whose non-numeric
 fields differ, and per group (a workload or ``cli``), for every numeric
 field that moved (a JSON path with list indices dropped, or a CSV column),
 its largest absolute difference and its largest decrease, with the task it
 came from, and largest increase (change - base), so that "no constant went
 down" reads off one line per field. Exits 1 when any exit code or
-non-numeric field differs, so a script can use it as a gate; numeric moves
-alone exit 0.
+non-numeric field differs, or when the change warns on a task where the
+base did not, so a script can use it as a gate; numeric moves alone exit
+0.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,7 +87,8 @@ def cli_tasks(seeds: list[int]) -> list[dict]:
 
 
 def run_tasks(src: str, tasks_path: str, out_path: str) -> None:
-    """Child process: run each task through qbl.cli.main from src."""
+    """Child process: run each task through qbl.cli.main from src, with
+    its output and the warnings it raised."""
     sys.path.insert(0, src)
     import qbl.cli
 
@@ -92,9 +97,12 @@ def run_tasks(src: str, tasks_path: str, out_path: str) -> None:
     results = []
     for task in json.loads(Path(tasks_path).read_text(encoding="utf-8")):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             code = qbl.cli.main(task["argv"])
-        results.append({"exit": code, "stdout": out.getvalue()})
+        results.append({"exit": code, "stdout": out.getvalue(),
+                        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]})
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 
 
@@ -136,8 +144,9 @@ def as_number(x):
 
 def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     """Print the differences of two runs of the tasks; 1 if an exit code or
-    a non-numeric field differs, else 0."""
-    exit_mismatch, differing, other = [], [], []
+    a non-numeric field differs, or a task warns only in the change, else
+    0."""
+    exit_mismatch, differing, other, new_warnings = [], [], [], []
     # per group and field: the most negative change - base, the task it
     # came from, and the most positive change - base
     moved: dict[str, dict[str, list]] = {name: {} for name in GROUPS}
@@ -145,6 +154,8 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
         label = f"{task['workload']}: {task['name']}"
         if a["exit"] != b["exit"]:
             exit_mismatch.append(f"{label}: exit {a['exit']} -> {b['exit']}")
+        if b.get("warnings") and not a.get("warnings"):
+            new_warnings.append(f"{label}: {len(b['warnings'])}, first {b['warnings'][0]}")
         if a["stdout"] == b["stdout"]:
             continue
         differing.append(label)
@@ -171,6 +182,10 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
     print(f"exit-code mismatches: {len(exit_mismatch)}")
     for line in exit_mismatch:
         print(f"  {line}")
+    counts = [sum(len(r.get("warnings", [])) for r in run) for run in (base, change)]
+    print(f"warnings: base {counts[0]}, change {counts[1]}")
+    for line in new_warnings:
+        print(f"  warns only in change: {line}")
     print(f"byte-identical outputs: {len(tasks) - len(differing)}/{len(tasks)}")
     for line in differing:
         print(f"  differs: {line}")
@@ -185,7 +200,7 @@ def compare(tasks: list[dict], base: list[dict], change: list[dict]) -> int:
             down, where, up = fields[key]
             at = f" at {where}" if where else ""
             print(f"  {key}: {max(-down, up):.3g} (down {down:.3g}{at}, up {up:+.3g})")
-    return 1 if exit_mismatch or other else 0
+    return 1 if exit_mismatch or other or new_warnings else 0
 
 
 def main() -> int:
