@@ -296,7 +296,7 @@ def _spectrum(mats: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray |
     return np.linalg.eigh(mats) if vectors else (np.linalg.eigvalsh(mats), None)
 
 
-def _eigh_compressed(totals: np.ndarray, basis: np.ndarray, vectors: bool = True) -> tuple:
+def _eigh_compressed(totals: np.ndarray, basis: np.ndarray, vectors: bool) -> tuple:
     """Eigenpairs of sums (..., d, d) compressed to the columns of basis
     (..., d, r), with the vectors embedded back (_spectrum: None without
     vectors)."""
