@@ -175,9 +175,30 @@ def conditional_shearer_probe(
 # Entropic uncertainty relations
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False, init=False)
+class BasisPair:
+    """Two orthonormal bases of one space, validated once: their rows
+    (channels.basis_rows, read-only) and their Maassen-Uffink constant, the
+    largest squared overlap c = max |<x|z>|^2. NotOrthonormal for a family
+    that is no basis, DimensionMismatch for bases of different dimensions.
+    A qbl verify call builds one pair for all of its samples."""
+
+    rows_x: np.ndarray
+    rows_z: np.ndarray
+    c: float
+
+    def __init__(self, basis_x: Sequence[np.ndarray], basis_z: Sequence[np.ndarray]):
+        rows_x, rows_z = basis_rows(basis_x), basis_rows(basis_z)
+        c = _max_overlap(rows_x, rows_z)
+        rows_x.setflags(write=False)
+        rows_z.setflags(write=False)
+        for name, value in (("rows_x", rows_x), ("rows_z", rows_z), ("c", c)):
+            object.__setattr__(self, name, value)
+
+
 def maassen_uffink_constant(basis_x: Sequence[np.ndarray], basis_z: Sequence[np.ndarray]) -> float:
     """Largest squared overlap c = max |<x|z>|^2 between two bases."""
-    return _max_overlap(basis_rows(basis_x), basis_rows(basis_z))
+    return BasisPair(basis_x, basis_z).c
 
 
 def _max_overlap(vx: np.ndarray, vz: np.ndarray) -> float:
@@ -286,13 +307,13 @@ def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     return lhs, pulled, spectra, jensen_mid
 
 
-def mu_analytic_check(basis_x, basis_z, omega1, omega2) -> MuAnalyticReport:
+def mu_analytic_check(bases: BasisPair, omega1, omega2) -> MuAnalyticReport:
     """Evaluate the two-measurement trace-exponential bound and its proof
-    chain (operator Jensen, then Golden-Thompson, then the overlap bound),
-    verifying each intermediate step. Each basis is validated once."""
-    vx, vz = basis_rows(basis_x), basis_rows(basis_z)
-    c = _max_overlap(vx, vz)
-    chans = [_pinching(vx), _pinching(vz)]
+    chain (operator Jensen, then Golden-Thompson, then the overlap bound
+    c of the validated pair), verifying each intermediate step. The two
+    measurement channels are built from the pair's rows on every call."""
+    c = bases.c
+    chans = [_pinching(bases.rows_x), _pinching(bases.rows_z)]
     (lhs,), ((px, pz),), _, (jensen_mid,) = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
     gt_bound = float(np.trace(px @ pz).real)
     chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .applications import (
     LN2,
+    BasisPair,
     conditional_shearer_check,
     conditional_shearer_probe,
     contraction_coefficient,
@@ -217,7 +218,8 @@ def cmd_verify(args, seed: int, task: dict) -> int:
     elif kind == "mu":
         rng = np.random.default_rng(seed)
         bx, bz = task["basis_x"], task["basis_z"]
-        c = maassen_uffink_constant(bx, bz)
+        bases = BasisPair(bx, bz)  # validated, and c taken, once for every sample
+        c = bases.c
         draws = []  # per sample, in this order: rho, omega_1, omega_2
         for m in blocks(args.samples, 2):
             flat = draw(rng, [("bloch", 2), ("pd", 2), ("pd", 2)] * m)
@@ -230,7 +232,7 @@ def cmd_verify(args, seed: int, task: dict) -> int:
         if "analytic" in forms:
             worst["analytic"] = np.inf
             for _, w1, w2 in draws:
-                rep = mu_analytic_check(bx, bz, w1, w2)
+                rep = mu_analytic_check(bases, w1, w2)
                 worst["analytic"] = min(worst["analytic"], rep.gap)
                 violated |= not rep.chain_holds
         report["mu"] = {

@@ -124,6 +124,8 @@ class OptimizerBudget:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"a search needs at least one restart, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"a search needs at least one iteration, got {self.max_iters}")
 
     def seeds(self) -> list[int]:
         return [self.base_seed + i for i in range(self.restarts)]
@@ -135,6 +137,10 @@ class SamplerConfig:
     seed: int = 0
     form: str = "entropic"  # entropic | analytic
     ensembles: tuple[str, ...] = ("hs", "pure", "boundary")
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"sampling needs at least one sample, got {self.samples}")
 
 
 class BLDatum:

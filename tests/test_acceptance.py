@@ -137,15 +137,16 @@ def test_05_maassen_uffink():
     # dual trace-exponential bound on 1e4 sampled pairs
     rng = np.random.default_rng(5)
     worst = np.inf
+    pair = app.BasisPair(bx, bz)
     for w1, w2 in random_pd(2, rng, 20000).reshape(10000, 2, 2, 2):
-        worst = min(worst, app.mu_analytic_check(bx, bz, w1, w2).gap)
+        worst = min(worst, app.mu_analytic_check(pair, w1, w2).gap)
     ok &= worst >= -1e-9
     # strengthened relation for 20 random basis pairs, 1e3 samples each
     worst_rand = np.inf
     for i in range(20):
         rng_i = np.random.default_rng(100 + i)
         b1, b2 = random_basis(2, rng_i), random_basis(2, rng_i)
-        c = app.maassen_uffink_constant(b1, b2)
+        c = app.BasisPair(b1, b2).c
         rhos = bloch_sample(rng_i, 1000)
         h1, h2 = app.measurement_entropies_bits(rhos, [b1, b2])
         gaps = h1 + h2 + np.log2(c) - ent.von_neumann(rhos) / LN2

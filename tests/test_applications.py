@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import reference as ref
 from qbl import applications as app
 from qbl import channels as ch
 from qbl import entropy as ent
@@ -182,29 +183,42 @@ class TestMaassenUffink:
 
     def test_analytic_check_equality_at_maximally_mixed(self):
         rep = app.mu_analytic_check(
-            ch.pauli_basis("x"), ch.pauli_basis("z"), np.eye(2) / 2, np.eye(2) / 2
+            app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z")), np.eye(2) / 2, np.eye(2) / 2
         )
         assert rep.lhs == pytest.approx(0.5, abs=1e-10)
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
         assert rep.chain_holds
 
-    def test_analytic_check_validates_each_basis(self):
+    def test_basis_pair_validates_each_basis(self):
         rng = np.random.default_rng(10)
         bx, bz = random_basis(3, rng), random_basis(3, rng)
         w = [random_pd(3, rng), random_pd(3, rng)]
         w = [m / np.trace(m).real for m in w]
-        assert app.mu_analytic_check(bx, bz, *w).c == app.maassen_uffink_constant(bx, bz)
+        pair = app.BasisPair(bx, bz)
+        assert app.mu_analytic_check(pair, *w).c == pair.c == app.maassen_uffink_constant(bx, bz)
+        assert np.array_equal(pair.rows_x, ch.basis_rows(bx))
+        assert np.array_equal(pair.rows_z, ch.basis_rows(bz))
         e0 = np.array([1.0, 0.0])
         with pytest.raises(NotOrthonormal):
-            app.mu_analytic_check([e0, e0], ch.pauli_basis("z"), np.eye(2) / 2, np.eye(2) / 2)
+            app.BasisPair([e0, e0], ch.pauli_basis("z"))
+        with pytest.raises(NotOrthonormal):
+            app.BasisPair(ch.pauli_basis("x"), [e0, e0])
         with pytest.raises(DimensionMismatch):
-            app.mu_analytic_check(ch.pauli_basis("x"), bz, np.eye(2) / 2, np.eye(3) / 3)
+            app.BasisPair(ch.pauli_basis("x"), bz)
+
+    def test_basis_pair_is_frozen(self):
+        pair = app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z"))
+        with pytest.raises(AttributeError):
+            pair.c = 1.0
+        with pytest.raises(ValueError):
+            pair.rows_x[0, 0] = 1.0
+        assert pair.c == pytest.approx(0.5, abs=1e-12)
 
     def test_analytic_check_sampled(self):
         rng = np.random.default_rng(8)
-        bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
+        pair = app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z"))
         for _ in range(200):
-            rep = app.mu_analytic_check(bx, bz, random_pd(2, rng), random_pd(2, rng))
+            rep = app.mu_analytic_check(pair, random_pd(2, rng), random_pd(2, rng))
             assert rep.gap >= -1e-9
             assert rep.chain_holds
 
@@ -598,6 +612,50 @@ def _reference_mu(bx, bz, omegas):
     return lhs, jensen_mid, float(np.trace(px.matrix @ pz.matrix).real)
 
 
+def _independent_mu(bx, bz, w1, w2):
+    """lhs, jensen_mid, gt_bound and c of the Maassen-Uffink chain from the
+    per-matrix reference: the measurements as Kraus sums of |x><x|, each
+    log on its support with its kernel projector pulled back as the flag,
+    and c as the largest |<x|z>|^2 over all pairs of vectors."""
+    rows = [[np.asarray(v, dtype=complex).reshape(-1) for v in b] for b in (bx, bz)]
+    kraus = [[np.outer(v, v.conj()) for v in r] for r in rows]
+    terms, pulled = [], []
+    for ks, w in zip(kraus, (w1, w2)):
+        signs = np.ones(len(ks))
+        finite, ker = ref.log_on_support(w)
+        flag = None if ker is None else ref.apply_adjoint(ks, signs, ker)
+        terms.append((ref.apply_adjoint(ks, signs, finite), flag))
+        pulled.append(ref.apply_adjoint(ks, signs, w))
+    lhs = np.exp(ref.log_trace_exp(terms))
+    jensen_mid = np.exp(ref.log_trace_exp([ref.log_on_support(p) for p in pulled]))
+    gt_bound = np.trace(pulled[0] @ pulled[1]).real
+    c = max(abs(np.vdot(x, z)) ** 2 for x in rows[0] for z in rows[1])
+    return {"lhs": lhs, "jensen_mid": jensen_mid, "gt_bound": gt_bound, "c": c}
+
+
+class TestMuCheckerAgainstReference:
+    """mu_analytic_check's chain values against tests/reference.py, one
+    matrix at a time, within 1e-12 max(1, |v|)."""
+
+    @pytest.mark.parametrize("bases", ["pauli-xz", 0, 1, 2])
+    def test_chain_values(self, bases):
+        rng = np.random.default_rng([61, 0 if bases == "pauli-xz" else bases + 1])
+        if bases == "pauli-xz":
+            bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
+        else:
+            bx, bz = random_basis(2, rng), random_basis(2, rng)
+        pair = app.BasisPair(bx, bz)
+        pairs = [(random_pd(2, rng), random_pd(2, rng)) for _ in range(20)]
+        pairs.append((haar_pure(2, rng), random_pd(2, rng)))  # a rank-deficient omega_1
+        for w1, w2 in pairs:
+            rep = app.mu_analytic_check(pair, w1, w2)
+            for key, want in _independent_mu(bx, bz, w1, w2).items():
+                got = getattr(rep, key)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (key, got, want)
+        assert rep.lhs == 0.0  # the pure omega's kernel spreads over the qubit
+        assert rep.chain_holds
+
+
 class TestStackedCheckers:
     """The checkers validate their omegas as one stack and take one eigh for
     them and one for the pinched operators; the entropic forms take stacks
@@ -634,7 +692,7 @@ class TestStackedCheckers:
             rep = app.six_state_check(omegas=oms)
             got = (rep.analytic_lhs, rep.jensen_mid, rep.triple_integral)
             assert np.max(np.abs(np.subtract(got, _reference_six_state(oms)))) <= 1e-12
-            rep = app.mu_analytic_check(bx, bz, *oms[:2])
+            rep = app.mu_analytic_check(app.BasisPair(bx, bz), *oms[:2])
             got = (rep.lhs, rep.jensen_mid, rep.gt_bound)
             assert np.max(np.abs(np.subtract(got, _reference_mu(bx, bz, oms[:2])))) <= 1e-12
 
@@ -740,7 +798,7 @@ class TestStackedCheckers:
 
     def test_singular_omega_keeps_its_kernel(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
-        rep = app.mu_analytic_check(bx, bz, np.diag([1.0, 0.0]), np.eye(2) / 2)
+        rep = app.mu_analytic_check(app.BasisPair(bx, bz), np.diag([1.0, 0.0]), np.eye(2) / 2)
         assert rep.lhs == 0.0
         rep = app.six_state_check(omegas=[np.eye(2) / 2, np.diag([0.0, 1.0]), np.eye(2) / 2])
         assert rep.analytic_lhs == 0.0
@@ -755,7 +813,8 @@ class TestStackedCheckers:
         with pytest.raises(ValueError):
             app.six_state_check(omegas=[half, bad, half])
         with pytest.raises(ValueError):
-            app.mu_analytic_check(ch.pauli_basis("x"), ch.pauli_basis("z"), half, bad)
+            app.mu_analytic_check(app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z")),
+                                  half, bad)
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_six_state_needs_three_omegas(self, count):
@@ -771,10 +830,11 @@ class TestUnitTraceOmegas:
     W1 = np.diag([0.7, 0.3])
     W2 = np.array([[0.6, 0.1], [0.1, 0.4]])
     BX, BZ = ch.pauli_basis("x"), ch.pauli_basis("z")
+    PAIR = app.BasisPair(BX, BZ)
 
     def test_other_traces_are_rejected(self):
         with pytest.raises(ValueError, match="unit-trace"):
-            app.mu_analytic_check(self.BX, self.BZ, 2 * self.W1, self.W2)
+            app.mu_analytic_check(self.PAIR, 2 * self.W1, self.W2)
         with pytest.raises(ValueError, match="unit-trace"):
             app.six_state_check(omegas=[2 * self.W1, self.W2, self.W2])
         datum = app.uncertainty_datum([self.BX, self.BZ]).with_constant(np.log(0.5))
@@ -784,10 +844,10 @@ class TestUnitTraceOmegas:
 
     def test_unit_traces_within_1e_9_pass(self):
         w1 = self.W1 * (1.0 + 5e-10)
-        assert app.mu_analytic_check(self.BX, self.BZ, w1, self.W2).chain_holds
+        assert app.mu_analytic_check(self.PAIR, w1, self.W2).chain_holds
         assert app.six_state_check(omegas=[w1, self.W2, self.W2]).chain_holds
         with pytest.raises(ValueError, match="unit-trace"):
-            app.mu_analytic_check(self.BX, self.BZ, self.W1 * (1.0 + 2e-9), self.W2)
+            app.mu_analytic_check(self.PAIR, self.W1 * (1.0 + 2e-9), self.W2)
 
 
 class TestRankDeficientOmega:
@@ -800,7 +860,7 @@ class TestRankDeficientOmega:
 
     def test_mu_analytic_check(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
-        rep = app.mu_analytic_check(bx, bz, self.W0, self.HALF)
+        rep = app.mu_analytic_check(app.BasisPair(bx, bz), self.W0, self.HALF)
         assert rep.lhs == 0.0
         assert rep.gap == pytest.approx(0.5, abs=1e-12)
         assert rep.chain_holds

@@ -723,6 +723,52 @@ class TestVerifyForms:
         assert code == 0
 
 
+class TestVerifyMuBases:
+    """qbl verify mu-pauli-xz validates the two bases, and takes c, once per
+    call; each sample's checker still builds its two measurement channels."""
+
+    @pytest.mark.parametrize("samples", [3, 40])
+    def test_bases_once_per_call(self, capsys, monkeypatch, samples):
+        import qbl.applications
+        import qbl.cli
+
+        counts = {"basis_rows": 0, "max_overlap": 0}
+        per_check = []  # Channel constructions inside each checker call
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        rows = counted("basis_rows", ch.basis_rows)
+        for module in (ch, qbl.applications):
+            monkeypatch.setattr(module, "basis_rows", rows)
+        monkeypatch.setattr(qbl.applications, "_max_overlap",
+                            counted("max_overlap", qbl.applications._max_overlap))
+        channel_init, built = ch.Channel.__init__, []
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            channel_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ch.Channel, "__init__", counted_init)
+        checker = qbl.cli.mu_analytic_check
+
+        def counted_checker(*args):
+            before = len(built)
+            rep = checker(*args)
+            per_check.append(len(built) - before)
+            return rep
+
+        monkeypatch.setattr(qbl.cli, "mu_analytic_check", counted_checker)
+        code, _ = run(capsys, "verify", "mu-pauli-xz", "--form", "analytic",
+                      "--samples", str(samples), "--seed", "2", "--no-meta")
+        assert code == 0
+        assert counts == {"basis_rows": 2, "max_overlap": 1}
+        assert per_check == [2] * samples
+
+
 class TestVerifyChannelTask:
     """verify on a channel task prints the report of the command it stands for."""
 

@@ -321,6 +321,12 @@ class TestDualityCrosscheck:
         with pytest.raises(ValueError, match="at least one restart"):
             OptimizerBudget(restarts=restarts)
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_a_budget_needs_an_iteration(self, iters):
+        # an iteration-free search would report its starting bound unsearched
+        with pytest.raises(ValueError, match="at least one iteration"):
+            OptimizerBudget(restarts=2, max_iters=iters)
+
     def test_dpi(self):
         rep = duality_crosscheck(dpi_datum(13), BUDGET)
         assert rep.agree and rep.tol == engine.agreement_tol(rep.c_entropic) == 1e-4
@@ -350,6 +356,12 @@ class TestDualityCrosscheck:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampling_needs_a_sample(self, samples):
+        # no sample would report holds_on_samples at worst gap +inf
+        with pytest.raises(ValueError, match="at least one sample"):
+            SamplerConfig(samples=samples)
+
     def test_constant_below_optimum_is_violated(self):
         # measurement uncertainty datum: optimal C is -ln 2; C = -1 fails
         from qbl.applications import uncertainty_datum

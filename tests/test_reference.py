@@ -1,8 +1,9 @@
-"""The stacked exact gap evaluators against the independent per-matrix
-reference of tests/reference.py, on small random data of every rank."""
+"""The stacked exact gap evaluators, and the search workspace's entropic
+objective, against the independent per-matrix reference of
+tests/reference.py, on small random data of every rank."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -89,3 +90,25 @@ def test_stacked_analytic_gap_matches_reference(problem):
     for i, got in enumerate(gaps):
         want = ref.analytic_gap(q, kraus, sigma, sigmas, c, [om[i] for om in omegas])
         assert _agree(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problems())
+def test_workspace_entropic_objective_matches_reference(problem):
+    # on a datum without a leak, each state compressed to supp sigma (the
+    # search space), the objective sum_k q_k D(E_k rho||sigma_k) - D(rho||sigma)
+    # is C minus the reference gap at the lifted state
+    q, chans, sigma, sigmas, c, states, _ = problem
+    datum = _datum(q, chans, sigma, sigmas, c)
+    assume(datum._leak is None)
+    _, v, ws = datum._search_space()
+    rhos = states if v is None else v.conj().T @ states @ v
+    rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    objective = ws.entropic_objective(rhos)
+    stepped, _ = ws.entropic_step(rhos, np.linalg.eigvalsh(rhos))
+    kraus = [(k, np.ones(len(k))) for k in chans]
+    for i, rho in enumerate(rhos):
+        lifted = rho if v is None else v @ rho @ v.conj().T
+        want = c - ref.entropic_gap(q, kraus, sigma, sigmas, c, lifted)
+        assert _agree(objective[i], want)
+        assert _agree(stepped[i], want)
