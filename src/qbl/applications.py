@@ -253,19 +253,19 @@ def uncertainty_bound_analytic(
 
 @dataclass
 class MuAnalyticReport:
-    lhs: float  # tr exp(M_X^dag log w1 + M_Z^dag log w2)
-    jensen_mid: float  # after operator Jensen: tr exp(log M_X(w1) + log M_Z(w2))
-    gt_bound: float  # after Golden-Thompson: tr M_X(w1) M_Z(w2)
+    # one entry per row of the block of omega pairs
+    lhs: np.ndarray  # tr exp(M_X^dag log w1 + M_Z^dag log w2)
+    jensen_mid: np.ndarray  # after operator Jensen: tr exp(log M_X(w1) + log M_Z(w2))
+    gt_bound: np.ndarray  # after Golden-Thompson: tr M_X(w1) M_Z(w2)
     c: float  # max squared overlap
-    gap: float  # c - lhs
-    chain_holds: bool
+    gap: np.ndarray  # c - lhs
+    chain_holds: np.ndarray
 
 
 def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     """The operator-Jensen links of an analytic checker's proof chain for the
-    channels E_k, on a block of n omega tuples: an ndarray (n, K, d, d), or
-    one tuple of K omegas, which is a block of one. Returns per-row arrays
-    (lhs (n,), pulled (n, K, d_in, d_in), (vals, vecs), jensen_mid (n,))
+    channels E_k, on a block (n, K, d, d) of n omega tuples. Returns per-row
+    arrays (lhs (n,), pulled (n, K, d_in, d_in), (vals, vecs), jensen_mid (n,))
     with lhs = tr exp(log sigma + sum_k E_k^dag log w_k), the pulled-back
     operators E_k^dag(w_k), their spectra and eigenvectors, and
     jensen_mid = tr exp(log sigma + sum_k log E_k^dag(w_k)); without
@@ -274,18 +274,18 @@ def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     stacked E_k^dag per channel for their logs and themselves, and one
     eigh for the pulled-back operators; the sums of rows without a kernel
     flag take one eigh each for lhs and jensen_mid, and a rank-deficient
-    omega keeps its kernel flag (support-projected logs). With unit_trace,
+    omega keeps its kernel flag (support-projected logs). Each row's values
+    equal, bit for bit, those of the row as a block of one. With unit_trace,
     ValueError unless every omega has trace 1 within 1e-9, naming the
     traces of the first row that fails: the uncertainty bounds c and 1/4
     hold for unit-trace omegas only."""
-    if isinstance(omegas, np.ndarray) and omegas.ndim == 4:
-        n, k = omegas.shape[:2]
-        omegas = omegas.reshape(n * k, *omegas.shape[2:])
-    else:
-        n, k = 1, len(omegas)
-    if k != len(chans):
-        raise DimensionMismatch(f"expected {len(chans)} omegas, got {k}")
-    mats, vals, vecs = psd_stack(omegas)
+    omegas = np.asarray(omegas, dtype=complex)
+    k = len(chans)
+    if omegas.ndim != 4 or omegas.shape[1] != k:
+        raise DimensionMismatch(f"expected {k} omegas per row of a block (n, {k}, d, d), "
+                                f"got shape {omegas.shape}")
+    n = len(omegas)
+    mats, vals, vecs = psd_stack(omegas.reshape(n * k, *omegas.shape[2:]))
     if unit_trace:
         traces = np.trace(mats, axis1=1, axis2=2).real.reshape(n, k)
         off = (abs(traces - 1.0) > 1e-9).any(axis=1)
@@ -307,42 +307,36 @@ def _jensen_chain(chans, omegas, log_sigma=None, unit_trace=False):
     return lhs, pulled, spectra, jensen_mid
 
 
-def mu_analytic_check(bases: BasisPair, omega1, omega2) -> MuAnalyticReport:
+def mu_analytic_check(bases: BasisPair, omegas) -> MuAnalyticReport:
     """Evaluate the two-measurement trace-exponential bound and its proof
     chain (operator Jensen, then Golden-Thompson, then the overlap bound
-    c of the validated pair), verifying each intermediate step. The two
-    measurement channels are built from the pair's rows on every call."""
+    c of the validated pair) on a block (n, 2, d, d) of omega pairs,
+    verifying each intermediate step; every field but c has one entry per
+    pair, and a single pair is a block of one. The two measurement
+    channels are built from the pair's rows on every call."""
     c = bases.c
     chans = [_pinching(bases.rows_x), _pinching(bases.rows_z)]
-    (lhs,), ((px, pz),), _, (jensen_mid,) = _jensen_chain(chans, [omega1, omega2], unit_trace=True)
-    gt_bound = float(np.trace(px @ pz).real)
-    chain = (lhs <= jensen_mid + PSD_SLACK) and (jensen_mid <= gt_bound + PSD_SLACK) and (
-        gt_bound <= c + PSD_SLACK
-    )
-    return MuAnalyticReport(
-        lhs=float(lhs),
-        jensen_mid=float(jensen_mid),
-        gt_bound=gt_bound,
-        c=c,
-        gap=float(c - lhs),
-        chain_holds=bool(chain),
-    )
+    lhs, pinched, _, jensen_mid = _jensen_chain(chans, omegas, unit_trace=True)
+    gt_bound = np.trace(pinched[:, 0] @ pinched[:, 1], axis1=1, axis2=2).real
+    chain = ((lhs <= jensen_mid + PSD_SLACK) & (jensen_mid <= gt_bound + PSD_SLACK)
+             & (gt_bound <= c + PSD_SLACK))
+    return MuAnalyticReport(lhs=lhs, jensen_mid=jensen_mid, gt_bound=gt_bound, c=c, gap=c - lhs,
+                            chain_holds=chain)
 
 
 @dataclass
 class SixStateReport:
-    # entropic fields: floats for one state, arrays (n,) for a stack of n
-    entropy_sum_bits: float | np.ndarray | None = None
-    h_a_bits: float | np.ndarray | None = None
-    entropic_gap_bits: float | np.ndarray | None = None  # H(X)+H(Y)+H(Z) - 2 - H(A)
-    weaker_bound_gap_bits: float | np.ndarray | None = None  # vs 3/2 + (3/2) H(A)
-    # analytic fields: floats (chain_holds a bool) for one omega triple,
-    # arrays (n,) for a block of n triples
-    analytic_lhs: float | np.ndarray | None = None
-    analytic_gap: float | np.ndarray | None = None  # 1/4 - lhs
-    jensen_mid: float | np.ndarray | None = None
-    triple_integral: float | np.ndarray | None = None
-    chain_holds: bool | np.ndarray | None = None
+    # entropic fields: arrays (n,), one entry per state of the stack
+    entropy_sum_bits: np.ndarray | None = None
+    h_a_bits: np.ndarray | None = None
+    entropic_gap_bits: np.ndarray | None = None  # H(X)+H(Y)+H(Z) - 2 - H(A)
+    weaker_bound_gap_bits: np.ndarray | None = None  # vs 3/2 + (3/2) H(A)
+    # analytic fields: arrays (m,), one entry per omega triple of the block
+    analytic_lhs: np.ndarray | None = None
+    analytic_gap: np.ndarray | None = None  # 1/4 - lhs
+    jensen_mid: np.ndarray | None = None
+    triple_integral: np.ndarray | None = None
+    chain_holds: np.ndarray | None = None
 
 
 def six_state_bases() -> list[list[np.ndarray]]:
@@ -353,43 +347,34 @@ def six_state_check(rho=None, omegas=None) -> SixStateReport:
     """Three-Pauli uncertainty relation, entropic and/or analytic form.
 
     The entropic side checks H(X) + H(Y) + H(Z) >= 2 + H(A) in bits and
-    also reports the weaker two-measurement consequence 3/2 + (3/2) H(A).
-    rho is one state, or a stack of states whose entropic fields are then
-    arrays, one entry per state. The analytic side checks
-    tr exp(sum M^dag log omega) <= 1/4 at omega triples and walks the
-    triple-matrix-integral proof chain. omegas is one triple (three
-    omegas), whose analytic fields are floats, or an ndarray block
-    (m, 3, 2, 2) of m triples, whose fields are arrays, one entry per
-    triple; one triple is checked as a block of one, through the same
+    also reports the weaker two-measurement consequence 3/2 + (3/2) H(A),
+    on a stack (n, 2, 2) of states. The analytic side checks
+    tr exp(sum M^dag log omega) <= 1/4 on a block (m, 3, 2, 2) of omega
+    triples and walks the triple-matrix-integral proof chain, through
     _jensen_chain and one stacked lieb_triple_integral, with the three
-    measurement channels built once per call.
+    measurement channels built once per call. Every field has one entry
+    per state or triple; a single state or triple is a stack of one.
     """
     bases = six_state_bases()
     report = SixStateReport()
     if rho is not None:
-        mats = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-        states, vals, _ = density_stack(mats[None] if mats.ndim == 2 else mats)
+        states, vals, _ = density_stack(rho)
         if states.shape[-1] != 2:
             raise DimensionMismatch("six-state relation is a qubit statement")
         hx, hy, hz = measurement_entropies_bits(states, bases)
-        ha = -xlogx_sum(vals) / LN2
-        fields = (hx + hy + hz, ha, hx + hy + hz - 2.0 - ha, hx + hy + hz - 1.5 - 1.5 * ha)
-        if np.ndim(getattr(rho, "matrix", rho)) == 2:
-            fields = tuple(float(f[0]) for f in fields)
-        (report.entropy_sum_bits, report.h_a_bits, report.entropic_gap_bits,
-         report.weaker_bound_gap_bits) = fields
+        report.h_a_bits = -xlogx_sum(vals) / LN2
+        report.entropy_sum_bits = hx + hy + hz
+        report.entropic_gap_bits = hx + hy + hz - 2.0 - report.h_a_bits
+        report.weaker_bound_gap_bits = hx + hy + hz - 1.5 - 1.5 * report.h_a_bits
     if omegas is not None:
         chans = [measurement_channel(b) for b in bases]
         lhs, pinched, (pvals, pvecs), jensen_mid = _jensen_chain(chans, omegas, unit_trace=True)
         triple = lieb_triple_integral(*np.moveaxis(pinched, 1, 0),
                                       spectrum=(pvals[:, 2], pvecs[:, 2]))
-        chain = ((lhs <= jensen_mid + PSD_SLACK) & (jensen_mid <= triple + PSD_SLACK)
-                 & (triple <= 0.25 + PSD_SLACK))
-        fields = (lhs, 0.25 - lhs, jensen_mid, triple, chain)
-        if not (isinstance(omegas, np.ndarray) and omegas.ndim == 4):
-            fields = tuple(f[0].item() for f in fields)
-        (report.analytic_lhs, report.analytic_gap, report.jensen_mid, report.triple_integral,
-         report.chain_holds) = fields
+        report.analytic_lhs, report.analytic_gap = lhs, 0.25 - lhs
+        report.jensen_mid, report.triple_integral = jensen_mid, triple
+        report.chain_holds = ((lhs <= jensen_mid + PSD_SLACK) & (jensen_mid <= triple + PSD_SLACK)
+                              & (triple <= 0.25 + PSD_SLACK))
     return report
 
 
@@ -465,7 +450,9 @@ def dpi_analytic_check(sigma, ch: Channel, omega) -> DpiAnalyticReport:
     on dpi_datum(ch, sigma), together with the weaker operator-Jensen /
     Golden-Thompson chain."""
     datum = dpi_datum(ch, sigma)
-    (lhs,), ((pulled,),), _, (jensen_mid,) = _jensen_chain([ch], [omega], matrix_log(datum.sigma))
+    omega = omega if isinstance(omega, PSDOperator) else PSDOperator(omega)
+    (lhs,), ((pulled,),), _, (jensen_mid,) = _jensen_chain(
+        [ch], omega.matrix[None, None], matrix_log(datum.sigma))
     rhs_dual = weighted_antinorm(omega, datum.sigmas[0], 1.0)
     rhs_weak = float(np.trace(datum.sigma.matrix @ pulled).real)
     return DpiAnalyticReport(

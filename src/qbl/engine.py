@@ -106,7 +106,7 @@ from .operators import (
     xlogx_sum,
 )
 from .policy import HERM_RTOL, SUPP_RTOL
-from .sampling import blocks, draw, random_density
+from .sampling import ENSEMBLES, blocks, draw, random_density
 
 # the search stops iterating a restart once an iteration gains less than
 # this
@@ -126,6 +126,8 @@ class OptimizerBudget:
             raise ValueError(f"a search needs at least one restart, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"a search needs at least one iteration, got {self.max_iters}")
+        if self.base_seed < 0:
+            raise ValueError(f"seeds are non-negative, got base_seed {self.base_seed}")
 
     def seeds(self) -> list[int]:
         return [self.base_seed + i for i in range(self.restarts)]
@@ -141,6 +143,16 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"sampling needs at least one sample, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seeds are non-negative, got seed {self.seed}")
+        if self.form not in ("entropic", "analytic"):
+            raise ValueError(f"unknown form {self.form!r}")
+        if isinstance(self.ensembles, str) or not self.ensembles:
+            raise ValueError(f"ensembles must be a non-empty sequence of names, "
+                             f"got {self.ensembles!r}")
+        unknown = [e for e in self.ensembles if e not in ENSEMBLES]
+        if unknown:
+            raise ValueError(f"unknown ensemble {unknown[0]!r}")
 
 
 class BLDatum:
@@ -1087,8 +1099,6 @@ def bl_membership(datum: BLDatum, config: SamplerConfig = SamplerConfig()) -> Ve
     re-evaluation of the witness on the datum (reevaluate_report), and the
     verdict follows from it.
     """
-    if config.form not in ("entropic", "analytic"):
-        raise ValueError(f"unknown form {config.form!r}")
     rng = np.random.default_rng(config.seed)
     inner, v, _ = datum._search_space()
     worst = INF

@@ -16,126 +16,62 @@ from .applications import dpi_datum, shearer_datum, superadditivity_datum
 from .sampling import random_channel, random_pd
 
 
-def _bell_pair() -> np.ndarray:
+def _bell_a1_a2_b() -> np.ndarray:
+    """Sites A1, A2 and the conditioning system B, with A1 maximally
+    entangled with B and A2 maximally mixed."""
     v = np.zeros(4)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return np.outer(v, v)
+    rho = np.kron(np.outer(v, v), np.eye(2) / 2.0)  # order A1, B, A2
+    perm = np.arange(8).reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
+    return rho[np.ix_(perm, perm)]
+
+
+# every preset's builder, which takes a Generator seeded from the preset's
+# seed; only the presets that advertise randomness in their name draw from it
+_BUILDERS = {
+    "dpi-qubit": lambda rng: {
+        "kind": "bl_datum", "datum": dpi_datum(depolarizing(0.3), np.diag([0.7, 0.3]))},
+    "dpi-random-qubit": lambda rng: {
+        "kind": "bl_datum", "datum": dpi_datum(random_channel(2, 2, rng=rng), random_pd(2, rng))},
+    "shearer-3qubit-pairs": lambda rng: {
+        "kind": "bl_datum", "datum": shearer_datum([2, 2, 2], [[0, 1], [0, 2], [1, 2]], p=2)},
+    "superadd-classical": lambda rng: {
+        "kind": "bl_datum",
+        "datum": superadditivity_datum(np.diag([0.3, 0.2, 0.1, 0.4]), (2, 2))},
+    # the at-least cover S1 = S2 = {0}, S3 = {1} breaks the conditional
+    # inequality on this state
+    "conditional-shearer-bell": lambda rng: {
+        "kind": "conditional_shearer", "rho": _bell_a1_a2_b(), "dims": [2, 2, 2],
+        "subsets": [[0], [0], [1]], "p": 1, "expect_violation": True},
+    "conditional-shearer-exact": lambda rng: {
+        "kind": "conditional_shearer", "rho": random_pd(8, rng), "dims": [2, 2, 2],
+        "subsets": [[0], [1]], "p": 1, "expect_violation": False},
+    "six-state": lambda rng: {"kind": "six_state"},
+    "mu-pauli-xz": lambda rng: {
+        "kind": "mu", "basis_x": pauli_basis("x"), "basis_z": pauli_basis("z")},
+    "minout-depol-0.5": lambda rng: {
+        "kind": "channel_task", "task": "min_output_entropy", "channel": depolarizing(0.5)},
+    "contraction-depol-0.5": lambda rng: {
+        "kind": "channel_task", "task": "contraction", "channel": depolarizing(0.5),
+        "sigma": np.eye(2) / 2.0},
+    "contraction-identity": lambda rng: {
+        "kind": "channel_task", "task": "contraction", "channel": depolarizing(0.0),
+        "sigma": np.eye(2) / 2.0},
+    "mercedes-star": lambda rng: {
+        "kind": "gaussian", "state": GaussianState(np.diag([3.0, 1.0, 1.0 / 3.0, 1.0])),
+        **dict(zip(("subspaces", "q"), mercedes_star()))},
+    # a product state, whose deficit is 0
+    "gaussian-axes-product": lambda rng: {
+        "kind": "gaussian", "state": GaussianState(np.diag([2.0, 3.0, 2.0, 3.0])),
+        "subspaces": coordinate_axes(2), "q": [1.0, 1.0]},
+}
+
+PRESET_NAMES = list(_BUILDERS)
 
 
 def build_preset(name: str, seed: int = 0) -> dict:
     """Instantiate a preset by name; the seed only affects presets that
     advertise randomness in their name."""
-    if name == "dpi-qubit":
-        return {
-            "kind": "bl_datum",
-            "datum": dpi_datum(depolarizing(0.3), np.diag([0.7, 0.3])),
-        }
-    if name == "dpi-random-qubit":
-        rng = np.random.default_rng(seed)
-        return {
-            "kind": "bl_datum",
-            "datum": dpi_datum(random_channel(2, 2, rng=rng), random_pd(2, rng)),
-        }
-    if name == "shearer-3qubit-pairs":
-        return {
-            "kind": "bl_datum",
-            "datum": shearer_datum([2, 2, 2], [[0, 1], [0, 2], [1, 2]], p=2),
-        }
-    if name == "superadd-classical":
-        probs = np.array([0.3, 0.2, 0.1, 0.4])
-        return {
-            "kind": "bl_datum",
-            "datum": superadditivity_datum(np.diag(probs), (2, 2)),
-        }
-    if name == "conditional-shearer-bell":
-        # sites {A1, A2}, conditioning system B; A1 maximally entangled
-        # with B; the at-least cover S1 = S2 = {0}, S3 = {1} breaks the
-        # conditional inequality on this state
-        bell = _bell_pair()
-        rho = np.kron(bell, np.eye(2) / 2.0)  # order A1, B, A2 -> permute
-        # reorder subsystems to (A1, A2, B)
-        perm = np.arange(8).reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
-        rho = rho[np.ix_(perm, perm)]
-        return {
-            "kind": "conditional_shearer",
-            "rho": rho,
-            "dims": [2, 2, 2],
-            "subsets": [[0], [0], [1]],
-            "p": 1,
-            "expect_violation": True,
-        }
-    if name == "conditional-shearer-exact":
-        rng = np.random.default_rng(seed)
-        return {
-            "kind": "conditional_shearer",
-            "rho": random_pd(8, rng),
-            "dims": [2, 2, 2],
-            "subsets": [[0], [1]],
-            "p": 1,
-            "expect_violation": False,
-        }
-    if name == "six-state":
-        return {"kind": "six_state"}
-    if name == "mu-pauli-xz":
-        return {
-            "kind": "mu",
-            "basis_x": pauli_basis("x"),
-            "basis_z": pauli_basis("z"),
-        }
-    if name == "minout-depol-0.5":
-        return {
-            "kind": "channel_task",
-            "task": "min_output_entropy",
-            "channel": depolarizing(0.5),
-        }
-    if name == "contraction-depol-0.5":
-        return {
-            "kind": "channel_task",
-            "task": "contraction",
-            "channel": depolarizing(0.5),
-            "sigma": np.eye(2) / 2.0,
-        }
-    if name == "contraction-identity":
-        return {
-            "kind": "channel_task",
-            "task": "contraction",
-            "channel": depolarizing(0.0),
-            "sigma": np.eye(2) / 2.0,
-        }
-    if name == "mercedes-star":
-        subs, q = mercedes_star()
-        s = 3.0
-        cov = np.diag([s, 1.0, 1.0 / s, 1.0])
-        return {
-            "kind": "gaussian",
-            "state": GaussianState(cov),
-            "subspaces": subs,
-            "q": q,
-        }
-    if name == "gaussian-axes-product":
-        subs = coordinate_axes(2)
-        cov = np.diag([2.0, 3.0, 2.0, 3.0])  # product state, zero deficit
-        return {
-            "kind": "gaussian",
-            "state": GaussianState(cov),
-            "subspaces": subs,
-            "q": [1.0, 1.0],
-        }
-    raise KeyError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = [
-    "dpi-qubit",
-    "dpi-random-qubit",
-    "shearer-3qubit-pairs",
-    "superadd-classical",
-    "conditional-shearer-bell",
-    "conditional-shearer-exact",
-    "six-state",
-    "mu-pauli-xz",
-    "minout-depol-0.5",
-    "contraction-depol-0.5",
-    "contraction-identity",
-    "mercedes-star",
-    "gaussian-axes-product",
-]
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown preset {name!r}")
+    return _BUILDERS[name](np.random.default_rng(seed))

@@ -41,6 +41,11 @@ BUDGET = OptimizerBudget(restarts=8, max_iters=300, base_seed=0)
 LN2 = np.log(2.0)
 
 
+def _block(*omegas) -> np.ndarray:
+    """One omega tuple as a block of one (1, K, d, d)."""
+    return np.stack(omegas)[None]
+
+
 def bell() -> np.ndarray:
     v = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2)
     return np.outer(v, v)
@@ -182,12 +187,11 @@ class TestMaassenUffink:
         assert grid_min >= LN2 - 1e-9  # the strengthened bound itself
 
     def test_analytic_check_equality_at_maximally_mixed(self):
-        rep = app.mu_analytic_check(
-            app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z")), np.eye(2) / 2, np.eye(2) / 2
-        )
-        assert rep.lhs == pytest.approx(0.5, abs=1e-10)
-        assert rep.gap == pytest.approx(0.0, abs=1e-10)
-        assert rep.chain_holds
+        rep = app.mu_analytic_check(app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z")),
+                                    _block(np.eye(2) / 2, np.eye(2) / 2))
+        assert rep.lhs[0] == pytest.approx(0.5, abs=1e-10)
+        assert rep.gap[0] == pytest.approx(0.0, abs=1e-10)
+        assert rep.chain_holds[0]
 
     def test_basis_pair_validates_each_basis(self):
         rng = np.random.default_rng(10)
@@ -195,7 +199,7 @@ class TestMaassenUffink:
         w = [random_pd(3, rng), random_pd(3, rng)]
         w = [m / np.trace(m).real for m in w]
         pair = app.BasisPair(bx, bz)
-        assert app.mu_analytic_check(pair, *w).c == pair.c == app.maassen_uffink_constant(bx, bz)
+        assert app.mu_analytic_check(pair, _block(*w)).c == pair.c == app.maassen_uffink_constant(bx, bz)
         assert np.array_equal(pair.rows_x, ch.basis_rows(bx))
         assert np.array_equal(pair.rows_z, ch.basis_rows(bz))
         e0 = np.array([1.0, 0.0])
@@ -217,10 +221,9 @@ class TestMaassenUffink:
     def test_analytic_check_sampled(self):
         rng = np.random.default_rng(8)
         pair = app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z"))
-        for _ in range(200):
-            rep = app.mu_analytic_check(pair, random_pd(2, rng), random_pd(2, rng))
-            assert rep.gap >= -1e-9
-            assert rep.chain_holds
+        rep = app.mu_analytic_check(pair, random_pd(2, rng, 400).reshape(200, 2, 2, 2))
+        assert (rep.gap >= -1e-9).all()
+        assert rep.chain_holds.all()
 
     def test_strengthened_relation_random_bases(self):
         rng = np.random.default_rng(9)
@@ -236,30 +239,26 @@ class TestMaassenUffink:
 
 class TestSixState:
     def test_z_eigenstate_tight(self):
-        rep = app.six_state_check(rho=np.diag([1.0, 0.0]))
-        assert rep.entropy_sum_bits == pytest.approx(2.0, abs=1e-12)
-        assert rep.entropic_gap_bits == pytest.approx(0.0, abs=1e-12)
+        rep = app.six_state_check(rho=np.diag([1.0, 0.0])[None])
+        assert rep.entropy_sum_bits[0] == pytest.approx(2.0, abs=1e-12)
+        assert rep.entropic_gap_bits[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_tight(self):
-        rep = app.six_state_check(rho=np.eye(2) / 2)
-        assert rep.entropy_sum_bits == pytest.approx(3.0, abs=1e-12)
-        assert rep.h_a_bits == pytest.approx(1.0, abs=1e-12)
-        assert rep.entropic_gap_bits == pytest.approx(0.0, abs=1e-12)
+        rep = app.six_state_check(rho=np.eye(2)[None] / 2)
+        assert rep.entropy_sum_bits[0] == pytest.approx(3.0, abs=1e-12)
+        assert rep.h_a_bits[0] == pytest.approx(1.0, abs=1e-12)
+        assert rep.entropic_gap_bits[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_entropic_sampled_and_weaker_bound(self):
-        rng = np.random.default_rng(10)
-        for _ in range(300):
-            rep = app.six_state_check(rho=bloch_sample(rng))
-            assert rep.entropic_gap_bits >= -1e-9
-            assert rep.weaker_bound_gap_bits >= rep.entropic_gap_bits - 0.5 - 1e-9
+        rep = app.six_state_check(rho=bloch_sample(np.random.default_rng(10), 300))
+        assert (rep.entropic_gap_bits >= -1e-9).all()
+        assert (rep.weaker_bound_gap_bits >= rep.entropic_gap_bits - 0.5 - 1e-9).all()
 
     def test_analytic_sampled(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            oms = [random_pd(2, rng) for _ in range(3)]
-            rep = app.six_state_check(omegas=oms)
-            assert rep.analytic_gap >= -1e-9
-            assert rep.chain_holds
+        oms = random_pd(2, np.random.default_rng(11), 900).reshape(300, 3, 2, 2)
+        rep = app.six_state_check(omegas=oms)
+        assert (rep.analytic_gap >= -1e-9).all()
+        assert rep.chain_holds.all()
 
     def test_bound_both_forms(self):
         bases = app.six_state_bases()
@@ -647,13 +646,13 @@ class TestMuCheckerAgainstReference:
         pair = app.BasisPair(bx, bz)
         pairs = [(random_pd(2, rng), random_pd(2, rng)) for _ in range(20)]
         pairs.append((haar_pure(2, rng), random_pd(2, rng)))  # a rank-deficient omega_1
-        for w1, w2 in pairs:
-            rep = app.mu_analytic_check(pair, w1, w2)
+        rep = app.mu_analytic_check(pair, np.array(pairs))
+        for i, (w1, w2) in enumerate(pairs):
             for key, want in _independent_mu(bx, bz, w1, w2).items():
-                got = getattr(rep, key)
+                got = rep.c if key == "c" else getattr(rep, key)[i]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (key, got, want)
-        assert rep.lhs == 0.0  # the pure omega's kernel spreads over the qubit
-        assert rep.chain_holds
+        assert rep.lhs[-1] == 0.0  # the pure omega's kernel spreads over the qubit
+        assert rep.chain_holds.all()
 
 
 class TestStackedCheckers:
@@ -674,10 +673,10 @@ class TestStackedCheckers:
             single = app.measurement_entropies_bits(rho, bases)
             assert np.max(np.abs(stacked[:, i] - single)) <= 1e-12
             assert abs(ha[i] - ent.von_neumann(rho) / LN2) <= 1e-12
-            one = app.six_state_check(rho=rho)
+            one = app.six_state_check(rho=rho[None])
             for key in ("entropy_sum_bits", "h_a_bits", "entropic_gap_bits",
                         "weaker_bound_gap_bits"):
-                assert abs(getattr(rep, key)[i] - getattr(one, key)) <= 1e-12
+                assert abs(getattr(rep, key)[i] - getattr(one, key)[0]) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["pd", "rank-deficient"])
     def test_checkers_match_the_support_log_chain(self, kind):
@@ -689,11 +688,11 @@ class TestStackedCheckers:
 
         for _ in range(100):
             oms = [omega(), random_pd(2, rng), random_pd(2, rng)]
-            rep = app.six_state_check(omegas=oms)
-            got = (rep.analytic_lhs, rep.jensen_mid, rep.triple_integral)
+            rep = app.six_state_check(omegas=_block(*oms))
+            got = (rep.analytic_lhs[0], rep.jensen_mid[0], rep.triple_integral[0])
             assert np.max(np.abs(np.subtract(got, _reference_six_state(oms)))) <= 1e-12
-            rep = app.mu_analytic_check(app.BasisPair(bx, bz), *oms[:2])
-            got = (rep.lhs, rep.jensen_mid, rep.gt_bound)
+            rep = app.mu_analytic_check(app.BasisPair(bx, bz), _block(*oms[:2]))
+            got = (rep.lhs[0], rep.jensen_mid[0], rep.gt_bound[0])
             assert np.max(np.abs(np.subtract(got, _reference_mu(bx, bz, oms[:2])))) <= 1e-12
 
     def test_triple_integral_takes_the_stacked_spectrum(self, monkeypatch):
@@ -710,14 +709,14 @@ class TestStackedCheckers:
         monkeypatch.setattr(app, "lieb_triple_integral", recorded)
         rng = np.random.default_rng(42)
         oms = [random_pd(2, rng) for _ in range(3)]
-        rep = app.six_state_check(omegas=oms)
+        rep = app.six_state_check(omegas=_block(*oms))
         (pinched, kwargs), = seen
         vals, vecs = kwargs["spectrum"]
         assert [p.shape for p in pinched] == [(1, 2, 2)] * 3
         assert np.array_equal(vals, np.linalg.eigh(pinched[2])[0])
         assert np.max(np.abs(op.from_spectrum(vals, vecs) - pinched[2])) <= 1e-14
         ops = [op.PSDOperator(p[0]) for p in pinched]
-        assert rep.triple_integral == op.lieb_triple_integral(*ops)
+        assert rep.triple_integral[0] == op.lieb_triple_integral(*ops)
 
     ANALYTIC = ("analytic_lhs", "jensen_mid", "triple_integral", "analytic_gap", "chain_holds")
 
@@ -741,13 +740,44 @@ class TestStackedCheckers:
         if kind == "rank-deficient":
             assert (rep.analytic_lhs[1::6] == 0.0).all() and (rep.analytic_lhs[2::6] > 0.0).all()
         for i, oms_i in enumerate(oms):
-            one = app.six_state_check(omegas=oms_i)
-            assert isinstance(one.analytic_lhs, float) and isinstance(one.chain_holds, bool)
+            one = app.six_state_check(omegas=oms[i:i + 1])
             for key in self.ANALYTIC:
-                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)), (i, key)
+                assert np.shape(getattr(one, key)) == (1,)
+                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)[0]), (i, key)
             got = (rep.analytic_lhs[i], rep.jensen_mid[i], rep.triple_integral[i])
             assert np.max(np.abs(np.subtract(got, _reference_six_state(oms_i)))) <= 1e-12
         assert rep.chain_holds.all()
+
+    MU = ("lhs", "jensen_mid", "gt_bound", "gap", "chain_holds")
+
+    @pytest.mark.parametrize("kind", ["pd", "rank-deficient"])
+    def test_mu_block_rows_equal_each_pair_alone(self, kind):
+        # every row of a block of omega pairs is the pair checked alone, bit
+        # for bit, for the Pauli X/Z bases and for a random pair of bases;
+        # the rank-deficient block mixes full-rank rows with rows whose
+        # kernel flag spreads over the qubit (haar_pure) or stays on a line
+        # (an eigenstate of its own slot's basis)
+        rng = np.random.default_rng(46)
+        for bases in ((ch.pauli_basis("x"), ch.pauli_basis("z")),
+                      (random_basis(2, rng), random_basis(2, rng))):
+            pair = app.BasisPair(*bases)
+            oms = random_pd(2, rng, 2 * 40).reshape(40, 2, 2, 2)
+            if kind == "rank-deficient":
+                for i in range(0, 40, 4):
+                    slot = i // 4 % 2
+                    oms[i, slot] = haar_pure(2, rng)
+                    oms[i + 1, slot] = np.outer(bases[slot][0], np.conj(bases[slot][0]))
+            rep = app.mu_analytic_check(pair, oms)
+            assert all(np.shape(getattr(rep, key)) == (40,) for key in self.MU)
+            if kind == "rank-deficient":
+                assert (rep.lhs[::4] == 0.0).all() and (rep.lhs[1::4] > 0.0).all()
+            for i in range(40):
+                one = app.mu_analytic_check(pair, oms[i:i + 1])
+                assert one.c == rep.c
+                for key in self.MU:
+                    assert np.shape(getattr(one, key)) == (1,)
+                    assert np.array_equal(getattr(rep, key)[i], getattr(one, key)[0]), (i, key)
+            assert rep.chain_holds.all()
 
     def test_singular_z_slot_omega(self):
         # a diagonal rank-deficient omega in the Z slot keeps its kernel
@@ -757,17 +787,17 @@ class TestStackedCheckers:
         # block the triple sits in rotating slots, every row bit for bit
         # the triple checked alone
         half, low = np.eye(2) / 2, np.diag([0.0, 1.0])
-        rep = app.six_state_check(omegas=[half, half, low])
-        assert rep.triple_integral == pytest.approx(0.25, abs=1e-15) and rep.chain_holds is True
+        rep = app.six_state_check(omegas=_block(half, half, low))
+        assert rep.triple_integral[0] == pytest.approx(0.25, abs=1e-15) and rep.chain_holds[0]
         rng = np.random.default_rng(45)
         oms = random_pd(2, rng, 3 * 33).reshape(33, 3, 2, 2)
         for i in range(0, 33, 3):
             oms[i] = np.roll([half, half, low], i // 3 % 3, axis=0)
         rep = app.six_state_check(omegas=oms)
         for i, oms_i in enumerate(oms):
-            one = app.six_state_check(omegas=oms_i)
+            one = app.six_state_check(omegas=oms[i:i + 1])
             for key in self.ANALYTIC:
-                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)), (i, key)
+                assert np.array_equal(getattr(rep, key)[i], getattr(one, key)[0]), (i, key)
             got = (rep.analytic_lhs[i], rep.jensen_mid[i], rep.triple_integral[i])
             assert np.max(np.abs(np.subtract(got, _reference_six_state(oms_i)))) <= 1e-12
         assert rep.chain_holds.all()
@@ -784,9 +814,16 @@ class TestStackedCheckers:
         oms = random_pd(2, rng, 48).reshape(16, 3, 2, 2)
         oms[row, 1] = bad
         with pytest.raises(ValueError) as alone:
-            app.six_state_check(omegas=oms[row])
+            app.six_state_check(omegas=oms[row:row + 1])
         with pytest.raises(ValueError) as block:
             app.six_state_check(omegas=oms)
+        assert type(block.value) is type(alone.value)
+        assert str(block.value) == str(alone.value)
+        pair = app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z"))
+        with pytest.raises(ValueError) as alone:
+            app.mu_analytic_check(pair, oms[row:row + 1, :2])
+        with pytest.raises(ValueError) as block:
+            app.mu_analytic_check(pair, oms[:, :2])
         assert type(block.value) is type(alone.value)
         assert str(block.value) == str(alone.value)
 
@@ -798,10 +835,10 @@ class TestStackedCheckers:
 
     def test_singular_omega_keeps_its_kernel(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
-        rep = app.mu_analytic_check(app.BasisPair(bx, bz), np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert rep.lhs == 0.0
-        rep = app.six_state_check(omegas=[np.eye(2) / 2, np.diag([0.0, 1.0]), np.eye(2) / 2])
-        assert rep.analytic_lhs == 0.0
+        rep = app.mu_analytic_check(app.BasisPair(bx, bz), _block(np.diag([1.0, 0.0]), np.eye(2) / 2))
+        assert rep.lhs[0] == 0.0
+        rep = app.six_state_check(omegas=_block(np.eye(2) / 2, np.diag([0.0, 1.0]), np.eye(2) / 2))
+        assert rep.analytic_lhs[0] == 0.0
 
     @pytest.mark.parametrize("bad", [
         np.diag([1.0, -0.1]),  # not PSD
@@ -811,15 +848,18 @@ class TestStackedCheckers:
     def test_invalid_omega_rejected(self, bad):
         half = np.eye(2) / 2
         with pytest.raises(ValueError):
-            app.six_state_check(omegas=[half, bad, half])
+            app.six_state_check(omegas=_block(half, bad, half))
         with pytest.raises(ValueError):
             app.mu_analytic_check(app.BasisPair(ch.pauli_basis("x"), ch.pauli_basis("z")),
-                                  half, bad)
+                                  _block(half, bad))
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_six_state_needs_three_omegas(self, count):
-        with pytest.raises(DimensionMismatch, match="expected 3 omegas"):
-            app.six_state_check(omegas=[np.eye(2) / 2] * count)
+        # a block of one row of count omegas, and the count omegas bare,
+        # which are no block
+        for oms in (_block(*[np.eye(2) / 2] * count), np.stack([np.eye(2) / 2] * count)):
+            with pytest.raises(DimensionMismatch, match="expected 3 omegas"):
+                app.six_state_check(omegas=oms)
 
 
 class TestUnitTraceOmegas:
@@ -834,9 +874,9 @@ class TestUnitTraceOmegas:
 
     def test_other_traces_are_rejected(self):
         with pytest.raises(ValueError, match="unit-trace"):
-            app.mu_analytic_check(self.PAIR, 2 * self.W1, self.W2)
+            app.mu_analytic_check(self.PAIR, _block(2 * self.W1, self.W2))
         with pytest.raises(ValueError, match="unit-trace"):
-            app.six_state_check(omegas=[2 * self.W1, self.W2, self.W2])
+            app.six_state_check(omegas=_block(2 * self.W1, self.W2, self.W2))
         datum = app.uncertainty_datum([self.BX, self.BZ]).with_constant(np.log(0.5))
         gap = analytic_gap(datum, [self.W1, self.W2])
         assert gap > 0.1
@@ -844,10 +884,10 @@ class TestUnitTraceOmegas:
 
     def test_unit_traces_within_1e_9_pass(self):
         w1 = self.W1 * (1.0 + 5e-10)
-        assert app.mu_analytic_check(self.PAIR, w1, self.W2).chain_holds
-        assert app.six_state_check(omegas=[w1, self.W2, self.W2]).chain_holds
+        assert app.mu_analytic_check(self.PAIR, _block(w1, self.W2)).chain_holds[0]
+        assert app.six_state_check(omegas=_block(w1, self.W2, self.W2)).chain_holds[0]
         with pytest.raises(ValueError, match="unit-trace"):
-            app.mu_analytic_check(self.PAIR, self.W1 * (1.0 + 2e-9), self.W2)
+            app.mu_analytic_check(self.PAIR, _block(self.W1 * (1.0 + 2e-9), self.W2))
 
 
 class TestRankDeficientOmega:
@@ -860,18 +900,18 @@ class TestRankDeficientOmega:
 
     def test_mu_analytic_check(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
-        rep = app.mu_analytic_check(app.BasisPair(bx, bz), self.W0, self.HALF)
-        assert rep.lhs == 0.0
-        assert rep.gap == pytest.approx(0.5, abs=1e-12)
-        assert rep.chain_holds
+        rep = app.mu_analytic_check(app.BasisPair(bx, bz), _block(self.W0, self.HALF))
+        assert rep.lhs[0] == 0.0
+        assert rep.gap[0] == pytest.approx(0.5, abs=1e-12)
+        assert rep.chain_holds[0]
         datum = app.uncertainty_datum([bx, bz]).with_constant(np.log(rep.c))
         assert analytic_gap(datum, [self.W0, self.HALF]) == np.inf
 
     def test_six_state_check(self):
-        rep = app.six_state_check(omegas=[self.W0, self.HALF, self.HALF])
-        assert rep.analytic_lhs == 0.0
-        assert rep.analytic_gap == pytest.approx(0.25, abs=1e-12)
-        assert rep.chain_holds
+        rep = app.six_state_check(omegas=_block(self.W0, self.HALF, self.HALF))
+        assert rep.analytic_lhs[0] == 0.0
+        assert rep.analytic_gap[0] == pytest.approx(0.25, abs=1e-12)
+        assert rep.chain_holds[0]
 
     def test_dpi_analytic_check(self):
         meas = ch.measurement_channel(ch.pauli_basis("x"))

@@ -10,7 +10,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"wall_s": "lower"}
+BETTER = {"wall_s": {"better": "lower", "bound": 0.25}}
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
 
@@ -62,8 +62,37 @@ def test_gain_within_the_parents_spread_is_not_shown():
 
 def test_higher_is_better_reverses_the_sign():
     s = bench_pairs.summarize(_pairs([p + 0.10 for p in PARENT], name="rate"),
-                              {"rate": "higher"})["rate"]
+                              {"rate": {"better": "higher", "bound": 0.25}})["rate"]
     assert s["wins"] == 10 and s["gain"] == pytest.approx(0.10) and s["gain_shown"]
+
+
+def _verdict(change, bound, better="lower"):
+    metric = {"wall_s": {"better": better, "bound": bound}}
+    return bench_pairs.summarize(_pairs(change), metric)["wall_s"]
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # parent median 1.0, bound 0.25: the margin is 0.25
+    s = _verdict([p + 0.30 for p in PARENT], 0.25)
+    assert s["margin"] == pytest.approx(0.25) and s["verdict"] == "worse"
+    assert _verdict([p - 0.30 for p in PARENT], 0.25, better="higher")["verdict"] == "worse"
+
+
+def test_a_median_worse_within_the_bound_is_within_bound():
+    # the parent's IQR (0.035) is inside the margin
+    assert _verdict([p + 0.10 for p in PARENT], 0.25)["verdict"] == "within bound"
+    assert _verdict(PARENT, 0.25)["verdict"] == "within bound"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # margin 0.01 < IQR 0.035: a change 0.005 worse, or 0.02 better on
+    # every pair, cannot be told from the parent's own spread
+    assert _verdict([p + 0.005 for p in PARENT], 0.01)["verdict"] == "unresolved"
+    assert _verdict([p - 0.02 for p in PARENT], 0.01)["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    assert _verdict([p - 0.10 for p in PARENT], 0.01)["verdict"] == "within bound"
+    # a median worse by more than the margin stays worse
+    assert _verdict([p + 0.05 for p in PARENT], 0.01)["verdict"] == "worse"
 
 
 def _result(value, correct=True, failed=0):
@@ -81,7 +110,7 @@ def test_exit_status(tmp_path, monkeypatch, capsys, bad, status):
     # the metrics and their directions come from the parent's BENCHMARK.json
     (tmp_path / "parent").mkdir()
     (tmp_path / "parent" / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "wall_s", "better": "lower"}]}', encoding="utf-8")
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}', encoding="utf-8")
     calls = []
 
     def planted(checkout, workload, seed, seconds):
@@ -96,5 +125,6 @@ def test_exit_status(tmp_path, monkeypatch, capsys, bad, status):
     assert calls == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2)]
     out = capsys.readouterr()
     assert "wall_s (lower is better)" in out.out
+    assert "regression margin 0.2500: within bound" in out.out
     if status:
         assert "seed 2 change:" in out.err

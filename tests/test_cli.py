@@ -150,7 +150,7 @@ class TestVerify:
             bloch_sample(rng, m)
         triples = np.concatenate([random_pd(2, rng, 3 * m).reshape(m, 3, 2, 2)
                                   for m in blocks(65, 2)])
-        worst = min(six_state_check(omegas=oms).analytic_gap for oms in triples)
+        worst = min(six_state_check(omegas=oms).analytic_gap[0] for oms in triples[:, None])
         assert json.loads(out)["six_state"]["worst_analytic_gap"] == worst
 
     @pytest.mark.parametrize("preset", ["six-state", "mu-pauli-xz"])
@@ -824,6 +824,19 @@ class TestPresetSelfTests:
         from qbl.presets import PRESET_NAMES
 
         assert sorted(p[0] for p in PRESET_EXPECTATIONS) == sorted(PRESET_NAMES)
+
+    def test_preset_names_are_the_builders(self):
+        # one table names every preset: PRESET_NAMES is its keys, in order,
+        # every name builds a task of a kind the commands know, and any
+        # other name is a KeyError
+        from qbl import presets
+
+        assert presets.PRESET_NAMES == list(presets._BUILDERS)
+        kinds = {"bl_datum", "conditional_shearer", "six_state", "mu", "channel_task", "gaussian"}
+        for name in presets.PRESET_NAMES:
+            assert presets.build_preset(name, 3)["kind"] in kinds
+        with pytest.raises(KeyError, match="unknown preset 'nope'"):
+            presets.build_preset("nope")
 
 
 class TestDeterminism:

@@ -327,6 +327,11 @@ class TestDualityCrosscheck:
         with pytest.raises(ValueError, match="at least one iteration"):
             OptimizerBudget(restarts=2, max_iters=iters)
 
+    def test_a_budget_needs_a_non_negative_seed(self):
+        # numpy would reject the restart seeds only when the search starts
+        with pytest.raises(ValueError, match="base_seed -1"):
+            OptimizerBudget(base_seed=-1)
+
     def test_dpi(self):
         rep = duality_crosscheck(dpi_datum(13), BUDGET)
         assert rep.agree and rep.tol == engine.agreement_tol(rep.c_entropic) == 1e-4
@@ -361,6 +366,30 @@ class TestMembership:
         # no sample would report holds_on_samples at worst gap +inf
         with pytest.raises(ValueError, match="at least one sample"):
             SamplerConfig(samples=samples)
+
+    # each field is checked where the config is built, not by numpy or the
+    # sampler once sampling starts
+    def test_sampling_needs_a_non_negative_seed(self):
+        with pytest.raises(ValueError, match="seed -1"):
+            SamplerConfig(seed=-1)
+
+    def test_unknown_form_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown form 'xyz'"):
+            SamplerConfig(form="xyz")
+
+    def test_sampling_needs_an_ensemble(self):
+        # the ensembles cycle over the samples: none would divide by zero
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            SamplerConfig(ensembles=())
+
+    def test_ensembles_are_a_sequence_of_names(self):
+        # a string would cycle over its letters
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            SamplerConfig(ensembles="hs")
+
+    def test_unknown_ensemble_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown ensemble 'gauss'"):
+            SamplerConfig(ensembles=("hs", "gauss"))
 
     def test_constant_below_optimum_is_violated(self):
         # measurement uncertainty datum: optimal C is -ln 2; C = -1 fails

@@ -1,4 +1,5 @@
-"""The stacked exact gap evaluators, and the search workspace's entropic
+"""The stacked exact gap evaluators, on matrices and on the analytic
+certificate's SupportLog inputs, and the search workspace's entropic
 objective, against the independent per-matrix reference of
 tests/reference.py, on small random data of every rank."""
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import reference as ref
 from qbl import channels as ch
 from qbl import operators as op
-from qbl.engine import BLDatum, analytic_gap, entropic_gap
+from qbl.engine import BLDatum, analytic_gap, entropic_gap, induced_logs
+from qbl.sampling import random_hermitian
 
 ROWS = 4
 
@@ -112,3 +114,38 @@ def test_workspace_entropic_objective_matches_reference(problem):
         want = c - ref.entropic_gap(q, kraus, sigma, sigmas, c, lifted)
         assert _agree(objective[i], want)
         assert _agree(stepped[i], want)
+
+
+def _reference_gap_at_logs(q, kraus, sigma, sigmas, c, logs):
+    """The reference analytic gap at omega_k = exp(L_k), from the logs L_k
+    (Hermitian, no kernel) themselves: LHS = tr exp(log sigma + sum_k
+    E_k^dag(L_k)), RHS = exp(C) prod_k (tr exp(L_k / q_k + log sigma_k))^(q_k)."""
+    log_lhs = ref.log_trace_exp([ref.log_on_support(sigma)]
+                                + [(ref.apply_adjoint(k, s, lk), None)
+                                   for (k, s), lk in zip(kraus, logs)])
+    log_rhs = c
+    for qk, sk, lk in zip(q, sigmas, logs):
+        if not ref.split(sk)[0].size:
+            log_rhs = -np.inf
+            continue
+        log_rhs += qk * ref.log_trace_exp([(lk / qk, None), ref.log_on_support(sk)])
+    return float(log_rhs - log_lhs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_analytic_gap_at_support_logs_matches_reference(problem, seed):
+    # the certificate hands analytic_gap one tuple of SupportLogs: the
+    # induced_logs of a state, or any Hermitian logs without a kernel flag
+    q, chans, sigma, sigmas, c, states, _ = problem
+    datum = _datum(q, chans, sigma, sigmas, c)
+    assume(datum._leak is None)
+    rng = np.random.default_rng(seed)
+    kraus = [(k, np.ones(len(k))) for k in chans]
+    for rho in states:
+        induced = induced_logs(datum, rho)
+        hermitian = [op.SupportLog(random_hermitian(k.dim_out, rng)) for k in datum.channels]
+        for logs in (induced, hermitian):
+            assert all(lk.weight is None for lk in logs)
+            want = _reference_gap_at_logs(q, kraus, sigma, sigmas, c, [lk.finite for lk in logs])
+            assert _agree(analytic_gap(datum, logs), want)

@@ -6,15 +6,25 @@ For every seed, each checkout runs the command its ``BENCHMARK.json``
 declares (``python3 perfbench/run.py``) with ``--workload W --seed S
 --seconds X --trace 0``, from its own root, one run at a time: the parent
 first on an even seed, the change first on an odd one. The benchmark is
-run as a program and nothing is imported from it; the metric names and
-their better direction are read from the parent's ``BENCHMARK.json``.
+run as a program and nothing is imported from it; the metric names, their
+better direction and their regression bound are read from the parent's
+``BENCHMARK.json``.
 
 Prints, per pair, every end-to-end metric of both runs; then, per metric,
 each side's median and quartiles, the pairs the change won (ties count for
-neither side) and whether a gain is shown: the change wins at least 9 of
+neither side), whether a gain is shown (the change wins at least 9 of
 every 10 pairs, and its median is better than the parent's by more than
-the parent's interquartile range. Exits 1 when a run fails, reports
-``correct: false`` or reports failed tasks.
+the parent's interquartile range) and one regression verdict, with the
+margin bound x |parent median|:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the margin;
+- ``unresolved``: the parent's interquartile range is wider than the
+  margin, and some change run does not beat every parent run;
+- ``within bound``: otherwise.
+
+Exits 1 when a run fails, reports ``correct: false`` or reports failed
+tasks.
 """
 
 from __future__ import annotations
@@ -40,9 +50,10 @@ def benchmark(checkout: Path) -> dict:
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
-    return {m["name"]: m["better"] for m in benchmark(checkout)["end_to_end"]}
+def end_to_end(checkout: Path) -> dict[str, dict]:
+    """End-to-end metric name -> its BENCHMARK.json entry: "better" ("lower"
+    or "higher") and "bound" (the regression bound, a fraction)."""
+    return {m["name"]: m for m in benchmark(checkout)["end_to_end"]}
 
 
 def parse_run(stdout: str) -> dict:
@@ -95,39 +106,49 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric, from (parent value, change value) pairs of metric dicts
-    name -> value: both sides' quartiles, the pairs won and whether a gain
-    is shown."""
+def summarize(pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict[str, dict]:
+    """Per metric of end_to_end's form, from (parent value, change value)
+    pairs of metric dicts name -> value: both sides' quartiles, the pairs
+    won, whether a gain is shown and the regression verdict."""
     out = {}
-    for name, way in better.items():
-        sign = 1.0 if way == "lower" else -1.0
+    for name, metric in metrics.items():
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         gain = sign * (pq[1] - cq[1])
+        margin = metric["bound"] * abs(pq[1])
+        if -gain > margin:
+            verdict = "worse"
+        elif pq[2] - pq[0] > margin and not all(sign * (p - c) > 0 for p in parent for c in change):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         out[name] = {
             "parent": pq, "change": cq, "wins": wins, "pairs": len(pairs), "gain": gain,
             "gain_shown": 10 * wins >= 9 * len(pairs) and gain > pq[2] - pq[0],
+            "margin": margin, "verdict": verdict,
         }
     return out
 
 
-def report(seeds: list[int], pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+def report(seeds: list[int], pairs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> None:
     """Print each pair's metrics, then summarize's line per metric."""
-    names = list(better)
+    names = list(metrics)
     print("seed  first   " + "  ".join(f"{n + ' parent':>18} {n + ' change':>18}" for n in names))
     for seed, (p, c) in zip(seeds, pairs):
         first = "parent" if seed % 2 == 0 else "change"
         cells = "  ".join(f"{p[n]:>18.4f} {c[n]:>18.4f}" for n in names)
         print(f"{seed:<5} {first:<7} {cells}")
-    for name, s in summarize(pairs, better).items():
+    for name, s in summarize(pairs, metrics).items():
         (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
-        print(f"{name} ({better[name]} is better): parent median {p2:.4f} [{p1:.4f}, {p3:.4f}], "
+        print(f"{name} ({metrics[name]['better']} is better): "
+              f"parent median {p2:.4f} [{p1:.4f}, {p3:.4f}], "
               f"change median {c2:.4f} [{c1:.4f}, {c3:.4f}], change won {s['wins']}/{s['pairs']}, "
               f"gain {s['gain']:+.4f} vs parent IQR {p3 - p1:.4f}: "
-              f"gain {'shown' if s['gain_shown'] else 'not shown'}")
+              f"gain {'shown' if s['gain_shown'] else 'not shown'}; "
+              f"regression margin {s['margin']:.4f}: {s['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -139,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
-    better = directions(args.parent)
+    metrics = end_to_end(args.parent)
     seeds, pairs, failed = [], [], False
     for seed in args.seeds:
         order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
@@ -153,10 +174,10 @@ def main(argv=None) -> int:
             failed = True
             continue
         seeds.append(seed)
-        pairs.append(tuple({n: results[side]["metrics"][n]["value"] for n in better}
+        pairs.append(tuple({n: results[side]["metrics"][n]["value"] for n in metrics}
                            for side in ("parent", "change")))
     if pairs:
-        report(seeds, pairs, better)
+        report(seeds, pairs, metrics)
     return 1 if failed else 0
 
 
