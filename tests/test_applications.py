@@ -199,7 +199,8 @@ class TestMaassenUffink:
         w = [random_pd(3, rng), random_pd(3, rng)]
         w = [m / np.trace(m).real for m in w]
         pair = app.BasisPair(bx, bz)
-        assert app.mu_analytic_check(pair, _block(*w)).c == pair.c == app.maassen_uffink_constant(bx, bz)
+        assert (app.mu_analytic_check(pair, _block(*w)).c == pair.c
+                == app.maassen_uffink_constant(bx, bz))
         assert np.array_equal(pair.rows_x, ch.basis_rows(bx))
         assert np.array_equal(pair.rows_z, ch.basis_rows(bz))
         e0 = np.array([1.0, 0.0])
@@ -835,7 +836,8 @@ class TestStackedCheckers:
 
     def test_singular_omega_keeps_its_kernel(self):
         bx, bz = ch.pauli_basis("x"), ch.pauli_basis("z")
-        rep = app.mu_analytic_check(app.BasisPair(bx, bz), _block(np.diag([1.0, 0.0]), np.eye(2) / 2))
+        rep = app.mu_analytic_check(app.BasisPair(bx, bz),
+                                    _block(np.diag([1.0, 0.0]), np.eye(2) / 2))
         assert rep.lhs[0] == 0.0
         rep = app.six_state_check(omegas=_block(np.eye(2) / 2, np.diag([0.0, 1.0]), np.eye(2) / 2))
         assert rep.analytic_lhs[0] == 0.0

@@ -119,16 +119,13 @@ def test_workspace_entropic_objective_matches_reference(problem):
 def _reference_gap_at_logs(q, kraus, sigma, sigmas, c, logs):
     """The reference analytic gap at omega_k = exp(L_k), from the logs L_k
     (Hermitian, no kernel) themselves: LHS = tr exp(log sigma + sum_k
-    E_k^dag(L_k)), RHS = exp(C) prod_k (tr exp(L_k / q_k + log sigma_k))^(q_k)."""
+    E_k^dag(L_k)), RHS = exp(C) prod_k (tr exp(L_k / q_k + log sigma_k))^(q_k),
+    on a datum without a leak, whose sigma_k are all nonzero."""
     log_lhs = ref.log_trace_exp([ref.log_on_support(sigma)]
                                 + [(ref.apply_adjoint(k, s, lk), None)
                                    for (k, s), lk in zip(kraus, logs)])
-    log_rhs = c
-    for qk, sk, lk in zip(q, sigmas, logs):
-        if not ref.split(sk)[0].size:
-            log_rhs = -np.inf
-            continue
-        log_rhs += qk * ref.log_trace_exp([(lk / qk, None), ref.log_on_support(sk)])
+    log_rhs = c + sum(qk * ref.log_trace_exp([(lk / qk, None), ref.log_on_support(sk)])
+                      for qk, sk, lk in zip(q, sigmas, logs))
     return float(log_rhs - log_lhs)
 
 
